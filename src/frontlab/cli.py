@@ -18,9 +18,9 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import ConfigError, ConstructionError, FrontEscapeError, StabilityError
+from .errors import ConfigError
 from .presets import VERIFY_ALL, list_presets, preset_text
-from .runner import EXIT_CONFIG, EXIT_NUMERIC, run, run_verify_all, verify_run_dir
+from .runner import EXIT_CONFIG, run, run_verify_all, verify_run_dir
 
 
 def _emit(result) -> int:
@@ -39,14 +39,7 @@ def _run_text(text: str, out_dir, force_probe: bool = False) -> int:
         config.probe_enabled = True
         if not config.probe_seeds:
             config.probe_seeds = ("bracket", "empty", "ball")
-    try:
-        return _emit(run(config, out_dir=out_dir, config_text=text))
-    except (ConfigError, ConstructionError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (StabilityError, FrontEscapeError) as err:
-        print(f"numeric error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+    return _emit(run(config, out_dir=out_dir, config_text=text))
 
 
 def main(argv=None) -> int:

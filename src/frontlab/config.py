@@ -28,18 +28,7 @@ from .couplings import (
 from .errors import ConfigError
 from .geometry import star_shaped_u0
 from .grid import GridSpec
-
-KNOWN_CHECKS = (
-    "key_estimate",
-    "lower_gradient",
-    "cone",
-    "perimeter",
-    "band_measure",
-    "non_fattening",
-    "star_shape",
-    "dependence",
-)
-DEFAULT_CHECKS = KNOWN_CHECKS[:6]
+from .verify import CHECKS, DEFAULT_CHECKS
 
 KNOWN_SEEDS = ("bracket", "empty", "ball")
 
@@ -283,9 +272,9 @@ def parse_config(text: str) -> ScenarioConfig:
             else:
                 names = tuple(v.strip() for v in value.split(",") if v.strip())
                 for nm in names:
-                    if nm not in KNOWN_CHECKS:
+                    if nm not in CHECKS:
                         raise ConfigError(
-                            f"checks: unknown check {nm!r}; choose from {KNOWN_CHECKS}",
+                            f"checks: unknown check {nm!r}; choose from {tuple(CHECKS)}",
                             line=lineno,
                         )
                 cfg.checks = names

@@ -316,12 +316,6 @@ class DislocationCoupling:
         return PiecewiseConstantSpeed(chi_hist.times, fields)
 
 
-def dislocation_speed(coupling: DislocationCoupling, chi_t: ScalarField, t: float = 0.0) -> ScalarField:
-    """Speed field for one occupation snapshot (t only disambiguates c1(x,t)
-    generalisations; the law itself is autonomous)."""
-    return coupling.speed_field(chi_t)
-
-
 # ---------------------------------------------------------------------------
 # fitzhugh-nagumo coupling
 

@@ -1,6 +1,10 @@
-"""Scenario execution and artifact emission.
+"""Scenario execution, artifact emission and re-verification.
 
-A run writes a self-contained directory:
+A run solves the coupled flow to its fixed point, stores the trajectory,
+and runs the requested checks of the table `verify.CHECKS` in table order
+on one `verify.CheckContext`.  The contour dump, the radius table and every
+check take their contours, areas and etas from that context, so each is
+computed once per snapshot.  A run writes a self-contained directory:
 
     config.txt            echo of the parsed config source (when available)
     init.txt, init_meta.txt    initial field and its margin certificate
@@ -15,9 +19,14 @@ A run writes a self-contained directory:
     manifest.txt          sha256 of every artifact
     FAILED                only on abnormal termination, with the message
 
+`verify_run_dir` reloads such a directory, recomputes each stored check
+that needs no extra solve, and compares the recomputed report files with
+the stored ones byte for byte.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or
-construction error, 3 stability/escape error.  No artifact embeds a
-timestamp, so byte-identical runs produce byte-identical trees.
+construction error, 3 stability/escape error in any solve (fixed point,
+dependence pair, uniqueness probe).  No artifact embeds a timestamp, so
+byte-identical runs produce byte-identical trees.
 """
 
 import hashlib
@@ -27,33 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, parse_config
-from .contour import dump_contour, extract_contour
-from .couplings import constant_history, kappa
+from .contour import dump_contour
 from .errors import ConfigError, ConstructionError, FrontEscapeError, StabilityError
 from .geometry import dump_init, load_init
-from .grid import ScalarField, lebesgue_measure
-from .solver import (
-    LocalProblem,
-    _normalise_output_times,
-    default_far_radius,
-    load_trajectory,
-    regularity_report,
-    solve,
-)
-from .verify import (
-    band_measure_report,
-    cone_report,
-    continuous_dependence_report,
-    dependence_stability,
-    dump_report,
-    fattening_report,
-    gamma_sweep_star_shape,
-    key_estimate_report,
-    load_report,
-    lower_gradient_report,
-    perimeter_report,
-    star_shape_report,
-)
+from .solver import dump_trajectory, load_trajectory
+from .verify import CHECKS, CheckContext, dump_report, gamma_sweep_star_shape, stored_mismatch
 from .weak import fixed_point_solve, standard_seeds, uniqueness_probe
 
 EXIT_OK = 0
@@ -97,13 +84,13 @@ def write_manifest(out_dir: str) -> str:
     return text
 
 
-def _radius_table(traj) -> str:
+def _radius_table(ctx: CheckContext) -> str:
     lines = ["time,mean_radius,area_radius,perimeter,area"]
-    for t, snap in zip(traj.times, traj.snapshots):
-        contour = extract_contour(snap, 0.0)
+    for k, t in enumerate(ctx.traj.times):
+        contour = ctx.contour(k)
         verts = contour.vertex_array()
         mean_r = float(np.hypot(verts[:, 0], verts[:, 1]).mean()) if verts.size else 0.0
-        area = lebesgue_measure(snap, 0.0)
+        area = ctx.area(k)
         area_r = float(np.sqrt(max(area, 0.0) / np.pi))
         lines.append(
             f"{t:.17g},{mean_r:.17g},{area_r:.17g},{contour.perimeter():.17g},{area:.17g}"
@@ -111,50 +98,36 @@ def _radius_table(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dependence_reports(coupling, init, spec, gamma, horizon, times, far_radius):
-    """Frozen-occupation perturbation pair: discs r0, r0+2h, and r0+h."""
-    h = spec.h
-    times = _normalise_output_times(times, horizon)
-
-    def disc_hist(radius):
-        chi = ScalarField(spec, (spec.radius() <= radius).astype(np.float64))
-        return constant_history(chi, times)
-
-    hists = {dr: disc_hist(init.r0 + dr) for dr in (0.0, h, 2.0 * h)}
-    providers = {dr: coupling.speed_provider(hist) for dr, hist in hists.items()}
-    if far_radius is None:
-        c_max = max(
-            max(p.max_abs(t) for t in times) for p in providers.values()
-        )
-        far_radius = default_far_radius(spec, c_max, horizon, init.R0)
-
-    trajs = {}
-    for dr, provider in providers.items():
-        problem = LocalProblem(
-            speed=provider, gamma=gamma, horizon=horizon,
-            far_radius=far_radius, spec=spec,
-        )
-        trajs[dr] = solve(problem, init.u0, output_times=times)
-
-    def pair_report(dr, name):
-        k = kappa(hists[0.0].fields[0], hists[dr].fields[0])
-        return continuous_dependence_report(
-            trajs[0.0], trajs[dr], kappa_per_time=[k] * len(times), name=name
-        )
-
-    full = pair_report(2.0 * h, "dependence")
-    half = pair_report(h, "dependence_half")
-    change, stable = dependence_stability(full, half)
-    full.constants["m1_half"] = half.constants["m1_fit"]
-    full.constants["stability_change"] = change
-    full.constants["ok_stable"] = float(stable)
-    full.passed = bool(full.passed and stable)
-    if not stable:
-        full.notes.append("M1 fit moved by >= 50% when the perturbation halved")
-    return [full, half]
+def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str) -> str:
+    """Write sweep.csv and return the gamma_sweep verdict line."""
+    gamma_bar, sweep = gamma_sweep_star_shape(
+        coupling, init, config.gamma_sweep, config.horizon,
+        output_times=times, far_radius=config.far_radius,
+        max_iter=config.max_iter,
+    )
+    lines = ["gamma,passed,min_margin"]
+    for g in sorted(sweep):
+        rep = sweep[g]
+        if isinstance(rep, str):
+            lines.append(f"{g:.17g},error,nan")
+        else:
+            lines.append(f"{g:.17g},{'true' if rep.passed else 'false'},{rep.min_margin():.17g}")
+    lines.append(f"# gamma_bar_emp = {gamma_bar if gamma_bar is not None else 'none'}")
+    _write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    return f"{'PASS' if gamma_bar is not None and gamma_bar > 0 else 'FAIL'} gamma_sweep"
 
 
-def _probe_artifacts(result, out_dir: str) -> None:
+def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str) -> str:
+    """Run the uniqueness probe, write probe.csv and probe.verdict, and
+    return the uniqueness_probe verdict line."""
+    seeds_all = standard_seeds(init.u0, times, R0=init.R0)
+    result = uniqueness_probe(
+        coupling, init.u0, config.gamma, config.horizon,
+        seeds={name: seeds_all[name] for name in config.probe_seeds},
+        taus=config.probe_taus, output_times=times,
+        far_radius=config.far_radius, tol=config.tol,
+        max_iter=config.max_iter, lipschitz=init.lipschitz, R0=init.R0,
+    )
     lines = ["seed_i,seed_j,tau,delta_tau,kappa_sup"]
     for si, sj, tau, delta, ksup in result.rows:
         lines.append(f"{si},{sj},{tau:.17g},{delta:.17g},{ksup:.17g}")
@@ -168,6 +141,7 @@ def _probe_artifacts(result, out_dir: str) -> None:
         summary.append(f"final_residual_{name} = {sol.residual_history[-1]:.17g}")
         summary.append(f"converged_{name} = {'true' if sol.converged else 'false'}")
     _write(os.path.join(out_dir, "probe.verdict"), "\n".join(summary) + "\n")
+    return f"{'PASS' if result.passed else 'FAIL'} uniqueness_probe"
 
 
 def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) -> RunResult:
@@ -193,94 +167,38 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
     )
     times = config.times()
 
+    # every solve below (fixed point, dependence pair, probe) may escape
+    # the containment ring or go unstable; each ends the run the same way
     try:
         sol = fixed_point_solve(
             coupling, init.u0, config.gamma, config.horizon,
             output_times=times, far_radius=config.far_radius,
             tol=config.tol, max_iter=config.max_iter,
         )
+        traj = sol.u_traj
+        ctx = CheckContext(traj, init, config, coupling)
+        dump_trajectory(traj, os.path.join(out_dir, "traj"))
+        cdir = os.path.join(out_dir, "contours")
+        os.makedirs(cdir, exist_ok=True)
+        for k in range(len(traj.snapshots)):
+            dump_contour(ctx.contour(k), os.path.join(cdir, f"contour_{k:03d}.csv"))
+        _write(os.path.join(out_dir, "radius_vs_time.csv"), _radius_table(ctx))
+
+        verdicts = [f"{'PASS' if sol.converged else 'FAIL'} fixed_point"]
+        if config.gamma_sweep and "star_shape" in config.checks:
+            verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir))
+        # every report before any is written: a failed dependence pair writes none
+        reports = [
+            rep for name, (reports_of, _) in CHECKS.items()
+            if name in config.checks for rep in reports_of(ctx)
+        ]
+        for rep in reports:
+            dump_report(rep, os.path.join(out_dir, "reports"))
+            verdicts.append(rep.verdict_line())
+        if config.probe_enabled:
+            verdicts.append(_probe(config, coupling, init, times, out_dir))
     except (FrontEscapeError, StabilityError) as err:
         return _fail(out_dir, f"{type(err).__name__}: {err}", EXIT_NUMERIC)
-
-    traj = sol.u_traj
-    from .solver import dump_trajectory
-
-    dump_trajectory(traj, os.path.join(out_dir, "traj"))
-    cdir = os.path.join(out_dir, "contours")
-    os.makedirs(cdir, exist_ok=True)
-    for k, snap in enumerate(traj.snapshots):
-        dump_contour(extract_contour(snap, 0.0), os.path.join(cdir, f"contour_{k:03d}.csv"))
-    _write(os.path.join(out_dir, "radius_vs_time.csv"), _radius_table(traj))
-
-    verdicts = [f"{'PASS' if sol.converged else 'FAIL'} fixed_point"]
-    reports = []
-    rdir = os.path.join(out_dir, "reports")
-
-    if config.checks:
-        reg = regularity_report(traj)
-        sched, key_rep = key_estimate_report(traj, init)
-        t_bar = key_rep.constants["t_bar_emp"]
-        if "key_estimate" in config.checks:
-            reports.append(key_rep)
-        if "lower_gradient" in config.checks:
-            reports.append(lower_gradient_report(traj, init, sched, t_bar=t_bar))
-        if "cone" in config.checks:
-            reports.append(cone_report(traj, init, sched, reg.K_fit, t_bar=t_bar))
-        if "perimeter" in config.checks:
-            reports.append(perimeter_report(traj, init, sched, reg.K_fit, t_bar=t_bar))
-        if "band_measure" in config.checks:
-            reports.append(band_measure_report(traj, init, sched, t_bar=t_bar))
-        if "non_fattening" in config.checks:
-            reports.append(fattening_report(traj, init, sched, t_bar=t_bar))
-        if "star_shape" in config.checks:
-            reports.append(star_shape_report(traj, init))
-            if config.gamma_sweep:
-                gamma_bar, sweep = gamma_sweep_star_shape(
-                    coupling, init, config.gamma_sweep, config.horizon,
-                    output_times=times, far_radius=config.far_radius,
-                    max_iter=config.max_iter,
-                )
-                lines = ["gamma,passed,min_margin"]
-                for g in sorted(sweep):
-                    rep = sweep[g]
-                    if isinstance(rep, str):
-                        lines.append(f"{g:.17g},error,nan")
-                    else:
-                        lines.append(
-                            f"{g:.17g},{'true' if rep.passed else 'false'},"
-                            f"{rep.min_margin():.17g}"
-                        )
-                lines.append(f"# gamma_bar_emp = "
-                             f"{gamma_bar if gamma_bar is not None else 'none'}")
-                _write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
-                verdicts.append(
-                    f"{'PASS' if gamma_bar is not None and gamma_bar > 0 else 'FAIL'} "
-                    "gamma_sweep"
-                )
-        if "dependence" in config.checks:
-            try:
-                reports.extend(_dependence_reports(
-                    coupling, init, spec, config.gamma, config.horizon,
-                    times, config.far_radius,
-                ))
-            except (FrontEscapeError, StabilityError) as err:
-                return _fail(out_dir, f"dependence: {err}", EXIT_NUMERIC)
-
-    for rep in reports:
-        dump_report(rep, rdir)
-        verdicts.append(rep.verdict_line())
-
-    if config.probe_enabled:
-        seeds_all = standard_seeds(init.u0, times, R0=init.R0)
-        seeds = {name: seeds_all[name] for name in config.probe_seeds}
-        probe = uniqueness_probe(
-            coupling, init.u0, config.gamma, config.horizon,
-            seeds=seeds, taus=config.probe_taus, output_times=times,
-            far_radius=config.far_radius, tol=config.tol,
-            max_iter=config.max_iter, lipschitz=init.lipschitz, R0=init.R0,
-        )
-        _probe_artifacts(probe, out_dir)
-        verdicts.append(f"{'PASS' if probe.passed else 'FAIL'} uniqueness_probe")
 
     meta = [
         f"name = {config.name}",
@@ -324,18 +242,15 @@ def run_verify_all(out_root: str) -> RunResult:
 # ---------------------------------------------------------------------------
 # re-verification of a stored run directory
 
-_TRAJECTORY_CHECKS = (
-    "key_estimate", "lower_gradient", "cone", "perimeter",
-    "band_measure", "non_fattening", "star_shape",
-)
-
 
 def verify_run_dir(run_dir: str) -> RunResult:
-    """Reload a run directory, recompute every trajectory-pure check, and
-    compare with the stored verdicts.
+    """Reload a run directory, recompute every stored check that needs no
+    extra solve, and compare the recomputed report files with the stored
+    ones byte for byte.
 
-    Exit 0 iff every recomputed verdict matches its stored counterpart and
-    passes.  Checks needing extra solves (dependence) are skipped."""
+    Exit 0 iff every recomputed report equals its stored files and passes;
+    1 when a check fails, a verdict flips or a stored number drifts; 2 when
+    run_meta.txt is missing or names a check the table does not know."""
     meta_path = os.path.join(run_dir, "run_meta.txt")
     if not os.path.exists(meta_path):
         return RunResult(EXIT_CONFIG, run_dir, ["FAIL verify (no run_meta.txt)"])
@@ -346,50 +261,24 @@ def verify_run_dir(run_dir: str) -> RunResult:
     checks = tuple(
         c for c in meta.get("checks", "").split(",") if c and c != "none"
     )
-
-    init = load_init(
-        os.path.join(run_dir, "init.txt"),
-        os.path.join(run_dir, "init_meta.txt"),
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        return RunResult(
+            EXIT_CONFIG, run_dir, [f"FAIL verify (unknown check {unknown[0]!r} in run_meta.txt)"]
+        )
+    ctx = CheckContext(
+        load_trajectory(os.path.join(run_dir, "traj")),
+        load_init(os.path.join(run_dir, "init.txt"), os.path.join(run_dir, "init_meta.txt")),
     )
-    traj = load_trajectory(os.path.join(run_dir, "traj"))
-    reg = regularity_report(traj)
-    sched, key_rep = key_estimate_report(traj, init)
-    t_bar = key_rep.constants["t_bar_emp"]
-
-    recomputed = {}
-    for check in checks:
-        if check not in _TRAJECTORY_CHECKS:
-            continue
-        if check == "key_estimate":
-            recomputed[check] = key_rep
-        elif check == "lower_gradient":
-            recomputed[check] = lower_gradient_report(traj, init, sched, t_bar=t_bar)
-        elif check == "cone":
-            recomputed[check] = cone_report(traj, init, sched, reg.K_fit, t_bar=t_bar)
-        elif check == "perimeter":
-            recomputed[check] = perimeter_report(traj, init, sched, reg.K_fit, t_bar=t_bar)
-        elif check == "band_measure":
-            recomputed[check] = band_measure_report(traj, init, sched, t_bar=t_bar)
-        elif check == "non_fattening":
-            recomputed[check] = fattening_report(traj, init, sched, t_bar=t_bar)
-        elif check == "star_shape":
-            recomputed[check] = star_shape_report(traj, init)
 
     verdicts = []
-    all_ok = True
     rdir = os.path.join(run_dir, "reports")
-    for check, rep in recomputed.items():
-        try:
-            stored = load_report(rdir, rep.name)
-        except FileNotFoundError:
-            verdicts.append(f"FAIL {rep.name} (no stored report)")
-            all_ok = False
+    for name, (reports_of, needs_solves) in CHECKS.items():
+        if name not in checks or needs_solves:
             continue
-        match = stored.passed == rep.passed
-        ok = match and rep.passed
-        all_ok = all_ok and ok
-        tag = "PASS" if ok else "FAIL"
-        suffix = "" if match else " (verdict mismatch with stored report)"
-        verdicts.append(f"{tag} {rep.name}{suffix}")
-
-    return RunResult(EXIT_OK if all_ok else EXIT_CHECK_FAILED, run_dir, verdicts)
+        for rep in reports_of(ctx):
+            suffix = stored_mismatch(rep, rdir)
+            tag = "PASS" if rep.passed and not suffix else "FAIL"
+            verdicts.append(f"{tag} {rep.name}{suffix}")
+    ok = all(line.startswith("PASS") for line in verdicts)
+    return RunResult(EXIT_OK if ok else EXIT_CHECK_FAILED, run_dir, verdicts)

@@ -27,26 +27,23 @@ Every report is a pure function of its inputs, serializes to a CSV of
 (time, measured, bound, margin) rows plus a key=value verdict file, and is
 re-checkable from the stored data alone.  Slacks are first order in h and
 recorded in the verdict file; nothing is asserted at sub-grid precision.
+`CHECKS`, at the end, is the one table of check names; each entry reads its
+trajectory through a `CheckContext` that computes shared geometry once.
 """
 
 import os
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
 from .contour import extract_contour
-from .couplings import gauss_slice
+from .couplings import constant_history, gauss_slice, kappa
 from .errors import FrontEscapeError, StabilityError
 from .geometry import InitCondition
-from .grid import (
-    ScalarField,
-    band_measure,
-    central_gradient_norm,
-    interpolate,
-    lebesgue_measure,
-    trapezoid,
-)
-from .solver import Trajectory
+from .grid import ScalarField, central_gradient_norm, interpolate, lebesgue_measure, trapezoid
+from .solver import (LocalProblem, Trajectory, _normalise_output_times, default_far_radius,
+                     regularity_report, solve)
 from .weak import fixed_point_solve
 
 LEVELS_FRACTION = (-0.25, 0.0, 0.25)   # contour levels as multiples of delta0
@@ -98,21 +95,36 @@ class VerificationReport:
 # report serialization: <name>.csv + <name>.verdict
 
 
+def report_texts(report: VerificationReport) -> tuple:
+    """The (<name>.csv, <name>.verdict) file contents of a report."""
+    csv = "time,measured,bound,margin\n" + "".join(
+        f"{t:.17g},{m:.17g},{b:.17g},{g:.17g}\n" for t, m, b, g in report.rows
+    )
+    lines = [f"name = {report.name}", f"passed = {'true' if report.passed else 'false'}"]
+    lines += [f"{key} = {report.constants[key]:.17g}" for key in sorted(report.constants)]
+    lines += [f"# {note}" for note in report.notes]
+    return csv, "\n".join(lines) + "\n"
+
+
 def dump_report(report: VerificationReport, directory) -> None:
     os.makedirs(directory, exist_ok=True)
-    csv_path = os.path.join(directory, f"{report.name}.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("time,measured,bound,margin\n")
-        for t, m, b, g in report.rows:
-            fh.write(f"{t:.17g},{m:.17g},{b:.17g},{g:.17g}\n")
-    verdict_path = os.path.join(directory, f"{report.name}.verdict")
-    with open(verdict_path, "w") as fh:
-        fh.write(f"name = {report.name}\n")
-        fh.write(f"passed = {'true' if report.passed else 'false'}\n")
-        for key in sorted(report.constants):
-            fh.write(f"{key} = {report.constants[key]:.17g}\n")
-        for note in report.notes:
-            fh.write(f"# {note}\n")
+    for ext, text in zip((".csv", ".verdict"), report_texts(report)):
+        with open(os.path.join(directory, report.name + ext), "w") as fh:
+            fh.write(text)
+
+
+def stored_mismatch(report: VerificationReport, directory) -> str:
+    """Empty when the files stored for report.name are exactly what
+    dump_report would write for report; otherwise a verdict suffix saying
+    how they differ."""
+    paths = [os.path.join(directory, report.name + ext) for ext in (".csv", ".verdict")]
+    try:
+        stored = tuple(open(path).read() for path in paths)
+    except FileNotFoundError:
+        return " (no stored report)"
+    if ("\npassed = true\n" in stored[1]) != report.passed:
+        return " (verdict mismatch with stored report)"
+    return "" if stored == report_texts(report) else " (report drift)"
 
 
 def load_report(directory, name: str) -> VerificationReport:
@@ -190,11 +202,63 @@ def eta_empirical(
     return best if np.isfinite(best) else np.nan
 
 
-def eta_profile(traj: Trajectory, init: InitCondition, lambdas=None):
-    etas = np.asarray(
-        [eta_empirical(s, init, lambdas=lambdas) for s in traj.snapshots]
-    )
-    return traj.times, etas
+# ---------------------------------------------------------------------------
+# the per-trajectory context the checks share
+
+
+class CheckContext:
+    """A trajectory and its initial condition, with what the checks share,
+    each computed on first use and then kept: every snapshot's eta, every
+    (snapshot, level) contour and area (never coverage arrays), the
+    regularity fit K and the key estimate.  The geometric reports accept a
+    context in place of their trajectory.  A run also sets `config` and
+    `coupling`, which the checks that solve again (dependence) read."""
+
+    def __init__(self, traj: Trajectory, init: InitCondition, config=None, coupling=None):
+        self.traj, self.init = traj, init
+        self.config, self.coupling = config, coupling
+        self._kept = {}
+
+    def _once(self, key, compute, *args):
+        if key not in self._kept:
+            self._kept[key] = compute(*args)
+        return self._kept[key]
+
+    def contour(self, k: int, level: float = 0.0):
+        return self._once(("contour", k, level), extract_contour, self.traj.snapshots[k], level)
+
+    def area(self, k: int, level: float = 0.0) -> float:
+        """Area of {u >= level} in snapshot k."""
+        return self._once(("area", k, level), lebesgue_measure, self.traj.snapshots[k], level)
+
+    def eta(self, k: int) -> float:
+        """eta_empirical of snapshot k with the default band and lambdas."""
+        return self._once(("eta", k), eta_empirical, self.traj.snapshots[k], self.init)
+
+    @cached_property
+    def K_fit(self) -> float:
+        return regularity_report(self.traj).K_fit
+
+    @cached_property
+    def key_estimate(self):
+        """(EtaSchedule, key_estimate report) of key_estimate_report."""
+        return key_estimate_report(self, self.init)
+
+    @property
+    def schedule(self) -> "EtaSchedule":
+        return self.key_estimate[0]
+
+    @property
+    def t_bar(self) -> float:
+        return self.key_estimate[1].constants["t_bar_emp"]
+
+
+def _context(traj, init: InitCondition):
+    """(context, bare trajectory) of a report's traj argument: traj itself
+    when it is a context for init, else a new context."""
+    if not (isinstance(traj, CheckContext) and traj.init is init):
+        traj = CheckContext(getattr(traj, "traj", traj), init)
+    return traj, traj.traj
 
 
 def key_estimate_report(
@@ -212,12 +276,17 @@ def key_estimate_report(
     max(2 h ||Du0||_inf, 5% of eta_emp(0)); it is NaN when fewer than three
     such times exist (no measurable decay).
     """
+    ctx, traj = _context(traj, init)
+    times = traj.times
     if lambda_bar is None:
         lambda_bar = init.lambda_bar
     if lambda_bar > init.lambda0 * (1 + 1e-12):
         raise ValueError(f"lambda_bar {lambda_bar:g} exceeds lambda0 {init.lambda0:g}")
-    lambdas = lambda_bar * np.arange(1, 5) / 4.0
-    times, etas = eta_profile(traj, init, lambdas=lambdas)
+    if lambda_bar == init.lambda_bar:
+        etas = np.asarray([ctx.eta(k) for k in range(len(times))])
+    else:
+        lambdas = lambda_bar * np.arange(1, 5) / 4.0
+        etas = np.asarray([eta_empirical(s, init, lambdas=lambdas) for s in traj.snapshots])
     h, lip = traj.spec.h, init.lipschitz
     floor = h * lip
 
@@ -370,6 +439,7 @@ def cone_report(
     where the height falls below h are skipped and counted.  The same count
     is repeated with K doubled; a verdict flip between the two is flagged.
     """
+    ctx, traj = _context(traj, init)
     if t_bar is None:
         t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     spec = traj.spec
@@ -384,12 +454,12 @@ def cone_report(
     skipped_small = 0
     rows = []
 
-    for t, snap in zip(traj.times, traj.snapshots):
+    for k, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
         if t > t_bar + 1e-12:
             break
         eta_t = max(float(eta_sched.eta(t)), 0.0)
         for level in levels:
-            contour = extract_contour(snap, level)
+            contour = ctx.contour(k, level)
             verts = contour.vertex_array()
             if verts.size == 0:
                 rows.append((float(t), 0.0, 0.01, 0.01))
@@ -452,17 +522,17 @@ def cone_report(
     return report
 
 
-def _eta_bar(traj, init, eta_sched, window: float, floor: float) -> float:
+def _eta_bar(ctx: CheckContext, eta_sched, window: float, floor: float) -> float:
     """Window minimum of the schedule, capped pointwise by the measured
     margin.  The cap matters when the margin grows in time: a nonincreasing
     model then sits above its own data at t = 0 and would overstate the
     divisor of the co-area bounds."""
     vals = []
-    for t, snap in zip(traj.times, traj.snapshots):
+    for k, t in enumerate(ctx.traj.times):
         if t > window + 1e-12:
             break
         s = float(eta_sched.eta(t))
-        e = eta_empirical(snap, init)
+        e = ctx.eta(k)
         if np.isfinite(e):
             s = min(s, float(e))
         vals.append(max(s, floor))
@@ -476,6 +546,7 @@ def perimeter_report(
     """Contour perimeter against the co-area bound
     2 ||Du0||_inf e^{Kt} area / eta_bar and the 2x initial-value sanity cap,
     over t <= t_bar/2 and levels {-delta0/4, 0, delta0/4}."""
+    ctx, traj = _context(traj, init)
     if t_bar is None:
         t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     window = 0.5 * t_bar
@@ -483,19 +554,19 @@ def perimeter_report(
     floor = h * lip
     levels = [f * init.delta0 for f in LEVELS_FRACTION]
 
-    eta_bar = _eta_bar(traj, init, eta_sched, window, floor)
+    eta_bar = _eta_bar(ctx, eta_sched, window, floor)
     slack = h * lip
 
     rows = []
     initial = {}
     ok_coarea = True
     ok_double = True
-    for t, snap in zip(traj.times, traj.snapshots):
+    for k, t in enumerate(traj.times):
         if t > window + 1e-12:
             break
         for level in levels:
-            perim = extract_contour(snap, level).perimeter()
-            area = lebesgue_measure(snap, level)
+            perim = ctx.contour(k, level).perimeter()
+            area = ctx.area(k, level)
             bound = 2.0 * lip * np.exp(K_fit * float(t)) * area / eta_bar
             margin = bound - perim
             rows.append((float(t), perim, bound, margin))
@@ -527,15 +598,16 @@ def perimeter_report(
 
 def band_measure_report(
     traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule,
-    t_bar: float = None, green_point=(0.0, 0.0),
+    t_bar: float = None,
 ) -> VerificationReport:
     """One-sided band areas |{-delta <= u < 0}| across delta, with the
     linearity check measure/delta spread < 2, the fitted M4, and the
-    Green-weighted M5 variant integrated at green_point.
+    Green-weighted M5 variant integrated at the origin.
 
     delta grid: {2h, 4h, delta0/8, delta0/4} with sub-resolution values
     (< 2h) dropped.
     """
+    ctx, traj = _context(traj, init)
     if t_bar is None:
         t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     spec = traj.spec
@@ -545,17 +617,17 @@ def band_measure_report(
     deltas = sorted({d for d in raw if d >= 2.0 * h - 1e-15})
 
     window_times = [t for t in traj.times if t <= t_bar + 1e-12]
-    eta_bar = _eta_bar(traj, init, eta_sched, t_bar, floor)
+    eta_bar = _eta_bar(ctx, eta_sched, t_bar, floor)
 
     raw_rows = []
     m4 = 0.0
     spread = 1.0
-    for t, snap in zip(traj.times, traj.snapshots):
+    for k, t in enumerate(traj.times):
         if t > t_bar + 1e-12:
             break
         ratios = []
         for d in deltas:
-            area = band_measure(snap, -d, 0.0)
+            area = ctx.area(k, -d) - ctx.area(k, 0.0)
             m4 = max(m4, area * eta_bar / d)
             ratios.append(area / d)
             raw_rows.append((float(t), area, d))
@@ -569,7 +641,7 @@ def band_measure_report(
 
     # Green-weighted variant at the end of the window
     t_end = window_times[-1]
-    x0 = np.asarray(green_point, dtype=np.float64)
+    x0 = np.zeros(2)
     m5 = 0.0
     green_ratios = []
     if t_end > 0:
@@ -612,6 +684,7 @@ def fattening_report(
     """Two-sided slab areas |{|u| <= eps}| fitted linearly in eps over
     {2h, 4h, 8h}; the front has not fattened while the fit intercept stays
     below 2 h perimeter."""
+    ctx, traj = _context(traj, init)
     if t_bar is None:
         t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     h = traj.spec.h
@@ -620,12 +693,12 @@ def fattening_report(
     rows = []
     passed = True
     max_slope = 0.0
-    for t, snap in zip(traj.times, traj.snapshots):
+    for k, t in enumerate(traj.times):
         if t > t_bar + 1e-12:
             break
-        areas = np.array([band_measure(snap, -e, e) for e in eps_grid])
+        areas = np.array([ctx.area(k, -e) - ctx.area(k, e) for e in eps_grid])
         slope, intercept = np.polyfit(eps_grid, areas, 1)
-        perim = extract_contour(snap, 0.0).perimeter()
+        perim = ctx.contour(k, 0.0).perimeter()
         bound = 2.0 * h * perim
         margin = bound - float(intercept)
         rows.append((float(t), float(intercept), bound, margin))
@@ -714,6 +787,52 @@ def dependence_stability(full: VerificationReport, halved: VerificationReport):
     return float(change), bool(change < 0.5)
 
 
+def _dependence_reports(ctx: CheckContext):
+    """Frozen-occupation perturbation pair of a run: the run's coupling
+    driven by the discs r0, r0+2h and r0+h, reported as dependence (2h)
+    and dependence_half (h)."""
+    config, coupling, init = ctx.config, ctx.coupling, ctx.init
+    spec = init.u0.spec
+    h = spec.h
+    times = _normalise_output_times(config.times(), config.horizon)
+
+    def disc_hist(radius):
+        chi = ScalarField(spec, (spec.radius() <= radius).astype(np.float64))
+        return constant_history(chi, times)
+
+    hists = {dr: disc_hist(init.r0 + dr) for dr in (0.0, h, 2.0 * h)}
+    providers = {dr: coupling.speed_provider(hist) for dr, hist in hists.items()}
+    far_radius = config.far_radius
+    if far_radius is None:
+        c_max = max(p.max_abs(t) for p in providers.values() for t in times)
+        far_radius = default_far_radius(spec, c_max, config.horizon, init.R0)
+
+    trajs = {}
+    for dr, provider in providers.items():
+        problem = LocalProblem(
+            speed=provider, gamma=config.gamma, horizon=config.horizon,
+            far_radius=far_radius, spec=spec,
+        )
+        trajs[dr] = solve(problem, init.u0, output_times=times)
+
+    def pair_report(dr, name):
+        k = kappa(hists[0.0].fields[0], hists[dr].fields[0])
+        return continuous_dependence_report(
+            trajs[0.0], trajs[dr], kappa_per_time=[k] * len(times), name=name
+        )
+
+    full = pair_report(2.0 * h, "dependence")
+    half = pair_report(h, "dependence_half")
+    change, stable = dependence_stability(full, half)
+    full.constants["m1_half"] = half.constants["m1_fit"]
+    full.constants["stability_change"] = change
+    full.constants["ok_stable"] = float(stable)
+    full.passed = bool(full.passed and stable)
+    if not stable:
+        full.notes.append("M1 fit moved by >= 50% when the perturbation halved")
+    return [full, half]
+
+
 # ---------------------------------------------------------------------------
 # star-shapedness along the flow
 
@@ -786,3 +905,26 @@ def gamma_sweep_star_shape(
         if report.passed:
             gamma_bar = gamma
     return gamma_bar, results
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+# name -> (reports(ctx) -> [VerificationReport], needs_solves), in the order
+# a run computes and writes them.  Checks that need solves beyond the
+# stored trajectory are skipped when a run directory is re-verified.
+CHECKS = {
+    "key_estimate": (lambda c: [c.key_estimate[1]], False),
+    "lower_gradient": (
+        lambda c: [lower_gradient_report(c.traj, c.init, c.schedule, t_bar=c.t_bar)], False),
+    "cone": (lambda c: [cone_report(c, c.init, c.schedule, c.K_fit, t_bar=c.t_bar)], False),
+    "perimeter": (
+        lambda c: [perimeter_report(c, c.init, c.schedule, c.K_fit, t_bar=c.t_bar)], False),
+    "band_measure": (
+        lambda c: [band_measure_report(c, c.init, c.schedule, t_bar=c.t_bar)], False),
+    "non_fattening": (
+        lambda c: [fattening_report(c, c.init, c.schedule, t_bar=c.t_bar)], False),
+    "star_shape": (lambda c: [star_shape_report(c.traj, c.init)], False),
+    "dependence": (_dependence_reports, True),
+}
+DEFAULT_CHECKS = tuple(CHECKS)[:6]   # star_shape and dependence run on request

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import OccupationHistory, constant_history, kappa
-from .grid import ScalarField, band_measure, central_gradient_norm
+from .grid import ScalarField, central_gradient_norm
 from .solver import LocalProblem, Trajectory, _normalise_output_times, default_far_radius, solve
 
 
@@ -281,16 +281,3 @@ def uniqueness_probe(
 
     return ProbeResult(names, solutions, rows, uniq_tol, passed)
 
-
-def classicality_measure(traj: Trajectory, eps_band: float) -> np.ndarray:
-    """Area of {|u(t)| <= eps_band} per stored time, the grid proxy for the
-    measure of the exact front.
-
-    A non-fattening front keeps this linear in eps_band (gradient lower
-    bound near the zero set); an intercept surviving eps -> 0 flags
-    fattening.
-    """
-    return np.asarray(
-        [band_measure(s, -eps_band, eps_band) for s in traj.snapshots],
-        dtype=np.float64,
-    )

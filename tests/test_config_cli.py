@@ -6,6 +6,7 @@ documented exit code (2 config, 3 numeric) rather than a traceback.
 """
 
 import shutil
+import sys
 
 import pytest
 
@@ -19,7 +20,7 @@ from frontlab.couplings import (
 )
 from frontlab.errors import ConfigError
 from frontlab.presets import list_presets, preset_config, preset_text, verify_all_configs
-from frontlab.runner import write_manifest
+from frontlab.runner import run, verify_run_dir, write_manifest
 
 BASE = "init.kind = circle\ninit.r0 = 0.5\n"
 
@@ -327,6 +328,39 @@ def test_verify_detects_tampered_verdict(tiny_run, tmp_path, capsys):
     assert "FAIL key_estimate (verdict mismatch with stored report)" in lines
 
 
+def test_verify_detects_report_drift(tiny_run, tmp_path, capsys):
+    # one digit of one stored number: the verdict stands, the report drifted
+    _, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    csv = copy / "reports" / "lower_gradient.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    row = lines[1].rstrip("\n")
+    last = row[-1]
+    lines[1] = row[:-1] + ("1" if last != "1" else "2") + "\n"
+    csv.write_text("".join(lines))
+    code = main(["verify", str(copy)])
+    printed = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "FAIL lower_gradient (report drift)" in printed
+    assert "PASS key_estimate" in printed
+
+
+def test_verify_rejects_unknown_check(tiny_run, tmp_path, capsys):
+    _, out = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    meta = copy / "run_meta.txt"
+    text = meta.read_text()
+    meta.write_text(text.replace("checks = key_estimate,lower_gradient,star_shape",
+                                 "checks = bogus"))
+    assert "checks = bogus" in meta.read_text()
+    code = main(["verify", str(copy)])
+    printed = capsys.readouterr().out
+    assert code == 2
+    assert "unknown check 'bogus'" in printed
+
+
 def test_verify_needs_run_dir(tmp_path, capsys):
     code = main(["verify", str(tmp_path)])
     capsys.readouterr()
@@ -379,6 +413,29 @@ def test_front_escape_exits_three(tmp_path, capsys):
     assert "containment ring" in (out / "FAILED").read_text()
 
 
+def test_probe_front_escape_fails_the_run(tmp_path):
+    # the empty seed's first solve runs at beta(0) = 1 for the whole horizon
+    # and reaches the guard band of the containment ring at far_radius 0.8
+    cfg = parse_config(
+        "grid.n = 65\n"
+        "init.kind = circle\n"
+        "init.r0 = 0.5\n"
+        "coupling.kind = volume\n"
+        "coupling.beta = affine(1,-1)\n"
+        "gamma = 0\n"
+        "horizon = 0.2\n"
+        "far_radius = 0.8\n"
+        "checks = none\n"
+        "probe.enabled = true\n"
+    )
+    out = tmp_path / "run"
+    result = run(cfg, out_dir=str(out))
+    assert result.exit_code == 3
+    assert "FrontEscapeError" in (out / "FAILED").read_text()
+    assert (out / "manifest.txt").exists()
+    assert not (out / "verdicts.txt").exists()
+
+
 def test_config_error_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(BASE + "gamma = -1\n")
@@ -427,3 +484,81 @@ def test_write_manifest_format(tmp_path):
 
     digest = hashlib.sha256(b"alpha\n").hexdigest()
     assert f"{digest}  a.txt" in lines
+
+
+# ---------------------------------------------------------------------------
+# the check table and its per-trajectory context
+# ---------------------------------------------------------------------------
+
+
+def _record_calls(monkeypatch, module, name, key):
+    """Wrap module.name in every frontlab module that holds it; the
+    returned list gets key(*args, **kwargs) of each call."""
+    original = getattr(module, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("frontlab"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recorded)
+    return calls
+
+
+def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
+    import frontlab.contour
+    import frontlab.verify
+
+    contours = _record_calls(monkeypatch, frontlab.contour, "extract_contour",
+                             lambda u, level=0.0: (id(u), level))
+    etas = _record_calls(monkeypatch, frontlab.verify, "eta_empirical",
+                         lambda u, *args, **kwargs: id(u))
+    cfg = parse_config(TINY.replace(
+        "checks = key_estimate, lower_gradient, star_shape",
+        "checks = key_estimate, lower_gradient, cone, perimeter, band_measure, "
+        "non_fattening, star_shape",
+    ))
+    out = tmp_path / "run"
+    result = run(cfg, out_dir=str(out))
+    assert result.exit_code in (0, 1)
+    snapshots = len(list((out / "contours").iterdir()))
+
+    def assert_each_once(label):
+        # cone and perimeter read three levels per early snapshot, and the
+        # key estimate reads every snapshot's eta
+        assert len(set(contours)) > snapshots, label
+        assert len(contours) == len(set(contours)), label
+        assert len(etas) == len(set(etas)) == snapshots, label
+
+    assert_each_once("run")
+    contours.clear()
+    etas.clear()
+    assert verify_run_dir(str(out)).exit_code == result.exit_code
+    assert_each_once("verify")
+
+
+def test_verify_fits_only_what_its_checks_need(tiny_run, tmp_path, monkeypatch):
+    import frontlab.solver
+    import frontlab.verify
+
+    keys = _record_calls(monkeypatch, frontlab.verify, "key_estimate_report",
+                         lambda *args, **kwargs: 1)
+    fits = _record_calls(monkeypatch, frontlab.solver, "regularity_report",
+                         lambda *args, **kwargs: 1)
+    # key_estimate, lower_gradient, star_shape: one key estimate, no K fit
+    _, out = tiny_run
+    assert verify_run_dir(str(out)).exit_code == 0
+    assert (len(keys), len(fits)) == (1, 0)
+
+    keys.clear()
+    cfg = parse_config(TINY.replace(
+        "checks = key_estimate, lower_gradient, star_shape", "checks = none"
+    ))
+    assert run(cfg, out_dir=str(tmp_path / "none")).exit_code == 0
+    checked = verify_run_dir(str(tmp_path / "none"))
+    assert (checked.exit_code, checked.verdicts) == (0, [])
+    assert (len(keys), len(fits)) == (0, 0)

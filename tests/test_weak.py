@@ -1,5 +1,5 @@
-"""Picard fixed point on the occupation history, the multi-seed uniqueness
-probe, and the front-measure monitor."""
+"""Picard fixed point on the occupation history and the multi-seed
+uniqueness probe."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,9 @@ from frontlab.couplings import (
     kappa,
 )
 from frontlab.grid import GridSpec, ScalarField, constant_field, field_from_function
-from frontlab.solver import ConstantSpeed, LocalProblem, solve
+from frontlab.solver import LocalProblem, solve
 from frontlab.weak import (
     chi_from_u,
-    classicality_measure,
     fixed_point_solve,
     standard_seeds,
     uniqueness_probe,
@@ -216,47 +215,3 @@ def test_probe_thread_count_does_not_change_rows(monkeypatch):
         for sa, sb in zip(a.u_traj.snapshots, b.u_traj.snapshots):
             assert np.array_equal(sa.values, sb.values)
 
-
-# ---------------------------------------------------------------------------
-# classicality measure
-# ---------------------------------------------------------------------------
-
-
-def _frozen_traj(u0, times):
-    prob = LocalProblem(
-        speed=ConstantSpeed(u0.spec, 0.0),
-        gamma=0.0,
-        horizon=float(times[-1]),
-        far_radius=u0.spec.half_extent - 2 * u0.spec.h,
-        spec=u0.spec,
-    )
-    return solve(prob, u0, times)
-
-
-def test_classicality_unit_gradient_band():
-    # |u| <= eps with |Du| = 1 is the annulus of width 2 eps around the
-    # front, area 4 pi R eps for a circle of radius R
-    spec = GridSpec(201, 1.0)
-    u0 = _clamped_disc(spec, 0.5)
-    traj = _frozen_traj(u0, [0.05])
-    areas = classicality_measure(traj, 0.1)
-    want = 2.0 * np.pi * 0.5 * 0.2
-    assert areas[0] == pytest.approx(want, rel=0.05)
-    assert areas[-1] == areas[0]
-
-
-def test_classicality_scales_linearly():
-    spec = GridSpec(201, 1.0)
-    u0 = _clamped_disc(spec, 0.5)
-    traj = _frozen_traj(u0, [0.05])
-    a1 = classicality_measure(traj, 0.05)[0]
-    a2 = classicality_measure(traj, 0.1)[0]
-    assert a2 / a1 == pytest.approx(2.0, rel=0.1)
-
-
-def test_classicality_zero_band_is_null():
-    spec = GridSpec(201, 1.0)
-    # shift the radius off the grid values so no node sits exactly on 0
-    u0 = _clamped_disc(spec, 0.5 + 0.3 * spec.h)
-    traj = _frozen_traj(u0, [0.05])
-    assert classicality_measure(traj, 0.0)[0] == 0.0
