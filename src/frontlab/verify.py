@@ -117,14 +117,18 @@ def stored_mismatch(report: VerificationReport, directory) -> str:
     """Empty when the files stored for report.name are exactly what
     dump_report would write for report; otherwise a verdict suffix saying
     how they differ."""
-    paths = [os.path.join(directory, report.name + ext) for ext in (".csv", ".verdict")]
+    stored = []
     try:
-        stored = tuple(open(path).read() for path in paths)
+        for ext in (".csv", ".verdict"):
+            with open(os.path.join(directory, report.name + ext)) as fh:
+                stored.append(fh.read())
     except FileNotFoundError:
         return " (no stored report)"
-    if ("\npassed = true\n" in stored[1]) != report.passed:
+    if tuple(stored) == report_texts(report):
+        return ""
+    if load_report(directory, report.name).passed != report.passed:
         return " (verdict mismatch with stored report)"
-    return "" if stored == report_texts(report) else " (report drift)"
+    return " (report drift)"
 
 
 def load_report(directory, name: str) -> VerificationReport:
@@ -231,9 +235,12 @@ class CheckContext:
         """Area of {u >= level} in snapshot k."""
         return self._once(("area", k, level), lebesgue_measure, self.traj.snapshots[k], level)
 
-    def eta(self, k: int) -> float:
-        """eta_empirical of snapshot k with the default band and lambdas."""
-        return self._once(("eta", k), eta_empirical, self.traj.snapshots[k], self.init)
+    def eta(self, k: int, lambda_bar: float) -> float:
+        """eta_empirical of snapshot k: default band, lambdas lambda_bar {1/4..1}."""
+        lambdas = lambda_bar * np.arange(1, 5) / 4.0
+        return self._once(
+            ("eta", k, lambda_bar), eta_empirical, self.traj.snapshots[k], self.init, lambdas
+        )
 
     @cached_property
     def K_fit(self) -> float:
@@ -282,11 +289,7 @@ def key_estimate_report(
         lambda_bar = init.lambda_bar
     if lambda_bar > init.lambda0 * (1 + 1e-12):
         raise ValueError(f"lambda_bar {lambda_bar:g} exceeds lambda0 {init.lambda0:g}")
-    if lambda_bar == init.lambda_bar:
-        etas = np.asarray([ctx.eta(k) for k in range(len(times))])
-    else:
-        lambdas = lambda_bar * np.arange(1, 5) / 4.0
-        etas = np.asarray([eta_empirical(s, init, lambdas=lambdas) for s in traj.snapshots])
+    etas = np.asarray([ctx.eta(k, lambda_bar) for k in range(len(times))])
     h, lip = traj.spec.h, init.lipschitz
     floor = h * lip
 
@@ -532,7 +535,7 @@ def _eta_bar(ctx: CheckContext, eta_sched, window: float, floor: float) -> float
         if t > window + 1e-12:
             break
         s = float(eta_sched.eta(t))
-        e = ctx.eta(k)
+        e = ctx.eta(k, ctx.init.lambda_bar)
         if np.isfinite(e):
             s = min(s, float(e))
         vals.append(max(s, floor))

@@ -25,6 +25,7 @@ from frontlab.geometry import star_shaped_u0
 from frontlab.grid import GridSpec, ScalarField, constant_field
 from frontlab.solver import ConstantSpeed, LocalProblem, Trajectory, solve
 from frontlab.verify import (
+    CheckContext,
     EtaSchedule,
     VerificationReport,
     band_measure_report,
@@ -234,6 +235,21 @@ def test_key_estimate_single_snapshot(init):
 def test_key_estimate_rejects_uncertified_lambda(frozen, init):
     with pytest.raises(ValueError):
         key_estimate_report(frozen, init, lambda_bar=1.1 * init.lambda0)
+
+
+def test_key_estimate_keeps_etas_per_lambda_bar(frozen, init):
+    # a context shared across lambda_bar values must not hand one value's
+    # etas to another
+    ctx = CheckContext(frozen, init)
+    default = key_estimate_report(ctx, init)[1]
+    half = init.lambda_bar / 2
+    narrow = key_estimate_report(ctx, init, lambda_bar=half)[1]
+    lambdas = half * np.arange(1, 5) / 4.0
+    assert [r[1] for r in narrow.rows] == [
+        eta_empirical(s, init, lambdas=lambdas) for s in frozen.snapshots
+    ]
+    assert [r[1] for r in narrow.rows] != [r[1] for r in default.rows]
+    assert [r[1] for r in default.rows] == [eta_empirical(s, init) for s in frozen.snapshots]
 
 
 # ---------------------------------------------------------------------------
