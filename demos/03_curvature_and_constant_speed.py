@@ -14,7 +14,7 @@ from frontlab.contour import extract_contour
 from frontlab.couplings import ConstantCoupling
 from frontlab.geometry import star_shaped_u0
 from frontlab.grid import GridSpec
-from frontlab.weak import fixed_point_solve
+from frontlab.weak import march_solve
 
 
 def mean_radius(snap):
@@ -38,14 +38,14 @@ def main():
 
     print("constant speed c = 1, r0 = 0.5, T = 0.3")
     init = star_shaped_u0(spec, [(0.0, 0.0)], r0=0.5)
-    sol = fixed_point_solve(ConstantCoupling(1.0), init.u0, gamma=0.0,
-                            horizon=0.3, output_times=np.linspace(0, 0.3, 7))
+    sol = march_solve(ConstantCoupling(1.0), init.u0, gamma=0.0,
+                      horizon=0.3, output_times=np.linspace(0, 0.3, 7))
     table(sol, lambda t: 0.5 + t)
 
     print("\ncurvature flow gamma = 1, r0 = 0.6, T = 0.1")
     init = star_shaped_u0(spec, [(0.0, 0.0)], r0=0.6)
-    sol = fixed_point_solve(ConstantCoupling(0.0), init.u0, gamma=1.0,
-                            horizon=0.1, output_times=np.linspace(0, 0.1, 6))
+    sol = march_solve(ConstantCoupling(0.0), init.u0, gamma=1.0,
+                      horizon=0.1, output_times=np.linspace(0, 0.1, 6))
     table(sol, lambda t: np.sqrt(0.36 - 2.0 * t))
 
 

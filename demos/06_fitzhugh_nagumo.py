@@ -25,7 +25,7 @@ from frontlab.couplings import (
 )
 from frontlab.geometry import star_shaped_u0
 from frontlab.grid import GridSpec
-from frontlab.weak import fixed_point_solve
+from frontlab.weak import march_solve
 
 spec = GridSpec(101, 1.5)
 init = star_shaped_u0(spec, [(0.0, 0.0)], r0=0.5)
@@ -38,13 +38,14 @@ coupling = FitzhughNagumoCoupling(
 
 horizon = 0.1
 times = np.linspace(0.0, horizon, 6)
-sol = fixed_point_solve(coupling, init.u0, gamma=0.1, horizon=horizon,
-                        output_times=times)
-print(f"fixed point: {sol.iterations} iterations, residual history "
-      + ", ".join(f"{r:.1e}" for r in sol.residual_history))
+sol = march_solve(coupling, init.u0, gamma=0.1, horizon=horizon,
+                  output_times=times)
+print(f"weak solution by one causal march over {len(times) - 1} intervals")
 
-# replay the v equation along the converged occupation history
-v_snaps, _ = fn_evolve(coupling, sol.chi_hist, horizon)
+# replay the v equation along the march's occupation history
+v_snaps = [coupling.initial_state(spec)]
+for chi, t0, t1 in zip(sol.chi_hist.fields, times, times[1:]):
+    v_snaps.append(fn_evolve(coupling, v_snaps[-1], chi, t0, t1))
 
 print("\n      t    radius     v max    speed at front")
 alpha = coupling.alpha

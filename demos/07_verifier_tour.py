@@ -31,12 +31,12 @@ from frontlab.verify import (
     perimeter_report,
     star_shape_report,
 )
-from frontlab.weak import fixed_point_solve
+from frontlab.weak import march_solve
 
 spec = GridSpec(101, 1.5)
 init = star_shaped_u0(spec, [(0.0, 0.0)], r0=0.5)
-sol = fixed_point_solve(ConstantCoupling(1.0), init.u0, gamma=0.02,
-                        horizon=0.25, output_times=np.linspace(0, 0.25, 11))
+sol = march_solve(ConstantCoupling(1.0), init.u0, gamma=0.02,
+                  horizon=0.25, output_times=np.linspace(0, 0.25, 11))
 traj = sol.u_traj
 
 reg = regularity_report(traj)

@@ -8,11 +8,12 @@ The pieces, bottom up:
 - contour: marching-squares zero contours and their perimeters.
 - geometry: star-shaped initial fields with a certified interior-margin
   constant.
-- solver: the clamped level-set update for a frozen speed field.
-- couplings: convolution, reaction-diffusion, and volume speed laws, and
-  the occupation-difference functionals used to compare runs.
-- weak: the fixed-point loop over occupation histories and the
-  multi-seed uniqueness probe.
+- solver: the clamped level-set update for a given speed field.
+- couplings: convolution, reaction-diffusion, and volume speed laws, each
+  defined per stored interval, and the occupation-difference functionals
+  used to compare runs.
+- weak: the causal march that gives a run its weak solution, Picard
+  iteration, and the multi-seed uniqueness probe.
 - verify: empirical reports for the interior-margin schedule, gradient
   floor, cone inclusion, perimeter, band measures, fattening, and
   continuous dependence.
@@ -65,7 +66,7 @@ from .verify import (
     eta_empirical,
     key_estimate_report,
 )
-from .weak import WeakSolution, fixed_point_solve, standard_seeds, uniqueness_probe
+from .weak import WeakSolution, fixed_point_solve, march_solve, standard_seeds, uniqueness_probe
 
 __version__ = "0.1.0"
 
@@ -113,6 +114,7 @@ __all__ = [
     "kappa_bar_bound",
     "key_estimate_report",
     "lebesgue_measure",
+    "march_solve",
     "solve",
     "standard_seeds",
     "star_shaped_u0",

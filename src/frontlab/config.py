@@ -28,7 +28,8 @@ from .couplings import (
 from .errors import ConfigError
 from .geometry import star_shaped_u0
 from .grid import GridSpec
-from .verify import CHECKS, DEFAULT_CHECKS
+from .solver import _normalise_output_times
+from .verify import CHECKS, DEFAULT_CHECKS, FIT_CHECKS
 
 KNOWN_SEEDS = ("bracket", "empty", "ball")
 
@@ -58,7 +59,7 @@ class ScenarioConfig:
     gamma_sweep: tuple = None
     output_dir: str = "out"
     far_radius: float = None
-    tol: float = None
+    tol: float = None                  # tol and max_iter steer the probe's Picard runs
     max_iter: int = 12
 
     def grid(self) -> GridSpec:
@@ -352,5 +353,20 @@ def parse_config(text: str) -> ScenarioConfig:
             f"initial support radius {kmax + cfg.r0:g} does not fit the grid "
             f"(needs <= L - 2h = {cfg.half_extent - 2 * spec.h:g})",
             line=seen.get("init.r0"),
+        )
+    if cfg.tol is not None and not (
+        np.isfinite(cfg.tol) and cfg.tol >= spec.h**2 * (1.0 - 1e-12)
+    ):
+        raise ConfigError(
+            f"tol must be finite and >= h^2 = {spec.h**2:g}, got {cfg.tol:g}",
+            line=seen["tol"],
+        )
+    fitted = [c for c in cfg.checks if c in FIT_CHECKS]
+    stored = _normalise_output_times(cfg.times(), cfg.horizon).size
+    if fitted and stored < 3:
+        raise ConfigError(
+            f"checks {', '.join(fitted)} fit a growth rate over the stored times "
+            f"and need at least 3 of them, got {stored}",
+            line=seen.get("output_times", seen.get("checks")),
         )
     return cfg

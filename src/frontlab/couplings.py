@@ -1,12 +1,16 @@
 """Nonlocal speed laws and the distances that compare occupation histories.
 
-Three couplings turn an occupation history chi (indicator snapshots on a
-shared time grid) into a speed field for the local solver:
+Three couplings turn the occupation chi(t_k) at the start of a stored
+interval [t_k, t_{k+1}] into the speed the local solver reads on it:
 
-* dislocation:     c(x, t) = (c0 * chi(t))(x) + c1(x), unit mobility;
+* dislocation:     c(x, t) = (c0 * chi(t_k))(x) + c1(x), unit mobility;
 * fitzhugh-nagumo: c(x, t) = alpha(v(x, t)) where v solves the explicit heat
-                   equation v_t - lap v = g+(v) chi + g-(v)(1 - chi);
-* volume:          c(t) = beta(area of {chi(t) = 1}), spatially constant.
+                   equation v_t - lap v = g+(v) chi + g-(v)(1 - chi), v
+                   being the state carried from one interval to the next;
+* volume:          c(t) = beta(area of {chi(t_k) = 1}), spatially constant.
+
+Each law is written once, as `interval_speed`; `SpeedLaw.speed_provider`
+replays it along a whole occupation history.
 
 Occupation histories are compared by kappa(t) = ||chi1(t) - chi2(t)||_L1 and
 by the heat-kernel-weighted kappa_bar(x, t) = int_0^t int G(x-y, t-s)
@@ -23,7 +27,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import GridSpec, ScalarField, constant_field, lebesgue_measure, trapezoid
-from .solver import ConstantSpeed, PiecewiseConstantSpeed
+from .solver import ConstantSpeed, PiecewiseSpeed
 
 # ---------------------------------------------------------------------------
 # scalar maps r -> f(r) with recorded Lipschitz constants and bounds
@@ -290,11 +294,43 @@ def kappa_bar_bound(hist1: OccupationHistory, hist2: OccupationHistory, t: float
 
 
 # ---------------------------------------------------------------------------
+# speed laws
+
+
+class SpeedLaw:
+    """A coupling's speed law, written once per stored interval.
+
+    interval_speed(chi, t0, t1, state) returns the speed provider for
+    [t0, t1] built from the occupation chi = chi(t0) and the law's state at
+    t0, together with the state at t1 (None for laws without memory).  The
+    causal march calls it with its own chi(t0), interval by interval;
+    speed_provider replays it along a given occupation history.
+    """
+
+    chi_independent = False
+
+    def initial_state(self, spec: GridSpec):
+        return None
+
+    def speed_provider(self, chi_hist: OccupationHistory) -> PiecewiseSpeed:
+        """Interval k of chi_hist reads chi_hist.fields[k]; the last interval's
+        speed holds from its start on (a one-time history is one empty
+        interval)."""
+        times = [float(t) for t in chi_hist.times]
+        state = self.initial_state(chi_hist.spec)
+        pieces = []
+        for chi, t0, t1 in zip(chi_hist.fields, times, times[1:] or times):
+            piece, state = self.interval_speed(chi, t0, t1, state)
+            pieces.append(piece)
+        return PiecewiseSpeed(times[: len(pieces)], pieces)
+
+
+# ---------------------------------------------------------------------------
 # dislocation coupling
 
 
 @dataclass
-class DislocationCoupling:
+class DislocationCoupling(SpeedLaw):
     """c[chi] = c0 * chi + c1 with unit mobility and isotropic anisotropy."""
 
     c0: ScalarField
@@ -309,11 +345,8 @@ class DislocationCoupling:
         c1 = self.c1.values if isinstance(self.c1, ScalarField) else float(self.c1)
         return ScalarField(out.spec, out.values + c1)
 
-    def speed_provider(self, chi_hist: OccupationHistory):
-        if self.chi_independent:
-            return ConstantSpeed(self.c0.spec, self.speed_field(chi_hist.fields[0]))
-        fields = [self.speed_field(f) for f in chi_hist.fields]
-        return PiecewiseConstantSpeed(chi_hist.times, fields)
+    def interval_speed(self, chi, t0, t1, state):
+        return ConstantSpeed(chi.spec, self.speed_field(chi)), None
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +354,9 @@ class DislocationCoupling:
 
 
 @dataclass
-class FitzhughNagumoCoupling:
-    """Speed alpha(v) with v driven by chi through a reaction-diffusion step."""
+class FitzhughNagumoCoupling(SpeedLaw):
+    """Speed alpha(v) with v driven by chi through a reaction-diffusion step;
+    v is the state carried from one interval to the next."""
 
     alpha: ScalarMap
     g_plus: ScalarMap
@@ -331,8 +365,6 @@ class FitzhughNagumoCoupling:
     heat_safety: float = 0.9
     g_lower: float = dataclass_field(init=False, default=0.0)
     g_upper: float = dataclass_field(init=False, default=0.0)
-
-    chi_independent = False
 
     def __post_init__(self):
         for name, m in (("alpha", self.alpha), ("g_plus", self.g_plus),
@@ -345,14 +377,14 @@ class FitzhughNagumoCoupling:
         if np.any(self.g_minus(probe) > self.g_plus(probe) + 1e-12):
             raise ValueError("g_minus must not exceed g_plus")
 
-    def initial_v(self, spec: GridSpec) -> ScalarField:
+    def initial_state(self, spec: GridSpec) -> ScalarField:
         if isinstance(self.v0, ScalarField):
             return self.v0.copy()
         return constant_field(spec, float(self.v0))
 
-    def speed_provider(self, chi_hist: OccupationHistory):
-        _, provider = fn_evolve(self, chi_hist, float(chi_hist.times[-1]))
-        return provider
+    def interval_speed(self, chi, t0, t1, v):
+        v_end = fn_evolve(self, v, chi, t0, t1)
+        return FNSpeed(self, t0, t1, v, v_end), v_end
 
 
 def _neumann_laplacian(v: np.ndarray, h: float) -> np.ndarray:
@@ -361,25 +393,21 @@ def _neumann_laplacian(v: np.ndarray, h: float) -> np.ndarray:
 
 
 class FNSpeed:
-    """alpha(v) with v linearly interpolated in time between stored slices."""
+    """alpha(v) on [t0, t1], v linear in time between v(t0) and v(t1)."""
 
-    chi_independent = False
-
-    def __init__(self, coupling: FitzhughNagumoCoupling, times, v_fields):
+    def __init__(self, coupling: FitzhughNagumoCoupling, t0, t1, v_start, v_end):
         self.coupling = coupling
-        self.times = np.asarray(times, dtype=np.float64)
-        self.v_fields = v_fields
+        self.t0, self.t1 = float(t0), float(t1)
+        self.v_start, self.v_end = v_start, v_end
 
     def v_at(self, t: float) -> ScalarField:
-        ts = self.times
-        if t <= ts[0]:
-            return self.v_fields[0]
-        if t >= ts[-1]:
-            return self.v_fields[-1]
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        lam = (t - ts[i]) / (ts[i + 1] - ts[i])
-        vals = (1.0 - lam) * self.v_fields[i].values + lam * self.v_fields[i + 1].values
-        return ScalarField(self.v_fields[0].spec, vals)
+        if t <= self.t0:
+            return self.v_start
+        if t >= self.t1:
+            return self.v_end
+        lam = (t - self.t0) / (self.t1 - self.t0)
+        vals = (1.0 - lam) * self.v_start.values + lam * self.v_end.values
+        return ScalarField(self.v_start.spec, vals)
 
     def speed_at(self, t: float) -> ScalarField:
         v = self.v_at(t)
@@ -390,40 +418,32 @@ class FNSpeed:
 
 
 def fn_evolve(
-    coupling: FitzhughNagumoCoupling, chi_hist: OccupationHistory, horizon: float
-):
-    """March v_t = lap v + g+(v) chi + g-(v)(1 - chi) to the horizon.
+    coupling: FitzhughNagumoCoupling, v: ScalarField, chi: ScalarField,
+    t0: float, t1: float,
+) -> ScalarField:
+    """March v_t = lap v + g+(v) chi + g-(v)(1 - chi) from v(t0) to v(t1)
+    with chi frozen.
 
     Explicit 5-point heat stepping with zero-flux edges, dt limited by
-    heat_safety * h^2/4; chi enters as the left-continuous step history.
-    Returns (v snapshots at the history times, FNSpeed provider).
+    heat_safety * h^2/4.
     """
-    spec = chi_hist.spec
-    h = spec.h
+    h = v.spec.h
     dt_max = coupling.heat_safety * h * h / 4.0
-    store_times = np.asarray(chi_hist.times, dtype=np.float64)
-    store_times = store_times[store_times <= horizon + 1e-15]
-    if store_times[-1] < horizon:
-        store_times = np.concatenate([store_times, [horizon]])
-
-    v = coupling.initial_v(spec).values.copy()
-    stored = [ScalarField(spec, v.copy())]
-    t = float(store_times[0])
-    for t_next in store_times[1:]:
-        while t < t_next:
-            remaining = t_next - t
-            if remaining <= dt_max * (1.0 + 1e-9):
-                dt = remaining
-                t_new = t_next
-            else:
-                dt = dt_max
-                t_new = t + dt
-            chi = chi_hist.chi_at(t).values
-            source = coupling.g_plus(v) * chi + coupling.g_minus(v) * (1.0 - chi)
-            v = v + dt * (_neumann_laplacian(v, h) + source)
-            t = t_new
-        stored.append(ScalarField(spec, v.copy()))
-    return stored, FNSpeed(coupling, store_times, stored)
+    occ = chi.values
+    vals = v.values
+    t = t0
+    while t < t1:
+        remaining = t1 - t
+        if remaining <= dt_max * (1.0 + 1e-9):
+            dt = remaining
+            t_new = t1
+        else:
+            dt = dt_max
+            t_new = t + dt
+        source = coupling.g_plus(vals) * occ + coupling.g_minus(vals) * (1.0 - occ)
+        vals = vals + dt * (_neumann_laplacian(vals, h) + source)
+        t = t_new
+    return ScalarField(v.spec, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +451,7 @@ def fn_evolve(
 
 
 @dataclass
-class VolumeCoupling:
+class VolumeCoupling(SpeedLaw):
     """Spatially constant speed beta(area of the occupied set)."""
 
     beta: ScalarMap
@@ -440,14 +460,9 @@ class VolumeCoupling:
     def chi_independent(self) -> bool:
         return self.beta.lip == 0.0
 
-    def speed_provider(self, chi_hist: OccupationHistory):
-        spec = chi_hist.spec
-        if self.chi_independent:
-            return ConstantSpeed(spec, self.beta(0.0))
-        fields = [
-            constant_field(spec, volume_speed(self, f)) for f in chi_hist.fields
-        ]
-        return PiecewiseConstantSpeed(chi_hist.times, fields)
+    def interval_speed(self, chi, t0, t1, state):
+        c = self.beta(0.0) if self.chi_independent else volume_speed(self, chi)
+        return ConstantSpeed(chi.spec, c), None
 
 
 def volume_speed(coupling: VolumeCoupling, chi_t: ScalarField) -> float:
@@ -460,11 +475,10 @@ def volume_speed(coupling: VolumeCoupling, chi_t: ScalarField) -> float:
 
 
 @dataclass
-class ConstantCoupling:
+class ConstantCoupling(SpeedLaw):
     c: object = 0.0   # float or ScalarField
 
     chi_independent = True
 
-    def speed_provider(self, chi_hist: OccupationHistory):
-        spec = chi_hist.spec
-        return ConstantSpeed(spec, self.c)
+    def interval_speed(self, chi, t0, t1, state):
+        return ConstantSpeed(chi.spec, self.c), None

@@ -1,6 +1,7 @@
 """Scenario execution, artifact emission and re-verification.
 
-A run solves the coupled flow to its fixed point, stores the trajectory,
+A run solves the coupled flow to its fixed point by one causal march
+(`weak.march_solve`), stores the trajectory,
 and runs the requested checks of the table `verify.CHECKS` in table order
 on one `verify.CheckContext`.  The contour dump, the radius table and every
 check take their contours, areas and etas from that context, so each is
@@ -41,7 +42,7 @@ from .errors import ConfigError, ConstructionError, FrontEscapeError, StabilityE
 from .geometry import dump_init, load_init
 from .solver import dump_trajectory, load_trajectory
 from .verify import CHECKS, CheckContext, dump_report, gamma_sweep_star_shape, stored_mismatch
-from .weak import fixed_point_solve, standard_seeds, uniqueness_probe
+from .weak import march_solve, standard_seeds, uniqueness_probe
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,7 +104,6 @@ def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str) ->
     gamma_bar, sweep = gamma_sweep_star_shape(
         coupling, init, config.gamma_sweep, config.horizon,
         output_times=times, far_radius=config.far_radius,
-        max_iter=config.max_iter,
     )
     lines = ["gamma,passed,min_margin"]
     for g in sorted(sweep):
@@ -140,6 +140,7 @@ def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str) -> str:
         summary.append(f"iterations_{name} = {sol.iterations}")
         summary.append(f"final_residual_{name} = {sol.residual_history[-1]:.17g}")
         summary.append(f"converged_{name} = {'true' if sol.converged else 'false'}")
+        summary.append(f"march_gap_{name} = {result.march_gaps[name]:.17g}")
     _write(os.path.join(out_dir, "probe.verdict"), "\n".join(summary) + "\n")
     return f"{'PASS' if result.passed else 'FAIL'} uniqueness_probe"
 
@@ -170,10 +171,9 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
     # every solve below (fixed point, dependence pair, probe) may escape
     # the containment ring or go unstable; each ends the run the same way
     try:
-        sol = fixed_point_solve(
+        sol = march_solve(
             coupling, init.u0, config.gamma, config.horizon,
             output_times=times, far_radius=config.far_radius,
-            tol=config.tol, max_iter=config.max_iter,
         )
         traj = sol.u_traj
         ctx = CheckContext(traj, init, config, coupling)

@@ -10,7 +10,7 @@ be carving the front itself.
 """
 
 import bisect
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,8 +30,6 @@ from .grid import (
 class ConstantSpeed:
     """Speed provider for a fixed field (or constant) c(x)."""
 
-    chi_independent = True
-
     def __init__(self, spec: GridSpec, value):
         if isinstance(value, ScalarField):
             self.field = value
@@ -46,34 +44,34 @@ class ConstantSpeed:
         return self._max
 
 
-class PiecewiseConstantSpeed:
-    """Left-continuous piecewise-constant-in-time speed over snapshot times."""
+class PiecewiseSpeed:
+    """Left-continuous piecewise speed: pieces[k] is a speed provider that
+    governs [times[k], times[k+1]), and the last one governs from its time
+    on."""
 
-    chi_independent = False
-
-    def __init__(self, times, fields):
+    def __init__(self, times, pieces):
         self.times = [float(t) for t in times]
         if sorted(self.times) != self.times:
-            raise ValueError("speed snapshot times must be increasing")
-        if len(fields) != len(self.times):
-            raise ValueError("one speed field per snapshot time required")
-        self.fields = list(fields)
-        self._max = [float(np.abs(f.values).max()) for f in fields]
+            raise ValueError("speed piece times must be increasing")
+        if len(pieces) != len(self.times):
+            raise ValueError("one speed piece per start time required")
+        self.pieces = list(pieces)
 
-    def _index(self, t: float) -> int:
+    def _piece(self, t: float):
         i = bisect.bisect_right(self.times, t) - 1
-        return min(max(i, 0), len(self.fields) - 1)
+        return self.pieces[min(max(i, 0), len(self.pieces) - 1)]
 
     def speed_at(self, t: float) -> ScalarField:
-        return self.fields[self._index(t)]
+        return self._piece(t).speed_at(t)
 
     def max_abs(self, t: float) -> float:
-        return self._max[self._index(t)]
+        return self._piece(t).max_abs(t)
 
 
 @dataclass
 class LocalProblem:
-    """A frozen-speed level-set evolution on [0, horizon]."""
+    """A level-set evolution on [0, horizon]; speed is the provider for the
+    whole horizon, or None when `solve` receives an interval_speed."""
 
     speed: object
     gamma: float
@@ -193,8 +191,17 @@ def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
     return times
 
 
-def solve(problem: LocalProblem, u0: ScalarField, output_times) -> Trajectory:
-    """March to the horizon, landing exactly on every output time."""
+def solve(
+    problem: LocalProblem, u0: ScalarField, output_times, interval_speed=None
+) -> Trajectory:
+    """March to the horizon, landing exactly on every output time.
+
+    Every interval [t_k, t_{k+1}] between output times reads the speed
+    provider problem.speed, unless interval_speed is given:
+    interval_speed(t_k, t_{k+1}, u) then returns the provider for that
+    interval from the field u(t_k) that starts it, so a speed law can read
+    the solution it drives (the causal march of `weak.march_solve`).
+    """
     spec = u0.spec
     if spec != problem.spec:
         raise ValueError("initial field grid does not match the problem grid")
@@ -230,12 +237,11 @@ def solve(problem: LocalProblem, u0: ScalarField, output_times) -> Trajectory:
 
     t = 0.0
     for t_next in times[1:]:
+        speed = problem.speed if interval_speed is None else interval_speed(t, t_next, u)
         last_dt = 0.0
         while t < t_next:
-            c_field = problem.speed.speed_at(t)
-            nominal = cfl_timestep(
-                problem.speed.max_abs(t), problem.gamma, h, problem.cfl_safety
-            )
+            c_field = speed.speed_at(t)
+            nominal = cfl_timestep(speed.max_abs(t), problem.gamma, h, problem.cfl_safety)
             remaining = t_next - t
             if remaining <= nominal * (1.0 + 1e-9):
                 dt = remaining

@@ -44,7 +44,7 @@ from .geometry import InitCondition
 from .grid import ScalarField, central_gradient_norm, interpolate, lebesgue_measure, trapezoid
 from .solver import (LocalProblem, Trajectory, _normalise_output_times, default_far_radius,
                      regularity_report, solve)
-from .weak import fixed_point_solve
+from .weak import march_solve
 
 LEVELS_FRACTION = (-0.25, 0.0, 0.25)   # contour levels as multiples of delta0
 
@@ -885,9 +885,9 @@ def star_shape_report(
 
 def gamma_sweep_star_shape(
     coupling, init: InitCondition, gammas, horizon: float,
-    output_times=None, far_radius: float = None, max_iter: int = 12,
+    output_times=None, far_radius: float = None,
 ):
-    """Run the coupled flow for each gamma and report the largest one that
+    """March the coupled flow for each gamma and report the largest one that
     keeps the star-shape margin; escapes and instabilities count as fails.
 
     Returns (gamma_bar_emp, {gamma: VerificationReport-or-error-string}).
@@ -896,9 +896,9 @@ def gamma_sweep_star_shape(
     gamma_bar = None
     for gamma in sorted(float(g) for g in gammas):
         try:
-            sol = fixed_point_solve(
+            sol = march_solve(
                 coupling, init.u0, gamma, horizon, output_times=output_times,
-                far_radius=far_radius, max_iter=max_iter,
+                far_radius=far_radius,
             )
         except (FrontEscapeError, StabilityError) as err:
             results[gamma] = f"error: {err}"
@@ -931,3 +931,6 @@ CHECKS = {
     "dependence": (_dependence_reports, True),
 }
 DEFAULT_CHECKS = tuple(CHECKS)[:6]   # star_shape and dependence run on request
+# the checks that read CheckContext.K_fit, whose regularity fit needs at
+# least 3 stored times
+FIT_CHECKS = ("cone", "perimeter")

@@ -1,20 +1,28 @@
-"""Fixed-point construction of weak solutions for coupled front evolutions.
+"""Weak solutions of coupled front evolutions, by one causal march.
 
 A weak solution pairs a level-set trajectory u with the occupation history
-chi(t) = 1_{u(t) >= 0}.  The circular dependence (chi feeds the speed law,
-the speed law moves u) is resolved by Picard iteration with the speed frozen
-over the whole horizon:
+chi(t) = 1_{u(t) >= 0} and is a fixed point of chi -> u[c(chi)] -> 1_{u>=0}.
+Every speed law reads chi only at the start t_k of each stored interval
+[t_k, t_{k+1}] (`couplings.SpeedLaw`), so the discrete fixed point comes
+out of a single forward march: solve each interval with the speed built
+from the march's own chi(t_k), carrying the law's state (the
+fitzhugh-nagumo field v) to the next interval.  `march_solve` does this,
+and runs and the star-shape gamma sweep use it.  For a coupling lagged in
+time, windowed waveform relaxation (Lelarasmee, Ruehli &
+Sangiovanni-Vincentelli, IEEE TCAD 1982) reaches its limit in this one
+sweep, and feeding the march's history back through the coupling replays
+it bit for bit.
+
+Picard iteration with the speed frozen over the whole horizon,
 
     u^{k+1} = local solve with speed c[chi^k],   chi^{k+1} = 1_{u^{k+1} >= 0},
 
 stopping when sup_t kappa(chi^{k+1}(t), chi^k(t)) drops below tol (default
-4 h^2, about four grid cells of disagreement).  The initial history chi^0
-defaults to the time-constant bracket of u0 but can be any guess; the
-uniqueness probe exploits exactly that freedom.
-
-Couplings that ignore chi produce bitwise-identical speed providers for
-every history, so the iterate after the first solve would repeat it exactly;
-such runs stop after one solve with a recorded residual of 0.
+4 h^2, about four grid cells of disagreement), is kept for the uniqueness
+probe only: it starts from any chi^0 guess, and the probe checks that every
+guess lands on the march.  Couplings that ignore chi produce
+bitwise-identical speed providers for every history, so such Picard runs
+stop after one solve with a recorded residual of 0.
 """
 
 import os
@@ -42,8 +50,9 @@ class WeakSolution:
     chi_hist brackets the stored snapshots exactly (chi_hist.fields[k] ==
     1_{u(t_k) >= 0} nodewise).  chi_source is the history the final speed
     was built from: feeding it back through the coupling replays u_traj bit
-    for bit, which is the reproducibility hook the verifiers rely on.  At
-    convergence chi_hist and chi_source agree to within tol in kappa, not
+    for bit, which is the reproducibility hook the verifiers rely on.  The
+    march builds its speed from its own snapshots, so there the two are one
+    history; a converged Picard run has them within tol in kappa, not
     necessarily bitwise.
     """
 
@@ -76,6 +85,68 @@ def _resample_history(hist: OccupationHistory, times: np.ndarray) -> OccupationH
     return OccupationHistory(times, [hist.chi_at(t) for t in times])
 
 
+def _far_radius(coupling, u0: ScalarField, histories, horizon: float) -> float:
+    """The default containment radius: the largest speed the coupling gives
+    along any of the histories, over the horizon, plus the support of u0."""
+    c_max = 0.0
+    for hist in histories:
+        provider = coupling.speed_provider(hist)
+        c_max = max(c_max, max(provider.max_abs(t) for t in hist.times))
+    return default_far_radius(u0.spec, c_max, horizon, _support_radius(u0))
+
+
+def _times(output_times, horizon: float) -> np.ndarray:
+    if output_times is None:
+        output_times = np.linspace(0.0, horizon, 13)
+    return _normalise_output_times(output_times, horizon)
+
+
+def march_solve(
+    coupling,
+    u0: ScalarField,
+    gamma: float,
+    horizon: float,
+    output_times=None,
+    far_radius: float = None,
+    eps_reg: float = None,
+    cfl_safety: float = 0.45,
+) -> WeakSolution:
+    """The weak solution by one causal march over the stored intervals.
+
+    Interval [t_k, t_{k+1}] reads the speed the coupling builds from
+    chi(t_k) = 1_{u(t_k) >= 0} of the march itself.  The default far_radius
+    is the one `fixed_point_solve` picks: the speed bound along the bracket
+    of u0 held constant in time.  Reported as one iteration with residual 0
+    and converged, since a Picard step from its history replays it.
+    """
+    spec = u0.spec
+    times = _times(output_times, horizon)
+    if far_radius is None:
+        bracket = constant_history(chi_from_u(u0), times)
+        far_radius = _far_radius(coupling, u0, [bracket], horizon)
+
+    chis = []
+    state = coupling.initial_state(spec)
+
+    def interval_speed(t0, t1, u):
+        nonlocal state
+        chis.append(chi_from_u(u))
+        provider, state = coupling.interval_speed(chis[-1], float(t0), float(t1), state)
+        return provider
+
+    problem = LocalProblem(
+        speed=None, gamma=gamma, horizon=horizon, far_radius=far_radius,
+        spec=spec, eps_reg=eps_reg, cfl_safety=cfl_safety,
+    )
+    traj = solve(problem, u0, output_times=times, interval_speed=interval_speed)
+    chis.append(chi_from_u(traj.snapshots[-1]))
+    hist = OccupationHistory(traj.times, chis)
+    return WeakSolution(
+        u_traj=traj, chi_hist=hist, chi_source=hist,
+        iterations=1, residual_history=[0.0], converged=True,
+    )
+
+
 def fixed_point_solve(
     coupling,
     u0: ScalarField,
@@ -89,7 +160,9 @@ def fixed_point_solve(
     eps_reg: float = None,
     cfl_safety: float = 0.45,
 ) -> WeakSolution:
-    """Picard iteration on the occupation history.
+    """Picard iteration on the occupation history, from chi_init (default:
+    the bracket of u0 held constant in time).  The uniqueness probe runs it
+    from several guesses; a single run uses `march_solve`.
 
     output_times fixes the time grid shared by all iterates (0 and the
     horizon are always included); chi_init is resampled onto it.  tol below
@@ -100,11 +173,9 @@ def fixed_point_solve(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if tol is None:
         tol = 4.0 * spec.h**2
-    if tol < spec.h**2 * (1.0 - 1e-12):
+    if not tol >= spec.h**2 * (1.0 - 1e-12):
         raise ValueError(f"tol {tol:g} is below one grid cell h^2 = {spec.h**2:g}")
-    if output_times is None:
-        output_times = np.linspace(0.0, horizon, 13)
-    times = _normalise_output_times(output_times, horizon)
+    times = _times(output_times, horizon)
 
     if chi_init is None:
         chi_hist = constant_history(chi_from_u(u0), times)
@@ -112,9 +183,7 @@ def fixed_point_solve(
         chi_hist = _resample_history(chi_init, times)
 
     if far_radius is None:
-        probe_provider = coupling.speed_provider(chi_hist)
-        c_max = max(probe_provider.max_abs(t) for t in times)
-        far_radius = default_far_radius(spec, c_max, horizon, _support_radius(u0))
+        far_radius = _far_radius(coupling, u0, [chi_hist], horizon)
 
     residual_history = []
     converged = False
@@ -181,6 +250,10 @@ class ProbeResult:
     kappa_sup the largest kappa distance of the occupation histories.  passed
     requires the earliest-tau gap of every pair to stay within uniq_tol =
     4 * ||Du0||_inf * h (one displaced cell expressed on the u scale).
+
+    march is the causal march with the probe's far_radius, and
+    march_gaps[seed] the sup over stored times of |u_seed - u_march|: the
+    probe's claim is that Picard from every seed converges to the march.
     """
 
     seeds: list
@@ -188,6 +261,8 @@ class ProbeResult:
     rows: list
     uniq_tol: float
     passed: bool
+    march: WeakSolution
+    march_gaps: dict
 
     def max_delta(self, tau: float) -> float:
         vals = [r[3] for r in self.rows if abs(r[2] - tau) < 1e-12]
@@ -208,8 +283,8 @@ def uniqueness_probe(
     lipschitz: float = None,
     R0: float = None,
 ) -> ProbeResult:
-    """Run fixed_point_solve from several chi^0 guesses and compare the
-    resulting level-set trajectories pairwise.
+    """Run fixed_point_solve from several chi^0 guesses, compare the
+    resulting level-set trajectories pairwise and with the causal march.
 
     A unique weak solution means all guesses land on the same front, so the
     u gaps at the early prefix must shrink to grid scale.  Solves run in
@@ -234,11 +309,7 @@ def uniqueness_probe(
     histories = [_resample_history(seeds[k], times) for k in names]
 
     if far_radius is None:
-        c_max = 0.0
-        for hist in histories:
-            provider = coupling.speed_provider(hist)
-            c_max = max(c_max, max(provider.max_abs(t) for t in times))
-        far_radius = default_far_radius(spec, c_max, horizon, _support_radius(u0))
+        far_radius = _far_radius(coupling, u0, histories, horizon)
 
     def run(hist):
         return fixed_point_solve(
@@ -253,6 +324,14 @@ def uniqueness_probe(
     else:
         solutions = [run(h) for h in histories]
 
+    march = march_solve(
+        coupling, u0, gamma, horizon, output_times=times, far_radius=far_radius,
+    )
+    march_gaps = {
+        name: float(_gaps(sol.u_traj, march.u_traj).max())
+        for name, sol in zip(names, solutions)
+    }
+
     if lipschitz is None:
         lipschitz = float(central_gradient_norm(u0).max())
     uniq_tol = 4.0 * lipschitz * spec.h
@@ -263,11 +342,7 @@ def uniqueness_probe(
     tau_first = min(taus)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            ti, tj = solutions[i].u_traj, solutions[j].u_traj
-            gaps = np.asarray([
-                np.abs(a.values - b.values).max()
-                for a, b in zip(ti.snapshots, tj.snapshots)
-            ])
+            gaps = _gaps(solutions[i].u_traj, solutions[j].u_traj)
             kappa_sup = max(
                 kappa(a, b)
                 for a, b in zip(solutions[i].chi_hist.fields, solutions[j].chi_hist.fields)
@@ -279,5 +354,12 @@ def uniqueness_probe(
                 if abs(tau - tau_first) < 1e-12 and delta_tau > uniq_tol:
                     passed = False
 
-    return ProbeResult(names, solutions, rows, uniq_tol, passed)
+    return ProbeResult(names, solutions, rows, uniq_tol, passed, march, march_gaps)
+
+
+def _gaps(a: Trajectory, b: Trajectory) -> np.ndarray:
+    """max |a - b| at every stored time."""
+    return np.asarray([
+        np.abs(sa.values - sb.values).max() for sa, sb in zip(a.snapshots, b.snapshots)
+    ])
 

@@ -25,7 +25,7 @@ from frontlab.presets import preset_config, preset_text
 from frontlab.runner import run, run_verify_all
 from frontlab.solver import load_trajectory, regularity_report
 from frontlab.verify import cone_report, key_estimate_report, load_report
-from frontlab.weak import fixed_point_solve
+from frontlab.weak import march_solve
 
 SCENARIOS = ("mcf-circle", "constant-speed", "volume-flow", "dislocation")
 
@@ -134,8 +134,8 @@ def test_criterion_03_volume_flow_oracle():
     init = cfg.build_init(spec)
     coupling = cfg.build_coupling(spec)
     start = time.perf_counter()
-    sol = fixed_point_solve(coupling, init.u0, cfg.gamma, cfg.horizon,
-                            output_times=[0.0, cfg.horizon])
+    sol = march_solve(coupling, init.u0, cfg.gamma, cfg.horizon,
+                      output_times=[0.0, cfg.horizon])
     seconds = time.perf_counter() - start
     verts = extract_contour(sol.u_traj.snapshots[-1], 0.0).vertex_array()
     radius = float(np.hypot(verts[:, 0], verts[:, 1]).mean())

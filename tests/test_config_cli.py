@@ -172,6 +172,10 @@ def test_missing_equals_sign():
         ("probe.seeds = bracket", "at least two seeds"),
         ("probe.seeds = bracket, blob", "unknown seed 'blob'"),
         ("gamma_sweep = 0, -0.1", "must be >= 0"),
+        ("output_times = 2", "need at least 3 of them, got 2"),
+        ("tol = nan", "tol must be finite"),
+        ("tol = inf", "tol must be finite"),
+        ("tol = 1e-9", "tol must be finite and >= h^2"),
     ],
 )
 def test_single_line_constraints(line, needle):
@@ -389,7 +393,9 @@ def test_probe_subcommand_forces_probe(tmp_path, capsys):
     assert code == 0
     assert "PASS uniqueness_probe" in printed
     assert (out / "probe.csv").exists()
-    assert (out / "probe.verdict").exists()
+    verdict = (out / "probe.verdict").read_text()
+    for seed in ("bracket", "empty", "ball"):
+        assert f"march_gap_{seed} = " in verdict
 
 
 def test_front_escape_exits_three(tmp_path, capsys):

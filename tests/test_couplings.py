@@ -281,30 +281,38 @@ def _fn(alpha=None, g_plus=None, g_minus=None, v0=0.0):
     )
 
 
+def _v_history(coup, hist):
+    """v at every time of hist, evolved interval by interval."""
+    stored = [coup.initial_state(hist.spec)]
+    for chi, t0, t1 in zip(hist.fields, hist.times, hist.times[1:]):
+        stored.append(fn_evolve(coup, stored[-1], chi, t0, t1))
+    return stored
+
+
 def test_fn_no_source_keeps_initial():
     coup = _fn(v0=0.3)
     hist = constant_history(_disc_chi(SPEC65, 0.4), [0.0, 0.05, 0.1])
-    stored, provider = fn_evolve(coup, hist, 0.1)
-    for v in stored:
+    for v in _v_history(coup, hist):
         assert np.max(np.abs(v.values - 0.3)) < 1e-12
+    provider = coup.speed_provider(hist)
     assert np.max(np.abs(provider.speed_at(0.07).values - 0.3)) < 1e-12
 
 
 def test_fn_uniform_source_integrates_time():
     coup = _fn(g_plus=constant_map(1.0), g_minus=constant_map(0.0), v0=0.0)
     hist = constant_history(constant_field(SPEC65, 1.0), [0.0, 0.1, 0.2])
-    stored, provider = fn_evolve(coup, hist, 0.2)
-    for t, v in zip([0.0, 0.1, 0.2], stored):
+    for t, v in zip([0.0, 0.1, 0.2], _v_history(coup, hist)):
         assert np.max(np.abs(v.values - t)) < 1e-8
-    # linear-in-time interpolation between slices
-    assert np.max(np.abs(provider.v_at(0.15).values - 0.15)) < 1e-8
+    # linear-in-time interpolation between slices (alpha is the identity here)
+    provider = coup.speed_provider(hist)
+    assert np.max(np.abs(provider.speed_at(0.15).values - 0.15)) < 1e-8
 
 
 def test_fn_heat_maximum_principle():
     v0 = field_from_function(SPEC65, lambda x, y: np.exp(-8.0 * (x * x + y * y)))
     coup = _fn(v0=v0)
     hist = constant_history(constant_field(SPEC65, 0.0), np.linspace(0.0, 0.05, 6))
-    stored, _ = fn_evolve(coup, hist, 0.05)
+    stored = _v_history(coup, hist)
     maxima = [float(v.values.max()) for v in stored]
     assert all(b <= a + 1e-12 for a, b in zip(maxima, maxima[1:]))
     assert all(float(v.values.min()) >= -1e-12 for v in stored)
@@ -315,9 +323,7 @@ def test_fn_monotone_in_chi():
     times = np.linspace(0.0, 0.1, 4)
     big = constant_history(_disc_chi(SPEC65, 0.5), times)
     small = constant_history(_disc_chi(SPEC65, 0.3), times)
-    v_big, _ = fn_evolve(coup, big, 0.1)
-    v_small, _ = fn_evolve(coup, small, 0.1)
-    for vb, vs in zip(v_big, v_small):
+    for vb, vs in zip(_v_history(coup, big), _v_history(coup, small)):
         assert float((vs.values - vb.values).max()) <= 1e-12
 
 
@@ -368,7 +374,7 @@ def test_constant_coupling_provider():
     coup = ConstantCoupling(0.8)
     hist = constant_history(_disc_chi(SPEC65, 0.3), [0.0, 0.1])
     provider = coup.speed_provider(hist)
-    assert provider.chi_independent
+    assert coup.chi_independent
     assert np.max(np.abs(provider.speed_at(0.05).values - 0.8)) == 0.0
 
 

@@ -1,20 +1,36 @@
 """The demos run as plain scripts.  The verifier tour calls every public
-report function with its documented signature, so it guards them too."""
+report function with its documented signature, so it guards them too; the
+coupled demos guard `march_solve` and `uniqueness_probe` the same way."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_verifier_tour_runs(tmp_path):
+def _run_demo(name, cwd):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "07_verifier_tour.py")],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    assert "FAIL cone_flipped" in done.stdout
+    return done.stdout
+
+
+def test_verifier_tour_runs(tmp_path):
+    assert "FAIL cone_flipped" in _run_demo("07_verifier_tour.py", tmp_path)
+
+
+@pytest.mark.parametrize("name,needle", [
+    ("04_volume_feedback.py", "one causal march over 6 intervals"),
+    ("05_dislocation_probe.py", "probe verdict: unique front"),
+    ("06_fitzhugh_nagumo.py", "one causal march over 5 intervals"),
+])
+def test_coupled_demo_runs(tmp_path, name, needle):
+    assert needle in _run_demo(name, tmp_path)

@@ -15,7 +15,7 @@ from frontlab.grid import GridSpec, ScalarField, field_from_function
 from frontlab.solver import (
     ConstantSpeed,
     LocalProblem,
-    PiecewiseConstantSpeed,
+    PiecewiseSpeed,
     Trajectory,
     advance,
     cfl_timestep,
@@ -233,11 +233,7 @@ def test_solve_escape_guard_trips():
 def test_piecewise_speed_switches():
     # expand at speed 1 for 0.1, freeze afterwards
     spec = GridSpec(129, 1.0)
-    speeds = PiecewiseConstantSpeed(
-        [0.0, 0.1],
-        [field_from_function(spec, lambda x, y: 1.0 + 0.0 * x),
-         field_from_function(spec, lambda x, y: 0.0 * x)],
-    )
+    speeds = PiecewiseSpeed([0.0, 0.1], [ConstantSpeed(spec, 1.0), ConstantSpeed(spec, 0.0)])
     prob = _problem(spec, speeds, 0.0, 0.3)
     traj = solve(prob, _disc(spec, 0.3), [0.1, 0.3])
     assert _mean_radius(traj.field_at(0.1)) == pytest.approx(0.4, abs=2 * spec.h)

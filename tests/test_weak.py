@@ -1,5 +1,5 @@
-"""Picard fixed point on the occupation history and the multi-seed
-uniqueness probe."""
+"""The causal march, the Picard fixed point it replaces in runs, and the
+multi-seed uniqueness probe that still runs Picard."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from frontlab.solver import LocalProblem, solve
 from frontlab.weak import (
     chi_from_u,
     fixed_point_solve,
+    march_solve,
     standard_seeds,
     uniqueness_probe,
 )
@@ -124,9 +125,11 @@ def test_bracket_invariant(coupled_run):
 
 
 def test_replay_reproduces_trajectory(coupled_run):
-    # determinism hook: solving again with the converged source history
+    # determinism hook: solving again with the march's source history
     # must rebuild the stored trajectory bit for bit
-    coup, ws = coupled_run
+    coup, _ = coupled_run
+    ws = march_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.0, horizon=0.2)
+    assert ws.chi_source is ws.chi_hist
     provider = coup.speed_provider(ws.chi_source)
     problem = LocalProblem(
         speed=provider,
@@ -139,6 +142,55 @@ def test_replay_reproduces_trajectory(coupled_run):
     again = solve(problem, ws.u_traj.snapshots[0], output_times=ws.u_traj.times)
     for a, b in zip(again.snapshots, ws.u_traj.snapshots):
         assert np.array_equal(a.values, b.values)
+
+
+# ---------------------------------------------------------------------------
+# march_solve
+# ---------------------------------------------------------------------------
+
+SPEC33 = GridSpec(33, 1.5)
+
+
+def _coupled_law(kind):
+    if kind == "dislocation":
+        return DislocationCoupling(core_ring_kernel(SPEC33, 1.3, 0.15, -0.3, 0.15, 0.3), 0.2)
+    if kind == "volume":
+        return VolumeCoupling(affine_map(1.0, -1.0))
+    return FitzhughNagumoCoupling(
+        alpha=clamp_affine_map(0.4, 0.5, 0.0, 0.8),
+        g_plus=constant_map(1.0),
+        g_minus=constant_map(0.0),
+    )
+
+
+@pytest.mark.parametrize("kind", ["dislocation", "volume", "fitzhugh_nagumo"])
+def test_march_is_the_picard_limit(kind):
+    # Picard stepped one iteration at a time, each fed the previous
+    # iterate's history, until chi stops changing bitwise, lands on the
+    # march bit for bit
+    coup = _coupled_law(kind)
+    u0 = _clamped_disc(SPEC33, 0.3)
+    march = march_solve(coup, u0, gamma=0.05, horizon=0.3)
+
+    def same(a, b):
+        return all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+
+    first = chi = None
+    for _ in range(20):
+        ws = fixed_point_solve(
+            coup, u0, 0.05, 0.3, chi_init=chi,
+            far_radius=march.u_traj.far_radius, max_iter=1,
+        )
+        first = first or ws
+        if chi is not None and same(ws.chi_hist.fields, chi.fields):
+            break
+        chi = ws.chi_hist
+    # the first iterate, frozen at the bracket of u0, is not the fixed point
+    assert not same(first.u_traj.snapshots, march.u_traj.snapshots)
+    assert same(ws.chi_hist.fields, chi.fields)
+    assert same(ws.u_traj.snapshots, march.u_traj.snapshots)
+    assert same(ws.chi_hist.fields, march.chi_hist.fields)
+    assert march.converged and march.iterations == 1
 
 
 def test_parameter_validation():
@@ -200,6 +252,9 @@ def test_probe_coupled_gaps_monotone_in_tau():
     assert probe.max_delta(taus[1]) <= probe.max_delta(taus[2]) + 1e-15
     lip = 1.0
     assert probe.uniq_tol == pytest.approx(4.0 * lip * SPEC.h, rel=0.05)
+    # Picard from every seed converges to the march
+    assert set(probe.march_gaps) == set(probe.seeds)
+    assert max(probe.march_gaps.values()) <= probe.uniq_tol
 
 
 def test_probe_thread_count_does_not_change_rows(monkeypatch):
