@@ -29,7 +29,7 @@ from .errors import ConfigError
 from .geometry import star_shaped_u0
 from .grid import GridSpec
 from .solver import _normalise_output_times
-from .verify import CHECKS, DEFAULT_CHECKS, FIT_CHECKS
+from .verify import CHECKS, DEFAULT_CHECKS
 
 KNOWN_SEEDS = ("bracket", "empty", "ball")
 
@@ -361,12 +361,12 @@ def parse_config(text: str) -> ScenarioConfig:
             f"tol must be finite and >= h^2 = {spec.h**2:g}, got {cfg.tol:g}",
             line=seen["tol"],
         )
-    fitted = [c for c in cfg.checks if c in FIT_CHECKS]
     stored = _normalise_output_times(cfg.times(), cfg.horizon).size
-    if fitted and stored < 3:
+    short = [c for c in cfg.checks if stored < CHECKS[c][2]]
+    if short:
         raise ConfigError(
-            f"checks {', '.join(fitted)} fit a growth rate over the stored times "
-            f"and need at least 3 of them, got {stored}",
+            f"checks {', '.join(short)} need at least "
+            f"{max(CHECKS[c][2] for c in short)} stored times, got {stored}",
             line=seen.get("output_times", seen.get("checks")),
         )
     return cfg

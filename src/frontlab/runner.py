@@ -189,7 +189,7 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
             verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir))
         # every report before any is written: a failed dependence pair writes none
         reports = [
-            rep for name, (reports_of, _) in CHECKS.items()
+            rep for name, (reports_of, _, _) in CHECKS.items()
             if name in config.checks for rep in reports_of(ctx)
         ]
         for rep in reports:
@@ -273,7 +273,7 @@ def verify_run_dir(run_dir: str) -> RunResult:
 
     verdicts = []
     rdir = os.path.join(run_dir, "reports")
-    for name, (reports_of, needs_solves) in CHECKS.items():
+    for name, (reports_of, needs_solves, _) in CHECKS.items():
         if name not in checks or needs_solves:
             continue
         for rep in reports_of(ctx):

@@ -913,24 +913,24 @@ def gamma_sweep_star_shape(
 # ---------------------------------------------------------------------------
 # the check table
 
-# name -> (reports(ctx) -> [VerificationReport], needs_solves), in the order
-# a run computes and writes them.  Checks that need solves beyond the
-# stored trajectory are skipped when a run directory is re-verified.
+# name -> (reports(ctx) -> [VerificationReport], needs_solves, min_times), in
+# the order a run computes and writes them.  Checks that need solves beyond
+# the stored trajectory are skipped when a run directory is re-verified.
+# min_times counts the stored times a check needs: every run stores 0 and
+# the horizon, and cone and perimeter read CheckContext.K_fit, whose
+# regularity fit needs 3.
 CHECKS = {
-    "key_estimate": (lambda c: [c.key_estimate[1]], False),
+    "key_estimate": (lambda c: [c.key_estimate[1]], False, 2),
     "lower_gradient": (
-        lambda c: [lower_gradient_report(c.traj, c.init, c.schedule, t_bar=c.t_bar)], False),
-    "cone": (lambda c: [cone_report(c, c.init, c.schedule, c.K_fit, t_bar=c.t_bar)], False),
+        lambda c: [lower_gradient_report(c.traj, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
+    "cone": (lambda c: [cone_report(c, c.init, c.schedule, c.K_fit, t_bar=c.t_bar)], False, 3),
     "perimeter": (
-        lambda c: [perimeter_report(c, c.init, c.schedule, c.K_fit, t_bar=c.t_bar)], False),
+        lambda c: [perimeter_report(c, c.init, c.schedule, c.K_fit, t_bar=c.t_bar)], False, 3),
     "band_measure": (
-        lambda c: [band_measure_report(c, c.init, c.schedule, t_bar=c.t_bar)], False),
+        lambda c: [band_measure_report(c, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
     "non_fattening": (
-        lambda c: [fattening_report(c, c.init, c.schedule, t_bar=c.t_bar)], False),
-    "star_shape": (lambda c: [star_shape_report(c.traj, c.init)], False),
-    "dependence": (_dependence_reports, True),
+        lambda c: [fattening_report(c, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
+    "star_shape": (lambda c: [star_shape_report(c.traj, c.init)], False, 2),
+    "dependence": (_dependence_reports, True, 2),
 }
 DEFAULT_CHECKS = tuple(CHECKS)[:6]   # star_shape and dependence run on request
-# the checks that read CheckContext.K_fit, whose regularity fit needs at
-# least 3 stored times
-FIT_CHECKS = ("cone", "perimeter")

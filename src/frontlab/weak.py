@@ -108,8 +108,6 @@ def march_solve(
     horizon: float,
     output_times=None,
     far_radius: float = None,
-    eps_reg: float = None,
-    cfl_safety: float = 0.45,
 ) -> WeakSolution:
     """The weak solution by one causal march over the stored intervals.
 
@@ -135,8 +133,7 @@ def march_solve(
         return provider
 
     problem = LocalProblem(
-        speed=None, gamma=gamma, horizon=horizon, far_radius=far_radius,
-        spec=spec, eps_reg=eps_reg, cfl_safety=cfl_safety,
+        speed=None, gamma=gamma, horizon=horizon, far_radius=far_radius, spec=spec,
     )
     traj = solve(problem, u0, output_times=times, interval_speed=interval_speed)
     chis.append(chi_from_u(traj.snapshots[-1]))
@@ -251,9 +248,9 @@ class ProbeResult:
     requires the earliest-tau gap of every pair to stay within uniq_tol =
     4 * ||Du0||_inf * h (one displaced cell expressed on the u scale).
 
-    march is the causal march with the probe's far_radius, and
-    march_gaps[seed] the sup over stored times of |u_seed - u_march|: the
-    probe's claim is that Picard from every seed converges to the march.
+    march_gaps[seed] is the sup over stored times of |u_seed - u_march|,
+    against the causal march with the probe's far_radius: the probe's claim
+    is that Picard from every seed converges to the march.
     """
 
     seeds: list
@@ -261,7 +258,6 @@ class ProbeResult:
     rows: list
     uniq_tol: float
     passed: bool
-    march: WeakSolution
     march_gaps: dict
 
     def max_delta(self, tau: float) -> float:
@@ -354,7 +350,7 @@ def uniqueness_probe(
                 if abs(tau - tau_first) < 1e-12 and delta_tau > uniq_tol:
                     passed = False
 
-    return ProbeResult(names, solutions, rows, uniq_tol, passed, march, march_gaps)
+    return ProbeResult(names, solutions, rows, uniq_tol, passed, march_gaps)
 
 
 def _gaps(a: Trajectory, b: Trajectory) -> np.ndarray:

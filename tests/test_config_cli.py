@@ -172,7 +172,7 @@ def test_missing_equals_sign():
         ("probe.seeds = bracket", "at least two seeds"),
         ("probe.seeds = bracket, blob", "unknown seed 'blob'"),
         ("gamma_sweep = 0, -0.1", "must be >= 0"),
-        ("output_times = 2", "need at least 3 of them, got 2"),
+        ("output_times = 2", "checks cone, perimeter need at least 3 stored times, got 2"),
         ("tol = nan", "tol must be finite"),
         ("tol = inf", "tol must be finite"),
         ("tol = 1e-9", "tol must be finite and >= h^2"),
