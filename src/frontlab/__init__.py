@@ -59,7 +59,7 @@ from .grid import (
     interpolate,
     lebesgue_measure,
 )
-from .solver import ConstantSpeed, LocalProblem, Trajectory, default_far_radius, solve
+from .solver import ConstantSpeed, LocalProblem, Trajectory, solve
 from .verify import (
     EtaSchedule,
     VerificationReport,
@@ -101,7 +101,6 @@ __all__ = [
     "constant_map",
     "convolve_kernel",
     "core_ring_kernel",
-    "default_far_radius",
     "disc_bump_kernel",
     "eta_empirical",
     "extract_contour",

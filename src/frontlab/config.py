@@ -111,9 +111,12 @@ def _split_lines(text: str):
 
 def _as_float(key, value, lineno):
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}", line=lineno)
+    if not np.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {value!r}", line=lineno)
+    return x
 
 
 def _as_int(key, value, lineno):
@@ -133,11 +136,7 @@ def _as_bool(key, value, lineno):
 
 
 def _as_float_list(key, value, lineno):
-    try:
-        return tuple(float(v) for v in value.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {value!r}",
-                          line=lineno)
+    return tuple(_as_float(key, v.strip(), lineno) for v in value.split(",") if v.strip())
 
 
 def _as_points(key, value, lineno):
@@ -151,10 +150,7 @@ def _as_points(key, value, lineno):
             raise ConfigError(
                 f"{key}: expected x,y pairs separated by ';', got {part!r}", line=lineno
             )
-        try:
-            points.append((float(coords[0]), float(coords[1])))
-        except ValueError:
-            raise ConfigError(f"{key}: non-numeric coordinate in {part!r}", line=lineno)
+        points.append(tuple(_as_float(key, c.strip(), lineno) for c in coords))
     if not points:
         raise ConfigError(f"{key}: no points given", line=lineno)
     return tuple(points)
@@ -346,20 +342,24 @@ def parse_config(text: str) -> ScenarioConfig:
 
     # the grid must hold the initial support with the solver's 2h margin
     spec = cfg.grid()
+    ring = cfg.half_extent - 2 * spec.h
     points = cfg.kernel_points if cfg.init_kind == "star_shaped" else ((0.0, 0.0),)
     kmax = max(float(np.hypot(px, py)) for px, py in points)
-    if kmax + cfg.r0 > cfg.half_extent - 2 * spec.h:
+    if kmax + cfg.r0 > ring:
         raise ConfigError(
             f"initial support radius {kmax + cfg.r0:g} does not fit the grid "
-            f"(needs <= L - 2h = {cfg.half_extent - 2 * spec.h:g})",
+            f"(needs <= L - 2h = {ring:g})",
             line=seen.get("init.r0"),
         )
-    if cfg.tol is not None and not (
-        np.isfinite(cfg.tol) and cfg.tol >= spec.h**2 * (1.0 - 1e-12)
-    ):
+    if cfg.tol is not None and cfg.tol < spec.h**2 * (1.0 - 1e-12):
         raise ConfigError(
             f"tol must be finite and >= h^2 = {spec.h**2:g}, got {cfg.tol:g}",
             line=seen["tol"],
+        )
+    if cfg.far_radius is not None and not 0 < cfg.far_radius <= ring:
+        raise ConfigError(
+            f"far_radius must lie in (0, L - 2h = {ring:g}], got {cfg.far_radius:g}",
+            line=seen["far_radius"],
         )
     stored = _normalise_output_times(cfg.times(), cfg.horizon).size
     short = [c for c in cfg.checks if stored < CHECKS[c][2]]

@@ -9,8 +9,9 @@ interval [t_k, t_{k+1}] into the speed the local solver reads on it:
                    being the state carried from one interval to the next;
 * volume:          c(t) = beta(area of {chi(t_k) = 1}), spatially constant.
 
-Each law is written once, as `interval_speed`; `SpeedLaw.speed_provider`
-replays it along a whole occupation history.
+Each law is written once, as `interval_speed`; `weak.march_solve` calls it
+interval by interval, with the march's own chi(t_k) or with a given
+occupation history.
 
 Occupation histories are compared by kappa(t) = ||chi1(t) - chi2(t)||_L1 and
 by the heat-kernel-weighted kappa_bar(x, t) = int_0^t int G(x-y, t-s)
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import GridSpec, ScalarField, constant_field, lebesgue_measure, trapezoid
-from .solver import ConstantSpeed, PiecewiseSpeed
+from .solver import ConstantSpeed
 
 # ---------------------------------------------------------------------------
 # scalar maps r -> f(r) with recorded Lipschitz constants and bounds
@@ -92,6 +93,8 @@ def _parse_call(text: str) -> tuple[str, list[float]]:
         raise ValueError(f"expected name(arg, ...), got {text!r}")
     name = m.group(1)
     args = [float(a) for a in m.group(2).split(",")] if m.group(2).strip() else []
+    if not np.isfinite(args).all():
+        raise ValueError(f"arguments must be finite numbers, got {text!r}")
     return name, args
 
 
@@ -302,27 +305,15 @@ class SpeedLaw:
 
     interval_speed(chi, t0, t1, state) returns the speed provider for
     [t0, t1] built from the occupation chi = chi(t0) and the law's state at
-    t0, together with the state at t1 (None for laws without memory).  The
-    causal march calls it with its own chi(t0), interval by interval;
-    speed_provider replays it along a given occupation history.
+    t0, together with the state at t1 (None for laws without memory).
+    `weak.march_solve` calls it interval by interval, with its own chi(t0)
+    or with chi(t0) read from a given occupation history.
     """
 
     chi_independent = False
 
     def initial_state(self, spec: GridSpec):
         return None
-
-    def speed_provider(self, chi_hist: OccupationHistory) -> PiecewiseSpeed:
-        """Interval k of chi_hist reads chi_hist.fields[k]; the last interval's
-        speed holds from its start on (a one-time history is one empty
-        interval)."""
-        times = [float(t) for t in chi_hist.times]
-        state = self.initial_state(chi_hist.spec)
-        pieces = []
-        for chi, t0, t1 in zip(chi_hist.fields, times, times[1:] or times):
-            piece, state = self.interval_speed(chi, t0, t1, state)
-            pieces.append(piece)
-        return PiecewiseSpeed(times[: len(pieces)], pieces)
 
 
 # ---------------------------------------------------------------------------

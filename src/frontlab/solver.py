@@ -2,14 +2,15 @@
 
 The update is forward Euler on the monotone Godunov advection term plus the
 central-difference regularised curvature trace, clamped to [-1, 1], with the
-far field outside B(0, far_radius) overwritten to -1 each step.  Time steps
-obey dt <= safety * min(h/max|c|, h^2/(4*gamma)); `advance` refuses anything
-larger.  A guard aborts if the zero set ever reaches the containment ring
-B(0, far_radius - 4h) from inside, since past that point the overwrite would
-be carving the front itself.
+far field outside B(0, far_radius) overwritten to -1 each step (far_radius
+defaults to L - 2h).  Each interval between output times reads the speed
+provider that LocalProblem.speed builds for it from the field that starts
+the interval.  Time steps obey dt <= safety * min(h/max|c|, h^2/(4*gamma));
+`advance` refuses anything larger.  A guard aborts if the zero set ever
+reaches the containment ring B(0, far_radius - 4h) from inside, since past
+that point the overwrite would be carving the front itself.
 """
 
-import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,40 +45,20 @@ class ConstantSpeed:
         return self._max
 
 
-class PiecewiseSpeed:
-    """Left-continuous piecewise speed: pieces[k] is a speed provider that
-    governs [times[k], times[k+1]), and the last one governs from its time
-    on."""
-
-    def __init__(self, times, pieces):
-        self.times = [float(t) for t in times]
-        if sorted(self.times) != self.times:
-            raise ValueError("speed piece times must be increasing")
-        if len(pieces) != len(self.times):
-            raise ValueError("one speed piece per start time required")
-        self.pieces = list(pieces)
-
-    def _piece(self, t: float):
-        i = bisect.bisect_right(self.times, t) - 1
-        return self.pieces[min(max(i, 0), len(self.pieces) - 1)]
-
-    def speed_at(self, t: float) -> ScalarField:
-        return self._piece(t).speed_at(t)
-
-    def max_abs(self, t: float) -> float:
-        return self._piece(t).max_abs(t)
-
-
 @dataclass
 class LocalProblem:
-    """A level-set evolution on [0, horizon]; speed is the provider for the
-    whole horizon, or None when `solve` receives an interval_speed."""
+    """A level-set evolution on [0, horizon].
+
+    speed(t_k, t_{k+1}, u) returns the speed provider for the interval
+    [t_k, t_{k+1}] between output times from the field u(t_k) that starts
+    it.  far_radius defaults to L - 2h, the largest ring the grid holds.
+    """
 
     speed: object
     gamma: float
     horizon: float
-    far_radius: float
     spec: GridSpec
+    far_radius: float | None = None
     eps_reg: float | None = None
     # the cfl_timestep formula is the one-axis bound; the default operating
     # point halves it so the two-axis upwind update stays monotone
@@ -92,17 +73,14 @@ class LocalProblem:
         if not (0 < self.cfl_safety <= 1):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         limit = self.spec.half_extent - 2 * self.spec.h
+        if self.far_radius is None:
+            self.far_radius = limit
         if self.far_radius > limit + 1e-12:
             raise ValueError(
                 f"far_radius {self.far_radius:.4g} violates the bound L-2h={limit:.4g}"
             )
         if self.eps_reg is None:
             self.eps_reg = self.spec.h
-
-
-def default_far_radius(spec: GridSpec, c_max: float, horizon: float, R0: float) -> float:
-    """Containment radius max-speed * T + R0 + sqrt(2), capped by the domain."""
-    return min(c_max * horizon + R0 + np.sqrt(2.0), spec.half_extent - 2 * spec.h)
 
 
 def cfl_timestep(c_max: float, gamma: float, h: float, safety: float = 0.9) -> float:
@@ -191,16 +169,12 @@ def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
     return times
 
 
-def solve(
-    problem: LocalProblem, u0: ScalarField, output_times, interval_speed=None
-) -> Trajectory:
+def solve(problem: LocalProblem, u0: ScalarField, output_times) -> Trajectory:
     """March to the horizon, landing exactly on every output time.
 
-    Every interval [t_k, t_{k+1}] between output times reads the speed
-    provider problem.speed, unless interval_speed is given:
-    interval_speed(t_k, t_{k+1}, u) then returns the provider for that
-    interval from the field u(t_k) that starts it, so a speed law can read
-    the solution it drives (the causal march of `weak.march_solve`).
+    Every interval [t_k, t_{k+1}] between output times reads the provider
+    problem.speed(t_k, t_{k+1}, u(t_k)), so a speed law can read the
+    solution it drives (the causal march of `weak.march_solve`).
     """
     spec = u0.spec
     if spec != problem.spec:
@@ -237,7 +211,7 @@ def solve(
 
     t = 0.0
     for t_next in times[1:]:
-        speed = problem.speed if interval_speed is None else interval_speed(t, t_next, u)
+        speed = problem.speed(t, t_next, u)
         last_dt = 0.0
         while t < t_next:
             c_field = speed.speed_at(t)

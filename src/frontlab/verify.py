@@ -42,8 +42,7 @@ from .couplings import constant_history, gauss_slice, kappa
 from .errors import FrontEscapeError, StabilityError
 from .geometry import InitCondition
 from .grid import ScalarField, central_gradient_norm, interpolate, lebesgue_measure, trapezoid
-from .solver import (LocalProblem, Trajectory, _normalise_output_times, default_far_radius,
-                     regularity_report, solve)
+from .solver import Trajectory, _normalise_output_times, regularity_report
 from .weak import march_solve
 
 LEVELS_FRACTION = (-0.25, 0.0, 0.25)   # contour levels as multiples of delta0
@@ -804,19 +803,13 @@ def _dependence_reports(ctx: CheckContext):
         return constant_history(chi, times)
 
     hists = {dr: disc_hist(init.r0 + dr) for dr in (0.0, h, 2.0 * h)}
-    providers = {dr: coupling.speed_provider(hist) for dr, hist in hists.items()}
-    far_radius = config.far_radius
-    if far_radius is None:
-        c_max = max(p.max_abs(t) for p in providers.values() for t in times)
-        far_radius = default_far_radius(spec, c_max, config.horizon, init.R0)
-
-    trajs = {}
-    for dr, provider in providers.items():
-        problem = LocalProblem(
-            speed=provider, gamma=config.gamma, horizon=config.horizon,
-            far_radius=far_radius, spec=spec,
-        )
-        trajs[dr] = solve(problem, init.u0, output_times=times)
+    trajs = {
+        dr: march_solve(
+            coupling, init.u0, config.gamma, config.horizon, output_times=times,
+            far_radius=config.far_radius, chi_hist=hist,
+        ).u_traj
+        for dr, hist in hists.items()
+    }
 
     def pair_report(dr, name):
         k = kappa(hists[0.0].fields[0], hists[dr].fields[0])

@@ -10,19 +10,21 @@ fitzhugh-nagumo field v) to the next interval.  `march_solve` does this,
 and runs and the star-shape gamma sweep use it.  For a coupling lagged in
 time, windowed waveform relaxation (Lelarasmee, Ruehli &
 Sangiovanni-Vincentelli, IEEE TCAD 1982) reaches its limit in this one
-sweep, and feeding the march's history back through the coupling replays
-it bit for bit.
+sweep.
 
-Picard iteration with the speed frozen over the whole horizon,
+The same march, given an occupation history, reads chi_hist(t_k) in place
+of its own chi(t_k): that is a solve with the occupation frozen along the
+history.  Feeding the march's own history back this way replays it bit for
+bit, and Picard iteration is this frozen march repeated,
 
-    u^{k+1} = local solve with speed c[chi^k],   chi^{k+1} = 1_{u^{k+1} >= 0},
+    u^{k+1} = march frozen along chi^k,   chi^{k+1} = 1_{u^{k+1} >= 0},
 
 stopping when sup_t kappa(chi^{k+1}(t), chi^k(t)) drops below tol (default
-4 h^2, about four grid cells of disagreement), is kept for the uniqueness
-probe only: it starts from any chi^0 guess, and the probe checks that every
-guess lands on the march.  Couplings that ignore chi produce
-bitwise-identical speed providers for every history, so such Picard runs
-stop after one solve with a recorded residual of 0.
+4 h^2, about four grid cells of disagreement).  It is kept for the
+uniqueness probe only: it starts from any chi^0 guess, and the probe checks
+that every guess lands on the march.  Couplings that ignore chi build
+bitwise-identical speeds from every history, so such Picard runs stop after
+one solve with a recorded residual of 0.
 """
 
 import os
@@ -33,7 +35,7 @@ import numpy as np
 
 from .couplings import OccupationHistory, constant_history, kappa
 from .grid import ScalarField, central_gradient_norm
-from .solver import LocalProblem, Trajectory, _normalise_output_times, default_far_radius, solve
+from .solver import LocalProblem, Trajectory, _normalise_output_times, solve
 
 
 def chi_from_u(u: ScalarField) -> ScalarField:
@@ -85,16 +87,6 @@ def _resample_history(hist: OccupationHistory, times: np.ndarray) -> OccupationH
     return OccupationHistory(times, [hist.chi_at(t) for t in times])
 
 
-def _far_radius(coupling, u0: ScalarField, histories, horizon: float) -> float:
-    """The default containment radius: the largest speed the coupling gives
-    along any of the histories, over the horizon, plus the support of u0."""
-    c_max = 0.0
-    for hist in histories:
-        provider = coupling.speed_provider(hist)
-        c_max = max(c_max, max(provider.max_abs(t) for t in hist.times))
-    return default_far_radius(u0.spec, c_max, horizon, _support_radius(u0))
-
-
 def _times(output_times, horizon: float) -> np.ndarray:
     if output_times is None:
         output_times = np.linspace(0.0, horizon, 13)
@@ -108,39 +100,44 @@ def march_solve(
     horizon: float,
     output_times=None,
     far_radius: float = None,
+    chi_hist: OccupationHistory = None,
 ) -> WeakSolution:
-    """The weak solution by one causal march over the stored intervals.
+    """Solve interval by interval, carrying the coupling's state.
 
     Interval [t_k, t_{k+1}] reads the speed the coupling builds from
-    chi(t_k) = 1_{u(t_k) >= 0} of the march itself.  The default far_radius
-    is the one `fixed_point_solve` picks: the speed bound along the bracket
-    of u0 held constant in time.  Reported as one iteration with residual 0
-    and converged, since a Picard step from its history replays it.
+    chi(t_k): the march's own 1_{u(t_k) >= 0}, which gives the weak
+    solution in one sweep (one iteration, residual 0, converged), or
+    chi_hist.fields[k] when a history is given, which is one Picard step
+    with the occupation frozen along it.  Then chi_source is chi_hist
+    (resampled onto the output times) and the residual is
+    sup_k kappa(chi_hist(t_k), 1_{u(t_k) >= 0}), converged only at 0.
+    far_radius defaults to L - 2h.
     """
     spec = u0.spec
     times = _times(output_times, horizon)
-    if far_radius is None:
-        bracket = constant_history(chi_from_u(u0), times)
-        far_radius = _far_radius(coupling, u0, [bracket], horizon)
-
-    chis = []
+    if chi_hist is not None:
+        chi_hist = _resample_history(chi_hist, times)
     state = coupling.initial_state(spec)
+    chis = []
 
-    def interval_speed(t0, t1, u):
+    def speed(t0, t1, u):
         nonlocal state
-        chis.append(chi_from_u(u))
+        chis.append(chi_from_u(u) if chi_hist is None else chi_hist.fields[len(chis)])
         provider, state = coupling.interval_speed(chis[-1], float(t0), float(t1), state)
         return provider
 
     problem = LocalProblem(
-        speed=None, gamma=gamma, horizon=horizon, far_radius=far_radius, spec=spec,
+        speed=speed, gamma=gamma, horizon=horizon, spec=spec, far_radius=far_radius,
     )
-    traj = solve(problem, u0, output_times=times, interval_speed=interval_speed)
-    chis.append(chi_from_u(traj.snapshots[-1]))
-    hist = OccupationHistory(traj.times, chis)
+    traj = solve(problem, u0, output_times=times)
+    own = _history_from_traj(traj)
+    if chi_hist is None:
+        chi_hist, residual = own, 0.0
+    else:
+        residual = max(kappa(a, b) for a, b in zip(own.fields, chi_hist.fields))
     return WeakSolution(
-        u_traj=traj, chi_hist=hist, chi_source=hist,
-        iterations=1, residual_history=[0.0], converged=True,
+        u_traj=traj, chi_hist=own, chi_source=chi_hist,
+        iterations=1, residual_history=[residual], converged=residual == 0.0,
     )
 
 
@@ -154,12 +151,11 @@ def fixed_point_solve(
     far_radius: float = None,
     tol: float = None,
     max_iter: int = 12,
-    eps_reg: float = None,
-    cfl_safety: float = 0.45,
 ) -> WeakSolution:
     """Picard iteration on the occupation history, from chi_init (default:
-    the bracket of u0 held constant in time).  The uniqueness probe runs it
-    from several guesses; a single run uses `march_solve`.
+    the bracket of u0 held constant in time); each step is a `march_solve`
+    frozen along the previous iterate's history.  The uniqueness probe runs
+    it from several guesses; a single run uses the plain march.
 
     output_times fixes the time grid shared by all iterates (0 and the
     horizon are always included); chi_init is resampled onto it.  tol below
@@ -173,49 +169,28 @@ def fixed_point_solve(
     if not tol >= spec.h**2 * (1.0 - 1e-12):
         raise ValueError(f"tol {tol:g} is below one grid cell h^2 = {spec.h**2:g}")
     times = _times(output_times, horizon)
-
-    if chi_init is None:
+    chi_hist = chi_init
+    if chi_hist is None:
         chi_hist = constant_history(chi_from_u(u0), times)
-    else:
-        chi_hist = _resample_history(chi_init, times)
-
-    if far_radius is None:
-        far_radius = _far_radius(coupling, u0, [chi_hist], horizon)
 
     residual_history = []
-    converged = False
-    traj = None
-    chi_source = None
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        provider = coupling.speed_provider(chi_hist)
-        problem = LocalProblem(
-            speed=provider, gamma=gamma, horizon=horizon, far_radius=far_radius,
-            spec=spec, eps_reg=eps_reg, cfl_safety=cfl_safety,
+    for _ in range(max_iter):
+        sol = march_solve(
+            coupling, u0, gamma, horizon, output_times=times,
+            far_radius=far_radius, chi_hist=chi_hist,
         )
-        traj = solve(problem, u0, output_times=times)
-        chi_new = _history_from_traj(traj)
-        chi_source = chi_hist
-        chi_hist = chi_new
-        if coupling.chi_independent:
-            # the next iterate would rebuild the identical provider, so the
-            # successor history equals chi_new bitwise and its distance is 0
-            residual_history.append(0.0)
-            converged = True
-            break
-        residual = max(
-            kappa(a, b) for a, b in zip(chi_new.fields, chi_source.fields)
-        )
+        chi_hist = sol.chi_hist
+        # a chi-independent law rebuilds the identical provider from any
+        # history, so the next iterate would equal this one bitwise
+        residual = 0.0 if coupling.chi_independent else sol.residual_history[0]
         residual_history.append(residual)
         if residual <= tol:
-            converged = True
             break
 
     return WeakSolution(
-        u_traj=traj, chi_hist=chi_hist, chi_source=chi_source,
-        iterations=iterations, residual_history=residual_history,
-        converged=converged,
+        u_traj=sol.u_traj, chi_hist=sol.chi_hist, chi_source=sol.chi_source,
+        iterations=len(residual_history), residual_history=residual_history,
+        converged=residual <= tol,
     )
 
 
@@ -303,9 +278,6 @@ def uniqueness_probe(
 
     names = list(seeds)
     histories = [_resample_history(seeds[k], times) for k in names]
-
-    if far_radius is None:
-        far_radius = _far_radius(coupling, u0, histories, horizon)
 
     def run(hist):
         return fixed_point_solve(

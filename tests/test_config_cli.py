@@ -176,6 +176,17 @@ def test_missing_equals_sign():
         ("tol = nan", "tol must be finite"),
         ("tol = inf", "tol must be finite"),
         ("tol = 1e-9", "tol must be finite and >= h^2"),
+        ("gamma = nan", "gamma must be finite"),
+        ("horizon = inf", "horizon must be finite"),
+        ("coupling.c = nan", "coupling.c must be finite"),
+        ("probe.taus = 0.01, inf", "probe.taus must be finite"),
+        ("init.kernel_points = 0,nan", "init.kernel_points must be finite"),
+        ("coupling.kernel = disc_bump(1,nan)", "arguments must be finite"),
+        ("coupling.beta = affine(inf,1)", "arguments must be finite"),
+        ("far_radius = nan", "far_radius must be finite"),
+        ("far_radius = -1", "far_radius must lie in (0, L - 2h"),
+        ("far_radius = 0", "far_radius must lie in (0, L - 2h"),
+        ("far_radius = 5", "far_radius must lie in (0, L - 2h"),
     ],
 )
 def test_single_line_constraints(line, needle):
@@ -417,6 +428,25 @@ def test_front_escape_exits_three(tmp_path, capsys):
     # the runner keeps partial artifacts and reports through the marker file
     assert "FAIL run" in printed
     assert "containment ring" in (out / "FAILED").read_text()
+
+
+def test_default_far_radius_is_the_grid_ring(tmp_path):
+    # without far_radius the containment ring is L - 2h, however far the
+    # front could travel by its speed bound
+    out = tmp_path / "run"
+    cfg = parse_config(
+        "grid.n = 65\n"
+        "grid.L = 4\n"
+        "init.kind = circle\n"
+        "init.r0 = 0.5\n"
+        "coupling.kind = constant\n"
+        "coupling.c = 0.3\n"
+        "horizon = 0.05\n"
+        "checks = none\n"
+    )
+    assert run(cfg, out_dir=str(out)).exit_code == 0
+    meta = (out / "run_meta.txt").read_text().splitlines()
+    assert f"far_radius = {4 - 2 * 8 / 64:.17g}" in meta
 
 
 def test_probe_front_escape_fails_the_run(tmp_path):

@@ -23,7 +23,6 @@ from frontlab.couplings import (
     convolve_kernel,
     core_ring_kernel,
     disc_bump_kernel,
-    fn_evolve,
     gauss_slice,
     gaussian_kernel,
     kappa,
@@ -281,38 +280,41 @@ def _fn(alpha=None, g_plus=None, g_minus=None, v0=0.0):
     )
 
 
-def _v_history(coup, hist):
-    """v at every time of hist, evolved interval by interval."""
-    stored = [coup.initial_state(hist.spec)]
+def _pieces(coup, hist):
+    """The interval_speed piece of every interval of hist, and v at every
+    time of hist, evolved interval by interval."""
+    pieces, stored = [], [coup.initial_state(hist.spec)]
     for chi, t0, t1 in zip(hist.fields, hist.times, hist.times[1:]):
-        stored.append(fn_evolve(coup, stored[-1], chi, t0, t1))
-    return stored
+        piece, v = coup.interval_speed(chi, float(t0), float(t1), stored[-1])
+        pieces.append(piece)
+        stored.append(v)
+    return pieces, stored
 
 
 def test_fn_no_source_keeps_initial():
     coup = _fn(v0=0.3)
     hist = constant_history(_disc_chi(SPEC65, 0.4), [0.0, 0.05, 0.1])
-    for v in _v_history(coup, hist):
+    pieces, stored = _pieces(coup, hist)
+    for v in stored:
         assert np.max(np.abs(v.values - 0.3)) < 1e-12
-    provider = coup.speed_provider(hist)
-    assert np.max(np.abs(provider.speed_at(0.07).values - 0.3)) < 1e-12
+    assert np.max(np.abs(pieces[1].speed_at(0.07).values - 0.3)) < 1e-12
 
 
 def test_fn_uniform_source_integrates_time():
     coup = _fn(g_plus=constant_map(1.0), g_minus=constant_map(0.0), v0=0.0)
     hist = constant_history(constant_field(SPEC65, 1.0), [0.0, 0.1, 0.2])
-    for t, v in zip([0.0, 0.1, 0.2], _v_history(coup, hist)):
+    pieces, stored = _pieces(coup, hist)
+    for t, v in zip([0.0, 0.1, 0.2], stored):
         assert np.max(np.abs(v.values - t)) < 1e-8
     # linear-in-time interpolation between slices (alpha is the identity here)
-    provider = coup.speed_provider(hist)
-    assert np.max(np.abs(provider.speed_at(0.15).values - 0.15)) < 1e-8
+    assert np.max(np.abs(pieces[1].speed_at(0.15).values - 0.15)) < 1e-8
 
 
 def test_fn_heat_maximum_principle():
     v0 = field_from_function(SPEC65, lambda x, y: np.exp(-8.0 * (x * x + y * y)))
     coup = _fn(v0=v0)
     hist = constant_history(constant_field(SPEC65, 0.0), np.linspace(0.0, 0.05, 6))
-    stored = _v_history(coup, hist)
+    stored = _pieces(coup, hist)[1]
     maxima = [float(v.values.max()) for v in stored]
     assert all(b <= a + 1e-12 for a, b in zip(maxima, maxima[1:]))
     assert all(float(v.values.min()) >= -1e-12 for v in stored)
@@ -323,7 +325,7 @@ def test_fn_monotone_in_chi():
     times = np.linspace(0.0, 0.1, 4)
     big = constant_history(_disc_chi(SPEC65, 0.5), times)
     small = constant_history(_disc_chi(SPEC65, 0.3), times)
-    for vb, vs in zip(_v_history(coup, big), _v_history(coup, small)):
+    for vb, vs in zip(_pieces(coup, big)[1], _pieces(coup, small)[1]):
         assert float((vs.values - vb.values).max()) <= 1e-12
 
 
@@ -372,10 +374,9 @@ def test_volume_speed_monotone_iff_beta_is():
 
 def test_constant_coupling_provider():
     coup = ConstantCoupling(0.8)
-    hist = constant_history(_disc_chi(SPEC65, 0.3), [0.0, 0.1])
-    provider = coup.speed_provider(hist)
-    assert coup.chi_independent
-    assert np.max(np.abs(provider.speed_at(0.05).values - 0.8)) == 0.0
+    piece, state = coup.interval_speed(_disc_chi(SPEC65, 0.3), 0.0, 0.1, None)
+    assert coup.chi_independent and state is None
+    assert np.max(np.abs(piece.speed_at(0.05).values - 0.8)) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ from frontlab.grid import GridSpec, ScalarField, field_from_function
 from frontlab.solver import (
     ConstantSpeed,
     LocalProblem,
-    PiecewiseSpeed,
     Trajectory,
     advance,
     cfl_timestep,
-    default_far_radius,
     dump_trajectory,
     load_trajectory,
     regularity_report,
@@ -167,11 +165,10 @@ def test_advance_geometricity_of_zero_set():
 # ---------------------------------------------------------------------------
 
 
-def _problem(spec, speed, gamma, horizon, far_radius=None, **kw):
-    if far_radius is None:
-        far_radius = spec.half_extent - 2 * spec.h
+def _problem(spec, speed, gamma, horizon, **kw):
+    """A problem that reads the one provider `speed` on every interval."""
     return LocalProblem(
-        speed=speed, gamma=gamma, horizon=horizon, far_radius=far_radius, spec=spec, **kw
+        speed=lambda t0, t1, u: speed, gamma=gamma, horizon=horizon, spec=spec, **kw
     )
 
 
@@ -233,19 +230,24 @@ def test_solve_escape_guard_trips():
 def test_piecewise_speed_switches():
     # expand at speed 1 for 0.1, freeze afterwards
     spec = GridSpec(129, 1.0)
-    speeds = PiecewiseSpeed([0.0, 0.1], [ConstantSpeed(spec, 1.0), ConstantSpeed(spec, 0.0)])
-    prob = _problem(spec, speeds, 0.0, 0.3)
+    move, stay = ConstantSpeed(spec, 1.0), ConstantSpeed(spec, 0.0)
+    prob = LocalProblem(
+        speed=lambda t0, t1, u: move if t0 < 0.1 else stay,
+        gamma=0.0, horizon=0.3, spec=spec,
+    )
     traj = solve(prob, _disc(spec, 0.3), [0.1, 0.3])
     assert _mean_radius(traj.field_at(0.1)) == pytest.approx(0.4, abs=2 * spec.h)
     assert _mean_radius(traj.field_at(0.3)) == pytest.approx(0.4, abs=2 * spec.h)
 
 
 def test_default_far_radius_capped():
+    # unset, the containment ring is the largest the grid holds, L - 2h
     spec = GridSpec(201, 1.5)
-    assert default_far_radius(spec, 1.0, 0.1, 0.6) == pytest.approx(
-        min(0.1 + 0.6 + np.sqrt(2.0), 1.5 - 2 * spec.h)
-    )
-    assert default_far_radius(spec, 10.0, 10.0, 5.0) == pytest.approx(1.5 - 2 * spec.h)
+    prob = _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.1)
+    assert prob.far_radius == 1.5 - 2 * spec.h
+    assert solve(prob, _disc(spec, 0.5), [0.1]).far_radius == 1.5 - 2 * spec.h
+    with pytest.raises(ValueError, match="L-2h"):
+        _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.1, far_radius=1.5 - spec.h)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,9 @@ TIMES = [0.0, 0.025, 0.05, 0.075, 0.1]
 
 
 def _run(u0, c, times, gamma=0.0):
+    speed = ConstantSpeed(SPEC, c)
     prob = LocalProblem(
-        speed=ConstantSpeed(SPEC, c), gamma=gamma, horizon=float(times[-1]),
-        far_radius=SPEC.half_extent - 2 * SPEC.h, spec=SPEC,
+        speed=lambda t0, t1, u: speed, gamma=gamma, horizon=float(times[-1]), spec=SPEC,
     )
     return solve(prob, u0, times)
 
@@ -220,11 +220,7 @@ def test_key_estimate_growth_pins_initial_margin(grow, init):
 
 
 def test_key_estimate_single_snapshot(init):
-    prob = LocalProblem(
-        speed=ConstantSpeed(SPEC, 0.0), gamma=0.0, horizon=0.0,
-        far_radius=SPEC.half_extent - 2 * SPEC.h, spec=SPEC,
-    )
-    traj = solve(prob, init.u0, [0.0])
+    traj = _run(init.u0, 0.0, [0.0])
     sched, rep = key_estimate_report(traj, init)
     assert rep.passed
     assert len(rep.rows) == 1

@@ -17,7 +17,6 @@ from frontlab.couplings import (
     kappa,
 )
 from frontlab.grid import GridSpec, ScalarField, constant_field, field_from_function
-from frontlab.solver import LocalProblem, solve
 from frontlab.weak import (
     chi_from_u,
     fixed_point_solve,
@@ -125,22 +124,21 @@ def test_bracket_invariant(coupled_run):
 
 
 def test_replay_reproduces_trajectory(coupled_run):
-    # determinism hook: solving again with the march's source history
-    # must rebuild the stored trajectory bit for bit
+    # determinism hook: marching again frozen along the march's source
+    # history must rebuild the stored trajectory bit for bit
     coup, _ = coupled_run
     ws = march_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.0, horizon=0.2)
     assert ws.chi_source is ws.chi_hist
-    provider = coup.speed_provider(ws.chi_source)
-    problem = LocalProblem(
-        speed=provider,
-        gamma=ws.u_traj.gamma,
-        horizon=float(ws.u_traj.times[-1]),
-        far_radius=ws.u_traj.far_radius,
-        spec=ws.spec,
-        eps_reg=ws.u_traj.eps_reg,
+    again = march_solve(
+        coup, ws.u_traj.snapshots[0], ws.u_traj.gamma, float(ws.u_traj.times[-1]),
+        output_times=ws.u_traj.times, far_radius=ws.u_traj.far_radius,
+        chi_hist=ws.chi_source,
     )
-    again = solve(problem, ws.u_traj.snapshots[0], output_times=ws.u_traj.times)
-    for a, b in zip(again.snapshots, ws.u_traj.snapshots):
+    assert again.chi_source is ws.chi_source
+    assert again.residual_history == [0.0] and again.converged
+    assert again.u_traj.dt_used == ws.u_traj.dt_used
+    assert again.u_traj.lipschitz_log == ws.u_traj.lipschitz_log
+    for a, b in zip(again.u_traj.snapshots, ws.u_traj.snapshots):
         assert np.array_equal(a.values, b.values)
 
 
