@@ -8,10 +8,6 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numeric stability or front escape error.
-
-The environment variable FRONTLAB_THREADS sets how many fixed-point solves
-the uniqueness probe runs concurrently (default 1).  Results are identical
-for any thread count.
 """
 
 import argparse

@@ -21,9 +21,9 @@ from .couplings import (
     DislocationCoupling,
     FitzhughNagumoCoupling,
     VolumeCoupling,
+    kernel_call,
     parse_kernel,
     parse_scalar_map,
-    _parse_call,
 )
 from .errors import ConfigError
 from .geometry import star_shaped_u0
@@ -32,8 +32,6 @@ from .solver import _normalise_output_times
 from .verify import CHECKS, DEFAULT_CHECKS
 
 KNOWN_SEEDS = ("bracket", "empty", "ball")
-
-_KERNEL_ARITY = {"disc_bump": 2, "core_ring": 5, "gaussian": 2}
 
 
 @dataclass
@@ -166,19 +164,9 @@ def _check_map(key, value, lineno):
 
 def _check_kernel(key, value, lineno):
     try:
-        name, args = _parse_call(value)
+        kernel_call(value)
     except ValueError as err:
         raise ConfigError(f"{key}: {err}", line=lineno)
-    if name not in _KERNEL_ARITY:
-        raise ConfigError(
-            f"{key}: unknown kernel {name!r}; choose from {sorted(_KERNEL_ARITY)}",
-            line=lineno,
-        )
-    if len(args) != _KERNEL_ARITY[name]:
-        raise ConfigError(
-            f"{key}: {name} takes {_KERNEL_ARITY[name]} arguments, got {len(args)}",
-            line=lineno,
-        )
     return value
 
 

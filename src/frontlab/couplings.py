@@ -139,21 +139,38 @@ def gaussian_kernel(spec: GridSpec, mass: float, sigma: float) -> ScalarField:
     return ScalarField(spec, vals)
 
 
-_KERNEL_BUILDERS = {
-    "disc_bump": disc_bump_kernel,
-    "core_ring": core_ring_kernel,
-    "gaussian": gaussian_kernel,
+# name -> (builder, role of each argument: "m" a mass, "r" a radius)
+_KERNELS = {
+    "disc_bump": (disc_bump_kernel, "mr"),
+    "core_ring": (core_ring_kernel, "mrmrr"),
+    "gaussian": (gaussian_kernel, "mr"),
 }
 
 
-def parse_kernel(text: str, spec: GridSpec) -> ScalarField:
+def kernel_call(text: str) -> tuple[str, list[float]]:
+    """Parse a kernel `name(arg, ...)` and reject one that is degenerate: a
+    radius <= 0, core_ring radii out of the order core <= inner < outer, or
+    masses that are all zero, which give a kernel vanishing everywhere.
+    Signed masses that cancel (a zero-mean core_ring) are kept."""
     name, args = _parse_call(text)
-    if name not in _KERNEL_BUILDERS:
-        raise ValueError(f"unknown kernel {name!r}; choose from {sorted(_KERNEL_BUILDERS)}")
-    try:
-        return _KERNEL_BUILDERS[name](spec, *args)
-    except TypeError:
-        raise ValueError(f"wrong number of arguments for {name}: {text!r}") from None
+    if name not in _KERNELS:
+        raise ValueError(f"unknown kernel {name!r}; choose from {sorted(_KERNELS)}")
+    roles = _KERNELS[name][1]
+    if len(args) != len(roles):
+        raise ValueError(f"{name} takes {len(roles)} arguments, got {len(args)}")
+    radii = [a for a, role in zip(args, roles) if role == "r"]
+    if min(radii) <= 0:
+        raise ValueError(f"{name} radii must be > 0, got {text!r}")
+    if not any(a for a, role in zip(args, roles) if role == "m"):
+        raise ValueError(f"{name} masses are all zero, so the kernel vanishes: {text!r}")
+    if name == "core_ring" and not radii[0] <= radii[1] < radii[2]:
+        raise ValueError(f"core_ring radii must satisfy core <= inner < outer, got {text!r}")
+    return name, args
+
+
+def parse_kernel(text: str, spec: GridSpec) -> ScalarField:
+    name, args = kernel_call(text)
+    return _KERNELS[name][0](spec, *args)
 
 
 def support_radius(f: ScalarField) -> float:

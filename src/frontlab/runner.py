@@ -99,11 +99,12 @@ def _radius_table(ctx: CheckContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str) -> str:
-    """Write sweep.csv and return the gamma_sweep verdict line."""
+def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str, sol) -> str:
+    """Write sweep.csv and return the gamma_sweep verdict line; the run's
+    march sol stands in for the sweep's march at config.gamma."""
     gamma_bar, sweep = gamma_sweep_star_shape(
         coupling, init, config.gamma_sweep, config.horizon,
-        output_times=times, far_radius=config.far_radius,
+        output_times=times, far_radius=config.far_radius, march=sol,
     )
     lines = ["gamma,passed,min_margin"]
     for g in sorted(sweep):
@@ -117,16 +118,16 @@ def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str) ->
     return f"{'PASS' if gamma_bar is not None and gamma_bar > 0 else 'FAIL'} gamma_sweep"
 
 
-def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str) -> str:
-    """Run the uniqueness probe, write probe.csv and probe.verdict, and
-    return the uniqueness_probe verdict line."""
+def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str, sol) -> str:
+    """Run the uniqueness probe against the run's march sol, write probe.csv
+    and probe.verdict, and return the uniqueness_probe verdict line."""
     seeds_all = standard_seeds(init.u0, times, R0=init.R0)
     result = uniqueness_probe(
         coupling, init.u0, config.gamma, config.horizon,
         seeds={name: seeds_all[name] for name in config.probe_seeds},
         taus=config.probe_taus, output_times=times,
         far_radius=config.far_radius, tol=config.tol,
-        max_iter=config.max_iter, lipschitz=init.lipschitz, R0=init.R0,
+        max_iter=config.max_iter, lipschitz=init.lipschitz, R0=init.R0, march=sol,
     )
     lines = ["seed_i,seed_j,tau,delta_tau,kappa_sup"]
     for si, sj, tau, delta, ksup in result.rows:
@@ -186,7 +187,7 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
 
         verdicts = [f"{'PASS' if sol.converged else 'FAIL'} fixed_point"]
         if config.gamma_sweep and "star_shape" in config.checks:
-            verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir))
+            verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir, sol))
         # every report before any is written: a failed dependence pair writes none
         reports = [
             rep for name, (reports_of, _, _) in CHECKS.items()
@@ -196,7 +197,7 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
             dump_report(rep, os.path.join(out_dir, "reports"))
             verdicts.append(rep.verdict_line())
         if config.probe_enabled:
-            verdicts.append(_probe(config, coupling, init, times, out_dir))
+            verdicts.append(_probe(config, coupling, init, times, out_dir, sol))
     except (FrontEscapeError, StabilityError) as err:
         return _fail(out_dir, f"{type(err).__name__}: {err}", EXIT_NUMERIC)
 

@@ -27,6 +27,10 @@ from .grid import (
     upwind_gradient_norm,
 )
 
+# the cfl_timestep formula is the one-axis bound; solve halves it so the
+# two-axis upwind update stays monotone
+CFL_SAFETY = 0.45
+
 
 class ConstantSpeed:
     """Speed provider for a fixed field (or constant) c(x)."""
@@ -60,18 +64,12 @@ class LocalProblem:
     spec: GridSpec
     far_radius: float | None = None
     eps_reg: float | None = None
-    # the cfl_timestep formula is the one-axis bound; the default operating
-    # point halves it so the two-axis upwind update stays monotone
-    cfl_safety: float = 0.45
-    escape_guard: bool = True
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
-        if not (0 < self.cfl_safety <= 1):
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         limit = self.spec.half_extent - 2 * self.spec.h
         if self.far_radius is None:
             self.far_radius = limit
@@ -169,12 +167,20 @@ def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
     return times
 
 
-def solve(problem: LocalProblem, u0: ScalarField, output_times) -> Trajectory:
+def solve(
+    problem: LocalProblem, u0: ScalarField, output_times,
+    resume: Trajectory = None, start: int = 0,
+) -> Trajectory:
     """March to the horizon, landing exactly on every output time.
 
     Every interval [t_k, t_{k+1}] between output times reads the provider
     problem.speed(t_k, t_{k+1}, u(t_k)), so a speed law can read the
     solution it drives (the causal march of `weak.march_solve`).
+
+    start = m > 0 resumes at the stored time t_m of `resume`, a trajectory
+    of this problem on the same output times whose first m + 1 stored times
+    are taken as they are.  A march lands exactly on t_m, so the steps after
+    it are the same floats as in a march from t_0.
     """
     spec = u0.spec
     if spec != problem.spec:
@@ -185,11 +191,8 @@ def solve(problem: LocalProblem, u0: ScalarField, output_times) -> Trajectory:
     measure_mask = spec.radius() <= problem.far_radius - 2 * h
     guard_mask = spec.radius() >= problem.far_radius - 4 * h
 
-    u = ScalarField(spec, np.clip(u0.values, -1.0, 1.0))
-    u.values[_far_mask(spec, problem.far_radius)] = -1.0
-
     def check_guard(t):
-        if problem.escape_guard and np.any(u.values[guard_mask] >= 0.0):
+        if np.any(u.values[guard_mask] >= 0.0):
             raise FrontEscapeError(
                 f"zero set reached the containment ring at t={t:.6g} "
                 f"(far_radius={problem.far_radius:.4g})"
@@ -198,24 +201,37 @@ def solve(problem: LocalProblem, u0: ScalarField, output_times) -> Trajectory:
     def seminorm():
         return float(central_gradient_norm(u)[measure_mask].max())
 
-    check_guard(0.0)
+    if start == 0:
+        u = ScalarField(spec, np.clip(u0.values, -1.0, 1.0))
+        u.values[_far_mask(spec, problem.far_radius)] = -1.0
+        check_guard(0.0)
+        snapshots, dt_used, lipschitz_log = [u.copy()], [0.0], [seminorm()]
+    else:
+        if not np.array_equal(resume.times, times) or (
+            (resume.far_radius, resume.gamma) != (problem.far_radius, problem.gamma)
+        ):
+            raise ValueError("a resumed march needs the output times, far_radius and gamma it resumes")
+        snapshots = resume.snapshots[:start + 1]
+        dt_used = resume.dt_used[:start + 1]
+        lipschitz_log = resume.lipschitz_log[:start + 1]
+        u = snapshots[-1]
     traj = Trajectory(
         times=times,
-        snapshots=[u.copy()],
-        dt_used=[0.0],
-        lipschitz_log=[seminorm()],
+        snapshots=snapshots,
+        dt_used=dt_used,
+        lipschitz_log=lipschitz_log,
         far_radius=problem.far_radius,
         gamma=problem.gamma,
         eps_reg=problem.eps_reg,
     )
 
-    t = 0.0
-    for t_next in times[1:]:
+    t = times[len(snapshots) - 1]
+    for t_next in times[len(snapshots):]:
         speed = problem.speed(t, t_next, u)
         last_dt = 0.0
         while t < t_next:
             c_field = speed.speed_at(t)
-            nominal = cfl_timestep(speed.max_abs(t), problem.gamma, h, problem.cfl_safety)
+            nominal = cfl_timestep(speed.max_abs(t), problem.gamma, h, CFL_SAFETY)
             remaining = t_next - t
             if remaining <= nominal * (1.0 + 1e-9):
                 dt = remaining

@@ -43,7 +43,7 @@ from .errors import FrontEscapeError, StabilityError
 from .geometry import InitCondition
 from .grid import ScalarField, central_gradient_norm, interpolate, lebesgue_measure, trapezoid
 from .solver import Trajectory, _normalise_output_times, regularity_report
-from .weak import march_solve
+from .weak import march_solve, reuses_march
 
 LEVELS_FRACTION = (-0.25, 0.0, 0.25)   # contour levels as multiples of delta0
 
@@ -878,24 +878,30 @@ def star_shape_report(
 
 def gamma_sweep_star_shape(
     coupling, init: InitCondition, gammas, horizon: float,
-    output_times=None, far_radius: float = None,
+    output_times=None, far_radius: float = None, march=None,
 ):
     """March the coupled flow for each gamma and report the largest one that
     keeps the star-shape margin; escapes and instabilities count as fails.
+    march, a causal march of the same coupling and init.u0 (a run's own),
+    stands in for the sweep's march at its gamma when its stored times and
+    far_radius are the sweep's.
 
     Returns (gamma_bar_emp, {gamma: VerificationReport-or-error-string}).
     """
     results = {}
     gamma_bar = None
     for gamma in sorted(float(g) for g in gammas):
-        try:
-            sol = march_solve(
-                coupling, init.u0, gamma, horizon, output_times=output_times,
-                far_radius=far_radius,
-            )
-        except (FrontEscapeError, StabilityError) as err:
-            results[gamma] = f"error: {err}"
-            continue
+        if reuses_march(march, gamma, horizon, output_times, far_radius):
+            sol = march
+        else:
+            try:
+                sol = march_solve(
+                    coupling, init.u0, gamma, horizon, output_times=output_times,
+                    far_radius=far_radius,
+                )
+            except (FrontEscapeError, StabilityError) as err:
+                results[gamma] = f"error: {err}"
+                continue
         report = star_shape_report(sol.u_traj, init)
         results[gamma] = report
         if report.passed:

@@ -25,10 +25,16 @@ uniqueness probe only: it starts from any chi^0 guess, and the probe checks
 that every guess lands on the march.  Couplings that ignore chi build
 bitwise-identical speeds from every history, so such Picard runs stop after
 one solve with a recorded residual of 0.
+
+Interval k of a frozen march depends only on the inputs chi(t_0..t_k) once
+the coupling, u0, gamma, the stored times and far_radius are fixed, and the
+march lands exactly on every t_k.  So a Picard step resumes from the longest
+input prefix, compared bitwise, that an earlier march of the probe already
+solved, and steps only the intervals after it; the probe's memo of finished
+marches starts with the causal march itself.  This is the window by window
+growth of the exact prefix in waveform relaxation, and it changes no float.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +61,8 @@ class WeakSolution:
     for bit, which is the reproducibility hook the verifiers rely on.  The
     march builds its speed from its own snapshots, so there the two are one
     history; a converged Picard run has them within tol in kappa, not
-    necessarily bitwise.
+    necessarily bitwise.  states holds the coupling's state (fitzhugh-nagumo's
+    v, None for laws without memory) at every stored time.
     """
 
     u_traj: Trajectory
@@ -64,6 +71,7 @@ class WeakSolution:
     iterations: int
     residual_history: list
     converged: bool
+    states: list
 
     @property
     def spec(self):
@@ -93,6 +101,36 @@ def _times(output_times, horizon: float) -> np.ndarray:
     return _normalise_output_times(output_times, horizon)
 
 
+@dataclass
+class _Solved:
+    """What resuming a later frozen march needs from a finished one: the
+    packed input chi(t_k) of every interval, and the trajectory and the
+    coupling state at every stored time."""
+
+    keys: list
+    traj: Trajectory
+    states: list
+
+
+def _packed(fields) -> list:
+    # occupation fields are 0/1 (OccupationHistory checks it), so one bit
+    # per node is an exact key
+    return [np.packbits(f.values != 0.0).tobytes() for f in fields]
+
+
+def _resume_point(memo: list, keys: list):
+    """The memo entry sharing the longest input prefix with keys, and the
+    number m of intervals in that prefix (0 when none is shared)."""
+    best, best_m = None, 0
+    for entry in memo:
+        m = 0
+        while m < len(keys) and entry.keys[m] == keys[m]:
+            m += 1
+        if m > best_m:
+            best, best_m = entry, m
+    return best, best_m
+
+
 def march_solve(
     coupling,
     u0: ScalarField,
@@ -101,6 +139,7 @@ def march_solve(
     output_times=None,
     far_radius: float = None,
     chi_hist: OccupationHistory = None,
+    memo: list = None,
 ) -> WeakSolution:
     """Solve interval by interval, carrying the coupling's state.
 
@@ -112,32 +151,63 @@ def march_solve(
     (resampled onto the output times) and the residual is
     sup_k kappa(chi_hist(t_k), 1_{u(t_k) >= 0}), converged only at 0.
     far_radius defaults to L - 2h.
+
+    memo, for a frozen march, is a list of finished marches of the same
+    coupling, u0, gamma, stored times and far_radius (see `uniqueness_probe`):
+    the march resumes where its inputs first differ, bitwise, from those of
+    the entry sharing the longest prefix with them, and is then added to it.
     """
     spec = u0.spec
     times = _times(output_times, horizon)
+    states = [coupling.initial_state(spec)]
+    resume, start = None, 0
     if chi_hist is not None:
         chi_hist = _resample_history(chi_hist, times)
-    state = coupling.initial_state(spec)
-    chis = []
+        if memo is not None:
+            keys = _packed(chi_hist.fields[:-1])
+            entry, start = _resume_point(memo, keys)
+            if start:
+                resume, states = entry.traj, entry.states[:start + 1]
 
     def speed(t0, t1, u):
-        nonlocal state
-        chis.append(chi_from_u(u) if chi_hist is None else chi_hist.fields[len(chis)])
-        provider, state = coupling.interval_speed(chis[-1], float(t0), float(t1), state)
+        k = len(states) - 1
+        chi = chi_from_u(u) if chi_hist is None else chi_hist.fields[k]
+        provider, state = coupling.interval_speed(chi, float(t0), float(t1), states[k])
+        states.append(state)
         return provider
 
     problem = LocalProblem(
         speed=speed, gamma=gamma, horizon=horizon, spec=spec, far_radius=far_radius,
     )
-    traj = solve(problem, u0, output_times=times)
+    traj = solve(problem, u0, output_times=times, resume=resume, start=start)
     own = _history_from_traj(traj)
     if chi_hist is None:
         chi_hist, residual = own, 0.0
     else:
         residual = max(kappa(a, b) for a, b in zip(own.fields, chi_hist.fields))
+        if memo is not None:
+            memo.append(_Solved(keys, traj, states))
     return WeakSolution(
         u_traj=traj, chi_hist=own, chi_source=chi_hist,
         iterations=1, residual_history=[residual], converged=residual == 0.0,
+        states=states,
+    )
+
+
+def reuses_march(march, gamma: float, horizon: float, output_times=None,
+                 far_radius: float = None) -> bool:
+    """True when `march`, a causal march of the same coupling and u0, is the
+    march these arguments solve: same gamma, stored times and far_radius."""
+    if march is None:
+        return False
+    traj = march.u_traj
+    if far_radius is None:
+        far_radius = LocalProblem(
+            speed=None, gamma=gamma, horizon=horizon, spec=traj.spec,
+        ).far_radius
+    return (
+        traj.gamma == gamma and traj.far_radius == far_radius
+        and np.array_equal(traj.times, _times(output_times, horizon))
     )
 
 
@@ -151,6 +221,7 @@ def fixed_point_solve(
     far_radius: float = None,
     tol: float = None,
     max_iter: int = 12,
+    memo: list = None,
 ) -> WeakSolution:
     """Picard iteration on the occupation history, from chi_init (default:
     the bracket of u0 held constant in time); each step is a `march_solve`
@@ -159,7 +230,8 @@ def fixed_point_solve(
 
     output_times fixes the time grid shared by all iterates (0 and the
     horizon are always included); chi_init is resampled onto it.  tol below
-    h^2 is rejected: sub-cell occupation tolerances are meaningless.
+    h^2 is rejected: sub-cell occupation tolerances are meaningless.  With a
+    memo, every step resumes from it and extends it (see `march_solve`).
     """
     spec = u0.spec
     if max_iter < 1:
@@ -177,7 +249,7 @@ def fixed_point_solve(
     for _ in range(max_iter):
         sol = march_solve(
             coupling, u0, gamma, horizon, output_times=times,
-            far_radius=far_radius, chi_hist=chi_hist,
+            far_radius=far_radius, chi_hist=chi_hist, memo=memo,
         )
         chi_hist = sol.chi_hist
         # a chi-independent law rebuilds the identical provider from any
@@ -190,7 +262,7 @@ def fixed_point_solve(
     return WeakSolution(
         u_traj=sol.u_traj, chi_hist=sol.chi_hist, chi_source=sol.chi_source,
         iterations=len(residual_history), residual_history=residual_history,
-        converged=residual <= tol,
+        converged=residual <= tol, states=sol.states,
     )
 
 
@@ -253,14 +325,18 @@ def uniqueness_probe(
     max_iter: int = 12,
     lipschitz: float = None,
     R0: float = None,
+    march: WeakSolution = None,
 ) -> ProbeResult:
     """Run fixed_point_solve from several chi^0 guesses, compare the
     resulting level-set trajectories pairwise and with the causal march.
 
     A unique weak solution means all guesses land on the same front, so the
-    u gaps at the early prefix must shrink to grid scale.  Solves run in
-    parallel when FRONTLAB_THREADS > 1; results do not depend on the thread
-    count.
+    u gaps at the early prefix must shrink to grid scale.  march, the causal
+    march of the same coupling and u0 (a run's own), is used when its gamma,
+    stored times and far_radius are the probe's; otherwise the probe marches.
+    The seeds run in order on one memo of finished marches that starts with
+    the march, so each Picard step resumes from the longest input prefix any
+    earlier march solved.
     """
     spec = u0.spec
     if taus is None:
@@ -279,22 +355,18 @@ def uniqueness_probe(
     names = list(seeds)
     histories = [_resample_history(seeds[k], times) for k in names]
 
-    def run(hist):
-        return fixed_point_solve(
-            coupling, u0, gamma, horizon, chi_init=hist, output_times=times,
-            far_radius=far_radius, tol=tol, max_iter=max_iter,
+    if not reuses_march(march, gamma, horizon, times, far_radius):
+        march = march_solve(
+            coupling, u0, gamma, horizon, output_times=times, far_radius=far_radius,
         )
-
-    workers = max(1, int(os.environ.get("FRONTLAB_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(pool.map(run, histories))
-    else:
-        solutions = [run(h) for h in histories]
-
-    march = march_solve(
-        coupling, u0, gamma, horizon, output_times=times, far_radius=far_radius,
-    )
+    memo = [_Solved(_packed(march.chi_source.fields[:-1]), march.u_traj, march.states)]
+    solutions = [
+        fixed_point_solve(
+            coupling, u0, gamma, horizon, chi_init=hist, output_times=times,
+            far_radius=far_radius, tol=tol, max_iter=max_iter, memo=memo,
+        )
+        for hist in histories
+    ]
     march_gaps = {
         name: float(_gaps(sol.u_traj, march.u_traj).max())
         for name, sol in zip(names, solutions)

@@ -187,6 +187,12 @@ def test_missing_equals_sign():
         ("far_radius = -1", "far_radius must lie in (0, L - 2h"),
         ("far_radius = 0", "far_radius must lie in (0, L - 2h"),
         ("far_radius = 5", "far_radius must lie in (0, L - 2h"),
+        ("coupling.kernel = disc_bump(1,-1)", "disc_bump radii must be > 0"),
+        ("coupling.kernel = gaussian(1,0)", "gaussian radii must be > 0"),
+        ("coupling.kernel = disc_bump(0,0.2)", "masses are all zero"),
+        ("coupling.kernel = core_ring(0,0.15,0,0.15,0.3)", "masses are all zero"),
+        ("coupling.kernel = core_ring(1,0.15,-0.3,0.3,0.3)", "core <= inner < outer"),
+        ("coupling.kernel = core_ring(1,0.2,-0.3,0.15,0.3)", "core <= inner < outer"),
     ],
 )
 def test_single_line_constraints(line, needle):
@@ -575,6 +581,37 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     etas.clear()
     assert verify_run_dir(str(out)).exit_code == result.exit_code
     assert_each_once("verify")
+
+
+def test_run_marches_once_at_its_gamma(tmp_path, monkeypatch):
+    # the gamma sweep reuses the run's march at config.gamma and the probe
+    # takes it as its reference and first memo entry: one march without a
+    # history at gamma = 0.05, one for the other swept gamma
+    import frontlab.weak
+
+    marches = _record_calls(
+        monkeypatch, frontlab.weak, "march_solve",
+        lambda coupling, u0, gamma, horizon, chi_hist=None, **kwargs: (gamma, chi_hist is None),
+    )
+    cfg = parse_config(
+        "grid.n = 33\n"
+        "init.kind = circle\n"
+        "init.r0 = 0.4\n"
+        "coupling.kind = volume\n"
+        "coupling.beta = affine(1,-1)\n"
+        "gamma = 0.05\n"
+        "horizon = 0.1\n"
+        "output_times = 5\n"
+        "checks = star_shape\n"
+        "gamma_sweep = 0, 0.05\n"
+        "probe.enabled = true\n"
+    )
+    out = tmp_path / "run"
+    assert run(cfg, out_dir=str(out)).exit_code in (0, 1)
+    assert (out / "sweep.csv").read_text().count("\n") == 4
+    assert marches.count((0.05, True)) == 1
+    assert marches.count((0.0, True)) == 1
+    assert marches.count((0.05, False)) > 0
 
 
 def test_verify_fits_only_what_its_checks_need(tiny_run, tmp_path, monkeypatch):

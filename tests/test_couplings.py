@@ -424,3 +424,7 @@ def test_kernel_parsing():
         parse_kernel("box(1)", SPEC65)
     with pytest.raises(ValueError):
         parse_kernel("core_ring(1, 0.3, -1, 0.2, 0.1)", SPEC65)
+    with pytest.raises(ValueError):
+        parse_kernel("disc_bump(1, -1)", SPEC65)
+    # a zero-mean core_ring is a kernel; only masses that are all zero vanish
+    assert parse_kernel("core_ring(1, 0.15, -1, 0.15, 0.3)", SPEC65).values.any()

@@ -221,7 +221,7 @@ def test_solve_exact_landing_times():
     assert all(dt <= cfl_timestep(1.0, 0.0, spec.h, 1.0) + 1e-15 for dt in traj.dt_used)
 
 
-def test_solve_escape_guard_trips():
+def test_solve_front_escape_trips():
     prob = _problem(SPEC, ConstantSpeed(SPEC, 1.0), 0.0, 1.0, far_radius=0.7)
     with pytest.raises(FrontEscapeError):
         solve(prob, _disc(SPEC, 0.5), [1.0])

@@ -256,16 +256,66 @@ def test_probe_coupled_gaps_monotone_in_tau():
     assert max(probe.march_gaps.values()) <= probe.uniq_tol
 
 
-def test_probe_thread_count_does_not_change_rows(monkeypatch):
-    u0 = _clamped_disc(SPEC, 0.3)
-    coup = VolumeCoupling(affine_map(1.0, -1.0))
+def test_probe_memo_matches_per_seed_picard(monkeypatch):
+    # the probe's seeds share one memo of finished marches; Picard run per
+    # seed without it must give the same rows, gaps and trajectories, in
+    # more steps
+    import frontlab.solver
+    import frontlab.weak
 
-    monkeypatch.setenv("FRONTLAB_THREADS", "1")
-    serial = uniqueness_probe(coup, u0, 0.0, 0.1)
-    monkeypatch.setenv("FRONTLAB_THREADS", "3")
-    threaded = uniqueness_probe(coup, u0, 0.0, 0.1)
-    assert serial.rows == threaded.rows
-    for a, b in zip(serial.solutions, threaded.solutions):
-        for sa, sb in zip(a.u_traj.snapshots, b.u_traj.snapshots):
-            assert np.array_equal(sa.values, sb.values)
+    coup = _coupled_law("dislocation")
+    u0 = _clamped_disc(SPEC33, 0.3)
+    plain, advance = frontlab.weak.fixed_point_solve, frontlab.solver.advance
+    steps = []
 
+    def counted(*args, **kwargs):
+        steps[-1] += 1
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(frontlab.solver, "advance", counted)
+    steps.append(0)
+    shared = uniqueness_probe(coup, u0, 0.05, 0.3)
+    monkeypatch.setattr(
+        frontlab.weak, "fixed_point_solve",
+        lambda *args, memo=None, **kwargs: plain(*args, **kwargs),
+    )
+    steps.append(0)
+    alone = uniqueness_probe(coup, u0, 0.05, 0.3)
+
+    assert steps[0] < steps[1]
+    assert shared.rows == alone.rows
+    assert shared.march_gaps == alone.march_gaps
+    for a, b in zip(shared.solutions, alone.solutions):
+        assert a.residual_history == b.residual_history
+        _assert_same_trajectory(a.u_traj, b.u_traj)
+
+
+def _assert_same_trajectory(a, b):
+    assert a.dt_used == b.dt_used
+    assert a.lipschitz_log == b.lipschitz_log
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(sa.values, sb.values)
+
+
+@pytest.mark.parametrize("kind", ["dislocation", "volume", "fitzhugh_nagumo"])
+def test_resumed_march_equals_full_march(kind):
+    # a frozen march whose history agrees with a finished one on its first m
+    # intervals resumes at t_m with that march's snapshot and coupling state
+    # (fitzhugh-nagumo's v) and must equal the same march solved from t_0
+    coup = _coupled_law(kind)
+    u0 = _clamped_disc(SPEC33, 0.3)
+    march = march_solve(coup, u0, gamma=0.05, horizon=0.3)
+    memo = []
+    first = march_solve(coup, u0, 0.05, 0.3, chi_hist=march.chi_hist, memo=memo)
+    fields = march.chi_hist.fields
+    empty = ScalarField(SPEC33, np.zeros((SPEC33.n, SPEC33.n)))
+    for m in range(len(fields)):
+        hist = constant_history(empty, march.chi_hist.times)
+        hist.fields[:m] = fields[:m]
+        resumed = march_solve(coup, u0, 0.05, 0.3, chi_hist=hist, memo=memo[:1])
+        full = march_solve(coup, u0, 0.05, 0.3, chi_hist=hist)
+        # from t_1 on the snapshot at t_m is the finished march's own
+        assert (resumed.u_traj.snapshots[m] is first.u_traj.snapshots[m]) == (m > 0)
+        assert resumed.residual_history == full.residual_history
+        _assert_same_trajectory(resumed.u_traj, full.u_traj)
