@@ -39,9 +39,8 @@ sol = march_solve(ConstantCoupling(1.0), init.u0, gamma=0.02,
                   horizon=0.25, output_times=np.linspace(0, 0.25, 11))
 traj = sol.u_traj
 
-reg = regularity_report(traj)
-print(f"regularity: Lipschitz growth fit K = {reg.K_fit:.3f}, "
-      f"parabolic Hoelder constant {reg.holder_const:.3f}")
+K_fit = regularity_report(traj)
+print(f"regularity: Lipschitz growth fit K = {K_fit:.3f}")
 
 sched, key = key_estimate_report(traj, init)
 print(f"\neta schedule: eta0 = {sched.eta0:.4f}, M2 = {sched.M2:.4f}, "
@@ -51,8 +50,8 @@ t_bar = key.constants["t_bar_emp"]
 reports = [
     key,
     lower_gradient_report(traj, init, sched, t_bar=t_bar),
-    cone_report(traj, init, sched, reg.K_fit, t_bar=t_bar),
-    perimeter_report(traj, init, sched, reg.K_fit, t_bar=t_bar),
+    cone_report(traj, init, sched, K_fit, t_bar=t_bar),
+    perimeter_report(traj, init, sched, K_fit, t_bar=t_bar),
     band_measure_report(traj, init, sched, t_bar=t_bar),
     fattening_report(traj, init, sched, t_bar=t_bar),
     star_shape_report(traj, init),
@@ -62,7 +61,7 @@ for rep in reports:
           f"{len(rep.rows)} rows")
 
 print("\nadversarial control (cone axis negated):")
-flipped = cone_report(traj, init, sched, reg.K_fit, t_bar=t_bar,
+flipped = cone_report(traj, init, sched, K_fit, t_bar=t_bar,
                       flip_axis=True)
 frac = flipped.constants["failure_fraction"]
 print(f"  {flipped.verdict_line()}  failure fraction {frac:.0%}")

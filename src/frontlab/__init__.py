@@ -10,8 +10,8 @@ The pieces, bottom up:
   constant.
 - solver: the clamped level-set update for a given speed field.
 - couplings: convolution, reaction-diffusion, and volume speed laws, each
-  defined per stored interval, and the occupation-difference functionals
-  used to compare runs.
+  defined per stored interval, and the kappa distance between occupation
+  histories.
 - weak: the causal march that gives a run its weak solution, Picard
   iteration, and the multi-seed uniqueness probe.
 - verify: empirical reports for the interior-margin schedule, gradient
@@ -38,8 +38,6 @@ from .couplings import (
     disc_bump_kernel,
     gaussian_kernel,
     kappa,
-    kappa_bar,
-    kappa_bar_bound,
 )
 from .errors import (
     ConfigError,
@@ -109,8 +107,6 @@ __all__ = [
     "gaussian_kernel",
     "interpolate",
     "kappa",
-    "kappa_bar",
-    "kappa_bar_bound",
     "key_estimate_report",
     "lebesgue_measure",
     "march_solve",

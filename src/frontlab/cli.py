@@ -33,8 +33,6 @@ def _run_text(text: str, out_dir, force_probe: bool = False) -> int:
         return EXIT_CONFIG
     if force_probe:
         config.probe_enabled = True
-        if not config.probe_seeds:
-            config.probe_seeds = ("bracket", "empty", "ball")
     return _emit(run(config, out_dir=out_dir, config_text=text))
 
 

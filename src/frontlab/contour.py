@@ -163,16 +163,3 @@ def dump_contour(contour: FrontContour, path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_contour(path, level: float = 0.0) -> FrontContour:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    contour = FrontContour(level=level)
-    if rows.size == 0:
-        return contour
-    for pid in np.unique(rows[:, 0]).astype(int):
-        sel = rows[rows[:, 0] == pid]
-        sel = sel[np.argsort(sel[:, 1])]
-        contour.polylines.append(sel[:, 2:4].copy())
-        # closedness is not stored; loops are re-derived where needed
-        contour.closed.append(True)
-    return contour

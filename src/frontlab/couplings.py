@@ -1,4 +1,4 @@
-"""Nonlocal speed laws and the distances that compare occupation histories.
+"""Nonlocal speed laws and the kappa distance between occupation histories.
 
 Three couplings turn the occupation chi(t_k) at the start of a stored
 interval [t_k, t_{k+1}] into the speed the local solver reads on it:
@@ -13,11 +13,9 @@ Each law is written once, as `interval_speed`; `weak.march_solve` calls it
 interval by interval, with the march's own chi(t_k) or with a given
 occupation history.
 
-Occupation histories are compared by kappa(t) = ||chi1(t) - chi2(t)||_L1 and
-by the heat-kernel-weighted kappa_bar(x, t) = int_0^t int G(x-y, t-s)
-|chi1 - chi2|(y, s) dy ds with G the unit-mass Gaussian; the s -> t endpoint
-is handled by the delta limit of G, and each discrete slice is normalised to
-unit mass so kappa_bar <= t holds exactly.
+Occupation histories are compared by kappa(t) = ||chi1(t) - chi2(t)||_L1;
+`gauss_slice` is the unit-mass heat-kernel average that the Green-weighted
+band measure integrates in time.
 """
 
 import bisect
@@ -27,8 +25,12 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .grid import GridSpec, ScalarField, constant_field, lebesgue_measure, trapezoid
+from .grid import GridSpec, ScalarField, constant_field, lebesgue_measure
 from .solver import ConstantSpeed
+
+# fraction of the explicit heat step's stability limit h^2/4 that fn_evolve uses
+HEAT_SAFETY = 0.9
+
 
 # ---------------------------------------------------------------------------
 # scalar maps r -> f(r) with recorded Lipschitz constants and bounds
@@ -173,13 +175,6 @@ def parse_kernel(text: str, spec: GridSpec) -> ScalarField:
     return _KERNELS[name][0](spec, *args)
 
 
-def support_radius(f: ScalarField) -> float:
-    nz = np.abs(f.values) > 0.0
-    if not nz.any():
-        return 0.0
-    return float(f.spec.radius()[nz].max())
-
-
 def convolve_kernel(c0: ScalarField, chi: ScalarField) -> ScalarField:
     """(c0 * chi)(x_i) = h^2 sum_j c0(x_i - x_j) chi(x_j).
 
@@ -193,18 +188,8 @@ def convolve_kernel(c0: ScalarField, chi: ScalarField) -> ScalarField:
     return ScalarField(c0.spec, vals)
 
 
-def convolution_truncated(c0: ScalarField, chi: ScalarField) -> bool:
-    """True when kernel support centred on the occupied set sticks out of the
-    domain, so the zero-extension truncates the convolution."""
-    occupied = chi.values > 0.0
-    if not occupied.any():
-        return False
-    chi_radius = float(chi.spec.radius()[occupied].max())
-    return support_radius(c0) + chi_radius > chi.spec.half_extent
-
-
 # ---------------------------------------------------------------------------
-# occupation histories and coupling distances
+# occupation histories, their kappa distance and the heat-kernel average
 
 
 @dataclass
@@ -250,18 +235,9 @@ def kappa(chi1: ScalarField, chi2: ScalarField) -> float:
     return float(h * h * np.abs(chi1.values - chi2.values).sum())
 
 
-def _shared_times(h1: OccupationHistory, h2: OccupationHistory, t: float) -> np.ndarray:
-    if h1.times.size != h2.times.size or np.any(h1.times != h2.times):
-        raise ValueError("histories must share their time grid")
-    times = h1.times[h1.times <= t + 1e-15]
-    if times.size == 0 or times[0] > 0:
-        raise ValueError("histories must start at time 0")
-    if times[-1] < t:
-        times = np.concatenate([times, [t]])
-    return times
-
 def gauss_slice(diff: np.ndarray, spec: GridSpec, x: np.ndarray, tau: float) -> float:
-    """Unit-mass discrete average of diff against G(x - ., tau)."""
+    """Unit-mass discrete average of diff against the heat kernel
+    G(x - ., tau) ~ exp(-|x - .|^2 / (4 tau))."""
     if tau <= spec.h**2 / 16.0:
         # sharper than the grid: use the delta limit at the nearest node
         L = spec.half_extent
@@ -273,44 +249,6 @@ def gauss_slice(diff: np.ndarray, spec: GridSpec, x: np.ndarray, tau: float) -> 
     gy = np.exp(-((x[1] - ax) ** 2) / (4.0 * tau))
     w = np.outer(gy, gx)
     return float((w * diff).sum() / w.sum())
-
-
-def kappa_bar(
-    hist1: OccupationHistory, hist2: OccupationHistory, x, t: float
-) -> float:
-    """Heat-kernel-weighted separation of two histories at (x, t).
-
-    Trapezoidal quadrature in s over the shared time grid; each slice is the
-    unit-mass Gaussian average of |chi1 - chi2|(., s), so the result is
-    bounded by t whenever the difference is bounded by 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    spec = hist1.spec
-    times = _shared_times(hist1, hist2, t)
-    if t <= 0:
-        return 0.0
-    slices = []
-    for s in times:
-        diff = np.abs(hist1.chi_at(s).values - hist2.chi_at(s).values)
-        slices.append(gauss_slice(diff, spec, x, t - s))
-    return float(trapezoid(slices, times))
-
-
-def kappa_bar_bound(hist1: OccupationHistory, hist2: OccupationHistory, t: float) -> float:
-    """int_0^t min(1, kappa(s) / (4 pi (t-s))) ds, the sup-norm envelope of
-    kappa_bar in the plane; same quadrature grid as kappa_bar."""
-    times = _shared_times(hist1, hist2, t)
-    if t <= 0:
-        return 0.0
-    vals = []
-    for s in times:
-        k = kappa(hist1.chi_at(s), hist2.chi_at(s))
-        gap = t - s
-        if gap <= 0:
-            vals.append(1.0 if k > 0 else 0.0)
-        else:
-            vals.append(min(1.0, k / (4.0 * np.pi * gap)))
-    return float(trapezoid(vals, times))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +308,6 @@ class FitzhughNagumoCoupling(SpeedLaw):
     g_plus: ScalarMap
     g_minus: ScalarMap
     v0: object = 0.0   # float or ScalarField
-    heat_safety: float = 0.9
     g_lower: float = dataclass_field(init=False, default=0.0)
     g_upper: float = dataclass_field(init=False, default=0.0)
 
@@ -433,10 +370,10 @@ def fn_evolve(
     with chi frozen.
 
     Explicit 5-point heat stepping with zero-flux edges, dt limited by
-    heat_safety * h^2/4.
+    HEAT_SAFETY * h^2/4.
     """
     h = v.spec.h
-    dt_max = coupling.heat_safety * h * h / 4.0
+    dt_max = HEAT_SAFETY * h * h / 4.0
     occ = chi.values
     vals = v.values
     t = t0

@@ -14,9 +14,7 @@ The two structural conditions carried by an InitCondition:
   (margin)     u0(x + lambda*nu(x)) >= u0(x) + lambda*eta0 for lambda in
                [0, lambda0] and x in the band {|u0| <= delta0}.
 
-`psi_truncation` is the monotone flattening used to localise comparison
-arguments around the zero level: identity on [-delta0/2, delta0/2], constant
-delta0/2 above, and an affine drop to -1 with slope 2(2-delta0)/delta0 below.
+`verify_I1` and `verify_I2` check these two conditions on the grid.
 """
 
 from dataclasses import dataclass
@@ -34,7 +32,7 @@ DELTA0_LADDER = (0.2, 0.1, 0.05)
 class DirectionField:
     """A vector field nu with measured sup and Lipschitz norms.
 
-    kind: 'radial' (nu = -x), 'gradient' (smoothed Du0) or 'custom'.
+    kind: 'radial' (nu = -x) or 'gradient' (smoothed Du0).
     values has shape (n, n, 2), components (nu_x, nu_y).
     """
 
@@ -73,14 +71,6 @@ def gradient_direction(u0: ScalarField, sigma_cells: float = 2.0) -> DirectionFi
     )
     sup, lip = _field_norms(u0.spec, values)
     return DirectionField(u0.spec, "gradient", values, sup, lip)
-
-
-def custom_direction(spec: GridSpec, values: np.ndarray) -> DirectionField:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (spec.n, spec.n, 2):
-        raise ValueError(f"direction field shape {values.shape} != (n, n, 2)")
-    sup, lip = _field_norms(spec, values)
-    return DirectionField(spec, "custom", values, sup, lip)
 
 
 @dataclass
@@ -280,7 +270,7 @@ def _certify_margin(u0, nu, lambda0, delta0):
 
 
 # ---------------------------------------------------------------------------
-# condition checks and the push map
+# the two structural conditions
 
 
 def verify_I1(init: InitCondition) -> bool:
@@ -316,31 +306,6 @@ def verify_I2(init: InitCondition, lambda_samples: int = 4) -> tuple[bool, float
         pushed = interpolate(init.u0, base + lam * nvec)
         worst = min(worst, float((pushed - vals - lam * init.eta0).min()))
     return worst >= -init.lipschitz * spec.h, worst
-
-
-def push_sample(u: ScalarField, nu: DirectionField, lam: float) -> np.ndarray:
-    """u evaluated at the pushed nodes x + lam*nu(x); -1 outside the domain."""
-    if u.spec != nu.spec:
-        raise ValueError("field and direction live on different grids")
-    x, y = u.spec.meshgrid()
-    pts = np.stack([x + lam * nu.values[..., 0], y + lam * nu.values[..., 1]], axis=-1)
-    return interpolate(u, pts)
-
-
-def psi_truncation(r, delta0: float):
-    """Monotone truncation: -1 below -3*delta0/4, affine with slope
-    2(2-delta0)/delta0 up to -delta0/2, identity through the zero band,
-    constant delta0/2 above.  Accepts scalars or arrays."""
-    if not (0.0 < delta0 < 1.0):
-        raise ValueError(f"delta0 must lie in (0, 1), got {delta0}")
-    r = np.asarray(r, dtype=np.float64)
-    slope = 2.0 * (2.0 - delta0) / delta0
-    out = np.select(
-        [r <= -0.75 * delta0, r < -0.5 * delta0, r <= 0.5 * delta0],
-        [-1.0, slope * (r + 0.5 * delta0) - 0.5 * delta0, r],
-        default=0.5 * delta0,
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

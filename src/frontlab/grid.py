@@ -9,7 +9,7 @@ Operators provided here:
 * ``upwind_gradient_norm`` -- Godunov/Osher-Sethian |Du| for u_t = c|Du|,
   one-sided differences selected nodewise by sign(c).
 * ``curvature_term``      -- the trace form tr((I - p^ ox p^) D^2 u), i.e.
-  |Du| div(Du/|Du|) with the denominator regularised by eps^2.
+  |Du| div(Du/|Du|) with the denominator regularised by h^2.
 * ``lebesgue_measure``    -- area of a superlevel set from marching-squares
   cell polygons (saddles resolved by the cell-centre average).
 * ``band_measure``        -- area of {a <= u < b}.
@@ -183,16 +183,14 @@ def central_gradient_norm(u: ScalarField) -> np.ndarray:
     return np.hypot(ux, uy)
 
 
-def curvature_term(u: ScalarField, eps_reg: float | None = None) -> np.ndarray:
-    """tr((I - p^ ox p^) D^2 u) with |p|^2 -> |p|^2 + eps^2 in the denominator.
+def curvature_term(u: ScalarField) -> np.ndarray:
+    """tr((I - p^ ox p^) D^2 u) with |p|^2 -> |p|^2 + h^2 in the denominator.
 
     This is |Du| times mean curvature of the level line; it vanishes
-    identically on affine data and tends to 0 where Du does.  eps defaults
-    to the grid spacing.
+    identically on affine data and tends to 0 where Du does.  The
+    regularisation is the grid spacing h, so it vanishes under refinement.
     """
     h = u.spec.h
-    if eps_reg is None:
-        eps_reg = h
     v = u.values
     ux, uy = central_gradients(u)
 
@@ -209,7 +207,7 @@ def curvature_term(u: ScalarField, eps_reg: float | None = None) -> np.ndarray:
     uxy = np.gradient(np.gradient(v, h, axis=1, edge_order=2), h, axis=0, edge_order=2)
 
     num = uxx * uy**2 - 2.0 * ux * uy * uxy + uyy * ux**2
-    return num / (ux**2 + uy**2 + eps_reg**2)
+    return num / (ux**2 + uy**2 + h**2)
 
 
 # ---------------------------------------------------------------------------

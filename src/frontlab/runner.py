@@ -99,12 +99,12 @@ def _radius_table(ctx: CheckContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str, sol) -> str:
+def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str, ctx) -> str:
     """Write sweep.csv and return the gamma_sweep verdict line; the run's
-    march sol stands in for the sweep's march at config.gamma."""
+    context ctx stands in for the sweep's march and report at config.gamma."""
     gamma_bar, sweep = gamma_sweep_star_shape(
         coupling, init, config.gamma_sweep, config.horizon,
-        output_times=times, far_radius=config.far_radius, march=sol,
+        output_times=times, far_radius=config.far_radius, run=ctx,
     )
     lines = ["gamma,passed,min_margin"]
     for g in sorted(sweep):
@@ -187,7 +187,7 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
 
         verdicts = [f"{'PASS' if sol.converged else 'FAIL'} fixed_point"]
         if config.gamma_sweep and "star_shape" in config.checks:
-            verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir, sol))
+            verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir, ctx))
         # every report before any is written: a failed dependence pair writes none
         reports = [
             rep for name, (reports_of, _, _) in CHECKS.items()

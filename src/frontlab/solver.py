@@ -1,14 +1,15 @@
 """Explicit time stepping for u_t = c(x,t)|Du| + gamma * curvature term.
 
 The update is forward Euler on the monotone Godunov advection term plus the
-central-difference regularised curvature trace, clamped to [-1, 1], with the
-far field outside B(0, far_radius) overwritten to -1 each step (far_radius
-defaults to L - 2h).  Each interval between output times reads the speed
-provider that LocalProblem.speed builds for it from the field that starts
-the interval.  Time steps obey dt <= safety * min(h/max|c|, h^2/(4*gamma));
-`advance` refuses anything larger.  A guard aborts if the zero set ever
-reaches the containment ring B(0, far_radius - 4h) from inside, since past
-that point the overwrite would be carving the front itself.
+central-difference curvature trace (regularised by eps = h), clamped to
+[-1, 1], with the far field outside B(0, far_radius) overwritten to -1 each
+step (far_radius defaults to L - 2h).  Each interval between output times
+reads the speed provider that LocalProblem.speed builds for it from the
+field that starts the interval.  Time steps obey
+dt <= safety * min(h/max|c|, h^2/(4*gamma)); `advance` refuses anything
+larger.  A guard aborts if the zero set ever reaches the containment ring
+B(0, far_radius - 4h) from inside, since past that point the overwrite
+would be carving the front itself.
 """
 
 from dataclasses import dataclass
@@ -63,7 +64,6 @@ class LocalProblem:
     horizon: float
     spec: GridSpec
     far_radius: float | None = None
-    eps_reg: float | None = None
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -77,8 +77,6 @@ class LocalProblem:
             raise ValueError(
                 f"far_radius {self.far_radius:.4g} violates the bound L-2h={limit:.4g}"
             )
-        if self.eps_reg is None:
-            self.eps_reg = self.spec.h
 
 
 def cfl_timestep(c_max: float, gamma: float, h: float, safety: float = 0.9) -> float:
@@ -100,7 +98,6 @@ def advance(
     c_t: ScalarField | float,
     gamma: float,
     dt: float,
-    eps_reg: float | None = None,
     far_radius: float | None = None,
 ) -> ScalarField:
     """One explicit Euler step; refuses dt beyond the CFL bound."""
@@ -122,7 +119,7 @@ def advance(
     if c_max > 0.0:
         update += cvals * upwind_gradient_norm(u, cvals)
     if gamma > 0.0:
-        update += gamma * curvature_term(u, eps_reg)
+        update += gamma * curvature_term(u)
 
     out = np.clip(u.values + dt * update, -1.0, 1.0)
     if far_radius is not None:
@@ -140,17 +137,10 @@ class Trajectory:
     lipschitz_log: list
     far_radius: float
     gamma: float
-    eps_reg: float
 
     @property
     def spec(self) -> GridSpec:
         return self.snapshots[0].spec
-
-    def field_at(self, t: float) -> ScalarField:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"no snapshot at t={t}")
-        return self.snapshots[i]
 
 
 def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
@@ -222,7 +212,6 @@ def solve(
         lipschitz_log=lipschitz_log,
         far_radius=problem.far_radius,
         gamma=problem.gamma,
-        eps_reg=problem.eps_reg,
     )
 
     t = times[len(snapshots) - 1]
@@ -239,10 +228,7 @@ def solve(
             else:
                 dt = nominal
                 t += dt
-            u = advance(
-                u, c_field, problem.gamma, dt,
-                eps_reg=problem.eps_reg, far_radius=problem.far_radius,
-            )
+            u = advance(u, c_field, problem.gamma, dt, far_radius=problem.far_radius)
             last_dt = dt
         check_guard(t)
         traj.snapshots.append(u.copy())
@@ -251,38 +237,23 @@ def solve(
     return traj
 
 
-@dataclass
-class RegularityReport:
-    times: np.ndarray
-    lipschitz_values: np.ndarray
-    K_fit: float
-    holder_const: float
-
-
-def regularity_report(traj: Trajectory) -> RegularityReport:
-    """Exponential-growth fit of the Lipschitz log and the worst parabolic
-    time-Hoelder quotient |u(x,t) - u(x,s)| / sqrt|t-s| over snapshot pairs.
-
-    The containment ring is excluded from both measurements.
-    """
+def regularity_report(traj: Trajectory) -> float:
+    """The growth rate K >= 0 of the Lipschitz log, ||Du(t)|| ~ ||Du(0)|| e^{Kt},
+    fitted by least squares on its logarithm.  `solve` measures the log on
+    B(0, far_radius - 2h), clear of the containment ring."""
     if len(traj.snapshots) < 3:
         raise ValueError("regularity_report needs at least 3 snapshots")
     times = np.asarray(traj.times, dtype=np.float64)
     lip = np.asarray(traj.lipschitz_log, dtype=np.float64)
     slope = np.polyfit(times, np.log(np.maximum(lip, 1e-300) / max(lip[0], 1e-300)), 1)[0]
-    K_fit = float(max(slope, 0.0))
+    return float(max(slope, 0.0))
 
-    mask = traj.spec.radius() <= traj.far_radius - 2 * traj.spec.h
-    holder = 0.0
-    for i in range(len(times)):
-        vi = traj.snapshots[i].values[mask]
-        for j in range(i + 1, len(times)):
-            gap = times[j] - times[i]
-            if gap <= 0:
-                continue
-            diff = float(np.abs(traj.snapshots[j].values[mask] - vi).max())
-            holder = max(holder, diff / np.sqrt(gap))
-    return RegularityReport(times, lip, K_fit, float(holder))
+
+def solution_gaps(a: Trajectory, b: Trajectory) -> np.ndarray:
+    """max |a - b| at every stored time."""
+    return np.asarray([
+        np.abs(sa.values - sb.values).max() for sa, sb in zip(a.snapshots, b.snapshots)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +278,7 @@ def dump_trajectory(traj: Trajectory, directory):
         fh.write(
             f"far_radius = {traj.far_radius:.17g}\n"
             f"gamma = {traj.gamma:.17g}\n"
-            f"eps_reg = {traj.eps_reg:.17g}\n"
+            f"eps_reg = {traj.spec.h:.17g}\n"
         )
 
 
@@ -335,5 +306,4 @@ def load_trajectory(directory) -> Trajectory:
         lipschitz_log=list(rows[:, 3]),
         far_radius=meta["far_radius"],
         gamma=meta["gamma"],
-        eps_reg=meta["eps_reg"],
     )

@@ -42,7 +42,7 @@ from .couplings import constant_history, gauss_slice, kappa
 from .errors import FrontEscapeError, StabilityError
 from .geometry import InitCondition
 from .grid import ScalarField, central_gradient_norm, interpolate, lebesgue_measure, trapezoid
-from .solver import Trajectory, _normalise_output_times, regularity_report
+from .solver import Trajectory, _normalise_output_times, regularity_report, solution_gaps
 from .weak import march_solve, reuses_march
 
 LEVELS_FRACTION = (-0.25, 0.0, 0.25)   # contour levels as multiples of delta0
@@ -213,9 +213,10 @@ class CheckContext:
     """A trajectory and its initial condition, with what the checks share,
     each computed on first use and then kept: every snapshot's eta, every
     (snapshot, level) contour and area (never coverage arrays), the
-    regularity fit K and the key estimate.  The geometric reports accept a
-    context in place of their trajectory.  A run also sets `config` and
-    `coupling`, which the checks that solve again (dependence) read."""
+    regularity fit K, the key estimate and the star-shape report (which a
+    run's gamma sweep reuses at the run's gamma).  The geometric reports
+    accept a context in place of their trajectory.  A run also sets `config`
+    and `coupling`, which the checks that solve again (dependence) read."""
 
     def __init__(self, traj: Trajectory, init: InitCondition, config=None, coupling=None):
         self.traj, self.init = traj, init
@@ -243,12 +244,16 @@ class CheckContext:
 
     @cached_property
     def K_fit(self) -> float:
-        return regularity_report(self.traj).K_fit
+        return regularity_report(self.traj)
 
     @cached_property
     def key_estimate(self):
         """(EtaSchedule, key_estimate report) of key_estimate_report."""
         return key_estimate_report(self, self.init)
+
+    @cached_property
+    def star_shape(self) -> "VerificationReport":
+        return star_shape_report(self.traj, self.init)
 
     @property
     def schedule(self) -> "EtaSchedule":
@@ -741,10 +746,7 @@ def continuous_dependence_report(
     if kappa2 is None:
         kappa2 = kappa1 ** 2
 
-    gaps = np.asarray([
-        float(np.abs(a.values - b.values).max())
-        for a, b in zip(traj1.snapshots, traj2.snapshots)
-    ])
+    gaps = solution_gaps(traj1, traj2)
     base = gaps[0]
     h = traj1.spec.h
 
@@ -878,21 +880,22 @@ def star_shape_report(
 
 def gamma_sweep_star_shape(
     coupling, init: InitCondition, gammas, horizon: float,
-    output_times=None, far_radius: float = None, march=None,
+    output_times=None, far_radius: float = None, run: CheckContext = None,
 ):
     """March the coupled flow for each gamma and report the largest one that
     keeps the star-shape margin; escapes and instabilities count as fails.
-    march, a causal march of the same coupling and init.u0 (a run's own),
-    stands in for the sweep's march at its gamma when its stored times and
-    far_radius are the sweep's.
+    run, the context of a causal march of the same coupling and init (a
+    run's own), stands in for the sweep's march at its gamma when its stored
+    times and far_radius are the sweep's, and its star-shape report for the
+    sweep's.
 
     Returns (gamma_bar_emp, {gamma: VerificationReport-or-error-string}).
     """
     results = {}
     gamma_bar = None
     for gamma in sorted(float(g) for g in gammas):
-        if reuses_march(march, gamma, horizon, output_times, far_radius):
-            sol = march
+        if run is not None and reuses_march(run.traj, gamma, horizon, output_times, far_radius):
+            report = run.star_shape
         else:
             try:
                 sol = march_solve(
@@ -902,7 +905,7 @@ def gamma_sweep_star_shape(
             except (FrontEscapeError, StabilityError) as err:
                 results[gamma] = f"error: {err}"
                 continue
-        report = star_shape_report(sol.u_traj, init)
+            report = star_shape_report(sol.u_traj, init)
         results[gamma] = report
         if report.passed:
             gamma_bar = gamma
@@ -929,7 +932,7 @@ CHECKS = {
         lambda c: [band_measure_report(c, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
     "non_fattening": (
         lambda c: [fattening_report(c, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
-    "star_shape": (lambda c: [star_shape_report(c.traj, c.init)], False, 2),
+    "star_shape": (lambda c: [c.star_shape], False, 2),
     "dependence": (_dependence_reports, True, 2),
 }
 DEFAULT_CHECKS = tuple(CHECKS)[:6]   # star_shape and dependence run on request

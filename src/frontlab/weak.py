@@ -41,7 +41,7 @@ import numpy as np
 
 from .couplings import OccupationHistory, constant_history, kappa
 from .grid import ScalarField, central_gradient_norm
-from .solver import LocalProblem, Trajectory, _normalise_output_times, solve
+from .solver import LocalProblem, Trajectory, _normalise_output_times, solution_gaps, solve
 
 
 def chi_from_u(u: ScalarField) -> ScalarField:
@@ -194,13 +194,11 @@ def march_solve(
     )
 
 
-def reuses_march(march, gamma: float, horizon: float, output_times=None,
+def reuses_march(traj: Trajectory, gamma: float, horizon: float, output_times=None,
                  far_radius: float = None) -> bool:
-    """True when `march`, a causal march of the same coupling and u0, is the
-    march these arguments solve: same gamma, stored times and far_radius."""
-    if march is None:
-        return False
-    traj = march.u_traj
+    """True when traj, the trajectory of a causal march of the same coupling
+    and u0, is the march these arguments solve: same gamma, stored times and
+    far_radius."""
     if far_radius is None:
         far_radius = LocalProblem(
             speed=None, gamma=gamma, horizon=horizon, spec=traj.spec,
@@ -307,10 +305,6 @@ class ProbeResult:
     passed: bool
     march_gaps: dict
 
-    def max_delta(self, tau: float) -> float:
-        vals = [r[3] for r in self.rows if abs(r[2] - tau) < 1e-12]
-        return max(vals) if vals else 0.0
-
 
 def uniqueness_probe(
     coupling,
@@ -355,7 +349,7 @@ def uniqueness_probe(
     names = list(seeds)
     histories = [_resample_history(seeds[k], times) for k in names]
 
-    if not reuses_march(march, gamma, horizon, times, far_radius):
+    if march is None or not reuses_march(march.u_traj, gamma, horizon, times, far_radius):
         march = march_solve(
             coupling, u0, gamma, horizon, output_times=times, far_radius=far_radius,
         )
@@ -368,7 +362,7 @@ def uniqueness_probe(
         for hist in histories
     ]
     march_gaps = {
-        name: float(_gaps(sol.u_traj, march.u_traj).max())
+        name: float(solution_gaps(sol.u_traj, march.u_traj).max())
         for name, sol in zip(names, solutions)
     }
 
@@ -382,7 +376,7 @@ def uniqueness_probe(
     tau_first = min(taus)
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            gaps = _gaps(solutions[i].u_traj, solutions[j].u_traj)
+            gaps = solution_gaps(solutions[i].u_traj, solutions[j].u_traj)
             kappa_sup = max(
                 kappa(a, b)
                 for a, b in zip(solutions[i].chi_hist.fields, solutions[j].chi_hist.fields)
@@ -395,11 +389,4 @@ def uniqueness_probe(
                     passed = False
 
     return ProbeResult(names, solutions, rows, uniq_tol, passed, march_gaps)
-
-
-def _gaps(a: Trajectory, b: Trajectory) -> np.ndarray:
-    """max |a - b| at every stored time."""
-    return np.asarray([
-        np.abs(sa.values - sb.values).max() for sa, sb in zip(a.snapshots, b.snapshots)
-    ])
 

@@ -252,9 +252,8 @@ def test_criterion_07_cone_property(scenario_runs, const_run):
     _, out, _ = const_run
     init = load_init(out / "init.txt", out / "init_meta.txt")
     traj = load_trajectory(out / "traj")
-    reg = regularity_report(traj)
     sched, key_rep = key_estimate_report(traj, init)
-    flipped = cone_report(traj, init, sched, reg.K_fit,
+    flipped = cone_report(traj, init, sched, regularity_report(traj),
                           t_bar=key_rep.constants["t_bar_emp"], flip_axis=True)
     ok = ok and not flipped.passed
     details.append(f"flipped fraction {flipped.constants['failure_fraction']:.3f}")

@@ -583,6 +583,21 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     assert_each_once("verify")
 
 
+# a volume run whose gamma sweep contains the run's own gamma
+SWEEP_RUN = (
+    "grid.n = 33\n"
+    "init.kind = circle\n"
+    "init.r0 = 0.4\n"
+    "coupling.kind = volume\n"
+    "coupling.beta = affine(1,-1)\n"
+    "gamma = 0.05\n"
+    "horizon = 0.1\n"
+    "output_times = 5\n"
+    "checks = star_shape\n"
+    "gamma_sweep = 0, 0.05\n"
+)
+
+
 def test_run_marches_once_at_its_gamma(tmp_path, monkeypatch):
     # the gamma sweep reuses the run's march at config.gamma and the probe
     # takes it as its reference and first memo entry: one march without a
@@ -593,25 +608,26 @@ def test_run_marches_once_at_its_gamma(tmp_path, monkeypatch):
         monkeypatch, frontlab.weak, "march_solve",
         lambda coupling, u0, gamma, horizon, chi_hist=None, **kwargs: (gamma, chi_hist is None),
     )
-    cfg = parse_config(
-        "grid.n = 33\n"
-        "init.kind = circle\n"
-        "init.r0 = 0.4\n"
-        "coupling.kind = volume\n"
-        "coupling.beta = affine(1,-1)\n"
-        "gamma = 0.05\n"
-        "horizon = 0.1\n"
-        "output_times = 5\n"
-        "checks = star_shape\n"
-        "gamma_sweep = 0, 0.05\n"
-        "probe.enabled = true\n"
-    )
+    cfg = parse_config(SWEEP_RUN + "probe.enabled = true\n")
     out = tmp_path / "run"
     assert run(cfg, out_dir=str(out)).exit_code in (0, 1)
     assert (out / "sweep.csv").read_text().count("\n") == 4
     assert marches.count((0.05, True)) == 1
     assert marches.count((0.0, True)) == 1
     assert marches.count((0.05, False)) > 0
+
+
+def test_run_computes_star_shape_once_per_trajectory(tmp_path, monkeypatch):
+    # the sweep's row at config.gamma and the star_shape check share one
+    # report of the run's trajectory; the sweep's gamma = 0 march adds one
+    import frontlab.verify
+
+    trajs = _record_calls(monkeypatch, frontlab.verify, "star_shape_report",
+                          lambda traj, *args, **kwargs: id(traj))
+    out = tmp_path / "run"
+    assert run(parse_config(SWEEP_RUN), out_dir=str(out)).exit_code in (0, 1)
+    assert (out / "sweep.csv").read_text().count("\n") == 4
+    assert len(trajs) == len(set(trajs)) == 2
 
 
 def test_verify_fits_only_what_its_checks_need(tiny_run, tmp_path, monkeypatch):

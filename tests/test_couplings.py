@@ -19,15 +19,12 @@ from frontlab.couplings import (
     clamp_affine_map,
     constant_history,
     constant_map,
-    convolution_truncated,
     convolve_kernel,
     core_ring_kernel,
     disc_bump_kernel,
     gauss_slice,
     gaussian_kernel,
     kappa,
-    kappa_bar,
-    kappa_bar_bound,
     parse_kernel,
     parse_scalar_map,
     volume_speed,
@@ -118,15 +115,6 @@ def test_convolution_spike_identity():
     assert np.max(np.abs(out.values - chi.values)) < 1e-12
 
 
-def test_convolution_truncation_flag():
-    small = disc_bump_kernel(SPEC65, 1.0, 0.2)
-    wide = disc_bump_kernel(SPEC65, 1.0, 0.9)
-    chi = _disc_chi(SPEC65, 0.3, cx=0.3)
-    assert not convolution_truncated(small, chi)
-    assert convolution_truncated(wide, chi)
-    assert not convolution_truncated(wide, constant_field(SPEC65, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # dislocation speed law
 # ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ def test_dislocation_core_composition():
 
 
 # ---------------------------------------------------------------------------
-# kappa and kappa_bar
+# kappa and the heat-kernel slice
 # ---------------------------------------------------------------------------
 
 
@@ -196,49 +184,6 @@ def test_kappa_triangle_inequality():
     ]
     a, b, c = fields
     assert kappa(a, c) <= kappa(a, b) + kappa(b, c) + 1e-12
-
-
-def test_kappa_bar_identical_histories():
-    times = [0.0, 0.05, 0.1]
-    hist = constant_history(_disc_chi(SPEC65, 0.5), times)
-    assert kappa_bar(hist, hist, (0.0, 0.0), 0.1) == 0.0
-
-
-def test_kappa_bar_unit_difference_integrates_time():
-    # |chi1 - chi2| = 1 everywhere: every Gaussian slice averages to 1,
-    # so the trapezoidal integral is exactly t
-    times = np.linspace(0.0, 0.2, 5)
-    h1 = constant_history(constant_field(SPEC65, 1.0), times)
-    h2 = constant_history(constant_field(SPEC65, 0.0), times)
-    for t in (0.1, 0.2):
-        assert kappa_bar(h1, h2, (0.1, -0.2), t) == pytest.approx(t, rel=1e-12)
-
-
-def test_kappa_bar_far_patch_negligible():
-    # histories differ only near the far corner; at the origin with a
-    # short horizon the Gaussian tail kills the contribution
-    base = _disc_chi(SPEC65, 0.3)
-    far = base.copy()
-    far.values[-2:, -2:] = 1.0
-    times = np.linspace(0.0, 0.01, 5)
-    h1 = constant_history(base, times)
-    h2 = constant_history(far, times)
-    val = kappa_bar(h1, h2, (0.0, 0.0), 0.01)
-    assert 0.0 <= val <= 1e-6
-
-
-def test_kappa_bar_below_envelope_bound():
-    rng = np.random.default_rng(9)
-    times = np.linspace(0.0, 0.1, 4)
-    a = ScalarField(SPEC65, rng.integers(0, 2, size=(65, 65)).astype(float))
-    b = ScalarField(SPEC65, rng.integers(0, 2, size=(65, 65)).astype(float))
-    h1 = constant_history(a, times)
-    h2 = constant_history(b, times)
-    bound = kappa_bar_bound(h1, h2, 0.1)
-    for x in ((0.0, 0.0), (0.5, -0.5)):
-        val = kappa_bar(h1, h2, x, 0.1)
-        assert val <= bound + 1e-12
-        assert val <= 0.1 + 1e-12
 
 
 def test_gauss_slice_delta_limit():

@@ -1,6 +1,7 @@
-"""The demos run as plain scripts.  The verifier tour calls every public
+"""Every demo runs as a plain script.  The verifier tour calls every public
 report function with its documented signature, so it guards them too; the
-coupled demos guard `march_solve` and `uniqueness_probe` the same way."""
+coupled demos guard `march_solve` and `uniqueness_probe` the same way, and
+the local demos the grid, contour, initial-geometry and solver layers."""
 
 import os
 import subprocess
@@ -24,7 +25,18 @@ def _run_demo(name, cwd):
 
 
 def test_verifier_tour_runs(tmp_path):
-    assert "FAIL cone_flipped" in _run_demo("07_verifier_tour.py", tmp_path)
+    out = _run_demo("07_verifier_tour.py", tmp_path)
+    assert "Lipschitz growth fit K =" in out
+    assert "FAIL cone_flipped" in out
+
+
+@pytest.mark.parametrize("name,needle", [
+    ("01_grid_and_contours.py", "peanut front:"),
+    ("02_initial_geometry.py", "push quotient on band: min 0.2408"),
+    ("03_curvature_and_constant_speed.py", "curvature flow gamma = 1"),
+])
+def test_local_demo_runs(tmp_path, name, needle):
+    assert needle in _run_demo(name, tmp_path)
 
 
 @pytest.mark.parametrize("name,needle", [

@@ -1,4 +1,5 @@
-"""Star-shaped initial data, its margin certificate, and the push map.
+"""Star-shaped initial data, its margin certificate, and the checks of its
+two structural conditions.
 
 Closed forms used below, all for the unit-slope profile u0 = clip(sdist, -1, 1):
 
@@ -16,12 +17,9 @@ import pytest
 from frontlab.errors import ConstructionError
 from frontlab.geometry import (
     DELTA0_LADDER,
-    custom_direction,
     dump_init,
     gradient_direction,
     load_init,
-    psi_truncation,
-    push_sample,
     radial_direction,
     star_shaped_u0,
     verify_I1,
@@ -168,39 +166,6 @@ def test_margin_check_vacuous_without_samples(circle):
     assert margin == np.inf
 
 
-def test_truncation_profile():
-    d0 = 0.2
-    assert psi_truncation(0.0, d0) == 0.0
-    assert psi_truncation(-1.0, d0) == -1.0
-    assert psi_truncation(1.0, d0) == 0.5 * d0
-    assert psi_truncation(0.5 * d0, d0) == 0.5 * d0
-    assert psi_truncation(-0.5 * d0, d0) == -0.5 * d0
-    assert psi_truncation(-0.75 * d0, d0) == pytest.approx(-1.0, abs=1e-12)
-    r = np.linspace(-1.5, 1.5, 2001)
-    vals = psi_truncation(r, d0)
-    diffs = np.diff(vals)
-    assert np.all(diffs >= -1e-14)
-    slope = 2.0 * (2.0 - d0) / d0
-    assert np.max(np.abs(diffs)) <= slope * (r[1] - r[0]) + 1e-12
-    with pytest.raises(ValueError):
-        psi_truncation(0.0, 1.0)
-    with pytest.raises(ValueError):
-        psi_truncation(0.0, 0.0)
-
-
-def test_push_sample_identity_and_quotient(circle):
-    nu = radial_direction(SPEC)
-    same = push_sample(circle.u0, nu, 0.0)
-    assert np.allclose(same, circle.u0.values, rtol=0, atol=1e-14)
-
-    # (0.7, 0) pushed by lam = 0.2 lands at (0.56, 0):
-    # u0 goes from -0.1 to 0.04, a rise of 0.14
-    pushed = push_sample(circle.u0, nu, 0.2)
-    iy = SPEC.n // 2
-    ix = int(round((0.7 + 1.5) / SPEC.h))
-    assert pushed[iy, ix] - circle.u0.values[iy, ix] == pytest.approx(0.14, abs=1e-3)
-
-
 def test_direction_field_variants(circle):
     rad = radial_direction(SPEC)
     assert rad.kind == "radial"
@@ -209,8 +174,6 @@ def test_direction_field_variants(circle):
     assert grad.kind == "gradient"
     assert grad.values.shape == (SPEC.n, SPEC.n, 2)
     assert 0.0 < grad.sup_norm < 2.0
-    with pytest.raises(ValueError):
-        custom_direction(SPEC, np.zeros((3, 3, 2)))
 
 
 def test_init_round_trip(tmp_path, peanut):

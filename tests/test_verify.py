@@ -63,7 +63,7 @@ def _hand_traj(times, snapshots):
     return Trajectory(
         times=np.asarray(times, dtype=np.float64), snapshots=list(snapshots),
         dt_used=[0.0] * len(snapshots), lipschitz_log=[1.0] * len(snapshots),
-        far_radius=SPEC.half_extent - 2 * SPEC.h, gamma=0.0, eps_reg=SPEC.h,
+        far_radius=SPEC.half_extent - 2 * SPEC.h, gamma=0.0,
     )
 
 
