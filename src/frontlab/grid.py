@@ -122,34 +122,79 @@ def load_field(path) -> ScalarField:
 
 # ---------------------------------------------------------------------------
 # one-sided and central differences
+#
+# Each stencil writes into the arrays of a Workspace and takes the
+# floating-point operations of its formula in the order the formula states
+# them, so it gives the same bits as the formula evaluated on fresh arrays
+# (tests/test_grid.py compares them).
 
 
-def _one_sided_differences(values: np.ndarray, h: float, axis: int):
-    """(backward, forward) first differences; second-order one-sided rows at
-    the two boundary lines so affine and quadratic data stay exact there."""
-    d = np.diff(values, axis=axis) / h
-    fwd = np.empty_like(values)
-    bwd = np.empty_like(values)
-    lead = (slice(None),) * axis
+class Workspace:
+    """Work arrays for one grid, overwritten by every call they are handed to.
 
-    fwd[lead + (slice(0, -1),)] = d
-    bwd[lead + (slice(1, None),)] = d
+    `scratch` holds the five n x n arrays the stencils below write into and
+    `mask` the upwind selection by sign(c); `fields` are the two arrays that
+    `solver.advance` writes successive steps into, in turn.  A stencil
+    called without a workspace allocates one, so its result is a new array.
+    """
+
+    def __init__(self, spec: GridSpec):
+        shape = (spec.n, spec.n)
+        self.scratch = tuple(np.empty(shape) for _ in range(5))
+        self.mask = np.empty(shape, dtype=bool)
+        self.fields = (np.empty(shape), np.empty(shape))
+
+
+def _at(axis: int, index) -> tuple:
+    """Index selecting `index` along `axis` of a 2-D array."""
+    return (slice(None),) * axis + (index,)
+
+
+def _flat(a: np.ndarray, axis: int) -> tuple[np.ndarray, int]:
+    """a as one contiguous line, and the distance along it of one node along axis.
+
+    Shifting the line by that distance pairs each node with its neighbour
+    along axis, as a[1:] and a[:-1] along axis do, so a stencil runs as
+    contiguous 1-D operations, which numpy does without the buffers it
+    allocates for strided 2-D ones.  For axis 1 the pairs that wrap from
+    one row into the next land on the boundary columns, which every
+    stencil below then overwrites.
+    """
+    return a.reshape(-1), a.shape[1] if axis == 0 else 1
+
+
+def _one_sided_differences(values: np.ndarray, h: float, axis: int, bwd, fwd):
+    """(backward, forward) first differences into bwd and fwd; second-order
+    one-sided rows at the two boundary lines so affine and quadratic data
+    stay exact there."""
+    flat, s = _flat(values, axis)
+    d = fwd.reshape(-1)[:-s]
+    np.subtract(flat[s:], flat[:-s], out=d)
+    d /= h
+    bwd.reshape(-1)[s:] = d
 
     def line(i):
-        return values[lead + (i,)]
+        return values[_at(axis, i)]
 
     # quadratic extrapolation of the missing one-sided difference
-    fwd[lead + (-1,)] = (3.0 * line(-1) - 4.0 * line(-2) + line(-3)) / (2.0 * h)
-    bwd[lead + (0,)] = (-3.0 * line(0) + 4.0 * line(1) - line(2)) / (2.0 * h)
-    return bwd, fwd
+    fwd[_at(axis, -1)] = (3.0 * line(-1) - 4.0 * line(-2) + line(-3)) / (2.0 * h)
+    bwd[_at(axis, 0)] = (-3.0 * line(0) + 4.0 * line(1) - line(2)) / (2.0 * h)
 
 
-def upwind_gradient_norm(u: ScalarField, speed: ScalarField | np.ndarray | float) -> np.ndarray:
+def _squared_clip(d: np.ndarray, clip, out: np.ndarray) -> np.ndarray:
+    """clip(d, 0)^2 written into out."""
+    return np.square(clip(d, 0.0, out=out), out=out)
+
+
+def upwind_gradient_norm(
+    u: ScalarField, speed: ScalarField | np.ndarray | float, work: Workspace = None,
+) -> np.ndarray:
     """Godunov upwind |Du| for the Hamiltonian -c|p|, selected by sign(c).
 
     For c >= 0 the monotone combination per axis is max(D+,0)^2 + min(D-,0)^2;
     for c < 0 the two clips swap.  Exact for affine u (the second-order
-    boundary stencils keep the outermost ring exact as well).
+    boundary stencils keep the outermost ring exact as well).  The result
+    is a scratch array of `work`; the sum for a sign c never has is skipped.
     """
     h = u.spec.h
     if isinstance(speed, ScalarField):
@@ -157,25 +202,68 @@ def upwind_gradient_norm(u: ScalarField, speed: ScalarField | np.ndarray | float
         c = speed.values
     else:
         c = np.broadcast_to(np.asarray(speed, dtype=np.float64), u.values.shape)
+    work = work or Workspace(u.spec)
+    bwd, fwd, tmp, pos, neg = work.scratch
 
-    bx, fx = _one_sided_differences(u.values, h, axis=1)
-    by, fy = _one_sided_differences(u.values, h, axis=0)
+    # (sum, its max-clipped difference, its min-clipped difference); each sum
+    # adds its four squares in the order x max, x min, y max, y min
+    sums = []
+    if c.max() >= 0.0:
+        sums.append((pos, fwd, bwd))
+    if not c.min() >= 0.0:  # c < 0 somewhere, or nan, which also selects neg
+        sums.append((neg, bwd, fwd))
+    for axis in (1, 0):
+        _one_sided_differences(u.values, h, axis, bwd, fwd)
+        for total, up, down in sums:
+            if axis == 1:
+                _squared_clip(up, np.maximum, total)
+            else:
+                total += _squared_clip(up, np.maximum, tmp)
+            total += _squared_clip(down, np.minimum, tmp)
+    if len(sums) == 2:
+        np.greater_equal(c, 0.0, out=work.mask)
+        np.copyto(neg, pos, where=work.mask)
+    root = sums[-1][0]
+    return np.sqrt(root, out=root)
 
-    pos = (
-        np.maximum(fx, 0.0) ** 2 + np.minimum(bx, 0.0) ** 2
-        + np.maximum(fy, 0.0) ** 2 + np.minimum(by, 0.0) ** 2
-    )
-    neg = (
-        np.maximum(bx, 0.0) ** 2 + np.minimum(fx, 0.0) ** 2
-        + np.maximum(by, 0.0) ** 2 + np.minimum(fy, 0.0) ** 2
-    )
-    return np.sqrt(np.where(c >= 0.0, pos, neg))
+
+def _central_difference(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """np.gradient(v, h, axis=axis, edge_order=2) written into out: central
+    in the interior, second-order one-sided on the two boundary lines."""
+    flat, s = _flat(v, axis)
+    inner = out.reshape(-1)[s:-s]
+    np.subtract(flat[2 * s:], flat[:-2 * s], out=inner)
+    inner /= 2.0 * h
+
+    def line(i):
+        return v[_at(axis, i)]
+
+    out[_at(axis, 0)] = (-1.5 / h) * line(0) + (2.0 / h) * line(1) + (-0.5 / h) * line(2)
+    out[_at(axis, -1)] = (0.5 / h) * line(-3) + (-2.0 / h) * line(-2) + (1.5 / h) * line(-1)
+    return out
 
 
-def central_gradients(u: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """(u_x, u_y) by central differences, second-order one-sided at edges."""
-    uy, ux = np.gradient(u.values, u.spec.h, edge_order=2)
-    return ux, uy
+def _second_difference(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """(v[i+1] - 2 v[i] + v[i-1]) / h^2 along axis into out, the boundary
+    lines copied from their neighbours."""
+    flat, s = _flat(v, axis)
+    inner = out.reshape(-1)[s:-s]
+    np.multiply(flat[s:-s], 2.0, out=inner)
+    np.subtract(flat[2 * s:], inner, out=inner)
+    inner += flat[:-2 * s]
+    inner /= h * h
+    out[_at(axis, 0)] = out[_at(axis, 1)]
+    out[_at(axis, -1)] = out[_at(axis, -2)]
+    return out
+
+
+def central_gradients(u: ScalarField, work: Workspace = None) -> tuple[np.ndarray, np.ndarray]:
+    """(u_x, u_y) by central differences, second-order one-sided at edges,
+    in the first two scratch arrays of `work`."""
+    work = work or Workspace(u.spec)
+    ux, uy = work.scratch[:2]
+    h = u.spec.h
+    return _central_difference(u.values, h, 1, ux), _central_difference(u.values, h, 0, uy)
 
 
 def central_gradient_norm(u: ScalarField) -> np.ndarray:
@@ -183,31 +271,38 @@ def central_gradient_norm(u: ScalarField) -> np.ndarray:
     return np.hypot(ux, uy)
 
 
-def curvature_term(u: ScalarField) -> np.ndarray:
+def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
     """tr((I - p^ ox p^) D^2 u) with |p|^2 -> |p|^2 + h^2 in the denominator.
 
     This is |Du| times mean curvature of the level line; it vanishes
     identically on affine data and tends to 0 where Du does.  The
     regularisation is the grid spacing h, so it vanishes under refinement.
+    The result is a scratch array of `work`.
     """
     h = u.spec.h
     v = u.values
-    ux, uy = central_gradients(u)
+    work = work or Workspace(u.spec)
+    ux, uy = central_gradients(u, work)
+    num, a, b = work.scratch[2:]
 
-    uxx = np.empty_like(v)
-    uxx[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)
-    uxx[:, 0] = uxx[:, 1]
-    uxx[:, -1] = uxx[:, -2]
-
-    uyy = np.empty_like(v)
-    uyy[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / (h * h)
-    uyy[0, :] = uyy[1, :]
-    uyy[-1, :] = uyy[-2, :]
-
-    uxy = np.gradient(np.gradient(v, h, axis=1, edge_order=2), h, axis=0, edge_order=2)
-
-    num = uxx * uy**2 - 2.0 * ux * uy * uxy + uyy * ux**2
-    return num / (ux**2 + uy**2 + h**2)
+    # (uxx uy^2 - 2 ux uy uxy + uyy ux^2) / (ux^2 + uy^2 + h^2), every
+    # product and sum in that order; u_xy is the y difference of u_x
+    _central_difference(ux, h, 0, num)
+    np.multiply(ux, 2.0, out=a)
+    a *= uy
+    a *= num                    # a = 2 ux uy uxy
+    _second_difference(v, h, 1, b)
+    np.square(uy, out=num)
+    num *= b
+    num -= a                    # num = uxx uy^2 - a
+    _second_difference(v, h, 0, a)
+    np.square(ux, out=b)
+    a *= b
+    num += a                    # num += uyy ux^2
+    b += np.square(uy, out=a)
+    b += h**2                   # b = ux^2 + uy^2 + h^2
+    num /= b
+    return num
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ field that starts the interval.  Time steps obey
 dt <= safety * min(h/max|c|, h^2/(4*gamma)); `advance` refuses anything
 larger.  A guard aborts if the zero set ever reaches the containment ring
 B(0, far_radius - 4h) from inside, since past that point the overwrite
-would be carving the front itself.
+would be carving the front itself.  One solve takes at most MAX_STEPS steps.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from .grid import (
     EPS_DENOM,
     GridSpec,
     ScalarField,
+    Workspace,
     central_gradient_norm,
     constant_field,
     curvature_term,
@@ -31,6 +32,10 @@ from .grid import (
 # the cfl_timestep formula is the one-axis bound; solve halves it so the
 # two-axis upwind update stays monotone
 CFL_SAFETY = 0.45
+
+# steps one solve may take, about 14 times the largest solve of any preset
+# or test (mcf-circle, 7128 steps); past it solve raises StabilityError
+MAX_STEPS = 100_000
 
 
 class ConstantSpeed:
@@ -99,15 +104,22 @@ def advance(
     gamma: float,
     dt: float,
     far_radius: float | None = None,
+    work: Workspace = None,
 ) -> ScalarField:
-    """One explicit Euler step; refuses dt beyond the CFL bound."""
+    """One explicit Euler step; refuses dt beyond the CFL bound.
+
+    The new field is written into whichever of `work.fields` does not hold
+    u, so it lasts until the step after next; without `work` it is a new
+    array.
+    """
     spec = u.spec
     if isinstance(c_t, ScalarField):
         u.check_same_grid(c_t)
         cvals = c_t.values
+        c_max = float(max(cvals.max(), -cvals.min()))
     else:
-        cvals = np.full((spec.n, spec.n), float(c_t))
-    c_max = float(np.abs(cvals).max())
+        cvals = float(c_t)
+        c_max = abs(cvals)
     bound = cfl_timestep(c_max, gamma, spec.h, safety=1.0)
     if dt > bound * (1.0 + 1e-9):
         raise StabilityError(
@@ -115,13 +127,21 @@ def advance(
             f"gamma={gamma:.3g}, h={spec.h:.3e})"
         )
 
-    update = np.zeros_like(u.values)
+    work = work or Workspace(spec)
+    out = work.fields[u.values is work.fields[0]]
+    # out = clip(u + dt * (0 + c |Du| + gamma curvature), -1, 1)
+    out.fill(0.0)
     if c_max > 0.0:
-        update += cvals * upwind_gradient_norm(u, cvals)
+        advection = upwind_gradient_norm(u, cvals, work)
+        advection *= cvals
+        out += advection
     if gamma > 0.0:
-        update += gamma * curvature_term(u)
-
-    out = np.clip(u.values + dt * update, -1.0, 1.0)
+        curvature = curvature_term(u, work)
+        curvature *= gamma
+        out += curvature
+    out *= dt
+    out += u.values
+    np.clip(out, -1.0, 1.0, out=out)
     if far_radius is not None:
         out[_far_mask(spec, float(far_radius))] = -1.0
     return ScalarField(spec, out)
@@ -171,6 +191,11 @@ def solve(
     of this problem on the same output times whose first m + 1 stored times
     are taken as they are.  A march lands exactly on t_m, so the steps after
     it are the same floats as in a march from t_0.
+
+    Every step writes into one `grid.Workspace` allocated per call; stored
+    snapshots are copies.  The call raises StabilityError before its first
+    step when the CFL step at that time would need more than MAX_STEPS
+    steps to reach the horizon, and when its step count passes MAX_STEPS.
     """
     spec = u0.spec
     if spec != problem.spec:
@@ -214,13 +239,24 @@ def solve(
         gamma=problem.gamma,
     )
 
+    work = Workspace(spec)
+    steps = 0
     t = times[len(snapshots) - 1]
     for t_next in times[len(snapshots):]:
-        speed = problem.speed(t, t_next, u)
+        # the stored snapshot, which no later step overwrites
+        speed = problem.speed(t, t_next, traj.snapshots[-1])
         last_dt = 0.0
         while t < t_next:
             c_field = speed.speed_at(t)
             nominal = cfl_timestep(speed.max_abs(t), problem.gamma, h, CFL_SAFETY)
+            if steps == 0 and problem.horizon - t > MAX_STEPS * nominal:
+                raise StabilityError(
+                    f"at dt={nominal:.3e} the march from t={t:.6g} to the horizon "
+                    f"{problem.horizon:.6g} needs more than {MAX_STEPS} steps"
+                )
+            if steps == MAX_STEPS:
+                raise StabilityError(f"the march passed {MAX_STEPS} steps at t={t:.6g}")
+            steps += 1
             remaining = t_next - t
             if remaining <= nominal * (1.0 + 1e-9):
                 dt = remaining
@@ -228,7 +264,7 @@ def solve(
             else:
                 dt = nominal
                 t += dt
-            u = advance(u, c_field, problem.gamma, dt, far_radius=problem.far_radius)
+            u = advance(u, c_field, problem.gamma, dt, far_radius=problem.far_radius, work=work)
             last_dt = dt
         check_guard(t)
         traj.snapshots.append(u.copy())

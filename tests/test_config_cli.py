@@ -7,6 +7,7 @@ documented exit code (2 config, 3 numeric) rather than a traceback.
 
 import shutil
 import sys
+import time
 
 import pytest
 
@@ -434,6 +435,31 @@ def test_front_escape_exits_three(tmp_path, capsys):
     # the runner keeps partial artifacts and reports through the marker file
     assert "FAIL run" in printed
     assert "containment ring" in (out / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("changed", [
+    {"horizon": "1e6"},
+    {"coupling.kind": "volume", "coupling.beta": "affine(1e300,1e300)"},
+], ids=["long-horizon", "huge-volume-speed"])
+def test_step_budget_exits_three(tmp_path, capsys, changed):
+    # each march would take far more steps than solver.MAX_STEPS; the run
+    # must end at once with a numeric failure instead of stepping for hours
+    keys = {
+        "grid.n": "33", "init.kind": "circle", "init.r0": "0.5",
+        "coupling.kind": "constant", "coupling.c": "1.0", "horizon": "0.2",
+        "checks": "none", **changed,
+    }
+    if keys["coupling.kind"] != "constant":
+        del keys["coupling.c"]
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    code = main(["run", str(cfg), "--out", str(out)])
+    assert time.perf_counter() - start < 10.0
+    assert code == 3
+    assert "FAIL run" in capsys.readouterr().out
+    assert "StabilityError" in (out / "FAILED").read_text()
 
 
 def test_default_far_radius_is_the_grid_ring(tmp_path):

@@ -18,8 +18,10 @@ from frontlab.errors import GridMismatchError
 from frontlab.grid import (
     GridSpec,
     ScalarField,
+    Workspace,
     band_measure,
     central_gradient_norm,
+    central_gradients,
     constant_field,
     curvature_term,
     dump_field,
@@ -162,6 +164,94 @@ def test_curvature_scale_invariance_of_ratio():
     ratio_u = curvature_term(u) / np.maximum(central_gradient_norm(u), 1e-12)
     ratio_v = curvature_term(v) / np.maximum(central_gradient_norm(v), 1e-12)
     assert np.max(np.abs(ratio_u[mask] - ratio_v[mask])) < 10.0 * spec.h
+
+
+# ---------------------------------------------------------------------------
+# the stencils, bit for bit against their plain numpy formulas
+# ---------------------------------------------------------------------------
+
+
+def _reference_one_sided(values, h, axis):
+    d = np.diff(values, axis=axis) / h
+    fwd = np.empty_like(values)
+    bwd = np.empty_like(values)
+    lead = (slice(None),) * axis
+    fwd[lead + (slice(0, -1),)] = d
+    bwd[lead + (slice(1, None),)] = d
+
+    def line(i):
+        return values[lead + (i,)]
+
+    fwd[lead + (-1,)] = (3.0 * line(-1) - 4.0 * line(-2) + line(-3)) / (2.0 * h)
+    bwd[lead + (0,)] = (-3.0 * line(0) + 4.0 * line(1) - line(2)) / (2.0 * h)
+    return bwd, fwd
+
+
+def _reference_upwind(u, c):
+    bx, fx = _reference_one_sided(u.values, u.spec.h, axis=1)
+    by, fy = _reference_one_sided(u.values, u.spec.h, axis=0)
+    pos = (
+        np.maximum(fx, 0.0) ** 2 + np.minimum(bx, 0.0) ** 2
+        + np.maximum(fy, 0.0) ** 2 + np.minimum(by, 0.0) ** 2
+    )
+    neg = (
+        np.maximum(bx, 0.0) ** 2 + np.minimum(fx, 0.0) ** 2
+        + np.maximum(by, 0.0) ** 2 + np.minimum(fy, 0.0) ** 2
+    )
+    return np.sqrt(np.where(c >= 0.0, pos, neg))
+
+
+def _reference_curvature(u):
+    h = u.spec.h
+    v = u.values
+    uy, ux = np.gradient(v, h, edge_order=2)
+    uxx = np.empty_like(v)
+    uxx[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)
+    uxx[:, 0] = uxx[:, 1]
+    uxx[:, -1] = uxx[:, -2]
+    uyy = np.empty_like(v)
+    uyy[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / (h * h)
+    uyy[0, :] = uyy[1, :]
+    uyy[-1, :] = uyy[-2, :]
+    uxy = np.gradient(np.gradient(v, h, axis=1, edge_order=2), h, axis=0, edge_order=2)
+    num = uxx * uy**2 - 2.0 * ux * uy * uxy + uyy * ux**2
+    return num / (ux**2 + uy**2 + h**2)
+
+
+def _random_field(n, seed):
+    rng = np.random.default_rng(seed)
+    return ScalarField(GridSpec(n, 1.5), rng.uniform(-1.0, 1.0, (n, n)))
+
+
+def _same_bits(a, b):
+    # compares bit patterns, so 0.0 and -0.0 differ as they do in a dump
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [33, 201])
+def test_curvature_and_gradients_match_numpy_bitwise(n):
+    u = _random_field(n, seed=n)
+    assert _same_bits(curvature_term(u), _reference_curvature(u))
+    uy, ux = np.gradient(u.values, u.spec.h, edge_order=2)
+    gx, gy = central_gradients(u)
+    assert _same_bits(gx, ux) and _same_bits(gy, uy)
+
+
+@pytest.mark.parametrize("n", [33, 201])
+@pytest.mark.parametrize("sign", ["nonnegative", "negative", "mixed"])
+def test_upwind_matches_numpy_bitwise(n, sign):
+    u = _random_field(n, seed=n)
+    rng = np.random.default_rng(n + 1)
+    low, high = {"nonnegative": (0.0, 2.0), "negative": (-2.0, -0.1), "mixed": (-1.0, 1.0)}[sign]
+    c = rng.uniform(low, high, (n, n))
+    if sign != "negative":
+        c[::3, ::3] = 0.0  # c = 0 takes the c >= 0 sum
+    speed = ScalarField(u.spec, c)
+    assert _same_bits(upwind_gradient_norm(u, speed), _reference_upwind(u, c))
+    # a workspace reused across calls gives the same bits again
+    work = Workspace(u.spec)
+    upwind_gradient_norm(u, ScalarField(u.spec, -c), work)
+    assert _same_bits(upwind_gradient_norm(u, speed, work), _reference_upwind(u, c))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,25 @@ Closed forms: constant normal speed c moves a circular front radius as
 R(t) = R0 + c t; curvature flow with weight 1 satisfies R(t)^2 = R0^2 - 2t.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import frontlab.solver
 from frontlab.contour import extract_contour
 from frontlab.errors import FrontEscapeError, StabilityError
-from frontlab.grid import GridSpec, ScalarField, field_from_function
+from frontlab.grid import (
+    GridSpec,
+    ScalarField,
+    Workspace,
+    curvature_term,
+    field_from_function,
+    lebesgue_measure,
+    upwind_gradient_norm,
+)
 from frontlab.solver import (
+    MAX_STEPS,
     ConstantSpeed,
     LocalProblem,
     Trajectory,
@@ -160,6 +172,49 @@ def test_advance_geometricity_of_zero_set():
     assert gap <= np.sqrt(2.0) * SPEC.h
 
 
+def _reference_advance(u, c, gamma, dt, far_radius=None):
+    # the step as one numpy expression on fresh arrays; the stencils match
+    # their own formulas bit for bit (tests/test_grid.py)
+    cvals = c.values
+    update = np.zeros_like(u.values)
+    if np.abs(cvals).max() > 0.0:
+        update += cvals * upwind_gradient_norm(u, cvals)
+    if gamma > 0.0:
+        update += gamma * curvature_term(u)
+    out = np.clip(u.values + dt * update, -1.0, 1.0)
+    if far_radius is not None:
+        out[u.spec.radius() > far_radius] = -1.0
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [33, 201])
+@pytest.mark.parametrize("far", [False, True], ids=["whole-grid", "far-radius"])
+@pytest.mark.parametrize("moving", [False, True], ids=["c=0", "c!=0"])
+def test_advance_matches_numpy_bitwise(n, far, moving):
+    spec = GridSpec(n, 1.5)
+    rng = np.random.default_rng(n)
+    u = ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n)))
+    c = ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n)) if moving else np.zeros((n, n)))
+    far_radius = 1.5 - 2 * spec.h if far else None
+    gamma = 0.5
+    dt = cfl_timestep(1.0, gamma, spec.h, 0.45)
+    expected = _reference_advance(u, c, gamma, dt, far_radius)
+    assert _same_bits(advance(u, c, gamma, dt, far_radius=far_radius).values, expected)
+    # two steps through one workspace, as solve takes them
+    work = Workspace(spec)
+    first = advance(u, c, gamma, dt, far_radius=far_radius, work=work)
+    second = advance(first, c, gamma, dt, far_radius=far_radius, work=work)
+    assert _same_bits(first.values, expected)
+    assert not np.shares_memory(first.values, second.values)
+    assert _same_bits(
+        second.values, _reference_advance(ScalarField(spec, expected), c, gamma, dt, far_radius)
+    )
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -248,6 +303,93 @@ def test_default_far_radius_capped():
     assert solve(prob, _disc(spec, 0.5), [0.1]).far_radius == 1.5 - 2 * spec.h
     with pytest.raises(ValueError, match="L-2h"):
         _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.1, far_radius=1.5 - spec.h)
+
+
+def test_solve_keeps_received_fields_and_snapshots():
+    # a coupled law reads each interval's starting field; neither that field
+    # nor any stored snapshot may share memory with the step's work arrays
+    spec = GridSpec(65, 1.5)
+    received = []
+
+    def area_law(t0, t1, u):
+        received.append((u, u.values.copy()))
+        return ConstantSpeed(spec, 1.0 - lebesgue_measure(u) / np.pi)
+
+    def march(u0):
+        prob = LocalProblem(speed=area_law, gamma=0.05, horizon=0.1, spec=spec)
+        return solve(prob, u0, [0.025, 0.05, 0.075, 0.1])
+
+    u0 = _disc(spec, 0.5)
+    start = u0.values.copy()
+    first = march(u0)
+    stored = [snap.values.copy() for snap in first.snapshots]
+    assert len(received) == len(first.snapshots) - 1
+    for (field, copy), snap in zip(received, first.snapshots):
+        assert np.array_equal(field.values, copy)
+        assert np.array_equal(snap.values, copy)
+    second = march(ScalarField(spec, 0.5 * u0.values))
+    assert np.array_equal(u0.values, start)
+    for snap, copy in zip(first.snapshots, stored):
+        assert np.array_equal(snap.values, copy)
+    for field, copy in received:
+        assert np.array_equal(field.values, copy)
+    for a in first.snapshots:
+        assert not any(np.shares_memory(a.values, b.values) for b in second.snapshots)
+
+
+def test_solve_step_allocates_under_one_field(monkeypatch):
+    # after the first step, a step of solve writes into the solve's work
+    # arrays: its allocation peak stays below one n x n float64 field
+    spec = GridSpec(201, 1.5)
+    plain = frontlab.solver.advance
+    rises = []
+
+    def measured(*args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = plain(*args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(frontlab.solver, "advance", measured)
+    xx, _ = spec.meshgrid()
+    speed = ConstantSpeed(spec, ScalarField(spec, xx))
+    prob = _problem(spec, speed, 0.5, 5e-4)
+    tracemalloc.start()
+    try:
+        solve(prob, _disc(spec, 0.5), [5e-4])
+    finally:
+        tracemalloc.stop()
+    assert len(rises) >= 5
+    assert max(rises[1:]) < spec.n**2 * 8
+
+
+def test_solve_refuses_a_march_past_the_step_budget(monkeypatch):
+    steps = []
+    plain = frontlab.solver.advance
+    monkeypatch.setattr(
+        frontlab.solver, "advance", lambda *a, **kw: steps.append(1) or plain(*a, **kw)
+    )
+    spec = GridSpec(33, 1.5)
+    dt = cfl_timestep(1.0, 0.0, spec.h, frontlab.solver.CFL_SAFETY)
+    prob = _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 1.01 * MAX_STEPS * dt)
+    with pytest.raises(StabilityError, match="more than"):
+        solve(prob, _disc(spec, 0.5), [])
+    assert steps == []
+
+
+def test_solve_stops_when_a_law_speeds_up_past_the_budget(monkeypatch):
+    # the estimate at t = 0 passes; the count catches the faster law later
+    monkeypatch.setattr(frontlab.solver, "MAX_STEPS", 40)
+    spec = GridSpec(33, 1.5)
+    slow, fast = ConstantSpeed(spec, 0.01), ConstantSpeed(spec, 1.0)
+    dt = cfl_timestep(0.01, 0.0, spec.h, frontlab.solver.CFL_SAFETY)
+    prob = LocalProblem(
+        speed=lambda t0, t1, u: slow if t0 == 0.0 else fast,
+        gamma=0.0, horizon=20 * dt, spec=spec,
+    )
+    with pytest.raises(StabilityError, match="passed 40 steps"):
+        solve(prob, _disc(spec, 0.3), [dt])
 
 
 # ---------------------------------------------------------------------------
