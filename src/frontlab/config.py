@@ -33,6 +33,11 @@ from .verify import CHECKS, DEFAULT_CHECKS
 
 KNOWN_SEEDS = ("bracket", "empty", "ball")
 
+# Largest estimated memory for the stored snapshots of a run: n^2 x stored
+# times x 8 bytes, once more for each probe seed when the probe runs.  The
+# largest shipped scenario (the uniqueness-probe preset) needs 10.8 MB.
+MAX_SNAPSHOT_BYTES = 512 * 2**20
+
 
 @dataclass
 class ScenarioConfig:
@@ -349,7 +354,19 @@ def parse_config(text: str) -> ScenarioConfig:
             f"far_radius must lie in (0, L - 2h = {ring:g}], got {cfg.far_radius:g}",
             line=seen["far_radius"],
         )
-    stored = _normalise_output_times(cfg.times(), cfg.horizon).size
+    if isinstance(cfg.output_times, tuple):
+        stored = _normalise_output_times(cfg.output_times, cfg.horizon).size
+    else:
+        stored = cfg.output_times  # a count: np.linspace keeps 0 and the horizon
+    trajectories = 1 + len(cfg.probe_seeds) if cfg.probe_enabled else 1
+    need = cfg.n**2 * stored * 8 * trajectories
+    if need > MAX_SNAPSHOT_BYTES:
+        raise ConfigError(
+            f"stored snapshots need {cfg.n}^2 nodes x {stored} times x "
+            f"{trajectories} trajectories x 8 bytes = {need / 2**20:.0f} MiB, above "
+            f"the {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB budget; lower output_times or grid.n",
+            line=seen.get("output_times", seen.get("grid.n")),
+        )
     short = [c for c in cfg.checks if stored < CHECKS[c][2]]
     if short:
         raise ConfigError(

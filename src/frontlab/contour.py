@@ -2,16 +2,17 @@
 
 Cells are scanned for sign changes of u - level; crossing vertices are placed
 on cell edges by linear interpolation, so every vertex reproduces the level
-exactly under bilinear evaluation.  The two ambiguous corner patterns are
-resolved by the cell-centre average, the same rule `cell_coverage` uses, so
-contours and areas describe one consistent region.
+exactly under bilinear evaluation.  The cells and their corner patterns come
+from `grid._classify`, which `cell_coverage` uses too: the two ambiguous
+patterns are resolved by the cell-centre average in both, so contours and
+areas describe one consistent region.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField
+from .grid import ScalarField, _classify
 
 
 @dataclass
@@ -74,15 +75,9 @@ def extract_contour(u: ScalarField, level: float = 0.0) -> FrontContour:
     ax = spec.axis()
     v = u.values - level
 
-    la = v[:-1, :-1]
-    lb = v[:-1, 1:]
-    lc = v[1:, 1:]
-    ld = v[1:, :-1]
-    case = ((la >= 0).astype(np.int8) + 2 * (lb >= 0).astype(np.int8)
-            + 4 * (lc >= 0).astype(np.int8) + 8 * (ld >= 0).astype(np.int8))
-    centre_in = (la + lb + lc + ld) >= 0.0
-
-    active = np.argwhere((case != 0) & (case != 15))
+    case, cells, _, centre_in = _classify(u, level)
+    iys, ixs = cells
+    active = zip(iys.tolist(), ixs.tolist(), case[cells].tolist(), centre_in.tolist())
 
     def edge_key(iy, ix, side):
         # global identity of a cell edge: horizontal edges keyed by their
@@ -109,8 +104,8 @@ def extract_contour(u: ScalarField, level: float = 0.0) -> FrontContour:
 
     # adjacency between crossing edges; each edge joins at most two segments
     links: dict = {}
-    for iy, ix in active:
-        for sa, sb in _segments_for_cell(int(case[iy, ix]), bool(centre_in[iy, ix])):
+    for iy, ix, cell_case, cell_centre_in in active:
+        for sa, sb in _segments_for_cell(cell_case, cell_centre_in):
             ka, kb = edge_key(iy, ix, sa), edge_key(iy, ix, sb)
             links.setdefault(ka, []).append(kb)
             links.setdefault(kb, []).append(ka)

@@ -11,7 +11,8 @@ Operators provided here:
 * ``curvature_term``      -- the trace form tr((I - p^ ox p^) D^2 u), i.e.
   |Du| div(Du/|Du|) with the denominator regularised by h^2.
 * ``lebesgue_measure``    -- area of a superlevel set from marching-squares
-  cell polygons (saddles resolved by the cell-centre average).
+  cell polygons (saddles resolved by the cell-centre average); only the
+  cells the level cuts are interpolated.
 * ``band_measure``        -- area of {a <= u < b}.
 * ``interpolate``         -- bilinear point evaluation, -1 outside the domain.
 * ``trapezoid``           -- the trapezoidal rule over a time grid.
@@ -307,6 +308,45 @@ def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # marching-squares areas
+#
+# A cell's case code sets bit 0, 1, 2, 3 when its SW, SE, NE, NW corner is at
+# or above the level.  Only the cells the level cuts (case neither 0 nor 15)
+# need edge crossings; along a front they are O(n) of the (n-1)^2 cells.
+
+
+def _classify(u: ScalarField, level: float):
+    """Marching-squares classification of the cells of u against level.
+
+    Returns (case, cells, corners, centre_in): the case code of every cell,
+    shape (n-1, n-1); the (iy, ix) indices of the cells the level cuts, row
+    by row as np.nonzero gives them; the corner values minus the level at
+    those cells, rows SW, SE, NE, NW; and whether each cut cell's corner
+    average is at or above the level, the rule that resolves the two saddle
+    cases 5 and 10.  Nodes are compared with the level directly: for finite
+    doubles u - level >= 0 exactly when u >= level.
+    """
+    n = u.spec.n
+    inside = (u.values >= level).view(np.uint8).reshape(-1)
+    # the case of the cell whose SW corner is node k goes to code[k], the
+    # corner bits added by Horner's rule on contiguous shifted lines; the
+    # nodes of the last column pair with the next row and are cleared
+    case = np.empty((n - 1) * n, dtype=np.uint8)
+    code = case[:-1]
+    np.multiply(inside[n:-1], 2, out=code)   # NW
+    code += inside[n + 1:]                    # NE
+    code *= 2
+    code += inside[1:-n]                      # SE
+    code *= 2
+    code += inside[:-n - 1]                   # SW
+    case = case.reshape(n - 1, n)
+    case[:, -1] = 0
+    sw = np.flatnonzero((case != 0) & (case != 15))
+    corners = np.take(u.values, sw + np.array([[0], [1], [n + 1], [n]]))
+    corners -= level
+    la, lb, lc, ld = corners
+    centre_in = (la + lb + lc + ld) >= 0.0
+    return case[:, :-1], np.divmod(sw, n), corners, centre_in
+
 
 def _crossing(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """Linear crossing position from corner a toward corner b, clipped to the
@@ -316,56 +356,54 @@ def _crossing(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     return np.clip(la / safe, 0.0, 1.0)
 
 
+# The row of cell_coverage's area list for case + 16 * centre_in: case - 1,
+# except for the saddles 5 and 10 with their centre at or above the level.
+_AREA_ROW = np.tile(np.arange(-1, 15), 2)
+_AREA_ROW[[16 + 5, 16 + 10]] = 14, 15
+
+
 def cell_coverage(u: ScalarField, threshold: float) -> np.ndarray:
     """Fraction of each grid cell covered by {u >= threshold}.
 
     Marching-squares polygons with edge crossings placed by linear
     interpolation; the two ambiguous (saddle) cases are resolved by the sign
-    of the cell-centre average.  Shape (n-1, n-1).
+    of the cell-centre average.  Cells the level does not cut are 0 or 1;
+    only the cut cells are interpolated.  Shape (n-1, n-1).
     """
-    v = u.values - threshold
-    la = v[:-1, :-1]   # SW corner
-    lb = v[:-1, 1:]    # SE
-    lc = v[1:, 1:]     # NE
-    ld = v[1:, :-1]    # NW
+    case, cells, corners, centre_in = _classify(u, threshold)
 
-    ina = la >= 0.0
-    inb = lb >= 0.0
-    inc = lc >= 0.0
-    ind = ld >= 0.0
-    case = (ina.astype(np.int8) + 2 * inb.astype(np.int8)
-            + 4 * inc.astype(np.int8) + 8 * ind.astype(np.int8))
-
-    xs = _crossing(la, lb)   # along south edge from a
-    ye = _crossing(lb, lc)   # along east edge from b
-    xn = _crossing(ld, lc)   # along north edge from d
-    yw = _crossing(la, ld)   # along west edge from a
+    # a, b, c, d are the SW, SE, NE, NW corners, the rows of `corners`; the
+    # crossings along the south edge from a, the east edge from b, the north
+    # edge from d and the west edge from a
+    xs, ye, xn, yw = _crossing(corners[[0, 1, 3, 0]], corners[[1, 2, 2, 3]])
 
     tri_a = 0.5 * xs * yw
     tri_b = 0.5 * (1.0 - xs) * ye
     tri_c = 0.5 * (1.0 - xn) * (1.0 - ye)
     tri_d = 0.5 * xn * (1.0 - yw)
 
-    area = np.zeros_like(la)
-    area = np.where(case == 1, tri_a, area)
-    area = np.where(case == 2, tri_b, area)
-    area = np.where(case == 4, tri_c, area)
-    area = np.where(case == 8, tri_d, area)
-    area = np.where(case == 3, 0.5 * (yw + ye), area)
-    area = np.where(case == 6, 0.5 * ((1.0 - xs) + (1.0 - xn)), area)
-    area = np.where(case == 12, 0.5 * ((1.0 - yw) + (1.0 - ye)), area)
-    area = np.where(case == 9, 0.5 * (xs + xn), area)
-    area = np.where(case == 7, 1.0 - tri_d, area)
-    area = np.where(case == 11, 1.0 - tri_c, area)
-    area = np.where(case == 13, 1.0 - tri_b, area)
-    area = np.where(case == 14, 1.0 - tri_a, area)
+    areas = np.array([
+        tri_a,                               # 1
+        tri_b,                               # 2
+        0.5 * (yw + ye),                     # 3
+        tri_c,                               # 4
+        tri_a + tri_c,                       # 5, centre below the level
+        0.5 * ((1.0 - xs) + (1.0 - xn)),     # 6
+        1.0 - tri_d,                         # 7
+        tri_d,                               # 8
+        0.5 * (xs + xn),                     # 9
+        tri_b + tri_d,                       # 10, centre below the level
+        1.0 - tri_c,                         # 11
+        0.5 * ((1.0 - yw) + (1.0 - ye)),     # 12
+        1.0 - tri_b,                         # 13
+        1.0 - tri_a,                         # 14
+        1.0 - tri_b - tri_d,                 # 5, centre at or above the level
+        1.0 - tri_a - tri_c,                 # 10, centre at or above the level
+    ])
+    row = _AREA_ROW[case[cells] + 16 * centre_in]
 
-    centre_in = (la + lb + lc + ld) >= 0.0
-    area = np.where((case == 5) & centre_in, 1.0 - tri_b - tri_d, area)
-    area = np.where((case == 5) & ~centre_in, tri_a + tri_c, area)
-    area = np.where((case == 10) & centre_in, 1.0 - tri_a - tri_c, area)
-    area = np.where((case == 10) & ~centre_in, tri_b + tri_d, area)
-    area = np.where(case == 15, 1.0, area)
+    area = (case == 15).astype(np.float64)
+    area[cells] = areas[row, np.arange(row.size)]
     return area
 
 

@@ -174,6 +174,7 @@ def test_missing_equals_sign():
         ("probe.seeds = bracket, blob", "unknown seed 'blob'"),
         ("gamma_sweep = 0, -0.1", "must be >= 0"),
         ("output_times = 2", "checks cone, perimeter need at least 3 stored times, got 2"),
+        ("output_times = 100000", "above the 512 MiB budget"),
         ("tol = nan", "tol must be finite"),
         ("tol = inf", "tol must be finite"),
         ("tol = 1e-9", "tol must be finite and >= h^2"),
@@ -200,6 +201,15 @@ def test_single_line_constraints(line, needle):
     msg = _error(line + "\n")
     assert msg.startswith("line 1:")
     assert needle in msg
+
+
+def test_snapshot_budget_counts_each_probe_seed():
+    # 129^2 x 2000 x 8 bytes is 254 MiB: within the budget for one
+    # trajectory, above it for the run and its three probe seeds
+    text = "output_times = 2000\nchecks = none\n"
+    assert parse_config(text).output_times == 2000
+    msg = _error(text + "probe.enabled = true\n")
+    assert msg.startswith("line 1:") and "x 4 trajectories" in msg
 
 
 def test_output_times_must_be_monotone():

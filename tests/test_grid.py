@@ -8,6 +8,7 @@ follow from the truncation order of each stencil.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from frontlab.grid import (
     ScalarField,
     Workspace,
     band_measure,
+    cell_coverage,
     central_gradient_norm,
     central_gradients,
     constant_field,
@@ -307,6 +309,105 @@ def test_band_measure_empty():
     spec = GridSpec(101, 1.0)
     u = constant_field(spec, -1.0)
     assert band_measure(u, -0.2, -0.1) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# cell coverage, bit for bit against the full-grid formula
+# ---------------------------------------------------------------------------
+
+
+def _reference_crossing(la, lb):
+    denom = la - lb
+    safe = np.where(denom == 0.0, 1.0, denom)
+    return np.clip(la / safe, 0.0, 1.0)
+
+
+def _reference_cases(u, threshold):
+    v = u.values - threshold
+    la, lb, lc, ld = v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1]
+    case = ((la >= 0.0).astype(np.int8) + 2 * (lb >= 0.0).astype(np.int8)
+            + 4 * (lc >= 0.0).astype(np.int8) + 8 * (ld >= 0.0).astype(np.int8))
+    return (la, lb, lc, ld), case, (la + lb + lc + ld) >= 0.0
+
+
+def _reference_coverage(u, threshold):
+    (la, lb, lc, ld), case, centre_in = _reference_cases(u, threshold)
+    xs = _reference_crossing(la, lb)
+    ye = _reference_crossing(lb, lc)
+    xn = _reference_crossing(ld, lc)
+    yw = _reference_crossing(la, ld)
+
+    tri_a = 0.5 * xs * yw
+    tri_b = 0.5 * (1.0 - xs) * ye
+    tri_c = 0.5 * (1.0 - xn) * (1.0 - ye)
+    tri_d = 0.5 * xn * (1.0 - yw)
+
+    area = np.zeros_like(la)
+    area = np.where(case == 1, tri_a, area)
+    area = np.where(case == 2, tri_b, area)
+    area = np.where(case == 4, tri_c, area)
+    area = np.where(case == 8, tri_d, area)
+    area = np.where(case == 3, 0.5 * (yw + ye), area)
+    area = np.where(case == 6, 0.5 * ((1.0 - xs) + (1.0 - xn)), area)
+    area = np.where(case == 12, 0.5 * ((1.0 - yw) + (1.0 - ye)), area)
+    area = np.where(case == 9, 0.5 * (xs + xn), area)
+    area = np.where(case == 7, 1.0 - tri_d, area)
+    area = np.where(case == 11, 1.0 - tri_c, area)
+    area = np.where(case == 13, 1.0 - tri_b, area)
+    area = np.where(case == 14, 1.0 - tri_a, area)
+    area = np.where((case == 5) & centre_in, 1.0 - tri_b - tri_d, area)
+    area = np.where((case == 5) & ~centre_in, tri_a + tri_c, area)
+    area = np.where((case == 10) & centre_in, 1.0 - tri_a - tri_c, area)
+    area = np.where((case == 10) & ~centre_in, tri_b + tri_d, area)
+    area = np.where(case == 15, 1.0, area)
+    return area
+
+
+@pytest.mark.parametrize("n", [33, 201])
+def test_cell_coverage_matches_reference_bitwise(n):
+    spec = GridSpec(n, 1.5)
+    rng = np.random.default_rng(n)
+    xx, yy = spec.meshgrid()
+    radius = np.hypot(xx, yy)
+    # a checkerboard of signs makes every cell a saddle, 5 or 10, and the
+    # random magnitudes give its centre average either sign
+    checker = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2 == 0, 1.0, -1.0)
+    cases = [
+        (ScalarField(spec, 1.0 - radius / 0.5), 0.0),
+        (ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n))), 0.0),
+        (ScalarField(spec, np.round(rng.uniform(-2.0, 2.0, (n, n)))), 0.0),  # nodes at the level
+        (ScalarField(spec, np.round(rng.uniform(-2.0, 2.0, (n, n)))), 1.0),
+        (ScalarField(spec, np.round(rng.uniform(-2.0, 2.0, (n, n)))), -1.0),
+        (ScalarField(spec, np.abs(xx) - 0.3), 0.0),  # whole node columns at the level
+        (ScalarField(spec, checker * rng.uniform(0.1, 1.0, (n, n))), 0.0),
+        (ScalarField(spec, (radius <= 0.6).astype(np.float64)), 0.5),  # an indicator
+        (ScalarField(spec, np.cos(7.0 * xx) * np.cos(7.0 * yy)), 0.3),
+        (ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n))), 2.0),  # no cell cut, all out
+        (ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n))), -2.0),  # no cell cut, all in
+    ]
+    saddles = set()
+    for u, level in cases:
+        _, case, centre_in = _reference_cases(u, level)
+        for code in (5, 10):
+            saddles.update((code, bool(c)) for c in np.unique(centre_in[case == code]))
+        assert _same_bits(cell_coverage(u, level), _reference_coverage(u, level))
+    assert saddles == {(5, False), (5, True), (10, False), (10, True)}
+
+
+def test_cell_coverage_allocates_under_a_few_fields():
+    # only the cut cells are interpolated: one call's allocation peak is the
+    # result and a few byte-sized case arrays, under two n x n float64 fields
+    spec = GridSpec(201, 1.5)
+    u = field_from_function(spec, lambda x, y: 1.0 - np.hypot(x, y) / 0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cell_coverage(u, 0.0)
+        rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rise < 2 * spec.n**2 * 8
 
 
 # ---------------------------------------------------------------------------
