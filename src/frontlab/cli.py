@@ -27,12 +27,10 @@ def _emit(result) -> int:
 
 def _run_text(text: str, out_dir, force_probe: bool = False) -> int:
     try:
-        config = parse_config(text)
+        config = parse_config(text, force_probe=force_probe)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    if force_probe:
-        config.probe_enabled = True
     return _emit(run(config, out_dir=out_dir, config_text=text))
 
 

@@ -175,9 +175,10 @@ def _check_kernel(key, value, lineno):
     return value
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
     """Parse and validate; the first violation raises ConfigError with its
-    line number."""
+    line number.  force_probe turns the uniqueness probe on as `frontlab
+    probe` does, before the snapshot budget counts its trajectories."""
     cfg = ScenarioConfig()
     cfg.coupling_params = {}
     seen = {}
@@ -358,6 +359,7 @@ def parse_config(text: str) -> ScenarioConfig:
         stored = _normalise_output_times(cfg.output_times, cfg.horizon).size
     else:
         stored = cfg.output_times  # a count: np.linspace keeps 0 and the horizon
+    cfg.probe_enabled = cfg.probe_enabled or force_probe
     trajectories = 1 + len(cfg.probe_seeds) if cfg.probe_enabled else 1
     need = cfg.n**2 * stored * 8 * trajectories
     if need > MAX_SNAPSHOT_BYTES:

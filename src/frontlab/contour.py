@@ -45,22 +45,25 @@ class FrontContour:
         return np.vstack(self.polylines)
 
 
+# edge-id pairs cut by the level line for every unambiguous corner pattern
+_SEGMENTS = {
+    0: (), 15: (),
+    1: (("W", "S"),), 14: (("W", "S"),),
+    2: (("S", "E"),), 13: (("S", "E"),),
+    4: (("E", "N"),), 11: (("E", "N"),),
+    8: (("N", "W"),), 7: (("N", "W"),),
+    3: (("W", "E"),), 12: (("W", "E"),),
+    6: (("S", "N"),), 9: (("S", "N"),),
+}
+
+
 def _segments_for_cell(case: int, centre_in: bool):
     """Unordered edge-id pairs ('S','E','N','W') cut by the level line."""
-    table = {
-        0: [], 15: [],
-        1: [("W", "S")], 14: [("W", "S")],
-        2: [("S", "E")], 13: [("S", "E")],
-        4: [("E", "N")], 11: [("E", "N")],
-        8: [("N", "W")], 7: [("N", "W")],
-        3: [("W", "E")], 12: [("W", "E")],
-        6: [("S", "N")], 9: [("S", "N")],
-    }
     if case == 5:
         return [("S", "E"), ("N", "W")] if centre_in else [("W", "S"), ("E", "N")]
     if case == 10:
         return [("W", "S"), ("E", "N")] if centre_in else [("S", "E"), ("N", "W")]
-    return table[case]
+    return _SEGMENTS[case]
 
 
 def extract_contour(u: ScalarField, level: float = 0.0) -> FrontContour:

@@ -9,6 +9,10 @@ class GridMismatchError(FrontlabError):
     """Two fields that must share a grid do not."""
 
 
+class FieldFormatError(FrontlabError, ValueError):
+    """A stored field file is not in the format `grid.dump_field` writes."""
+
+
 class StabilityError(FrontlabError):
     """A requested time step exceeds the CFL bound."""
 

@@ -18,11 +18,12 @@ Operators provided here:
 * ``trapezoid``           -- the trapezoidal rule over a time grid.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import FieldFormatError, GridMismatchError
 
 # Additive guard for degenerate CFL denominators.
 EPS_DENOM = 1e-12
@@ -99,26 +100,43 @@ def constant_field(spec: GridSpec, value: float) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# file format: line 1 "n L", then n rows of n values, row iy on line iy+1
+# file format: one ASCII line "n L\n" (L as %.17g), then the n x n values as
+# raw little-endian float64 bytes, row iy after row iy-1.  The bytes are
+# written here rather than by np.save so that they never follow numpy's own
+# header format.
 
 
 def dump_field(field: ScalarField, path):
-    """Write the plain-text dump (round-trip exact via %.17g)."""
-    lines = [f"{field.spec.n} {field.spec.half_extent:.17g}"]
-    for row in field.values:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the binary dump; `load_field` reads back the same bits."""
+    header = f"{field.spec.n} {field.spec.half_extent:.17g}\n".encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").data)
 
 
 def load_field(path) -> ScalarField:
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 2:
-            raise ValueError(f"{path}: malformed header, expected 'n L'")
-        n, half_extent = int(head[0]), float(head[1])
-        values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    return ScalarField(GridSpec(n, half_extent), values)
+    """Read a `dump_field` file; FieldFormatError names the path and the fault."""
+    with open(path, "rb") as fh:
+        # a writable buffer, so the loaded values are writable like computed ones
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(data)
+    end = data.find(b"\n")
+    head = bytes(data[:end] if end >= 0 else data[:40])
+    try:
+        n_text, l_text = head.decode("ascii").split()
+        spec = GridSpec(int(n_text), float(l_text))
+    except ValueError:
+        raise FieldFormatError(f"{path}: malformed header {head[:40]!r}, expected 'n L'") from None
+    size = len(data) - end - 1
+    if size != 8 * spec.n**2:
+        raise FieldFormatError(
+            f"{path}: {size} bytes of values, expected 8 x {spec.n}^2 = {8 * spec.n**2}"
+        )
+    values = np.frombuffer(data, dtype="<f8", offset=end + 1).reshape(spec.n, spec.n)
+    try:
+        return ScalarField(spec, values)
+    except ValueError as err:
+        raise FieldFormatError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ check take their contours, areas and etas from that context, so each is
 computed once per snapshot.  A run writes a self-contained directory:
 
     config.txt            echo of the parsed config source (when available)
-    init.txt, init_meta.txt    initial field and its margin certificate
+    init.f64, init_meta.txt    initial field (binary, see grid.dump_field) and
+                          its margin certificate
     run_meta.txt          scenario facts needed to re-verify the directory
-    traj/                 trajectory dump (one field per stored time)
+    traj/                 t_<k>.f64 per stored time, manifest.csv, meta.txt
     contours/             zero-contour CSV per stored time
     radius_vs_time.csv    time, mean vertex radius, area radius, perimeter, area
     reports/              <check>.csv + <check>.verdict per requested check
@@ -38,7 +39,13 @@ import numpy as np
 
 from .config import ScenarioConfig, parse_config
 from .contour import dump_contour
-from .errors import ConfigError, ConstructionError, FrontEscapeError, StabilityError
+from .errors import (
+    ConfigError,
+    ConstructionError,
+    FieldFormatError,
+    FrontEscapeError,
+    StabilityError,
+)
 from .geometry import dump_init, load_init
 from .solver import dump_trajectory, load_trajectory
 from .verify import CHECKS, CheckContext, dump_report, gamma_sweep_star_shape, stored_mismatch
@@ -78,7 +85,8 @@ def write_manifest(out_dir: str) -> str:
             rel = os.path.relpath(full, out_dir)
             if rel == "manifest.txt":
                 continue
-            digest = hashlib.sha256(open(full, "rb").read()).hexdigest()
+            with open(full, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
             entries.append(f"{digest}  {rel}")
     text = "\n".join(sorted(entries)) + "\n"
     _write(os.path.join(out_dir, "manifest.txt"), text)
@@ -164,7 +172,7 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
 
     dump_init(
         init,
-        os.path.join(out_dir, "init.txt"),
+        os.path.join(out_dir, "init.f64"),
         os.path.join(out_dir, "init_meta.txt"),
     )
     times = config.times()
@@ -244,6 +252,20 @@ def run_verify_all(out_root: str) -> RunResult:
 # re-verification of a stored run directory
 
 
+def _missing_file(err: FileNotFoundError) -> str:
+    """What a missing stored file means: a text-format field next to it marks
+    a run directory written before fields were stored as binary."""
+    if err.filename is None:
+        return str(err)
+    stem, ext = os.path.splitext(err.filename)
+    if ext == ".f64" and os.path.exists(stem + ".txt"):
+        return (
+            f"{stem}.txt holds a field in the old text format; this version reads "
+            f"binary {err.filename}, so rerun the scenario"
+        )
+    return f"missing {err.filename}"
+
+
 def verify_run_dir(run_dir: str) -> RunResult:
     """Reload a run directory, recompute every stored check that needs no
     extra solve, and compare the recomputed report files with the stored
@@ -251,7 +273,8 @@ def verify_run_dir(run_dir: str) -> RunResult:
 
     Exit 0 iff every recomputed report equals its stored files and passes;
     1 when a check fails, a verdict flips or a stored number drifts; 2 when
-    run_meta.txt is missing or names a check the table does not know."""
+    run_meta.txt is missing or names a check the table does not know, or a
+    stored field is missing, malformed or in the old text format."""
     meta_path = os.path.join(run_dir, "run_meta.txt")
     if not os.path.exists(meta_path):
         return RunResult(EXIT_CONFIG, run_dir, ["FAIL verify (no run_meta.txt)"])
@@ -267,10 +290,16 @@ def verify_run_dir(run_dir: str) -> RunResult:
         return RunResult(
             EXIT_CONFIG, run_dir, [f"FAIL verify (unknown check {unknown[0]!r} in run_meta.txt)"]
         )
-    ctx = CheckContext(
-        load_trajectory(os.path.join(run_dir, "traj")),
-        load_init(os.path.join(run_dir, "init.txt"), os.path.join(run_dir, "init_meta.txt")),
-    )
+    try:
+        traj = load_trajectory(os.path.join(run_dir, "traj"))
+        init = load_init(
+            os.path.join(run_dir, "init.f64"), os.path.join(run_dir, "init_meta.txt")
+        )
+    except FileNotFoundError as err:
+        return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify ({_missing_file(err)})"])
+    except FieldFormatError as err:
+        return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify ({err})"])
+    ctx = CheckContext(traj, init)
 
     verdicts = []
     rdir = os.path.join(run_dir, "reports")

@@ -293,7 +293,8 @@ def solution_gaps(a: Trajectory, b: Trajectory) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# trajectory serialisation: t_<index>.txt plus a manifest CSV
+# trajectory serialisation: t_<index>.f64 (see grid.dump_field) plus a
+# manifest CSV
 
 
 def dump_trajectory(traj: Trajectory, directory):
@@ -304,7 +305,7 @@ def dump_trajectory(traj: Trajectory, directory):
     os.makedirs(directory, exist_ok=True)
     rows = ["index,time,dt_used,lipschitz_seminorm"]
     for i, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
-        dump_field(snap, os.path.join(directory, f"t_{i:03d}.txt"))
+        dump_field(snap, os.path.join(directory, f"t_{i:03d}.f64"))
         rows.append(
             f"{i},{t:.17g},{traj.dt_used[i]:.17g},{traj.lipschitz_log[i]:.17g}"
         )
@@ -314,7 +315,6 @@ def dump_trajectory(traj: Trajectory, directory):
         fh.write(
             f"far_radius = {traj.far_radius:.17g}\n"
             f"gamma = {traj.gamma:.17g}\n"
-            f"eps_reg = {traj.spec.h:.17g}\n"
         )
 
 
@@ -333,7 +333,7 @@ def load_trajectory(directory) -> Trajectory:
             if val:
                 meta[key.strip()] = float(val)
     snapshots = [
-        load_field(os.path.join(directory, f"t_{int(i):03d}.txt")) for i in rows[:, 0]
+        load_field(os.path.join(directory, f"t_{int(i):03d}.f64")) for i in rows[:, 0]
     ]
     return Trajectory(
         times=rows[:, 1].copy(),

@@ -155,7 +155,7 @@ def test_criterion_03_volume_flow_oracle():
 
 def test_criterion_04_uniqueness_probe(probe_run):
     result, out, seconds = probe_run
-    init = load_init(out / "init.txt", out / "init_meta.txt")
+    init = load_init(out / "init.f64", out / "init_meta.txt")
     h = init.u0.spec.h
     verdict = _read_meta(out / "probe.verdict")
 
@@ -250,7 +250,7 @@ def test_criterion_07_cone_property(scenario_runs, const_run):
     # the adversarial variant must fail: recompute on the stored
     # constant-speed trajectory with the cone axis negated
     _, out, _ = const_run
-    init = load_init(out / "init.txt", out / "init_meta.txt")
+    init = load_init(out / "init.f64", out / "init_meta.txt")
     traj = load_trajectory(out / "traj")
     sched, key_rep = key_estimate_report(traj, init)
     flipped = cone_report(traj, init, sched, regularity_report(traj),

@@ -2,15 +2,22 @@
 
 The CLI tests run tiny 65-node scenarios end to end through main() and judge
 exit codes plus the artifact tree; every error path must surface as the
-documented exit code (2 config, 3 numeric) rather than a traceback.
+documented exit code (2 config, 3 numeric) rather than a traceback.  The
+damaged-run-directory cases run `frontlab verify` in a fresh interpreter on
+a 33-node run, so a traceback would show on its stderr.
 """
 
+import os
 import shutil
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import frontlab
+from frontlab import cli
 from frontlab.cli import main
 from frontlab.config import DEFAULT_CHECKS, ScenarioConfig, parse_config
 from frontlab.couplings import (
@@ -20,8 +27,9 @@ from frontlab.couplings import (
     VolumeCoupling,
 )
 from frontlab.errors import ConfigError
+from frontlab.grid import load_field
 from frontlab.presets import list_presets, preset_config, preset_text, verify_all_configs
-from frontlab.runner import run, verify_run_dir, write_manifest
+from frontlab.runner import RunResult, run, verify_run_dir, write_manifest
 
 BASE = "init.kind = circle\ninit.r0 = 0.5\n"
 
@@ -311,7 +319,7 @@ def tiny_run(tmp_path_factory):
 def test_run_exit_zero_and_artifacts(tiny_run):
     code, out = tiny_run
     assert code == 0
-    for name in ("config.txt", "init.txt", "init_meta.txt", "run_meta.txt",
+    for name in ("config.txt", "init.f64", "init_meta.txt", "run_meta.txt",
                  "radius_vs_time.csv", "verdicts.txt", "manifest.txt"):
         assert (out / name).exists()
     assert (out / "traj").is_dir()
@@ -399,6 +407,59 @@ def test_verify_needs_run_dir(tmp_path, capsys):
     assert code == 2
 
 
+def _frontlab(*args):
+    """`python -m frontlab.cli args` in a fresh interpreter, as a shell runs it."""
+    src = str(Path(frontlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "frontlab.cli", *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    cfg = root / "small.cfg"
+    cfg.write_text(TINY.replace("grid.n = 65", "grid.n = 33"))
+    proc = _frontlab("run", cfg, "--out", root / "run")
+    assert proc.returncode == 0, proc.stderr
+    return root / "run"
+
+
+def _as_old_text_format(run_dir):
+    # what the text writer of earlier versions left: t_<k>.txt and init.txt
+    for path in [run_dir / "init.f64", *sorted((run_dir / "traj").glob("*.f64"))]:
+        field = load_field(path)
+        rows = [" ".join(f"{v:.17g}" for v in row) for row in field.values]
+        head = f"{field.spec.n} {field.spec.half_extent:.17g}"
+        path.with_suffix(".txt").write_text("\n".join([head, *rows]) + "\n")
+        path.unlink()
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: (d / "traj" / "t_001.f64").unlink(),
+     "FAIL verify (missing {d}/traj/t_001.f64)"),
+    (lambda d: (d / "init.f64").unlink(), "FAIL verify (missing {d}/init.f64)"),
+    (lambda d: (d / "traj" / "t_002.f64").write_bytes(
+        b"n=33\n" + (d / "traj" / "t_002.f64").read_bytes().split(b"\n", 1)[1]),
+     "FAIL verify ({d}/traj/t_002.f64: malformed header b'n=33', expected 'n L')"),
+    (lambda d: (d / "init.f64").write_bytes((d / "init.f64").read_bytes()[:-16]),
+     "FAIL verify ({d}/init.f64: 8696 bytes of values, expected 8 x 33^2 = 8712)"),
+    (_as_old_text_format,
+     "FAIL verify ({d}/traj/t_000.txt holds a field in the old text format; this "
+     "version reads binary {d}/traj/t_000.f64, so rerun the scenario)"),
+], ids=["missing-snapshot", "missing-init", "malformed-header", "byte-count", "old-text-format"])
+def test_verify_reports_unreadable_fields(small_run, tmp_path, damage, message):
+    copy = tmp_path / "copy"
+    shutil.copytree(small_run, copy)
+    damage(copy)
+    proc = _frontlab("verify", copy)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [message.format(d=copy)]
+
+
 def test_identical_runs_have_identical_manifests(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
@@ -424,6 +485,45 @@ def test_probe_subcommand_forces_probe(tmp_path, capsys):
     verdict = (out / "probe.verdict").read_text()
     for seed in ("bracket", "empty", "ball"):
         assert f"march_gap_{seed} = " in verdict
+
+
+# 129^2 x 2000 x 8 bytes is 254 MiB: within the budget for one trajectory,
+# above it once the probe adds its three seeds
+LONG = "output_times = 2000\nchecks = none\n"
+
+
+def _no_run(monkeypatch):
+    """Stand in for runner.run, so no test here allocates the snapshots;
+    returns the configs it was handed."""
+    handed = []
+
+    def fake_run(config, out_dir=None, config_text=None):
+        handed.append(config)
+        return RunResult(0, out_dir, [])
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    return handed
+
+
+def test_probe_subcommand_budgets_probe_seeds_at_parse_time(tmp_path, capsys, monkeypatch):
+    handed = _no_run(monkeypatch)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(LONG)
+    code = main(["probe", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: line 1: ") and "x 4 trajectories" in err
+    assert handed == []
+
+
+def test_run_subcommand_budgets_one_trajectory(tmp_path, capsys, monkeypatch):
+    handed = _no_run(monkeypatch)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(LONG)
+    code = main(["run", str(cfg), "--out", str(tmp_path / "run")])
+    capsys.readouterr()
+    assert code == 0
+    assert [(c.output_times, c.probe_enabled) for c in handed] == [(2000, False)]
 
 
 def test_front_escape_exits_three(tmp_path, capsys):

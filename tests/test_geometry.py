@@ -177,7 +177,7 @@ def test_direction_field_variants(circle):
 
 
 def test_init_round_trip(tmp_path, peanut):
-    u0_path = tmp_path / "init.txt"
+    u0_path = tmp_path / "init.f64"
     head_path = tmp_path / "init_meta.txt"
     dump_init(peanut, u0_path, head_path)
     back = load_init(u0_path, head_path)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import frontlab
-from frontlab.errors import GridMismatchError
+from frontlab.errors import FieldFormatError, GridMismatchError
 from frontlab.grid import (
     GridSpec,
     ScalarField,
@@ -450,12 +450,54 @@ def test_field_round_trip_bit_exact(tmp_path):
     spec = GridSpec(65, 1.5)
     rng = np.random.default_rng(11)
     u = ScalarField(spec, rng.normal(size=(65, 65)))
-    path = tmp_path / "field.txt"
+    path = tmp_path / "field.f64"
     dump_field(u, path)
     v = load_field(path)
     assert v.spec.n == 65
     assert v.spec.half_extent == 1.5
     assert np.array_equal(u.values, v.values)
+
+
+def test_field_round_trip_keeps_every_bit(tmp_path):
+    spec = GridSpec(33, 0.1 + 0.2)
+    tiny = np.finfo(np.float64).tiny
+    big = np.finfo(np.float64).max
+    special = [-0.0, 0.0, tiny / 2**52, -tiny / 3, tiny, big, -big, 1.0, -1.0,
+               np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
+    values = np.random.default_rng(5).normal(size=(33, 33))
+    values.flat[: len(special)] = special
+    path = tmp_path / "field.f64"
+    dump_field(ScalarField(spec, values), path)
+    back = load_field(path)
+    assert back.spec == spec
+    assert back.values.tobytes() == values.tobytes()
+    assert np.signbit(back.values.flat[0])
+    back.values[0, 0] = 2.0  # loaded fields are writable, like computed ones
+
+
+def test_field_file_layout(tmp_path):
+    # built by hand, so the format cannot drift with numpy's own file headers
+    values = np.arange(33 * 33, dtype=np.float64).reshape(33, 33) / 7.0 - 50.0
+    path = tmp_path / "field.f64"
+    dump_field(ScalarField(GridSpec(33, 1.5), values), path)
+    assert path.read_bytes() == b"33 1.5\n" + values.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("damage, needle", [
+    (lambda data: b"33\n" + data.split(b"\n", 1)[1], "malformed header"),
+    (lambda data: data.replace(b"\n", b" ", 1), "malformed header"),
+    (lambda data: data[:-8], "8704 bytes of values, expected 8 x 33^2 = 8712"),
+    (lambda data: data + b"\0", "8713 bytes of values"),
+    (lambda data: data[:-8] + np.float64(np.nan).tobytes(), "non-finite"),
+])
+def test_load_field_names_the_fault(tmp_path, damage, needle):
+    path = tmp_path / "field.f64"
+    dump_field(constant_field(GridSpec(33, 1.5), -0.25), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(FieldFormatError) as caught:
+        load_field(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert needle in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
