@@ -60,13 +60,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
+    if args.command in ("run", "probe"):
         try:
-            text = open(args.config).read()
+            with open(args.config) as fh:
+                text = fh.read()
         except OSError as err:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
-        return _run_text(text, args.out)
+        return _run_text(text, args.out, force_probe=args.command == "probe")
 
     if args.command == "preset":
         if args.list or args.name is None:
@@ -85,14 +86,6 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         return _emit(verify_run_dir(args.run_dir))
-
-    if args.command == "probe":
-        try:
-            text = open(args.config).read()
-        except OSError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-        return _run_text(text, args.out, force_probe=True)
 
     parser.error(f"unknown command {args.command!r}")
     return EXIT_CONFIG

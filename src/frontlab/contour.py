@@ -45,111 +45,106 @@ class FrontContour:
         return np.vstack(self.polylines)
 
 
-# edge-id pairs cut by the level line for every unambiguous corner pattern
-_SEGMENTS = {
-    0: (), 15: (),
-    1: (("W", "S"),), 14: (("W", "S"),),
-    2: (("S", "E"),), 13: (("S", "E"),),
-    4: (("E", "N"),), 11: (("E", "N"),),
-    8: (("N", "W"),), 7: (("N", "W"),),
-    3: (("W", "E"),), 12: (("W", "E"),),
-    6: (("S", "N"),), 9: (("S", "N"),),
-}
+# The crossing segments of a cell for case + 16 * centre_in, as (from, to)
+# sides of the cell, S, E, N, W = 0..3, oriented with {u >= level} on the
+# left, so that each crossing edge starts at most one segment and ends at
+# most one; -1 pads cells with a single segment.
+_SEGMENTS = np.full((32, 2, 2), -1)
+_ONE_SEGMENT = np.array([  # case, from, to
+    (1, 0, 3), (2, 1, 0), (3, 1, 3), (4, 2, 1), (6, 2, 0), (7, 2, 3),
+    (8, 3, 2), (9, 0, 2), (11, 1, 2), (12, 3, 1), (13, 0, 1), (14, 3, 0),
+])
+_SEGMENTS[_ONE_SEGMENT[:, 0], 0] = _SEGMENTS[_ONE_SEGMENT[:, 0] + 16, 0] = _ONE_SEGMENT[:, 1:]
+# saddles, centre below the level (5, 10) and at or above it (5 + 16, 10 + 16)
+_SEGMENTS[[5, 10, 21, 26]] = ((0, 3), (2, 1)), ((1, 0), (3, 2)), ((0, 1), (2, 3)), ((3, 0), (1, 2))
 
 
-def _segments_for_cell(case: int, centre_in: bool):
-    """Unordered edge-id pairs ('S','E','N','W') cut by the level line."""
-    if case == 5:
-        return [("S", "E"), ("N", "W")] if centre_in else [("W", "S"), ("E", "N")]
-    if case == 10:
-        return [("W", "S"), ("E", "N")] if centre_in else [("S", "E"), ("N", "W")]
-    return _SEGMENTS[case]
-
-
-def extract_contour(u: ScalarField, level: float = 0.0) -> FrontContour:
-    """Marching-squares polylines of {u = level}.
+def extract_contour(u: ScalarField, levels=0.0):
+    """Marching-squares polylines of {u = level}: a FrontContour for one
+    level, a list of them for a 1-D array of levels, all extracted in one
+    pass.
 
     Returns closed loops for interior fronts and open chains where a line
     meets the domain boundary.  "Inside" is u >= level, matching
-    `lebesgue_measure`.
+    `lebesgue_measure`.  Open chains come first, each from its smaller end,
+    then loops, each from its smallest crossing edge toward the neighbour
+    through the cell that comes first row by row; chains are ordered by
+    their first edge.  Edges are ordered horizontal before vertical, then
+    by the row and column of their south-west node, the order of the
+    integer edge ids below.
     """
+    levels = np.asarray(levels, dtype=np.float64)
+    stack = levels.reshape(-1)
     spec = u.spec
-    h = spec.h
+    n, h = spec.n, spec.h
+    contours = [FrontContour(level=level) for level in stack.tolist()]
+
+    # crossing edges as ids: at level index l, the horizontal edge east of
+    # node k is 2 l n^2 + k and the vertical edge north of it 2 l n^2 + n^2 + k
+    case, (lv, iy, ix), _, centre_in = _classify(u, stack)
+    segs = _SEGMENTS[case[lv, iy, ix] + 16 * centre_in]
+    ids = (2 * n * n * lv + iy * n + ix)[:, None, None] + np.array([0, n * n + 1, n, n * n])[segs]
+    ends = ids[segs[:, :, 0] >= 0].T.reshape(-1)    # every segment's from, then every to
+    count = ends.size // 2
+    if count == 0:
+        return contours if levels.ndim else contours[0]
+    edges = np.unique(ends)
+    m = edges.size
+    tail, head = np.searchsorted(edges, ends).reshape(2, count)
+    # adjacency: the segment leaving and the segment entering each edge,
+    # `count` where there is none
+    seg_out = np.full(m, count)
+    seg_out[tail] = np.arange(count)
+    seg_in = np.full(m, count)
+    seg_in[head] = np.arange(count)
+
+    # pointer doubling back along the segments, the first edge of an open
+    # chain pointing at itself: key ends up holding the lowest-ranked edge
+    # behind each edge (high bits) and how many steps back it lies (low
+    # bits), where first edges of open chains rank below all others
+    back = np.arange(m)
+    back[head] = tail
+    key = (np.arange(m) + m * (seg_in < count)) << 32
+    step = 1
+    while step < m:
+        np.minimum(key, key[back] + step, out=key)
+        back = back[back]
+        step *= 2
+    low, behind = key >> 32, key & 0xFFFFFFFF
+
+    is_open = low < m
+    first = low - m * ~is_open
+    last = np.zeros(m, dtype=np.int64)      # of each open chain, by its first edge
+    lasts = np.flatnonzero(seg_out == count)
+    last[first[lasts]] = lasts
+    start = np.where(is_open, np.minimum(first, last[first]), first)
+    # a chain runs along the segments when its start's first segment leaves it
+    along = (seg_out < seg_in)[start]
+    size = np.bincount(low, minlength=2 * m)[low]
+    pos = np.where(along, behind, np.where(is_open, size - 1 - behind, (size - behind) % size))
+    level_of, edges = np.divmod(edges, 2 * n * n)
+    order = np.lexsort((pos, start + m * ~is_open + 2 * m * level_of))
+
+    # vertices in chain order, each at its crossing ax[ix] + t h along the edge
+    level_of, edges = level_of[order], edges[order]
+    vertical = edges >= n * n
+    node = edges - n * n * vertical
+    ey, ex = np.divmod(node, n)
     ax = spec.axis()
-    v = u.values - level
+    flat = u.values.reshape(-1)
+    v0 = flat[node] - stack[level_of]
+    t = v0 / (v0 - (flat[node + np.where(vertical, n, 1)] - stack[level_of]))
+    xy = np.stack([
+        np.where(vertical, ax[ex], ax[ex] + t * h),
+        np.where(vertical, ax[ey] + t * h, ax[ey]),
+    ], axis=1)
 
-    case, cells, _, centre_in = _classify(u, level)
-    iys, ixs = cells
-    active = zip(iys.tolist(), ixs.tolist(), case[cells].tolist(), centre_in.tolist())
-
-    def edge_key(iy, ix, side):
-        # global identity of a cell edge: horizontal edges keyed by their
-        # south-west node, vertical likewise
-        if side == "S":
-            return ("h", iy, ix)
-        if side == "N":
-            return ("h", iy + 1, ix)
-        if side == "W":
-            return ("v", iy, ix)
-        return ("v", iy, ix + 1)
-
-    def vertex(key):
-        kind, iy, ix = key
-        if kind == "h":
-            u0 = v[iy, ix]
-            u1 = v[iy, ix + 1]
-            t = u0 / (u0 - u1)
-            return (ax[ix] + t * h, ax[iy])
-        u0 = v[iy, ix]
-        u1 = v[iy + 1, ix]
-        t = u0 / (u0 - u1)
-        return (ax[ix], ax[iy] + t * h)
-
-    # adjacency between crossing edges; each edge joins at most two segments
-    links: dict = {}
-    for iy, ix, cell_case, cell_centre_in in active:
-        for sa, sb in _segments_for_cell(cell_case, cell_centre_in):
-            ka, kb = edge_key(iy, ix, sa), edge_key(iy, ix, sb)
-            links.setdefault(ka, []).append(kb)
-            links.setdefault(kb, []).append(ka)
-
-    contour = FrontContour(level=level)
-    visited = set()
-
-    def walk(start, first):
-        chain = [start, first]
-        visited.add(start)
-        visited.add(first)
-        prev, node = start, first
-        while True:
-            nexts = [k for k in links[node] if k != prev]
-            nexts = [k for k in nexts if k not in visited or k == start]
-            if not nexts:
-                return chain, False
-            nxt = nexts[0]
-            if nxt == start:
-                return chain, True
-            chain.append(nxt)
-            visited.add(nxt)
-            prev, node = node, nxt
-
-    # open chains first (their endpoints have degree 1)
-    endpoints = sorted(k for k, nb in links.items() if len(nb) == 1)
-    for key in endpoints:
-        if key in visited:
-            continue
-        chain, _ = walk(key, links[key][0])
-        contour.polylines.append(np.array([vertex(k) for k in chain]))
-        contour.closed.append(False)
-
-    for key in sorted(links):
-        if key in visited:
-            continue
-        chain, is_loop = walk(key, links[key][0])
-        contour.polylines.append(np.array([vertex(k) for k in chain]))
-        contour.closed.append(is_loop)
-
-    return contour
+    firsts = np.flatnonzero(np.diff(start[order], prepend=-1))
+    for level, pts, closed in zip(level_of[firsts].tolist(), np.split(xy, firsts[1:]),
+                                  (~is_open[order][firsts]).tolist()):
+        contours[level].polylines.append(pts)
+        contours[level].closed.append(closed)
+    return contours if levels.ndim else contours[0]
 
 
 def dump_contour(contour: FrontContour, path):

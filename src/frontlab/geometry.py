@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import ConstructionError
+from .errors import ConstructionError, FieldFormatError
 from .grid import GridSpec, ScalarField, central_gradient_norm, central_gradients, interpolate
 
 DELTA0_LADDER = (0.2, 0.1, 0.05)
@@ -336,22 +336,26 @@ def load_init(u0_path, header_path) -> InitCondition:
 
     u0 = load_field(u0_path)
     kv = {}
-    with open(header_path) as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            key, _, val = raw.partition("=")
-            kv[key.strip()] = val.strip()
+    try:
+        with open(header_path) as fh:
+            for raw in fh:
+                raw = raw.strip()
+                if not raw or raw.startswith("#"):
+                    continue
+                key, _, val = raw.partition("=")
+                kv[key.strip()] = val.strip()
+        numbers = dict(
+            r0=float(kv.get("r0", "0")),
+            R0=float(kv["R0"]),
+            delta0=float(kv["delta0"]),
+            eta0=float(kv["eta0"]),
+            lambda0=float(kv["lambda0"]),
+            lipschitz=float(kv.get("lipschitz", "1")),
+        )
+    except ValueError as err:   # a value that is no number, or bytes that are no text
+        raise FieldFormatError(f"{header_path}: {err}") from None
+    except KeyError as err:
+        raise FieldFormatError(f"{header_path}: no {err.args[0]} line") from None
     kind = kv.get("nu.kind", "radial")
     nu = radial_direction(u0.spec) if kind == "radial" else gradient_direction(u0)
-    return InitCondition(
-        u0=u0,
-        nu=nu,
-        r0=float(kv.get("r0", "0")),
-        R0=float(kv["R0"]),
-        delta0=float(kv["delta0"]),
-        eta0=float(kv["eta0"]),
-        lambda0=float(kv["lambda0"]),
-        lipschitz=float(kv.get("lipschitz", "1")),
-    )
+    return InitCondition(u0=u0, nu=nu, **numbers)

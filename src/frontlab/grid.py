@@ -10,11 +10,13 @@ Operators provided here:
   one-sided differences selected nodewise by sign(c).
 * ``curvature_term``      -- the trace form tr((I - p^ ox p^) D^2 u), i.e.
   |Du| div(Du/|Du|) with the denominator regularised by h^2.
-* ``lebesgue_measure``    -- area of a superlevel set from marching-squares
-  cell polygons (saddles resolved by the cell-centre average); only the
-  cells the level cuts are interpolated.
+* ``lebesgue_measure``    -- areas of the superlevel sets of a stack of
+  levels from marching-squares cell polygons (saddles resolved by the
+  cell-centre average), every level classified in one pass; only the cells
+  a level cuts are interpolated.
 * ``band_measure``        -- area of {a <= u < b}.
-* ``interpolate``         -- bilinear point evaluation, -1 outside the domain.
+* ``interpolate``         -- bilinear point evaluation of a scalar or vector
+  field, -1 outside the domain.
 * ``trapezoid``           -- the trapezoidal rule over a time grid.
 """
 
@@ -330,40 +332,44 @@ def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
 # A cell's case code sets bit 0, 1, 2, 3 when its SW, SE, NE, NW corner is at
 # or above the level.  Only the cells the level cuts (case neither 0 nor 15)
 # need edge crossings; along a front they are O(n) of the (n-1)^2 cells.
+# _classify and cell_coverage take a 1-D array of levels and classify all of
+# them in one pass; one level is a stack of one.
 
 
-def _classify(u: ScalarField, level: float):
-    """Marching-squares classification of the cells of u against level.
+def _classify(u: ScalarField, levels: np.ndarray):
+    """Marching-squares classification of the cells of u against each level.
 
     Returns (case, cells, corners, centre_in): the case code of every cell,
-    shape (n-1, n-1); the (iy, ix) indices of the cells the level cuts, row
-    by row as np.nonzero gives them; the corner values minus the level at
-    those cells, rows SW, SE, NE, NW; and whether each cut cell's corner
-    average is at or above the level, the rule that resolves the two saddle
-    cases 5 and 10.  Nodes are compared with the level directly: for finite
-    doubles u - level >= 0 exactly when u >= level.
+    shape (levels, n-1, n-1); the (level, iy, ix) indices of the cells a
+    level cuts, level by level and row by row as np.nonzero gives them; the
+    corner values minus the cell's level at those cells, rows SW, SE, NE,
+    NW; and whether each cut cell's corner average is at or above its
+    level, the rule that resolves the two saddle cases 5 and 10.  Nodes are
+    compared with the level directly: for finite doubles u - level >= 0
+    exactly when u >= level.
     """
     n = u.spec.n
-    inside = (u.values >= level).view(np.uint8).reshape(-1)
-    # the case of the cell whose SW corner is node k goes to code[k], the
-    # corner bits added by Horner's rule on contiguous shifted lines; the
-    # nodes of the last column pair with the next row and are cleared
-    case = np.empty((n - 1) * n, dtype=np.uint8)
-    code = case[:-1]
-    np.multiply(inside[n:-1], 2, out=code)   # NW
-    code += inside[n + 1:]                    # NE
+    levels = np.asarray(levels, dtype=np.float64)
+    inside = (u.values >= levels[:, None, None]).view(np.uint8).reshape(len(levels), -1)
+    # the case of the cell whose SW corner is node k goes to code[:, k], the
+    # corner bits added by Horner's rule on shifted lines; the nodes of the
+    # last column pair with the next row and are cleared
+    case = np.empty((len(levels), (n - 1) * n), dtype=np.uint8)
+    code = case[:, :-1]
+    np.multiply(inside[:, n:-1], 2, out=code)   # NW
+    code += inside[:, n + 1:]                    # NE
     code *= 2
-    code += inside[1:-n]                      # SE
+    code += inside[:, 1:-n]                      # SE
     code *= 2
-    code += inside[:-n - 1]                   # SW
-    case = case.reshape(n - 1, n)
-    case[:, -1] = 0
-    sw = np.flatnonzero((case != 0) & (case != 15))
+    code += inside[:, :-n - 1]                   # SW
+    case = case.reshape(len(levels), n - 1, n)
+    case[:, :, -1] = 0
+    level, sw = np.divmod(np.flatnonzero((case != 0) & (case != 15)), (n - 1) * n)
     corners = np.take(u.values, sw + np.array([[0], [1], [n + 1], [n]]))
-    corners -= level
+    corners -= levels[level]
     la, lb, lc, ld = corners
     centre_in = (la + lb + lc + ld) >= 0.0
-    return case[:, :-1], np.divmod(sw, n), corners, centre_in
+    return case[:, :, :-1], (level, *np.divmod(sw, n)), corners, centre_in
 
 
 def _crossing(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
@@ -380,15 +386,16 @@ _AREA_ROW = np.tile(np.arange(-1, 15), 2)
 _AREA_ROW[[16 + 5, 16 + 10]] = 14, 15
 
 
-def cell_coverage(u: ScalarField, threshold: float) -> np.ndarray:
-    """Fraction of each grid cell covered by {u >= threshold}.
+def cell_coverage(u: ScalarField, levels) -> np.ndarray:
+    """Fraction of each grid cell covered by {u >= level}, for each level of
+    the 1-D array levels; shape (levels, n-1, n-1).
 
     Marching-squares polygons with edge crossings placed by linear
     interpolation; the two ambiguous (saddle) cases are resolved by the sign
-    of the cell-centre average.  Cells the level does not cut are 0 or 1;
-    only the cut cells are interpolated.  Shape (n-1, n-1).
+    of the cell-centre average.  Cells a level does not cut are 0 or 1;
+    only the cut cells are interpolated.
     """
-    case, cells, corners, centre_in = _classify(u, threshold)
+    case, cells, corners, centre_in = _classify(u, levels)
 
     # a, b, c, d are the SW, SE, NE, NW corners, the rows of `corners`; the
     # crossings along the south edge from a, the east edge from b, the north
@@ -425,17 +432,22 @@ def cell_coverage(u: ScalarField, threshold: float) -> np.ndarray:
     return area
 
 
-def lebesgue_measure(u: ScalarField, threshold: float = 0.0) -> float:
-    """Area of {u >= threshold}, O(h^2) accurate for transversal levels."""
+def lebesgue_measure(u: ScalarField, levels=0.0):
+    """Area of {u >= level}, O(h^2) accurate for transversal levels: a float
+    for one level, a list of floats for a 1-D array of levels.  Each level's
+    coverage is summed on its own, as a contiguous (n-1)^2 array."""
+    levels = np.asarray(levels, dtype=np.float64)
     h = u.spec.h
-    return float(h * h * cell_coverage(u, threshold).sum())
+    areas = [float(h * h * area.sum()) for area in cell_coverage(u, levels.reshape(-1))]
+    return areas if levels.ndim else areas[0]
 
 
 def band_measure(u: ScalarField, a: float, b: float) -> float:
     """Area of {a <= u < b}; returns 0 when b <= a."""
     if b <= a:
         return 0.0
-    return lebesgue_measure(u, a) - lebesgue_measure(u, b)
+    area_a, area_b = lebesgue_measure(u, [a, b])
+    return area_a - area_b
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +458,9 @@ def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
     """Bilinear evaluation at physical points, shape (..., 2) as (x, y).
 
     Points outside [-L, L]^2 evaluate to the far-field value -1.  Exact at
-    grid nodes and for bilinear data.
+    grid nodes and for bilinear data.  u may also hold C components per
+    node, values of shape (n, n, C) as a DirectionField does; the result
+    then has the components along a new first axis, shape (C, ...).
     """
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1
@@ -469,10 +483,10 @@ def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
     tx = fx - ix
     ty = fy - iy
 
-    v = u.values
-    val = ((1 - tx) * (1 - ty) * v[iy, ix]
-           + tx * (1 - ty) * v[iy, ix + 1]
-           + (1 - tx) * ty * v[iy + 1, ix]
-           + tx * ty * v[iy + 1, ix + 1])
+    v = np.moveaxis(u.values, (0, 1), (-2, -1))
+    val = ((1 - tx) * (1 - ty) * v[..., iy, ix]
+           + tx * (1 - ty) * v[..., iy, ix + 1]
+           + (1 - tx) * ty * v[..., iy + 1, ix]
+           + tx * ty * v[..., iy + 1, ix + 1])
     val = np.where(outside, -1.0, val)
     return float(val[0]) if scalar else val

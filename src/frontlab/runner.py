@@ -273,15 +273,21 @@ def verify_run_dir(run_dir: str) -> RunResult:
 
     Exit 0 iff every recomputed report equals its stored files and passes;
     1 when a check fails, a verdict flips or a stored number drifts; 2 when
-    run_meta.txt is missing or names a check the table does not know, or a
-    stored field is missing, malformed or in the old text format."""
+    run_meta.txt is missing, is not text or names a check the table does not
+    know, when a stored field is missing, malformed or in the old text
+    format, or when the trajectory manifest or a metadata file is
+    malformed."""
     meta_path = os.path.join(run_dir, "run_meta.txt")
     if not os.path.exists(meta_path):
         return RunResult(EXIT_CONFIG, run_dir, ["FAIL verify (no run_meta.txt)"])
     meta = {}
-    for line in open(meta_path):
-        key, _, value = line.partition("=")
-        meta[key.strip()] = value.strip()
+    try:
+        with open(meta_path) as fh:
+            for line in fh:
+                key, _, value = line.partition("=")
+                meta[key.strip()] = value.strip()
+    except UnicodeDecodeError as err:
+        return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify ({meta_path}: {err})"])
     checks = tuple(
         c for c in meta.get("checks", "").split(",") if c and c != "none"
     )

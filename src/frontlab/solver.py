@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FrontEscapeError, StabilityError
+from .errors import FieldFormatError, FrontEscapeError, StabilityError
 from .grid import (
     EPS_DENOM,
     GridSpec,
@@ -323,15 +323,26 @@ def load_trajectory(directory) -> Trajectory:
 
     from .grid import load_field
 
-    rows = np.loadtxt(
-        os.path.join(directory, "manifest.csv"), delimiter=",", skiprows=1, ndmin=2
-    )
+    manifest = os.path.join(directory, "manifest.csv")
+    try:
+        rows = np.loadtxt(manifest, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as err:
+        raise FieldFormatError(f"{manifest}: {err}") from None
+    if rows.shape[1] != 4 or not np.all(np.isfinite(rows)):
+        raise FieldFormatError(f"{manifest}: expected rows of 4 finite numbers")
+    meta_path = os.path.join(directory, "meta.txt")
     meta = {}
-    with open(os.path.join(directory, "meta.txt")) as fh:
-        for raw in fh:
-            key, _, val = raw.partition("=")
-            if val:
-                meta[key.strip()] = float(val)
+    try:
+        with open(meta_path) as fh:
+            for raw in fh:
+                key, _, val = raw.partition("=")
+                if val:
+                    meta[key.strip()] = float(val)
+    except ValueError as err:   # a value that is no number, or bytes that are no text
+        raise FieldFormatError(f"{meta_path}: {err}") from None
+    missing = {"far_radius", "gamma"} - meta.keys()
+    if missing:
+        raise FieldFormatError(f"{meta_path}: no {' or '.join(sorted(missing))} line")
     snapshots = [
         load_field(os.path.join(directory, f"t_{int(i):03d}.f64")) for i in rows[:, 0]
     ]

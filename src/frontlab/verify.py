@@ -48,6 +48,18 @@ from .weak import march_solve, reuses_march
 LEVELS_FRACTION = (-0.25, 0.0, 0.25)   # contour levels as multiples of delta0
 
 
+def _band_deltas(h: float, delta0: float) -> list:
+    """band_measure's deltas {2h, 4h, delta0/8, delta0/4}, sub-resolution
+    values (< 2h) dropped."""
+    raw = [2.0 * h, 4.0 * h, delta0 / 8.0, delta0 / 4.0]
+    return sorted({d for d in raw if d >= 2.0 * h - 1e-15})
+
+
+def _slab_eps(h: float) -> np.ndarray:
+    """non_fattening's slab half-widths {2h, 4h, 8h}."""
+    return np.array([2.0 * h, 4.0 * h, 8.0 * h])
+
+
 @dataclass(frozen=True)
 class EtaSchedule:
     """The decay model eta(t) = eta0 - M2 sqrt(t) with its positivity
@@ -165,44 +177,34 @@ def load_report(directory, name: str) -> VerificationReport:
 # the displacement-margin measurement shared by several reports
 
 
-def _push_quotients(u: ScalarField, init: InitCondition, lam: float, band: np.ndarray):
-    """[u(x + lam nu(x)) - u(x)] / lam on the band nodes; NaN where the
-    pushed point leaves the domain."""
-    spec = u.spec
-    x, y = spec.meshgrid()
-    base = np.column_stack([x[band], y[band]])
-    nvec = init.nu.values[band]
-    pts = base + lam * nvec
-    inside = np.max(np.abs(pts), axis=1) <= spec.half_extent
-    q = np.full(len(base), np.nan)
-    q[inside] = (interpolate(u, pts[inside]) - u.values[band][inside]) / lam
-    return q
-
-
 def eta_empirical(
     u: ScalarField, init: InitCondition, lambdas=None, band_width: float = None
 ) -> float:
-    """Worst push quotient over the front band and the lambda grid.
+    """Worst push quotient [u(x + lam nu(x)) - u(x)] / lam over the front
+    band and the lambda grid; pushes that leave the domain are left out.
 
     band defaults to {|u| <= delta0/4}; lambdas to lambda_bar {1/4..1};
     non-positive lambdas are excluded (the quotient is undefined at 0).
-    Returns NaN when the band is empty or every push leaves the domain.
+    Every lambda's pushes are evaluated in one interpolation.  Returns NaN
+    when the band is empty or every push leaves the domain.
     """
     if band_width is None:
         band_width = init.delta0 / 4.0
     if lambdas is None:
         lambdas = init.lambda_bar * np.arange(1, 5) / 4.0
-    band = np.abs(u.values) <= band_width
-    if not band.any():
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    lambdas = lambdas[lambdas > 0.0]
+    iy, ix = np.nonzero(np.abs(u.values) <= band_width)
+    if iy.size == 0:
         return np.nan
-    best = np.inf
-    for lam in np.asarray(lambdas, dtype=np.float64):
-        if lam <= 0.0:
-            continue
-        q = _push_quotients(u, init, float(lam), band)
-        if np.isfinite(q).any():
-            best = min(best, float(np.nanmin(q)))
-    return best if np.isfinite(best) else np.nan
+    ax = u.spec.axis()
+    base = np.column_stack([ax[ix], ax[iy]])
+    pts = base + lambdas[:, None, None] * init.nu.values[iy, ix]
+    inside = np.max(np.abs(pts), axis=2) <= u.spec.half_extent
+    values = np.broadcast_to(u.values[iy, ix], inside.shape)[inside]
+    lam = np.broadcast_to(lambdas[:, None], inside.shape)[inside]
+    q = (interpolate(u, pts[inside]) - values) / lam
+    return float(q.min()) if q.size else np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +214,12 @@ def eta_empirical(
 class CheckContext:
     """A trajectory and its initial condition, with what the checks share,
     each computed on first use and then kept: every snapshot's eta, every
-    (snapshot, level) contour and area (never coverage arrays), the
-    regularity fit K, the key estimate and the star-shape report (which a
-    run's gamma sweep reuses at the run's gamma).  The geometric reports
-    accept a context in place of their trajectory.  A run also sets `config`
-    and `coupling`, which the checks that solve again (dependence) read."""
+    (snapshot, level) contour, every snapshot's areas at `area_levels` (never
+    coverage arrays), the regularity fit K, the key estimate and the
+    star-shape report (which a run's gamma sweep reuses at the run's gamma).
+    The geometric reports accept a context in place of their trajectory.  A
+    run also sets `config` and `coupling`, which the checks that solve again
+    (dependence) read."""
 
     def __init__(self, traj: Trajectory, init: InitCondition, config=None, coupling=None):
         self.traj, self.init = traj, init
@@ -228,12 +231,36 @@ class CheckContext:
             self._kept[key] = compute(*args)
         return self._kept[key]
 
+    def contours(self, k: int, levels) -> list:
+        """The contours of snapshot k at each level; the levels not kept yet
+        are extracted in one pass."""
+        missing = [level for level in levels if ("contour", k, level) not in self._kept]
+        if missing:
+            found = extract_contour(self.traj.snapshots[k], missing)
+            self._kept.update({("contour", k, level): c for level, c in zip(missing, found)})
+        return [self._kept[("contour", k, level)] for level in levels]
+
     def contour(self, k: int, level: float = 0.0):
-        return self._once(("contour", k, level), extract_contour, self.traj.snapshots[k], level)
+        return self.contours(k, [level])[0]
 
     def area(self, k: int, level: float = 0.0) -> float:
-        """Area of {u >= level} in snapshot k."""
-        return self._once(("area", k, level), lebesgue_measure, self.traj.snapshots[k], level)
+        """Area of {u >= level} in snapshot k, for a level in `area_levels`;
+        the first read of a snapshot computes all of them in one pass."""
+        return self._once(("areas", k), self._areas, k)[level]
+
+    @cached_property
+    def area_levels(self) -> tuple:
+        """Every level a check reads an area at: the contour levels and the
+        band_measure and non_fattening offsets."""
+        h, delta0 = self.traj.spec.h, self.init.delta0
+        eps = _slab_eps(h).tolist()
+        levels = {f * delta0 for f in LEVELS_FRACTION}
+        levels.update([-d for d in _band_deltas(h, delta0)] + [-e for e in eps] + eps)
+        return tuple(sorted(levels))
+
+    def _areas(self, k: int) -> dict:
+        levels = self.area_levels
+        return dict(zip(levels, lebesgue_measure(self.traj.snapshots[k], levels)))
 
     def eta(self, k: int, lambda_bar: float) -> float:
         """eta_empirical of snapshot k: default band, lambdas lambda_bar {1/4..1}."""
@@ -413,13 +440,6 @@ def lower_gradient_report(
 # interior cones
 
 
-def _interp_direction(init: InitCondition, pts: np.ndarray) -> np.ndarray:
-    spec = init.nu.spec
-    nx = interpolate(ScalarField(spec, init.nu.values[:, :, 0]), pts)
-    ny = interpolate(ScalarField(spec, init.nu.values[:, :, 1]), pts)
-    return np.column_stack([nx, ny])
-
-
 def _cone_points(z: np.ndarray, axis: np.ndarray, theta: np.ndarray, rho: float):
     """Sample grid: radii rho {1/4..1}, angles theta {-1,-1/2,0,1/2,1}."""
     fr = np.array([0.25, 0.5, 0.75, 1.0])
@@ -455,50 +475,69 @@ def cone_report(
     slack = lip * h
     levels = [f * init.delta0 for f in LEVELS_FRACTION]
 
+    # the contour vertices of every (snapshot, level), strided to at most
+    # max_vertices, and the direction field at all of them in one call
+    verts = []
+    for k, t in enumerate(traj.times):
+        if t > t_bar + 1e-12:
+            break
+        for contour in ctx.contours(k, levels):
+            z = contour.vertex_array()
+            stride = int(np.ceil(len(z) / max_vertices)) if len(z) > max_vertices else 1
+            verts.append(z[::stride])
+    nus = interpolate(init.nu, np.concatenate(verts + [np.zeros((0, 2))])).T
+    nus = np.split(nus, np.cumsum([len(z) for z in verts])[:-1])
+
     totals = {1.0: 0, 2.0: 0}
     fails = {1.0: 0, 2.0: 0}
     skipped_axis = 0
     skipped_small = 0
     rows = []
 
-    for k, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
-        if t > t_bar + 1e-12:
-            break
+    for k in range(len(verts) // len(levels)):
+        t, snap = traj.times[k], traj.snapshots[k]
         eta_t = max(float(eta_sched.eta(t)), 0.0)
-        for level in levels:
-            contour = ctx.contour(k, level)
-            verts = contour.vertex_array()
-            if verts.size == 0:
-                rows.append((float(t), 0.0, 0.01, 0.01))
+        rho = {mult: eta_t * lam_bar / (lip * np.exp(mult * K_fit * t)) for mult in (1.0, 2.0)}
+        # the cone points of every level and K multiple of this snapshot,
+        # evaluated in one call and then counted piece by piece
+        tests, points = [], []
+        for i, level in enumerate(levels):
+            z, nu_z = verts[k * len(levels) + i], nus[k * len(levels) + i]
+            if z.size == 0:
+                tests.append(None)
                 continue
-            if len(verts) > max_vertices:
-                stride = int(np.ceil(len(verts) / max_vertices))
-                verts = verts[::stride]
-            nu_z = _interp_direction(init, verts)
             norm = np.hypot(nu_z[:, 0], nu_z[:, 1])
             ok = norm > 1e-12
             skipped_axis += int((~ok).sum())
             if not ok.any():
                 continue
-            verts, nu_z, norm = verts[ok], nu_z[ok], norm[ok]
+            z, nu_z, norm = z[ok], nu_z[ok], norm[ok]
             axis = nu_z / norm[:, None]
             if flip_axis:
                 axis = -axis
             theta = np.minimum(lam_bar * norm, np.pi / 3.0)
-            frac_here = {}
+            sampled = {}
             for mult in (1.0, 2.0):
-                rho = eta_t * lam_bar / (lip * np.exp(mult * K_fit * t))
-                if rho < h:
+                if rho[mult] < h:
                     skipped_small += 1
-                    frac_here[mult] = 0.0
                     continue
-                pts = _cone_points(verts, axis, theta, rho)
-                inside = np.max(np.abs(pts), axis=1) <= spec.half_extent
-                vals = interpolate(snap, pts[inside])
-                bad = int((vals < level - slack).sum())
-                totals[mult] += int(inside.sum())
+                pts = _cone_points(z, axis, theta, rho[mult])
+                points.append(pts[np.max(np.abs(pts), axis=1) <= spec.half_extent])
+                sampled[mult] = len(points[-1])
+            tests.append((level, sampled))
+        vals = interpolate(snap, np.concatenate(points + [np.zeros((0, 2))]))
+        vals = iter(np.split(vals, np.cumsum([len(p) for p in points])[:-1]))
+        for test in tests:
+            if test is None:
+                rows.append((float(t), 0.0, 0.01, 0.01))
+                continue
+            level, sampled = test
+            frac_here = {}
+            for mult, count in sampled.items():
+                bad = int((next(vals) < level - slack).sum())
+                totals[mult] += count
                 fails[mult] += bad
-                frac_here[mult] = bad / max(int(inside.sum()), 1)
+                frac_here[mult] = bad / max(count, 1)
             rows.append((
                 float(t), float(frac_here.get(1.0, 0.0)), 0.01,
                 float(0.01 - frac_here.get(1.0, 0.0)),
@@ -571,8 +610,8 @@ def perimeter_report(
     for k, t in enumerate(traj.times):
         if t > window + 1e-12:
             break
-        for level in levels:
-            perim = ctx.contour(k, level).perimeter()
+        for level, contour in zip(levels, ctx.contours(k, levels)):
+            perim = contour.perimeter()
             area = ctx.area(k, level)
             bound = 2.0 * lip * np.exp(K_fit * float(t)) * area / eta_bar
             margin = bound - perim
@@ -620,8 +659,7 @@ def band_measure_report(
     spec = traj.spec
     h, lip = spec.h, init.lipschitz
     floor = h * lip
-    raw = [2.0 * h, 4.0 * h, init.delta0 / 8.0, init.delta0 / 4.0]
-    deltas = sorted({d for d in raw if d >= 2.0 * h - 1e-15})
+    deltas = _band_deltas(h, init.delta0)
 
     window_times = [t for t in traj.times if t <= t_bar + 1e-12]
     eta_bar = _eta_bar(ctx, eta_sched, t_bar, floor)
@@ -695,7 +733,7 @@ def fattening_report(
     if t_bar is None:
         t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     h = traj.spec.h
-    eps_grid = np.array([2.0 * h, 4.0 * h, 8.0 * h])
+    eps_grid = _slab_eps(h)
 
     rows = []
     passed = True

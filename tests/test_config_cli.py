@@ -14,6 +14,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import frontlab
@@ -407,14 +408,19 @@ def test_verify_needs_run_dir(tmp_path, capsys):
     assert code == 2
 
 
-def _frontlab(*args):
-    """`python -m frontlab.cli args` in a fresh interpreter, as a shell runs it."""
+def _python(*args):
+    """`python args` in a fresh interpreter that imports this frontlab."""
     src = str(Path(frontlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "frontlab.cli", *map(str, args)],
+        [sys.executable, *map(str, args)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
     )
+
+
+def _frontlab(*args):
+    """`python -m frontlab.cli args` in a fresh interpreter, as a shell runs it."""
+    return _python("-m", "frontlab.cli", *args)
 
 
 @pytest.fixture(scope="module")
@@ -458,6 +464,68 @@ def test_verify_reports_unreadable_fields(small_run, tmp_path, damage, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout.splitlines() == [message.format(d=copy)]
+
+
+def _replace_line(path, index, line):
+    lines = path.read_text().splitlines()
+    lines[index] = line
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name, index, line, needle", [
+    ("traj/manifest.csv", 2, "1,abc,0,1", "abc"),
+    ("traj/manifest.csv", 2, "1,nan,0,1", "expected rows of 4 finite numbers"),
+    ("traj/meta.txt", 0, "far_radius = abc", "abc"),
+    ("traj/meta.txt", 1, "# no gamma", "no gamma line"),
+    ("init_meta.txt", 2, "eta0 = abc", "abc"),
+    ("init_meta.txt", 3, "# no lambda0", "no lambda0 line"),
+], ids=["manifest-text", "manifest-nan", "meta-text", "meta-missing", "init-text",
+        "init-missing"])
+def test_verify_reports_malformed_text_files(small_run, tmp_path, name, index, line, needle):
+    copy = tmp_path / "copy"
+    shutil.copytree(small_run, copy)
+    _replace_line(copy / name, index, line)
+    proc = _frontlab("verify", copy)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [printed] = proc.stdout.splitlines()
+    assert printed.startswith(f"FAIL verify ({copy / name}: ") and needle in printed
+
+
+@pytest.mark.parametrize("name", [
+    "run_meta.txt", "traj/manifest.csv", "traj/meta.txt", "init_meta.txt",
+])
+def test_verify_reports_undecodable_text_files(small_run, tmp_path, name):
+    copy = tmp_path / "copy"
+    shutil.copytree(small_run, copy)
+    (copy / name).write_bytes(b"\xff\xfe" + (copy / name).read_bytes())
+    proc = _frontlab("verify", copy)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [printed] = proc.stdout.splitlines()
+    assert printed.startswith(f"FAIL verify ({copy / name}: ") and "decode" in printed
+
+
+def test_run_and_verify_close_their_files(tmp_path):
+    # an unclosed file shows as a ResourceWarning on stderr when collected
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(TINY.replace("grid.n = 65", "grid.n = 33"))
+    out = tmp_path / "run"
+    for args in (["run", cfg, "--out", out], ["verify", out]):
+        proc = _python("-W", "error::ResourceWarning", "-m", "frontlab.cli", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
+def test_import_loads_every_module_but_the_command_line():
+    # perfbench's tracer finds the functions it wraps in sys.modules; the
+    # package leaves out cli, which `python -m frontlab.cli` runs as __main__
+    package = Path(frontlab.__file__).resolve().parent
+    modules = {f"frontlab.{p.stem}" for p in package.glob("*.py")} - {"frontlab.__init__"}
+    proc = _python("-c", "import sys, frontlab; print(*(m for m in sys.modules "
+                         "if m.startswith('frontlab.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == modules - {"frontlab.cli"}
 
 
 def test_identical_runs_have_identical_manifests(tmp_path):
@@ -691,8 +759,8 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     import frontlab.contour
     import frontlab.verify
 
-    contours = _record_calls(monkeypatch, frontlab.contour, "extract_contour",
-                             lambda u, level=0.0: (id(u), level))
+    stacks = _record_calls(monkeypatch, frontlab.contour, "extract_contour",
+                           lambda u, levels=0.0: [(id(u), lv) for lv in np.atleast_1d(levels)])
     etas = _record_calls(monkeypatch, frontlab.verify, "eta_empirical",
                          lambda u, *args, **kwargs: id(u))
     cfg = parse_config(TINY.replace(
@@ -708,12 +776,13 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     def assert_each_once(label):
         # cone and perimeter read three levels per early snapshot, and the
         # key estimate reads every snapshot's eta
+        contours = [key for stack in stacks for key in stack]
         assert len(set(contours)) > snapshots, label
         assert len(contours) == len(set(contours)), label
         assert len(etas) == len(set(etas)) == snapshots, label
 
     assert_each_once("run")
-    contours.clear()
+    stacks.clear()
     etas.clear()
     assert verify_run_dir(str(out)).exit_code == result.exit_code
     assert_each_once("verify")

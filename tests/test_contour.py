@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frontlab.contour import dump_contour, extract_contour
-from frontlab.grid import GridSpec, constant_field, field_from_function, interpolate
+from frontlab.grid import GridSpec, ScalarField, constant_field, field_from_function, interpolate
 
 
 def _disc(spec, r, cx=0.0, cy=0.0):
@@ -77,3 +77,159 @@ def test_contour_round_trip(tmp_path):
         sel = rows[rows[:, 0] == pid]
         assert np.array_equal(sel[:, 1], np.arange(len(pts)))
         assert np.array_equal(sel[:, 2:4], pts)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised extraction, bit for bit against the cell-by-cell walker
+# ---------------------------------------------------------------------------
+
+
+def _reference_cases(u, level):
+    v = u.values - level
+    la, lb, lc, ld = v[:-1, :-1], v[:-1, 1:], v[1:, 1:], v[1:, :-1]
+    case = ((la >= 0.0).astype(np.int8) + 2 * (lb >= 0.0).astype(np.int8)
+            + 4 * (lc >= 0.0).astype(np.int8) + 8 * (ld >= 0.0).astype(np.int8))
+    return case, (la + lb + lc + ld) >= 0.0
+
+
+_REFERENCE_SEGMENTS = {
+    0: (), 15: (),
+    1: (("W", "S"),), 14: (("W", "S"),),
+    2: (("S", "E"),), 13: (("S", "E"),),
+    4: (("E", "N"),), 11: (("E", "N"),),
+    8: (("N", "W"),), 7: (("N", "W"),),
+    3: (("W", "E"),), 12: (("W", "E"),),
+    6: (("S", "N"),), 9: (("S", "N"),),
+}
+
+
+def _reference_segments(case, centre_in):
+    if case == 5:
+        return [("S", "E"), ("N", "W")] if centre_in else [("W", "S"), ("E", "N")]
+    if case == 10:
+        return [("W", "S"), ("E", "N")] if centre_in else [("S", "E"), ("N", "W")]
+    return _REFERENCE_SEGMENTS[case]
+
+
+def _reference_extract_contour(u, level):
+    """The cell-by-cell walker: (polylines, closed)."""
+    spec = u.spec
+    h = spec.h
+    ax = spec.axis()
+    v = u.values - level
+    case, centre_in = _reference_cases(u, level)
+    cells = np.nonzero((case != 0) & (case != 15))
+    active = zip(cells[0].tolist(), cells[1].tolist(), case[cells].tolist(),
+                 centre_in[cells].tolist())
+
+    def edge_key(iy, ix, side):
+        if side == "S":
+            return ("h", iy, ix)
+        if side == "N":
+            return ("h", iy + 1, ix)
+        if side == "W":
+            return ("v", iy, ix)
+        return ("v", iy, ix + 1)
+
+    def vertex(key):
+        kind, iy, ix = key
+        if kind == "h":
+            u0 = v[iy, ix]
+            u1 = v[iy, ix + 1]
+            t = u0 / (u0 - u1)
+            return (ax[ix] + t * h, ax[iy])
+        u0 = v[iy, ix]
+        u1 = v[iy + 1, ix]
+        t = u0 / (u0 - u1)
+        return (ax[ix], ax[iy] + t * h)
+
+    links = {}
+    for iy, ix, cell_case, cell_centre_in in active:
+        for sa, sb in _reference_segments(cell_case, cell_centre_in):
+            ka, kb = edge_key(iy, ix, sa), edge_key(iy, ix, sb)
+            links.setdefault(ka, []).append(kb)
+            links.setdefault(kb, []).append(ka)
+
+    polylines, closed, visited = [], [], set()
+
+    def walk(start, first):
+        chain = [start, first]
+        visited.add(start)
+        visited.add(first)
+        prev, node = start, first
+        while True:
+            nexts = [k for k in links[node] if k != prev]
+            nexts = [k for k in nexts if k not in visited or k == start]
+            if not nexts:
+                return chain, False
+            nxt = nexts[0]
+            if nxt == start:
+                return chain, True
+            chain.append(nxt)
+            visited.add(nxt)
+            prev, node = node, nxt
+
+    # open chains first (their endpoints have degree 1)
+    endpoints = sorted(k for k, nb in links.items() if len(nb) == 1)
+    for key in endpoints:
+        if key in visited:
+            continue
+        chain, _ = walk(key, links[key][0])
+        polylines.append(np.array([vertex(k) for k in chain]))
+        closed.append(False)
+
+    for key in sorted(links):
+        if key in visited:
+            continue
+        chain, is_loop = walk(key, links[key][0])
+        polylines.append(np.array([vertex(k) for k in chain]))
+        closed.append(is_loop)
+    return polylines, closed
+
+
+def _same_polylines(contour, reference):
+    polylines, closed = reference
+    return contour.closed == closed and len(contour.polylines) == len(polylines) and all(
+        a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        for a, b in zip(contour.polylines, polylines)
+    )
+
+
+@pytest.mark.parametrize("n", [33, 65, 201])
+def test_extract_contour_matches_reference_bitwise(n):
+    spec = GridSpec(n, 1.5)
+    rng = np.random.default_rng(n)
+    xx, yy = spec.meshgrid()
+    radius = np.hypot(xx, yy)
+    checker = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2 == 0, 1.0, -1.0)
+    bumps = sum(
+        rng.uniform(0.5, 1.0) * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / 0.08)
+        for cx, cy in rng.uniform(-1.6, 1.6, (12, 2))
+    )
+    fields = [
+        (1.0 - radius / 0.5, (0.0, 0.3, -0.4)),                    # one loop
+        (0.6 - np.hypot(xx - 1.2, yy + 0.3), (0.0, 0.2)),          # cut by the boundary
+        (np.abs(xx) - 0.3, (0.0, -0.1)),                           # open chains, node columns at 0
+        (np.cos(7.0 * xx) * np.cos(7.0 * yy), (0.0, 0.3, -0.5)),   # loops and open chains
+        (bumps, (0.2, 0.5, 0.8)),                                  # several components
+        (rng.uniform(-1.0, 1.0, (n, n)), (0.0, 0.5)),              # noise, every kind of cell
+        (checker * rng.uniform(0.1, 1.0, (n, n)), (0.0,)),         # saddles, both centres
+        (np.round(rng.uniform(-2.0, 2.0, (n, n))), (0.0, 1.0)),    # nodes at the level
+        ((radius <= 0.6).astype(np.float64), (0.5,)),              # an indicator
+        (np.full((n, n), -1.0), (0.0,)),                           # empty
+        (np.full((n, n), 1.0), (0.0,)),                            # full
+    ]
+    saddles, kinds = set(), set()
+    for values, levels in fields:
+        u = ScalarField(spec, values)
+        # each level alone, and all of a field's levels in one stacked call
+        for level, stacked in zip(levels, extract_contour(u, list(levels))):
+            case, centre_in = _reference_cases(u, level)
+            for code in (5, 10):
+                saddles.update((code, bool(c)) for c in np.unique(centre_in[case == code]))
+            reference = _reference_extract_contour(u, level)
+            kinds.update(reference[1])
+            assert _same_polylines(extract_contour(u, level), reference), (values[0, :3], level)
+            assert _same_polylines(stacked, reference), (values[0, :3], level)
+    assert saddles == {(5, False), (5, True), (10, False), (10, True)}
+    assert kinds == {False, True}

@@ -365,6 +365,8 @@ def _reference_coverage(u, threshold):
 
 @pytest.mark.parametrize("n", [33, 201])
 def test_cell_coverage_matches_reference_bitwise(n):
+    # every field's levels go through one stacked call, compared slice by
+    # slice, and each level's area is the sum of its own contiguous slice
     spec = GridSpec(n, 1.5)
     rng = np.random.default_rng(n)
     xx, yy = spec.meshgrid()
@@ -373,24 +375,28 @@ def test_cell_coverage_matches_reference_bitwise(n):
     # random magnitudes give its centre average either sign
     checker = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2 == 0, 1.0, -1.0)
     cases = [
-        (ScalarField(spec, 1.0 - radius / 0.5), 0.0),
-        (ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n))), 0.0),
-        (ScalarField(spec, np.round(rng.uniform(-2.0, 2.0, (n, n)))), 0.0),  # nodes at the level
-        (ScalarField(spec, np.round(rng.uniform(-2.0, 2.0, (n, n)))), 1.0),
-        (ScalarField(spec, np.round(rng.uniform(-2.0, 2.0, (n, n)))), -1.0),
-        (ScalarField(spec, np.abs(xx) - 0.3), 0.0),  # whole node columns at the level
-        (ScalarField(spec, checker * rng.uniform(0.1, 1.0, (n, n))), 0.0),
-        (ScalarField(spec, (radius <= 0.6).astype(np.float64)), 0.5),  # an indicator
-        (ScalarField(spec, np.cos(7.0 * xx) * np.cos(7.0 * yy)), 0.3),
-        (ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n))), 2.0),  # no cell cut, all out
-        (ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n))), -2.0),  # no cell cut, all in
+        (1.0 - radius / 0.5, [0.0, 0.3, -0.5]),
+        # 2.0 cuts no cell and leaves all out, -2.0 all in
+        (rng.uniform(-1.0, 1.0, (n, n)), [0.0, 2.0, -2.0]),
+        (np.round(rng.uniform(-2.0, 2.0, (n, n))), [0.0, 1.0, -1.0]),  # nodes at the level
+        (np.abs(xx) - 0.3, [0.0]),  # whole node columns at the level
+        (checker * rng.uniform(0.1, 1.0, (n, n)), [0.0]),
+        ((radius <= 0.6).astype(np.float64), [0.5]),  # an indicator
+        (np.cos(7.0 * xx) * np.cos(7.0 * yy), [0.3, -0.3, 0.0]),
     ]
     saddles = set()
-    for u, level in cases:
-        _, case, centre_in = _reference_cases(u, level)
-        for code in (5, 10):
-            saddles.update((code, bool(c)) for c in np.unique(centre_in[case == code]))
-        assert _same_bits(cell_coverage(u, level), _reference_coverage(u, level))
+    for values, levels in cases:
+        u = ScalarField(spec, values)
+        stacked = cell_coverage(u, levels)
+        assert stacked.shape == (len(levels), n - 1, n - 1)
+        areas = lebesgue_measure(u, levels)
+        for level, coverage, area in zip(levels, stacked, areas):
+            _, case, centre_in = _reference_cases(u, level)
+            for code in (5, 10):
+                saddles.update((code, bool(c)) for c in np.unique(centre_in[case == code]))
+            reference = _reference_coverage(u, level)
+            assert _same_bits(coverage, reference)
+            assert _same_bits(np.float64(area), spec.h * spec.h * reference.sum())
     assert saddles == {(5, False), (5, True), (10, False), (10, True)}
 
 
@@ -403,7 +409,7 @@ def test_cell_coverage_allocates_under_a_few_fields():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        cell_coverage(u, 0.0)
+        cell_coverage(u, [0.0])
         rise = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -22,7 +22,7 @@ import pytest
 
 from frontlab.couplings import ConstantCoupling
 from frontlab.geometry import star_shaped_u0
-from frontlab.grid import GridSpec, ScalarField, constant_field
+from frontlab.grid import GridSpec, ScalarField, constant_field, interpolate
 from frontlab.solver import ConstantSpeed, LocalProblem, Trajectory, solve
 from frontlab.verify import (
     CheckContext,
@@ -174,6 +174,69 @@ def test_eta_empirical_drops_nonpositive_lambdas(init):
 
 def test_eta_empirical_empty_band_is_nan(init):
     assert math.isnan(eta_empirical(constant_field(SPEC, -1.0), init))
+
+
+def _reference_eta_empirical(u, init, lambdas, band_width):
+    """One push and one interpolation per lambda."""
+    band = np.abs(u.values) <= band_width
+    x, y = u.spec.meshgrid()
+    best = np.inf
+    for lam in lambdas:
+        if lam <= 0.0:
+            continue
+        pts = np.column_stack([x[band], y[band]]) + lam * init.nu.values[band]
+        inside = np.max(np.abs(pts), axis=1) <= u.spec.half_extent
+        q = (interpolate(u, pts[inside]) - u.values[band][inside]) / lam
+        if q.size:
+            best = min(best, float(q.min()))
+    return best if np.isfinite(best) else np.nan
+
+
+def test_eta_empirical_matches_reference_bitwise(shrink, init):
+    # lambdas up to 2.5 push part of the band out of the domain
+    off_centre = star_shaped_u0(SPEC, [(0.5, 0.2)], 0.6)
+    cases = [(snap, init) for snap in shrink.snapshots] + [(off_centre.u0, off_centre)]
+    for u, owner in cases:
+        for lambdas, width in (([0.1, 0.2, 0.3], 0.05), ([0.0, 0.5, 2.5], 0.2), ([3.0], 0.05)):
+            got = eta_empirical(u, owner, lambdas=lambdas, band_width=width)
+            want = _reference_eta_empirical(u, owner, lambdas, width)
+            assert np.array_equal(np.float64(got).view(np.uint64),
+                                  np.float64(want).view(np.uint64)), (lambdas, width)
+
+
+def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
+    # one stacked area pass per snapshot for every level the checks read;
+    # one interpolation per snapshot for the cone points, plus one for the
+    # direction field at every vertex (the cones' axes); one per eta
+    import frontlab.verify
+
+    calls = []
+
+    def recorded(name, fn):
+        def wrapped(u, arg, *rest):
+            calls.append((name, np.ndim(arg)))
+            return fn(u, arg, *rest)
+        return wrapped
+
+    for name in ("interpolate", "lebesgue_measure"):
+        monkeypatch.setattr(frontlab.verify, name, recorded(name, getattr(frontlab.verify, name)))
+    ctx = CheckContext(shrink, init)
+    sched = EtaSchedule(0.55, 0.0)
+    snapshots = len(shrink.times)
+    band_measure_report(ctx, init, sched)
+    fattening_report(ctx, init, sched)
+    perimeter_report(ctx, init, sched, K_fit=0.0)
+    areas = [call for call in calls if call[0] == "lebesgue_measure"]
+    assert areas == [("lebesgue_measure", 1)] * snapshots
+    assert len(ctx.area_levels) == 9   # 0, +-2h, +-4h, +-8h, +-delta0/4; delta0/8 < 2h
+
+    calls.clear()
+    cone_report(ctx, init, sched, K_fit=0.0)
+    assert calls == [("interpolate", 2)] * (1 + snapshots)
+
+    calls.clear()
+    eta_empirical(shrink.snapshots[0], init)
+    assert calls == [("interpolate", 2)]
 
 
 # ---------------------------------------------------------------------------
