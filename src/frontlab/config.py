@@ -28,7 +28,7 @@ from .couplings import (
 from .errors import ConfigError
 from .geometry import star_shaped_u0
 from .grid import GridSpec
-from .solver import _normalise_output_times
+from .solver import _normalise_output_times, grid_ring
 from .verify import CHECKS, DEFAULT_CHECKS
 
 KNOWN_SEEDS = ("bracket", "empty", "ball")
@@ -336,7 +336,7 @@ def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
 
     # the grid must hold the initial support with the solver's 2h margin
     spec = cfg.grid()
-    ring = cfg.half_extent - 2 * spec.h
+    ring = grid_ring(spec)
     points = cfg.kernel_points if cfg.init_kind == "star_shaped" else ((0.0, 0.0),)
     kmax = max(float(np.hypot(px, py)) for px, py in points)
     if kmax + cfg.r0 > ring:
@@ -376,4 +376,20 @@ def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
             f"{max(CHECKS[c][2] for c in short)} stored times, got {stored}",
             line=seen.get("output_times", seen.get("checks")),
         )
+    if cfg.probe_taus is not None:
+        # the probe compares the seeds at the stored times <= tau, and the
+        # earliest tau decides its verdict
+        taus = cfg.probe_taus
+        if not taus or not all(0 < tau <= cfg.horizon for tau in taus):
+            raise ConfigError(
+                f"probe.taus must be times in (0, horizon = {cfg.horizon:g}]",
+                line=seen["probe.taus"],
+            )
+        first = _normalise_output_times(cfg.times(), cfg.horizon)[1]
+        if min(taus) < first - 1e-12:
+            raise ConfigError(
+                f"probe.taus: the earliest tau {min(taus):g} lies before the first "
+                f"stored time after 0, {first:g}",
+                line=seen["probe.taus"],
+            )
     return cfg

@@ -9,9 +9,11 @@ interval [t_k, t_{k+1}] into the speed the local solver reads on it:
                    being the state carried from one interval to the next;
 * volume:          c(t) = beta(area of {chi(t_k) = 1}), spatially constant.
 
-Each law is written once, as `interval_speed`; `weak.march_solve` calls it
-interval by interval, with the march's own chi(t_k) or with a given
-occupation history.
+Each law is written once, as `interval_speed`, which returns the speed on
+the interval as a function of time: a float for the spatially constant
+laws (constant, volume), a ScalarField for the others.  `weak.march_solve`
+calls it interval by interval, with the march's own chi(t_k) or with a
+given occupation history, and `solver.solve` reads the speed once per step.
 
 Occupation histories are compared by kappa(t) = ||chi1(t) - chi2(t)||_L1;
 `gauss_slice` is the unit-mass heat-kernel average that the Green-weighted
@@ -26,7 +28,6 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import GridSpec, ScalarField, constant_field, lebesgue_measure
-from .solver import ConstantSpeed
 
 # fraction of the explicit heat step's stability limit h^2/4 that fn_evolve uses
 HEAT_SAFETY = 0.9
@@ -258,11 +259,13 @@ def gauss_slice(diff: np.ndarray, spec: GridSpec, x: np.ndarray, tau: float) -> 
 class SpeedLaw:
     """A coupling's speed law, written once per stored interval.
 
-    interval_speed(chi, t0, t1, state) returns the speed provider for
-    [t0, t1] built from the occupation chi = chi(t0) and the law's state at
-    t0, together with the state at t1 (None for laws without memory).
-    `weak.march_solve` calls it interval by interval, with its own chi(t0)
-    or with chi(t0) read from a given occupation history.
+    interval_speed(chi, t0, t1, state) returns (speed, state at t1), built
+    from the occupation chi = chi(t0) and the law's state at t0 (None for
+    laws without memory).  speed(t) is the speed at a time t of [t0, t1]: a
+    float for a spatially constant speed, else a ScalarField.  `solve`
+    calls it once per step.  `weak.march_solve` calls interval_speed
+    interval by interval, with its own chi(t0) or with chi(t0) read from a
+    given occupation history.
     """
 
     chi_independent = False
@@ -292,7 +295,8 @@ class DislocationCoupling(SpeedLaw):
         return ScalarField(out.spec, out.values + c1)
 
     def interval_speed(self, chi, t0, t1, state):
-        return ConstantSpeed(chi.spec, self.speed_field(chi)), None
+        c = self.speed_field(chi)
+        return (lambda t: c), None
 
 
 # ---------------------------------------------------------------------------
@@ -329,37 +333,24 @@ class FitzhughNagumoCoupling(SpeedLaw):
 
     def interval_speed(self, chi, t0, t1, v):
         v_end = fn_evolve(self, v, chi, t0, t1)
-        return FNSpeed(self, t0, t1, v, v_end), v_end
+
+        def speed(t):
+            # alpha(v), v linear in time between v(t0) and v(t1)
+            if t <= t0:
+                vals = v.values
+            elif t >= t1:
+                vals = v_end.values
+            else:
+                lam = (t - t0) / (t1 - t0)
+                vals = (1.0 - lam) * v.values + lam * v_end.values
+            return ScalarField(v.spec, self.alpha(vals))
+
+        return speed, v_end
 
 
 def _neumann_laplacian(v: np.ndarray, h: float) -> np.ndarray:
     p = np.pad(v, 1, mode="edge")
     return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * v) / (h * h)
-
-
-class FNSpeed:
-    """alpha(v) on [t0, t1], v linear in time between v(t0) and v(t1)."""
-
-    def __init__(self, coupling: FitzhughNagumoCoupling, t0, t1, v_start, v_end):
-        self.coupling = coupling
-        self.t0, self.t1 = float(t0), float(t1)
-        self.v_start, self.v_end = v_start, v_end
-
-    def v_at(self, t: float) -> ScalarField:
-        if t <= self.t0:
-            return self.v_start
-        if t >= self.t1:
-            return self.v_end
-        lam = (t - self.t0) / (self.t1 - self.t0)
-        vals = (1.0 - lam) * self.v_start.values + lam * self.v_end.values
-        return ScalarField(self.v_start.spec, vals)
-
-    def speed_at(self, t: float) -> ScalarField:
-        v = self.v_at(t)
-        return ScalarField(v.spec, self.coupling.alpha(v.values))
-
-    def max_abs(self, t: float) -> float:
-        return float(np.abs(self.speed_at(t).values).max())
 
 
 def fn_evolve(
@@ -407,7 +398,7 @@ class VolumeCoupling(SpeedLaw):
 
     def interval_speed(self, chi, t0, t1, state):
         c = self.beta(0.0) if self.chi_independent else volume_speed(self, chi)
-        return ConstantSpeed(chi.spec, c), None
+        return (lambda t: c), None
 
 
 def volume_speed(coupling: VolumeCoupling, chi_t: ScalarField) -> float:
@@ -426,4 +417,4 @@ class ConstantCoupling(SpeedLaw):
     chi_independent = True
 
     def interval_speed(self, chi, t0, t1, state):
-        return ConstantSpeed(chi.spec, self.c), None
+        return (lambda t: self.c), None

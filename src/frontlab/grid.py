@@ -14,7 +14,6 @@ Operators provided here:
   levels from marching-squares cell polygons (saddles resolved by the
   cell-centre average), every level classified in one pass; only the cells
   a level cuts are interpolated.
-* ``band_measure``        -- area of {a <= u < b}.
 * ``interpolate``         -- bilinear point evaluation of a scalar or vector
   field, -1 outside the domain.
 * ``trapezoid``           -- the trapezoidal rule over a time grid.
@@ -440,14 +439,6 @@ def lebesgue_measure(u: ScalarField, levels=0.0):
     h = u.spec.h
     areas = [float(h * h * area.sum()) for area in cell_coverage(u, levels.reshape(-1))]
     return areas if levels.ndim else areas[0]
-
-
-def band_measure(u: ScalarField, a: float, b: float) -> float:
-    """Area of {a <= u < b}; returns 0 when b <= a."""
-    if b <= a:
-        return 0.0
-    area_a, area_b = lebesgue_measure(u, [a, b])
-    return area_a - area_b
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The update is forward Euler on the monotone Godunov advection term plus the
 central-difference curvature trace (regularised by eps = h), clamped to
 [-1, 1], with the far field outside B(0, far_radius) overwritten to -1 each
-step (far_radius defaults to L - 2h).  Each interval between output times
-reads the speed provider that LocalProblem.speed builds for it from the
+step (far_radius defaults to L - 2h, `grid_ring`).  Each interval between
+output times reads the speed c(t) that a speed law builds for it from the
 field that starts the interval.  Time steps obey
 dt <= safety * min(h/max|c|, h^2/(4*gamma)); `advance` refuses anything
 larger.  A guard aborts if the zero set ever reaches the containment ring
@@ -24,7 +24,6 @@ from .grid import (
     ScalarField,
     Workspace,
     central_gradient_norm,
-    constant_field,
     curvature_term,
     upwind_gradient_norm,
 )
@@ -38,50 +37,16 @@ CFL_SAFETY = 0.45
 MAX_STEPS = 100_000
 
 
-class ConstantSpeed:
-    """Speed provider for a fixed field (or constant) c(x)."""
-
-    def __init__(self, spec: GridSpec, value):
-        if isinstance(value, ScalarField):
-            self.field = value
-        else:
-            self.field = constant_field(spec, float(value))
-        self._max = float(np.abs(self.field.values).max())
-
-    def speed_at(self, t: float) -> ScalarField:
-        return self.field
-
-    def max_abs(self, t: float) -> float:
-        return self._max
+def grid_ring(spec: GridSpec) -> float:
+    """L - 2h, the largest containment ring the grid holds."""
+    return spec.half_extent - 2 * spec.h
 
 
-@dataclass
-class LocalProblem:
-    """A level-set evolution on [0, horizon].
-
-    speed(t_k, t_{k+1}, u) returns the speed provider for the interval
-    [t_k, t_{k+1}] between output times from the field u(t_k) that starts
-    it.  far_radius defaults to L - 2h, the largest ring the grid holds.
-    """
-
-    speed: object
-    gamma: float
-    horizon: float
-    spec: GridSpec
-    far_radius: float | None = None
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
-        limit = self.spec.half_extent - 2 * self.spec.h
-        if self.far_radius is None:
-            self.far_radius = limit
-        if self.far_radius > limit + 1e-12:
-            raise ValueError(
-                f"far_radius {self.far_radius:.4g} violates the bound L-2h={limit:.4g}"
-            )
+def max_speed(c: ScalarField | float) -> float:
+    """max|c| of a speed field or a spatially constant speed."""
+    if isinstance(c, ScalarField):
+        return float(max(c.values.max(), -c.values.min()))
+    return abs(float(c))
 
 
 def cfl_timestep(c_max: float, gamma: float, h: float, safety: float = 0.9) -> float:
@@ -116,10 +81,9 @@ def advance(
     if isinstance(c_t, ScalarField):
         u.check_same_grid(c_t)
         cvals = c_t.values
-        c_max = float(max(cvals.max(), -cvals.min()))
     else:
         cvals = float(c_t)
-        c_max = abs(cvals)
+    c_max = max_speed(c_t)
     bound = cfl_timestep(c_max, gamma, spec.h, safety=1.0)
     if dt > bound * (1.0 + 1e-9):
         raise StabilityError(
@@ -178,17 +142,21 @@ def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
 
 
 def solve(
-    problem: LocalProblem, u0: ScalarField, output_times,
-    resume: Trajectory = None, start: int = 0,
+    u0: ScalarField, speed, gamma: float, horizon: float, output_times,
+    far_radius: float = None, resume: Trajectory = None, start: int = 0,
 ) -> Trajectory:
-    """March to the horizon, landing exactly on every output time.
+    """March u0 to the horizon, landing exactly on every output time.
 
-    Every interval [t_k, t_{k+1}] between output times reads the provider
-    problem.speed(t_k, t_{k+1}, u(t_k)), so a speed law can read the
-    solution it drives (the causal march of `weak.march_solve`).
+    Every interval [t_k, t_{k+1}] between output times calls
+    speed(t_k, t_{k+1}, u(t_k)) once, from the field that starts it, so a
+    speed law can read the solution it drives (the causal march of
+    `weak.march_solve`).  What it returns maps a time t to the speed c(t),
+    a ScalarField or a float for a spatially constant speed; each step calls
+    it once, at the time the step starts.  far_radius defaults to
+    grid_ring(u0.spec), L - 2h.
 
     start = m > 0 resumes at the stored time t_m of `resume`, a trajectory
-    of this problem on the same output times whose first m + 1 stored times
+    of this march on the same output times whose first m + 1 stored times
     are taken as they are.  A march lands exactly on t_m, so the steps after
     it are the same floats as in a march from t_0.
 
@@ -198,19 +166,26 @@ def solve(
     steps to reach the horizon, and when its step count passes MAX_STEPS.
     """
     spec = u0.spec
-    if spec != problem.spec:
-        raise ValueError("initial field grid does not match the problem grid")
-    times = _normalise_output_times(output_times, problem.horizon)
     h = spec.h
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    ring = grid_ring(spec)
+    if far_radius is None:
+        far_radius = ring
+    if far_radius > ring + 1e-12:
+        raise ValueError(f"far_radius {far_radius:.4g} violates the bound L-2h={ring:.4g}")
+    times = _normalise_output_times(output_times, horizon)
 
-    measure_mask = spec.radius() <= problem.far_radius - 2 * h
-    guard_mask = spec.radius() >= problem.far_radius - 4 * h
+    measure_mask = spec.radius() <= far_radius - 2 * h
+    guard_mask = spec.radius() >= far_radius - 4 * h
 
     def check_guard(t):
         if np.any(u.values[guard_mask] >= 0.0):
             raise FrontEscapeError(
                 f"zero set reached the containment ring at t={t:.6g} "
-                f"(far_radius={problem.far_radius:.4g})"
+                f"(far_radius={far_radius:.4g})"
             )
 
     def seminorm():
@@ -218,12 +193,12 @@ def solve(
 
     if start == 0:
         u = ScalarField(spec, np.clip(u0.values, -1.0, 1.0))
-        u.values[_far_mask(spec, problem.far_radius)] = -1.0
+        u.values[_far_mask(spec, far_radius)] = -1.0
         check_guard(0.0)
         snapshots, dt_used, lipschitz_log = [u.copy()], [0.0], [seminorm()]
     else:
         if not np.array_equal(resume.times, times) or (
-            (resume.far_radius, resume.gamma) != (problem.far_radius, problem.gamma)
+            (resume.far_radius, resume.gamma) != (far_radius, gamma)
         ):
             raise ValueError("a resumed march needs the output times, far_radius and gamma it resumes")
         snapshots = resume.snapshots[:start + 1]
@@ -235,8 +210,8 @@ def solve(
         snapshots=snapshots,
         dt_used=dt_used,
         lipschitz_log=lipschitz_log,
-        far_radius=problem.far_radius,
-        gamma=problem.gamma,
+        far_radius=far_radius,
+        gamma=gamma,
     )
 
     work = Workspace(spec)
@@ -244,15 +219,15 @@ def solve(
     t = times[len(snapshots) - 1]
     for t_next in times[len(snapshots):]:
         # the stored snapshot, which no later step overwrites
-        speed = problem.speed(t, t_next, traj.snapshots[-1])
+        speed_on = speed(t, t_next, traj.snapshots[-1])
         last_dt = 0.0
         while t < t_next:
-            c_field = speed.speed_at(t)
-            nominal = cfl_timestep(speed.max_abs(t), problem.gamma, h, CFL_SAFETY)
-            if steps == 0 and problem.horizon - t > MAX_STEPS * nominal:
+            c = speed_on(t)
+            nominal = cfl_timestep(max_speed(c), gamma, h, CFL_SAFETY)
+            if steps == 0 and horizon - t > MAX_STEPS * nominal:
                 raise StabilityError(
                     f"at dt={nominal:.3e} the march from t={t:.6g} to the horizon "
-                    f"{problem.horizon:.6g} needs more than {MAX_STEPS} steps"
+                    f"{horizon:.6g} needs more than {MAX_STEPS} steps"
                 )
             if steps == MAX_STEPS:
                 raise StabilityError(f"the march passed {MAX_STEPS} steps at t={t:.6g}")
@@ -264,7 +239,7 @@ def solve(
             else:
                 dt = nominal
                 t += dt
-            u = advance(u, c_field, problem.gamma, dt, far_radius=problem.far_radius, work=work)
+            u = advance(u, c, gamma, dt, far_radius=far_radius, work=work)
             last_dt = dt
         check_guard(t)
         traj.snapshots.append(u.copy())

@@ -41,7 +41,7 @@ import numpy as np
 
 from .couplings import OccupationHistory, constant_history, kappa
 from .grid import ScalarField, central_gradient_norm
-from .solver import LocalProblem, Trajectory, _normalise_output_times, solution_gaps, solve
+from .solver import Trajectory, _normalise_output_times, grid_ring, solution_gaps, solve
 
 
 def chi_from_u(u: ScalarField) -> ScalarField:
@@ -172,14 +172,11 @@ def march_solve(
     def speed(t0, t1, u):
         k = len(states) - 1
         chi = chi_from_u(u) if chi_hist is None else chi_hist.fields[k]
-        provider, state = coupling.interval_speed(chi, float(t0), float(t1), states[k])
+        speed_on, state = coupling.interval_speed(chi, float(t0), float(t1), states[k])
         states.append(state)
-        return provider
+        return speed_on
 
-    problem = LocalProblem(
-        speed=speed, gamma=gamma, horizon=horizon, spec=spec, far_radius=far_radius,
-    )
-    traj = solve(problem, u0, output_times=times, resume=resume, start=start)
+    traj = solve(u0, speed, gamma, horizon, times, far_radius, resume=resume, start=start)
     own = _history_from_traj(traj)
     if chi_hist is None:
         chi_hist, residual = own, 0.0
@@ -200,9 +197,7 @@ def reuses_march(traj: Trajectory, gamma: float, horizon: float, output_times=No
     and u0, is the march these arguments solve: same gamma, stored times and
     far_radius."""
     if far_radius is None:
-        far_radius = LocalProblem(
-            speed=None, gamma=gamma, horizon=horizon, spec=traj.spec,
-        ).far_radius
+        far_radius = grid_ring(traj.spec)
     return (
         traj.gamma == gamma and traj.far_radius == far_radius
         and np.array_equal(traj.times, _times(output_times, horizon))
@@ -250,7 +245,7 @@ def fixed_point_solve(
             far_radius=far_radius, chi_hist=chi_hist, memo=memo,
         )
         chi_hist = sol.chi_hist
-        # a chi-independent law rebuilds the identical provider from any
+        # a chi-independent law rebuilds the identical speed from any
         # history, so the next iterate would equal this one bitwise
         residual = 0.0 if coupling.chi_independent else sol.residual_history[0]
         residual_history.append(residual)

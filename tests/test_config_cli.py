@@ -102,7 +102,7 @@ def test_full_key_set():
         "checks = cone, dependence\n"
         "probe.enabled = true\n"
         "probe.seeds = bracket, ball\n"
-        "probe.taus = 0.05, 0.1\n"
+        "probe.taus = 0.1, 0.2\n"
         "gamma_sweep = 0, 0.02\n"
         "far_radius = 1.2\n"
         "tol = 0.01\n"
@@ -113,6 +113,7 @@ def test_full_key_set():
     assert tuple(cfg.times()) == (0.0, 0.1, 0.2)
     assert cfg.checks == ("cone", "dependence")
     assert cfg.probe_seeds == ("bracket", "ball")
+    assert cfg.probe_taus == (0.1, 0.2)
     assert cfg.gamma_sweep == (0.0, 0.02)
     assert cfg.grid().n == 65
     assert isinstance(cfg.build_coupling(), DislocationCoupling)
@@ -680,6 +681,43 @@ def test_probe_front_escape_fails_the_run(tmp_path):
     assert "FrontEscapeError" in (out / "FAILED").read_text()
     assert (out / "manifest.txt").exists()
     assert not (out / "verdicts.txt").exists()
+
+
+PROBE_TAUS_BASE = """\
+grid.n = 33
+init.kind = circle
+init.r0 = 0.5
+coupling.kind = volume
+coupling.beta = constant(0)
+horizon = 0.02
+output_times = 3
+checks = none
+probe.enabled = true
+"""
+
+
+@pytest.mark.parametrize("taus, needle", [
+    ("-1", "probe.taus must be times in (0, horizon = 0.02]"),
+    ("0.5", "probe.taus must be times in (0, horizon = 0.02]"),
+    ("0.01, 0", "probe.taus must be times in (0, horizon = 0.02]"),
+    ("", "probe.taus must be times in (0, horizon = 0.02]"),
+    ("0.001", "probe.taus: the earliest tau 0.001 lies before the first stored time after 0, 0.01"),
+])
+def test_probe_taus_outside_the_stored_times_exit_two(tmp_path, capsys, taus, needle):
+    # each would have run the probe on no stored time after 0 (an empty
+    # PASS), past the horizon (a PASS on nothing), or into a traceback
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(PROBE_TAUS_BASE + f"probe.taus = {taus}\n")
+    code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: line 10: {needle}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_probe_taus_on_the_stored_times_parse():
+    cfg = parse_config(PROBE_TAUS_BASE + "probe.taus = 0.01, 0.02\n")
+    assert cfg.probe_taus == (0.01, 0.02)
 
 
 def test_config_error_exits_two(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Nonlocal velocity providers and the occupation-distance functionals.
+"""Nonlocal speed laws and the occupation-distance functionals.
 
 The convolution tests carry their own brute-force double-sum oracle; the FFT
 implementation must match it to 1e-10 relative on 65^2 grids.  The remaining
@@ -242,7 +242,7 @@ def test_fn_no_source_keeps_initial():
     pieces, stored = _pieces(coup, hist)
     for v in stored:
         assert np.max(np.abs(v.values - 0.3)) < 1e-12
-    assert np.max(np.abs(pieces[1].speed_at(0.07).values - 0.3)) < 1e-12
+    assert np.max(np.abs(pieces[1](0.07).values - 0.3)) < 1e-12
 
 
 def test_fn_uniform_source_integrates_time():
@@ -252,7 +252,7 @@ def test_fn_uniform_source_integrates_time():
     for t, v in zip([0.0, 0.1, 0.2], stored):
         assert np.max(np.abs(v.values - t)) < 1e-8
     # linear-in-time interpolation between slices (alpha is the identity here)
-    assert np.max(np.abs(pieces[1].speed_at(0.15).values - 0.15)) < 1e-8
+    assert np.max(np.abs(pieces[1](0.15).values - 0.15)) < 1e-8
 
 
 def test_fn_heat_maximum_principle():
@@ -321,7 +321,7 @@ def test_constant_coupling_provider():
     coup = ConstantCoupling(0.8)
     piece, state = coup.interval_speed(_disc_chi(SPEC65, 0.3), 0.0, 0.1, None)
     assert coup.chi_independent and state is None
-    assert np.max(np.abs(piece.speed_at(0.05).values - 0.8)) == 0.0
+    assert piece(0.05) == 0.8
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from frontlab.grid import (
     GridSpec,
     ScalarField,
     Workspace,
-    band_measure,
     cell_coverage,
     central_gradient_norm,
     central_gradients,
@@ -289,26 +288,6 @@ def test_lebesgue_measure_monotone_in_threshold():
     levels = np.linspace(-1.0, 1.0, 9)
     areas = [lebesgue_measure(u, lv) for lv in levels]
     assert all(a >= b - 1e-12 for a, b in zip(areas, areas[1:]))
-
-
-def test_band_measure_annulus():
-    # {-0.1 <= 1 - |x| <= 0} is the annulus 1 <= |x| <= 1.1
-    spec = GridSpec(201, 1.5)
-    u = field_from_function(spec, lambda x, y: 1.0 - np.hypot(x, y))
-    got = band_measure(u, -0.1, 0.0)
-    assert got == pytest.approx(np.pi * (1.1**2 - 1.0**2), rel=1e-2)
-
-
-def test_band_measure_strip():
-    spec = GridSpec(101, 1.0)
-    u = field_from_function(spec, lambda x, y: x)
-    assert band_measure(u, -0.2, 0.2) == pytest.approx(0.8, rel=1e-2)
-
-
-def test_band_measure_empty():
-    spec = GridSpec(101, 1.0)
-    u = constant_field(spec, -1.0)
-    assert band_measure(u, -0.2, -0.1) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,11 @@ from frontlab.grid import (
 )
 from frontlab.solver import (
     MAX_STEPS,
-    ConstantSpeed,
-    LocalProblem,
     Trajectory,
     advance,
     cfl_timestep,
     dump_trajectory,
+    grid_ring,
     load_trajectory,
     regularity_report,
     solve,
@@ -172,6 +171,21 @@ def test_advance_geometricity_of_zero_set():
     assert gap <= np.sqrt(2.0) * SPEC.h
 
 
+@pytest.mark.parametrize("c", [0.0, 0.7, -0.7])
+def test_advance_float_speed_matches_constant_field_bitwise(c):
+    # constant and volume laws hand advance a float; it must step exactly
+    # as the same speed spread over the grid
+    spec = GridSpec(65, 1.5)
+    u = ScalarField(spec, np.random.default_rng(7).uniform(-1.0, 1.0, (spec.n, spec.n)))
+    dt = cfl_timestep(1.0, 0.5, spec.h, 0.45)
+    field = ScalarField(spec, np.full((spec.n, spec.n), c))
+    for far in (None, grid_ring(spec)):
+        assert _same_bits(
+            advance(u, c, 0.5, dt, far_radius=far).values,
+            advance(u, field, 0.5, dt, far_radius=far).values,
+        )
+
+
 def _reference_advance(u, c, gamma, dt, far_radius=None):
     # the step as one numpy expression on fresh arrays; the stencils match
     # their own formulas bit for bit (tests/test_grid.py)
@@ -220,77 +234,66 @@ def test_advance_matches_numpy_bitwise(n, far, moving):
 # ---------------------------------------------------------------------------
 
 
-def _problem(spec, speed, gamma, horizon, **kw):
-    """A problem that reads the one provider `speed` on every interval."""
-    return LocalProblem(
-        speed=lambda t0, t1, u: speed, gamma=gamma, horizon=horizon, spec=spec, **kw
-    )
+def _constant(c):
+    """A speed law that reads the speed c on every interval."""
+    return lambda t0, t1, u: lambda t: c
 
 
 def test_solve_constant_speed_disc():
     spec = GridSpec(129, 1.5)
-    prob = _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.4)
-    traj = solve(prob, _disc(spec, 0.5), [0.2, 0.4])
+    traj = solve(_disc(spec, 0.5), _constant(1.0), 0.0, 0.4, [0.2, 0.4])
     assert traj.times[-1] == 0.4
     assert _mean_radius(traj.snapshots[-1]) == pytest.approx(0.9, rel=0.02)
 
 
 def test_solve_curvature_disc():
     spec = GridSpec(129, 1.5)
-    prob = _problem(spec, ConstantSpeed(spec, 0.0), 1.0, 0.18)
-    traj = solve(prob, _disc(spec, 1.0), [0.18])
+    traj = solve(_disc(spec, 1.0), _constant(0.0), 1.0, 0.18, [0.18])
     assert _mean_radius(traj.snapshots[-1]) == pytest.approx(0.8, rel=0.02)
 
 
 def test_solve_zero_horizon_single_snapshot():
     u0 = _disc(SPEC, 0.5)
-    prob = _problem(SPEC, ConstantSpeed(SPEC, 1.0), 0.0, 0.0)
-    traj = solve(prob, u0, [])
+    traj = solve(u0, _constant(1.0), 0.0, 0.0, [])
     assert len(traj.snapshots) == 1
     assert traj.times[0] == 0.0
-    inside = SPEC.radius() <= prob.far_radius
+    inside = SPEC.radius() <= traj.far_radius
     assert np.array_equal(traj.snapshots[0].values[inside], u0.values[inside])
 
 
 def test_solve_zero_speed_identity():
     u0 = _disc(SPEC, 0.5)
-    prob = _problem(SPEC, ConstantSpeed(SPEC, 0.0), 0.0, 1.0)
-    traj = solve(prob, u0, [0.5, 1.0])
+    traj = solve(u0, _constant(0.0), 0.0, 1.0, [0.5, 1.0])
     for snap in traj.snapshots[1:]:
         assert np.array_equal(snap.values, traj.snapshots[0].values)
 
 
 def test_solve_rejects_non_monotone_times():
-    prob = _problem(SPEC, ConstantSpeed(SPEC, 1.0), 0.0, 1.0)
     with pytest.raises(ValueError):
-        solve(prob, _disc(SPEC, 0.5), [0.5, 0.2])
+        solve(_disc(SPEC, 0.5), _constant(1.0), 0.0, 1.0, [0.5, 0.2])
     with pytest.raises(ValueError):
-        solve(prob, _disc(SPEC, 0.5), [0.5, 2.0])
+        solve(_disc(SPEC, 0.5), _constant(1.0), 0.0, 1.0, [0.5, 2.0])
 
 
 def test_solve_exact_landing_times():
     spec = GridSpec(65, 1.0)
-    prob = _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.1)
-    traj = solve(prob, _disc(spec, 0.3), [0.033, 0.07])
+    traj = solve(_disc(spec, 0.3), _constant(1.0), 0.0, 0.1, [0.033, 0.07])
     assert np.array_equal(traj.times, [0.0, 0.033, 0.07, 0.1])
     assert all(dt <= cfl_timestep(1.0, 0.0, spec.h, 1.0) + 1e-15 for dt in traj.dt_used)
 
 
 def test_solve_front_escape_trips():
-    prob = _problem(SPEC, ConstantSpeed(SPEC, 1.0), 0.0, 1.0, far_radius=0.7)
     with pytest.raises(FrontEscapeError):
-        solve(prob, _disc(SPEC, 0.5), [1.0])
+        solve(_disc(SPEC, 0.5), _constant(1.0), 0.0, 1.0, [1.0], far_radius=0.7)
 
 
 def test_piecewise_speed_switches():
     # expand at speed 1 for 0.1, freeze afterwards
     spec = GridSpec(129, 1.0)
-    move, stay = ConstantSpeed(spec, 1.0), ConstantSpeed(spec, 0.0)
-    prob = LocalProblem(
-        speed=lambda t0, t1, u: move if t0 < 0.1 else stay,
-        gamma=0.0, horizon=0.3, spec=spec,
+    traj = solve(
+        _disc(spec, 0.3), lambda t0, t1, u: lambda t: 1.0 if t0 < 0.1 else 0.0,
+        0.0, 0.3, [0.1, 0.3],
     )
-    traj = solve(prob, _disc(spec, 0.3), [0.1, 0.3])
     assert _mean_radius(traj.snapshots[1]) == pytest.approx(0.4, abs=2 * spec.h)
     assert _mean_radius(traj.snapshots[2]) == pytest.approx(0.4, abs=2 * spec.h)
 
@@ -298,11 +301,32 @@ def test_piecewise_speed_switches():
 def test_default_far_radius_capped():
     # unset, the containment ring is the largest the grid holds, L - 2h
     spec = GridSpec(201, 1.5)
-    prob = _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.1)
-    assert prob.far_radius == 1.5 - 2 * spec.h
-    assert solve(prob, _disc(spec, 0.5), [0.1]).far_radius == 1.5 - 2 * spec.h
+    assert grid_ring(spec) == 1.5 - 2 * spec.h
+    assert solve(_disc(spec, 0.5), _constant(1.0), 0.0, 0.1, [0.1]).far_radius == grid_ring(spec)
     with pytest.raises(ValueError, match="L-2h"):
-        _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.1, far_radius=1.5 - spec.h)
+        solve(_disc(spec, 0.5), _constant(1.0), 0.0, 0.1, [0.1], far_radius=1.5 - spec.h)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"gamma": -0.1}, "gamma must be >= 0"),
+    ({"horizon": -0.1}, "horizon must be nonnegative"),
+    ({"far_radius": 1.5 - 1.9 * SPEC.h}, "L-2h"),
+])
+def test_solve_rejects_bad_problem_before_any_step(monkeypatch, kw, message):
+    called = []
+    monkeypatch.setattr(frontlab.solver, "advance", lambda *a, **k: called.append(1))
+    args = {"gamma": 0.0, "horizon": 0.1, "far_radius": None} | kw
+    with pytest.raises(ValueError, match=message):
+        solve(_disc(SPEC, 0.5), lambda t0, t1, u: called.append(0), output_times=[], **args)
+    assert called == []
+
+
+def test_solve_accepts_the_grid_ring_and_smaller():
+    spec = GridSpec(33, 1.5)
+    for far in (grid_ring(spec), 1.0):
+        traj = solve(_disc(spec, 0.5), _constant(0.0), 0.0, 0.1, [0.1], far_radius=far)
+        assert traj.far_radius == far
+        assert np.all(traj.snapshots[-1].values[spec.radius() > far] == -1.0)
 
 
 def test_solve_keeps_received_fields_and_snapshots():
@@ -313,11 +337,11 @@ def test_solve_keeps_received_fields_and_snapshots():
 
     def area_law(t0, t1, u):
         received.append((u, u.values.copy()))
-        return ConstantSpeed(spec, 1.0 - lebesgue_measure(u) / np.pi)
+        c = 1.0 - lebesgue_measure(u) / np.pi
+        return lambda t: c
 
     def march(u0):
-        prob = LocalProblem(speed=area_law, gamma=0.05, horizon=0.1, spec=spec)
-        return solve(prob, u0, [0.025, 0.05, 0.075, 0.1])
+        return solve(u0, area_law, 0.05, 0.1, [0.025, 0.05, 0.075, 0.1])
 
     u0 = _disc(spec, 0.5)
     start = u0.values.copy()
@@ -353,11 +377,10 @@ def test_solve_step_allocates_under_one_field(monkeypatch):
 
     monkeypatch.setattr(frontlab.solver, "advance", measured)
     xx, _ = spec.meshgrid()
-    speed = ConstantSpeed(spec, ScalarField(spec, xx))
-    prob = _problem(spec, speed, 0.5, 5e-4)
+    speed = _constant(ScalarField(spec, xx))
     tracemalloc.start()
     try:
-        solve(prob, _disc(spec, 0.5), [5e-4])
+        solve(_disc(spec, 0.5), speed, 0.5, 5e-4, [5e-4])
     finally:
         tracemalloc.stop()
     assert len(rises) >= 5
@@ -372,9 +395,8 @@ def test_solve_refuses_a_march_past_the_step_budget(monkeypatch):
     )
     spec = GridSpec(33, 1.5)
     dt = cfl_timestep(1.0, 0.0, spec.h, frontlab.solver.CFL_SAFETY)
-    prob = _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 1.01 * MAX_STEPS * dt)
     with pytest.raises(StabilityError, match="more than"):
-        solve(prob, _disc(spec, 0.5), [])
+        solve(_disc(spec, 0.5), _constant(1.0), 0.0, 1.01 * MAX_STEPS * dt, [])
     assert steps == []
 
 
@@ -382,14 +404,14 @@ def test_solve_stops_when_a_law_speeds_up_past_the_budget(monkeypatch):
     # the estimate at t = 0 passes; the count catches the faster law later
     monkeypatch.setattr(frontlab.solver, "MAX_STEPS", 40)
     spec = GridSpec(33, 1.5)
-    slow, fast = ConstantSpeed(spec, 0.01), ConstantSpeed(spec, 1.0)
     dt = cfl_timestep(0.01, 0.0, spec.h, frontlab.solver.CFL_SAFETY)
-    prob = LocalProblem(
-        speed=lambda t0, t1, u: slow if t0 == 0.0 else fast,
-        gamma=0.0, horizon=20 * dt, spec=spec,
-    )
+
+    def speed(t0, t1, u):
+        c = 0.01 if t0 == 0.0 else 1.0
+        return lambda t: c
+
     with pytest.raises(StabilityError, match="passed 40 steps"):
-        solve(prob, _disc(spec, 0.3), [dt])
+        solve(_disc(spec, 0.3), speed, 0.0, 20 * dt, [dt])
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +421,19 @@ def test_solve_stops_when_a_law_speeds_up_past_the_budget(monkeypatch):
 
 def test_regularity_constant_speed_flat_growth():
     spec = GridSpec(129, 1.5)
-    prob = _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.3)
-    traj = solve(prob, _disc(spec, 0.5), np.linspace(0.0, 0.3, 7))
+    traj = solve(_disc(spec, 0.5), _constant(1.0), 0.0, 0.3, np.linspace(0.0, 0.3, 7))
     assert regularity_report(traj) == pytest.approx(0.0, abs=0.35)
     lips = np.asarray(traj.lipschitz_log)
     assert lips.max() / lips.min() < 1.1
 
 
 def test_regularity_frozen_field():
-    prob = _problem(SPEC, ConstantSpeed(SPEC, 0.0), 0.0, 0.5)
-    traj = solve(prob, _disc(SPEC, 0.5), np.linspace(0.0, 0.5, 5))
+    traj = solve(_disc(SPEC, 0.5), _constant(0.0), 0.0, 0.5, np.linspace(0.0, 0.5, 5))
     assert regularity_report(traj) == 0.0
 
 
 def test_regularity_needs_three_snapshots():
-    prob = _problem(SPEC, ConstantSpeed(SPEC, 0.0), 0.0, 0.5)
-    traj = solve(prob, _disc(SPEC, 0.5), [0.5])
+    traj = solve(_disc(SPEC, 0.5), _constant(0.0), 0.0, 0.5, [0.5])
     with pytest.raises(ValueError):
         regularity_report(traj)
 
@@ -426,8 +445,7 @@ def test_regularity_needs_three_snapshots():
 
 def test_trajectory_round_trip(tmp_path):
     spec = GridSpec(65, 1.0)
-    prob = _problem(spec, ConstantSpeed(spec, 1.0), 0.0, 0.05)
-    traj = solve(prob, _disc(spec, 0.3), [0.025, 0.05])
+    traj = solve(_disc(spec, 0.3), _constant(1.0), 0.0, 0.05, [0.025, 0.05])
     dump_trajectory(traj, tmp_path / "traj")
     back = load_trajectory(tmp_path / "traj")
     assert np.array_equal(back.times, traj.times)

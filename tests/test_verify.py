@@ -23,7 +23,7 @@ import pytest
 from frontlab.couplings import ConstantCoupling
 from frontlab.geometry import star_shaped_u0
 from frontlab.grid import GridSpec, ScalarField, constant_field, interpolate
-from frontlab.solver import ConstantSpeed, LocalProblem, Trajectory, solve
+from frontlab.solver import Trajectory, grid_ring, solve
 from frontlab.verify import (
     CheckContext,
     EtaSchedule,
@@ -48,11 +48,7 @@ TIMES = [0.0, 0.025, 0.05, 0.075, 0.1]
 
 
 def _run(u0, c, times, gamma=0.0):
-    speed = ConstantSpeed(SPEC, c)
-    prob = LocalProblem(
-        speed=lambda t0, t1, u: speed, gamma=gamma, horizon=float(times[-1]), spec=SPEC,
-    )
-    return solve(prob, u0, times)
+    return solve(u0, lambda t0, t1, u: lambda t: c, gamma, float(times[-1]), times)
 
 
 def _disc(r):
@@ -63,7 +59,7 @@ def _hand_traj(times, snapshots):
     return Trajectory(
         times=np.asarray(times, dtype=np.float64), snapshots=list(snapshots),
         dt_used=[0.0] * len(snapshots), lipschitz_log=[1.0] * len(snapshots),
-        far_radius=SPEC.half_extent - 2 * SPEC.h, gamma=0.0,
+        far_radius=grid_ring(SPEC), gamma=0.0,
     )
 
 
@@ -554,7 +550,7 @@ def test_gamma_sweep_reports_largest_passing():
     small = star_shaped_u0(spec, [(0.0, 0.0)], 0.3)
     gamma_bar, results = gamma_sweep_star_shape(
         ConstantCoupling(0.5), small, [0.0, 0.02], horizon=0.05,
-        far_radius=spec.half_extent - 2 * spec.h,
+        far_radius=grid_ring(spec),
     )
     assert gamma_bar == 0.02
     assert all(r.passed for r in results.values())

@@ -4,6 +4,7 @@ multi-seed uniqueness probe that still runs Picard."""
 import numpy as np
 import pytest
 
+import frontlab.solver
 from frontlab.couplings import (
     ConstantCoupling,
     DislocationCoupling,
@@ -61,6 +62,62 @@ def test_chi_tie_convention():
     chi = chi_from_u(ScalarField(SPEC, vals))
     assert chi.values[10, 20] == 1.0
     assert chi.values.sum() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the speed a law hands the step
+# ---------------------------------------------------------------------------
+
+
+def _recorded_advance(monkeypatch):
+    """Patch solver.advance to record the speed of every step."""
+    plain = frontlab.solver.advance
+    speeds = []
+
+    def recording(u, c_t, *args, **kwargs):
+        speeds.append(c_t)
+        return plain(u, c_t, *args, **kwargs)
+
+    monkeypatch.setattr(frontlab.solver, "advance", recording)
+    return speeds
+
+
+class _Counted:
+    """A scalar map that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return self.fn(r)
+
+
+def test_fn_speed_evaluated_once_per_step(monkeypatch):
+    coup = FitzhughNagumoCoupling(
+        alpha=clamp_affine_map(0.2, 1.0, -1.0, 1.0),
+        g_plus=constant_map(1.0), g_minus=constant_map(-1.0), v0=0.0,
+    )
+    coup.alpha = _Counted(coup.alpha)
+    speeds = _recorded_advance(monkeypatch)
+    march_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.05, horizon=0.02,
+                output_times=[0.01, 0.02])
+    assert len(speeds) > 2
+    assert coup.alpha.calls == len(speeds)
+    assert all(isinstance(c, ScalarField) for c in speeds)
+
+
+@pytest.mark.parametrize("coup", [
+    ConstantCoupling(c=0.0),
+    VolumeCoupling(constant_map(0.3)),
+    VolumeCoupling(affine_map(1.0, -1.0)),
+], ids=["constant-zero", "volume-constant-beta", "volume-affine-beta"])
+def test_spatially_constant_laws_hand_the_step_a_float(monkeypatch, coup):
+    speeds = _recorded_advance(monkeypatch)
+    march_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.1, horizon=0.01,
+                output_times=[0.005, 0.01])
+    assert speeds
+    assert all(type(c) is float for c in speeds)
 
 
 # ---------------------------------------------------------------------------
