@@ -30,6 +30,7 @@ from .geometry import star_shaped_u0
 from .grid import GridSpec
 from .solver import _normalise_output_times, grid_ring
 from .verify import CHECKS, DEFAULT_CHECKS
+from .weak import default_taus
 
 KNOWN_SEEDS = ("bracket", "empty", "ball")
 
@@ -376,20 +377,27 @@ def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
             f"{max(CHECKS[c][2] for c in short)} stored times, got {stored}",
             line=seen.get("output_times", seen.get("checks")),
         )
+    # the probe compares the seeds at the stored times <= tau, and the
+    # earliest tau decides its verdict
+    first = _normalise_output_times(cfg.times(), cfg.horizon)[1]
     if cfg.probe_taus is not None:
-        # the probe compares the seeds at the stored times <= tau, and the
-        # earliest tau decides its verdict
         taus = cfg.probe_taus
         if not taus or not all(0 < tau <= cfg.horizon for tau in taus):
             raise ConfigError(
                 f"probe.taus must be times in (0, horizon = {cfg.horizon:g}]",
                 line=seen["probe.taus"],
             )
-        first = _normalise_output_times(cfg.times(), cfg.horizon)[1]
         if min(taus) < first - 1e-12:
             raise ConfigError(
                 f"probe.taus: the earliest tau {min(taus):g} lies before the first "
                 f"stored time after 0, {first:g}",
                 line=seen["probe.taus"],
             )
+    elif cfg.probe_enabled and min(default_taus(cfg.horizon)) < first - 1e-12:
+        raise ConfigError(
+            f"the probe's earliest default tau, horizon/4 = {cfg.horizon / 4.0:g}, lies "
+            f"before the first stored time after 0, {first:g}; set probe.taus or store "
+            f"more output_times",
+            line=seen.get("output_times"),
+        )
     return cfg

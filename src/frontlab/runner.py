@@ -185,7 +185,7 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
             output_times=times, far_radius=config.far_radius,
         )
         traj = sol.u_traj
-        ctx = CheckContext(traj, init, config, coupling)
+        ctx = CheckContext(traj, init, config, coupling, checks=config.checks)
         dump_trajectory(traj, os.path.join(out_dir, "traj"))
         cdir = os.path.join(out_dir, "contours")
         os.makedirs(cdir, exist_ok=True)
@@ -305,7 +305,7 @@ def verify_run_dir(run_dir: str) -> RunResult:
         return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify ({_missing_file(err)})"])
     except FieldFormatError as err:
         return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify ({err})"])
-    ctx = CheckContext(traj, init)
+    ctx = CheckContext(traj, init, checks=checks)
 
     verdicts = []
     rdir = os.path.join(run_dir, "reports")

@@ -217,14 +217,20 @@ class CheckContext:
     (snapshot, level) contour, every snapshot's areas at `area_levels` (never
     coverage arrays), the regularity fit K, the key estimate and the
     star-shape report (which a run's gamma sweep reuses at the run's gamma).
-    The geometric reports accept a context in place of their trajectory.  A
-    run also sets `config` and `coupling`, which the checks that solve again
+    The geometric reports accept a context in place of their trajectory.
+    `checks` names the checks that will read it, so that the first contour
+    request for a snapshot extracts every level they read there.  A run also
+    sets `config` and `coupling`, which the checks that solve again
     (dependence) read."""
 
-    def __init__(self, traj: Trajectory, init: InitCondition, config=None, coupling=None):
+    def __init__(
+        self, traj: Trajectory, init: InitCondition, config=None, coupling=None, checks=(),
+    ):
         self.traj, self.init = traj, init
         self.config, self.coupling = config, coupling
+        self.checks = tuple(checks)
         self._kept = {}
+        self._contoured = set()
 
     def _once(self, key, compute, *args):
         if key not in self._kept:
@@ -233,8 +239,12 @@ class CheckContext:
 
     def contours(self, k: int, levels) -> list:
         """The contours of snapshot k at each level; the levels not kept yet
-        are extracted in one pass."""
+        are extracted in one pass, which on the first request for snapshot k
+        also takes every level of `_contour_levels(k)`."""
         missing = [level for level in levels if ("contour", k, level) not in self._kept]
+        if k not in self._contoured:
+            self._contoured.add(k)
+            missing += [level for level in self._contour_levels(k) if level not in missing]
         if missing:
             found = extract_contour(self.traj.snapshots[k], missing)
             self._kept.update({("contour", k, level): c for level, c in zip(missing, found)})
@@ -242,6 +252,14 @@ class CheckContext:
 
     def contour(self, k: int, level: float = 0.0):
         return self.contours(k, [level])[0]
+
+    def _contour_levels(self, k: int) -> list:
+        """Every level `checks` read a contour at in snapshot k: 0 (also the
+        level of a run's contour dump and radius table) and, up to t_bar,
+        the +-delta0/4 levels of cone and perimeter."""
+        if {"cone", "perimeter"} & set(self.checks) and self.traj.times[k] <= self.t_bar + 1e-12:
+            return [f * self.init.delta0 for f in LEVELS_FRACTION]
+        return [0.0]
 
     def area(self, k: int, level: float = 0.0) -> float:
         """Area of {u >= level} in snapshot k, for a level in `area_levels`;

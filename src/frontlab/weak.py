@@ -301,6 +301,11 @@ class ProbeResult:
     march_gaps: dict
 
 
+def default_taus(horizon: float) -> list:
+    """The probe's comparison times when a config sets no probe.taus."""
+    return [horizon / 4.0, horizon / 2.0, horizon]
+
+
 def uniqueness_probe(
     coupling,
     u0: ScalarField,
@@ -329,7 +334,7 @@ def uniqueness_probe(
     """
     spec = u0.spec
     if taus is None:
-        taus = [horizon / 4.0, horizon / 2.0, horizon]
+        taus = default_taus(horizon)
     if output_times is None:
         base = np.linspace(0.0, horizon, 13)
         output_times = np.unique(

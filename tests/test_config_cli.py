@@ -715,6 +715,29 @@ def test_probe_taus_outside_the_stored_times_exit_two(tmp_path, capsys, taus, ne
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "probe"])
+def test_default_probe_taus_before_the_first_stored_time_exit_two(tmp_path, capsys, command):
+    # no probe.taus: the default earliest tau, horizon/4 = 0.005, would
+    # compare the seeds at t = 0 alone and pass on nothing
+    text = PROBE_TAUS_BASE
+    if command == "probe":
+        text = text.replace("probe.enabled = true\n", "")
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(text)
+    code = main([command, str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: line 7: the probe's earliest default tau, horizon/4 = 0.005" in err
+    assert "set probe.taus or store more output_times" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_probe_taus_parse_without_the_probe():
+    assert parse_config(PROBE_TAUS_BASE.replace("probe.enabled = true", "")).probe_taus is None
+    assert parse_config(PROBE_TAUS_BASE.replace("output_times = 3", "output_times = 5")).probe_enabled
+
+
 def test_probe_taus_on_the_stored_times_parse():
     cfg = parse_config(PROBE_TAUS_BASE + "probe.taus = 0.01, 0.02\n")
     assert cfg.probe_taus == (0.01, 0.02)
@@ -824,6 +847,32 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     etas.clear()
     assert verify_run_dir(str(out)).exit_code == result.exit_code
     assert_each_once("verify")
+
+
+def test_run_and_verify_extract_each_snapshot_once(tmp_path, monkeypatch):
+    # the contour dump and the radius table read level 0 of every snapshot
+    # before cone and perimeter read +-delta0/4: the first read of a
+    # snapshot takes all three, as the first read in a verify does
+    import frontlab.contour
+
+    calls = _record_calls(monkeypatch, frontlab.contour, "extract_contour",
+                          lambda u, levels=0.0: (id(u), tuple(np.atleast_1d(levels))))
+    cfg = parse_config(TINY.replace(
+        "checks = key_estimate, lower_gradient, star_shape",
+        "checks = key_estimate, cone, perimeter, non_fattening",
+    ))
+    out = tmp_path / "run"
+    result = run(cfg, out_dir=str(out))
+    assert result.exit_code in (0, 1)
+    snapshots = len(list((out / "contours").iterdir()))
+    run_calls = list(calls)
+    calls.clear()
+    assert verify_run_dir(str(out)).exit_code == result.exit_code
+    for label, made in (("run", run_calls), ("verify", calls)):
+        ids = [u for u, _ in made]
+        assert len(ids) == len(set(ids)) == snapshots, label
+        assert all(len(levels) == 3 for _, levels in made), label
+    assert [sorted(lv) for _, lv in run_calls] == [sorted(lv) for _, lv in calls]
 
 
 # a volume run whose gamma sweep contains the run's own gamma
