@@ -7,7 +7,7 @@
     frontlab probe <config> [--out DIR]   run with the uniqueness probe forced on
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
-3 numeric stability or front escape error.
+3 numeric stability or front escape error, or any other failure of a run.
 """
 
 import argparse

@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .grid import GridSpec, ScalarField, constant_field, lebesgue_measure
 
@@ -182,10 +181,25 @@ def convolve_kernel(c0: ScalarField, chi: ScalarField) -> ScalarField:
     FFT implementation; agrees with the direct double sum to roundoff (the
     dual-route test pins this to 1e-10 relative).  Offsets falling outside
     the kernel grid contribute zero, i.e. the kernel is not wrapped.
+
+    The calls are those of scipy.signal.fftconvolve(chi, c0, mode="same")
+    in scipy 1.17, so the result is bit for bit the same: scipy.fft.rfftn
+    of both fields zero-padded to m x m, m = next_fast_len(2n - 1, real),
+    irfftn of their product, and the centred n x n block of the full
+    (2n - 1)^2 convolution.  numpy.fft rounds differently (by up to 3e-12
+    at n = 201).  scipy.fft is imported here, so that a process that never
+    convolves never loads it.
     """
+    import scipy.fft
+
     c0.check_same_grid(chi)
-    h = c0.spec.h
-    vals = fftconvolve(chi.values, c0.values, mode="same") * (h * h)
+    n, h = c0.spec.n, c0.spec.h
+    m = scipy.fft.next_fast_len(2 * n - 1, True)
+    full = scipy.fft.irfftn(
+        scipy.fft.rfftn(chi.values, (m, m)) * scipy.fft.rfftn(c0.values, (m, m)), (m, m)
+    )
+    lo = (n - 1) // 2
+    vals = full[lo:lo + n, lo:lo + n] * (h * h)
     return ScalarField(c0.spec, vals)
 
 

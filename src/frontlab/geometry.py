@@ -20,7 +20,6 @@ The two structural conditions carried by an InitCondition:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConstructionError, FieldFormatError
 from .grid import GridSpec, ScalarField, central_gradient_norm, central_gradients, interpolate
@@ -65,6 +64,8 @@ def radial_direction(spec: GridSpec) -> DirectionField:
 
 def gradient_direction(u0: ScalarField, sigma_cells: float = 2.0) -> DirectionField:
     """Direction of increase of u0, smoothed by a Gaussian of radius ~2h."""
+    from scipy.ndimage import gaussian_filter
+
     ux, uy = central_gradients(u0)
     values = np.stack(
         [gaussian_filter(ux, sigma_cells), gaussian_filter(uy, sigma_cells)], axis=-1
@@ -240,6 +241,11 @@ def star_shaped_u0(
         if eta_grid >= 0.5 * r0:
             return InitCondition(u0, nu, float(r0), R0, delta0, eta_grid, lambda0, lipschitz)
         worst_node = (delta0, eta_grid, node)
+    if worst_node is None:
+        raise ConstructionError(
+            f"margin certification failed: no band node was certified, since no node "
+            f"has |u0| <= {max(DELTA0_LADDER)} (r0={r0:.4g} against the grid step h={h:.4g})"
+        )
     raise ConstructionError(
         "margin certification failed: best band gave "
         f"delta0={worst_node[0]}, eta0={worst_node[1]:.4g} < r0/2={0.5 * r0:.4g} "

@@ -26,9 +26,11 @@ that needs no extra solve, and compares the recomputed report files with
 the stored ones byte for byte.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or
-construction error, 3 stability/escape error in any solve (fixed point,
-dependence pair, uniqueness probe).  No artifact embeds a timestamp, so
-byte-identical runs produce byte-identical trees.
+construction error, 3 any other failure: a solve (fixed point, dependence
+pair, uniqueness probe) that escapes or goes unstable, or a fault in a
+check.  Every exit 2 or 3 of `run` leaves a one-line FAILED marker.  No
+artifact embeds a timestamp, so byte-identical runs produce byte-identical
+trees.
 """
 
 import hashlib
@@ -39,13 +41,7 @@ import numpy as np
 
 from .config import ScenarioConfig, parse_config
 from .contour import dump_contour
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    FieldFormatError,
-    FrontEscapeError,
-    StabilityError,
-)
+from .errors import ConfigError, ConstructionError, FieldFormatError
 from .geometry import dump_init, load_init
 from .solver import dump_trajectory, load_trajectory
 from .verify import CHECKS, CheckContext, dump_report, gamma_sweep_star_shape, stored_mismatch
@@ -163,51 +159,54 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
     if config_text is not None:
         _write(os.path.join(out_dir, "config.txt"), config_text)
 
-    spec = config.grid()
+    # the one failure path: bad input ends the run with exit 2; a solve that
+    # escapes the containment ring or goes unstable (fixed point, dependence
+    # pair, probe), or any other fault, with exit 3
     try:
-        init = config.build_init(spec)
-        coupling = config.build_coupling(spec)
-    except (ConstructionError, ConfigError, KeyError, ValueError) as err:
-        return _fail(out_dir, f"construction: {err}", EXIT_CONFIG)
+        try:
+            spec = config.grid()
+            init = config.build_init(spec)
+            coupling = config.build_coupling(spec)
+        except (ConstructionError, ConfigError, KeyError, ValueError) as err:
+            return _fail(out_dir, f"construction: {err}", EXIT_CONFIG)
+        return _solve_and_check(config, out_dir, init, coupling)
+    except Exception as err:
+        return _fail(out_dir, " ".join(f"{type(err).__name__}: {err}".split()), EXIT_NUMERIC)
 
+
+def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> RunResult:
     dump_init(
         init,
         os.path.join(out_dir, "init.f64"),
         os.path.join(out_dir, "init_meta.txt"),
     )
     times = config.times()
+    sol = march_solve(
+        coupling, init.u0, config.gamma, config.horizon,
+        output_times=times, far_radius=config.far_radius,
+    )
+    traj = sol.u_traj
+    ctx = CheckContext(traj, init, config, coupling, checks=config.checks)
+    dump_trajectory(traj, os.path.join(out_dir, "traj"))
+    cdir = os.path.join(out_dir, "contours")
+    os.makedirs(cdir, exist_ok=True)
+    for k in range(len(traj.snapshots)):
+        dump_contour(ctx.contour(k), os.path.join(cdir, f"contour_{k:03d}.csv"))
+    _write(os.path.join(out_dir, "radius_vs_time.csv"), _radius_table(ctx))
 
-    # every solve below (fixed point, dependence pair, probe) may escape
-    # the containment ring or go unstable; each ends the run the same way
-    try:
-        sol = march_solve(
-            coupling, init.u0, config.gamma, config.horizon,
-            output_times=times, far_radius=config.far_radius,
-        )
-        traj = sol.u_traj
-        ctx = CheckContext(traj, init, config, coupling, checks=config.checks)
-        dump_trajectory(traj, os.path.join(out_dir, "traj"))
-        cdir = os.path.join(out_dir, "contours")
-        os.makedirs(cdir, exist_ok=True)
-        for k in range(len(traj.snapshots)):
-            dump_contour(ctx.contour(k), os.path.join(cdir, f"contour_{k:03d}.csv"))
-        _write(os.path.join(out_dir, "radius_vs_time.csv"), _radius_table(ctx))
-
-        verdicts = [f"{'PASS' if sol.converged else 'FAIL'} fixed_point"]
-        if config.gamma_sweep and "star_shape" in config.checks:
-            verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir, ctx))
-        # every report before any is written: a failed dependence pair writes none
-        reports = [
-            rep for name, (reports_of, _, _) in CHECKS.items()
-            if name in config.checks for rep in reports_of(ctx)
-        ]
-        for rep in reports:
-            dump_report(rep, os.path.join(out_dir, "reports"))
-            verdicts.append(rep.verdict_line())
-        if config.probe_enabled:
-            verdicts.append(_probe(config, coupling, init, times, out_dir, sol))
-    except (FrontEscapeError, StabilityError) as err:
-        return _fail(out_dir, f"{type(err).__name__}: {err}", EXIT_NUMERIC)
+    verdicts = [f"{'PASS' if sol.converged else 'FAIL'} fixed_point"]
+    if config.gamma_sweep and "star_shape" in config.checks:
+        verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir, ctx))
+    # every report before any is written: a failed dependence pair writes none
+    reports = [
+        rep for name, (reports_of, _, _) in CHECKS.items()
+        if name in config.checks for rep in reports_of(ctx)
+    ]
+    for rep in reports:
+        dump_report(rep, os.path.join(out_dir, "reports"))
+        verdicts.append(rep.verdict_line())
+    if config.probe_enabled:
+        verdicts.append(_probe(config, coupling, init, times, out_dir, sol))
 
     meta = [
         f"name = {config.name}",

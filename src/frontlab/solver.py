@@ -10,8 +10,8 @@ dt = CFL_SAFETY / (2 max|c|/h + 4 gamma/h^2), a share of the explicit bound
 for the advection and curvature terms summed over both axes, and `advance`
 refuses any dt above the bound itself.  A guard aborts if the zero set ever
 reaches the containment ring B(0, far_radius - 4h) from inside, since past
-that point the overwrite would be carving the front itself.  One solve takes
-at most MAX_STEPS steps.
+that point the overwrite would be carving the front itself.  One solve
+updates at most MAX_CELL_UPDATES nodes, MAX_STEPS steps of a 201-node grid.
 """
 
 from dataclasses import dataclass
@@ -37,9 +37,15 @@ from .grid import (
 # and 3.3 times this step
 CFL_SAFETY = 0.9
 
-# steps one solve may take, about 28 times the largest solve of any preset
-# or test (mcf-circle, 3576 steps); past it solve raises StabilityError
+# the work one solve may do: MAX_STEPS steps of a 201 x 201 grid, about 28
+# times the largest solve of any preset or test (mcf-circle, 3576 steps at
+# n = 201), or MAX_CELL_UPDATES // n^2 steps of an n x n grid; past it solve
+# raises StabilityError
 MAX_STEPS = 100_000
+MAX_CELL_UPDATES = MAX_STEPS * 201**2
+
+# the shortest span of stored times the Lipschitz growth fit takes
+MIN_FIT_SPAN = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def grid_ring(spec: GridSpec) -> float:
@@ -168,9 +174,11 @@ def solve(
     it are the same floats as in a march from t_0.
 
     Every step writes into one `grid.Workspace` allocated per call; stored
-    snapshots are copies.  The call raises StabilityError before its first
-    step when the CFL step at that time would need more than MAX_STEPS
-    steps to reach the horizon, and when its step count passes MAX_STEPS.
+    snapshots are copies.  Each step updates all n^2 nodes, so the work
+    budget MAX_CELL_UPDATES allows MAX_CELL_UPDATES // n^2 steps.  The call
+    raises StabilityError before its first step when the CFL step at that
+    time would need more steps than that to reach the horizon, and when its
+    step count passes them.
     """
     spec = u0.spec
     h = spec.h
@@ -222,7 +230,7 @@ def solve(
     )
 
     work = Workspace(spec)
-    steps = 0
+    steps, max_steps = 0, MAX_CELL_UPDATES // spec.n**2
     t = times[len(snapshots) - 1]
     for t_next in times[len(snapshots):]:
         # the stored snapshot, which no later step overwrites
@@ -231,13 +239,18 @@ def solve(
         while t < t_next:
             c = speed_on(t)
             nominal = cfl_timestep(max_speed(c), gamma, h)
-            if steps == 0 and horizon - t > MAX_STEPS * nominal:
+            if steps == 0 and horizon - t > max_steps * nominal:
                 raise StabilityError(
                     f"at dt={nominal:.3e} the march from t={t:.6g} to the horizon "
-                    f"{horizon:.6g} needs more than {MAX_STEPS} steps"
+                    f"{horizon:.6g} needs more than {max_steps} steps of the "
+                    f"{spec.n}^2-node grid, above the budget of {MAX_CELL_UPDATES:.3g} "
+                    f"node updates"
                 )
-            if steps == MAX_STEPS:
-                raise StabilityError(f"the march passed {MAX_STEPS} steps at t={t:.6g}")
+            if steps == max_steps:
+                raise StabilityError(
+                    f"the march passed {max_steps} steps of the {spec.n}^2-node grid "
+                    f"({MAX_CELL_UPDATES:.3g} node updates) at t={t:.6g}"
+                )
             steps += 1
             remaining = t_next - t
             if remaining <= nominal * (1.0 + 1e-9):
@@ -262,6 +275,12 @@ def regularity_report(traj: Trajectory) -> float:
     if len(traj.snapshots) < 3:
         raise ValueError("regularity_report needs at least 3 snapshots")
     times = np.asarray(traj.times, dtype=np.float64)
+    # the fit scales by the root of the summed squared times, which must not underflow
+    if not times[-1] >= MIN_FIT_SPAN:
+        raise ValueError(
+            f"regularity_report: the stored times end at {times[-1]:.3g}, below "
+            f"{MIN_FIT_SPAN:.3g}, whose square is the smallest normal float"
+        )
     lip = np.asarray(traj.lipschitz_log, dtype=np.float64)
     slope = np.polyfit(times, np.log(np.maximum(lip, 1e-300) / max(lip[0], 1e-300)), 1)[0]
     return float(max(slope, 0.0))

@@ -529,6 +529,38 @@ def test_import_loads_every_module_but_the_command_line():
     assert set(proc.stdout.split()) == modules - {"frontlab.cli"}
 
 
+# Imports the command line, which imports every module, and then builds one
+# dislocation speed field: only the convolution may load scipy.fft, and
+# nothing may load scipy.signal, whose import pulls in scipy.stats too.
+_IMPORT_WEIGHT_SCRIPT = """
+import sys
+
+import frontlab.cli
+
+def loaded(*names):
+    return [m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names)]
+
+heavy = loaded("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.fft")
+assert not heavy, heavy
+
+from frontlab.couplings import DislocationCoupling, parse_kernel
+from frontlab.grid import GridSpec, ScalarField
+
+spec = GridSpec(33, 1.5)
+x, y = spec.meshgrid()
+chi = ScalarField(spec, (x * x + y * y <= 0.25).astype(float))
+law = DislocationCoupling(c0=parse_kernel("core_ring(1.3,0.15,-0.3,0.15,0.3)", spec))
+law.speed_field(chi)
+assert loaded("scipy.fft")
+assert not loaded("scipy.signal"), loaded("scipy.signal")
+"""
+
+
+def test_import_loads_no_scipy_module_until_a_convolution():
+    proc = _python("-c", _IMPORT_WEIGHT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_identical_runs_have_identical_manifests(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
@@ -639,6 +671,36 @@ def test_step_budget_exits_three(tmp_path, capsys, changed):
     assert code == 3
     assert "FAIL run" in capsys.readouterr().out
     assert "StabilityError" in (out / "FAILED").read_text()
+
+
+# an n=33 constant-speed run with every check, of which each case below
+# changes one key
+ONE_KEY_BASE = {
+    "grid.n": "33", "init.kind": "circle", "init.r0": "0.5",
+    "coupling.kind": "constant", "coupling.c": "1", "gamma": "0.1",
+    "horizon": "0.05", "output_times": "3", "checks": ", ".join(DEFAULT_CHECKS),
+}
+
+
+@pytest.mark.parametrize("changed, code, reason", [
+    ({"grid.L": "1e300"}, 2, "no band node was certified"),
+    ({"horizon": "1e-300"}, 3, "ValueError: regularity_report: the stored times end at 1e-300"),
+    ({"grid.n": "2001", "output_times": "5"}, 3, "StabilityError: at dt="),
+], ids=["front-below-a-cell", "horizon-below-the-fit-span", "grid-above-the-work-budget"])
+def test_out_of_range_config_fails_with_a_marker(tmp_path, changed, code, reason):
+    # each exits with a one-line FAILED marker and no traceback; the large
+    # grid is refused before its first step instead of stepping for half an hour
+    cfg = tmp_path / "changed.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**ONE_KEY_BASE, **changed}.items()))
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    proc = _frontlab("run", cfg, "--out", out)
+    assert time.perf_counter() - start < 60.0
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    marker = (out / "FAILED").read_text()
+    assert reason in marker
+    assert marker.count("\n") == 1
 
 
 def test_default_far_radius_is_the_grid_ring(tmp_path):

@@ -1,7 +1,8 @@
 """Nonlocal speed laws and the occupation-distance functionals.
 
 The convolution tests carry their own brute-force double-sum oracle; the FFT
-implementation must match it to 1e-10 relative on 65^2 grids.  The remaining
+implementation must match it to 1e-10 relative on 65^2 grids, and
+scipy.signal.fftconvolve bit for bit.  The remaining
 numbers are closed forms: kernel masses, disc areas, and the spatially
 uniform reaction ODE v' = 1.
 """
@@ -113,6 +114,20 @@ def test_convolution_spike_identity():
     chi = _disc_chi(SPEC65, 0.4, cx=0.1)
     out = convolve_kernel(spike, chi)
     assert np.max(np.abs(out.values - chi.values)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [33, 49, 65, 101])
+def test_convolution_is_bit_identical_to_fftconvolve(n):
+    # convolve_kernel makes the scipy.fft calls of scipy.signal.fftconvolve,
+    # so a dislocation run's speed fields stay the same floats; every size
+    # here pads 2n - 1 to a larger fast length
+    from scipy.signal import fftconvolve
+
+    spec = GridSpec(n, 1.5)
+    kern = parse_kernel("core_ring(1.3,0.15,-0.3,0.15,0.3)", spec)
+    chi = _disc_chi(spec, 0.5, cx=0.3, cy=-0.2)
+    want = fftconvolve(chi.values, kern.values, mode="same") * (spec.h * spec.h)
+    assert np.array_equal(convolve_kernel(kern, chi).values, want)
 
 
 # ---------------------------------------------------------------------------

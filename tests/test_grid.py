@@ -490,14 +490,11 @@ def test_load_field_names_the_fault(tmp_path, damage, needle):
 # ---------------------------------------------------------------------------
 
 # Leaves numpy with the trapezoidal rule under the one name given in argv[1],
-# then imports frontlab.  scipy is imported first because its array-API shim
-# star-imports numpy's __all__, which still lists both names.
+# then imports frontlab, which loads no scipy module at import.
 _NAMESPACE_SCRIPT = """
 import sys
 
 import numpy as np
-import scipy.ndimage
-import scipy.signal
 
 rule = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 for name in ("trapz", "trapezoid"):

@@ -24,6 +24,7 @@ from frontlab.grid import (
     upwind_gradient_norm,
 )
 from frontlab.solver import (
+    MAX_CELL_UPDATES,
     MAX_STEPS,
     Trajectory,
     advance,
@@ -412,14 +413,21 @@ def test_solve_refuses_a_march_past_the_step_budget(monkeypatch):
     )
     spec = GridSpec(33, 1.5)
     dt = cfl_timestep(1.0, 0.0, spec.h)
-    with pytest.raises(StabilityError, match="more than"):
-        solve(_disc(spec, 0.5), _constant(1.0), 0.0, 1.01 * MAX_STEPS * dt, [])
+    max_steps = MAX_CELL_UPDATES // 33**2
+    with pytest.raises(StabilityError, match=f"more than {max_steps} steps"):
+        solve(_disc(spec, 0.5), _constant(1.0), 0.0, 1.01 * max_steps * dt, [])
     assert steps == []
+
+
+def test_step_budget_is_max_steps_on_a_201_node_grid():
+    dt = cfl_timestep(1.0, 0.0, SPEC.h)
+    with pytest.raises(StabilityError, match=f"more than {MAX_STEPS} steps of the 201"):
+        solve(_disc(SPEC, 0.5), _constant(1.0), 0.0, 1.01 * MAX_STEPS * dt, [])
 
 
 def test_solve_stops_when_a_law_speeds_up_past_the_budget(monkeypatch):
     # the estimate at t = 0 passes; the count catches the faster law later
-    monkeypatch.setattr(frontlab.solver, "MAX_STEPS", 40)
+    monkeypatch.setattr(frontlab.solver, "MAX_CELL_UPDATES", 40 * 33**2)
     spec = GridSpec(33, 1.5)
     dt = cfl_timestep(0.01, 0.0, spec.h)
 
