@@ -16,7 +16,7 @@ import sys
 from .config import parse_config
 from .errors import ConfigError
 from .presets import VERIFY_ALL, list_presets, preset_text
-from .runner import EXIT_CONFIG, run, run_verify_all, verify_run_dir
+from .runner import EXIT_CONFIG, fail_run, run, run_verify_all, verify_run_dir
 
 
 def _emit(result) -> int:
@@ -25,12 +25,20 @@ def _emit(result) -> int:
     return result.exit_code
 
 
+def _config_error(message: str, out_dir) -> int:
+    """One stderr line for a config that cannot be read or parsed and, when
+    --out names a directory, a one-line FAILED marker there."""
+    print(f"config error: {message}", file=sys.stderr)
+    if out_dir is None:
+        return EXIT_CONFIG
+    return _emit(fail_run(out_dir, f"config error: {message}", EXIT_CONFIG))
+
+
 def _run_text(text: str, out_dir, force_probe: bool = False) -> int:
     try:
         config = parse_config(text, force_probe=force_probe)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(str(err), out_dir)
     return _emit(run(config, out_dir=out_dir, config_text=text))
 
 
@@ -65,8 +73,7 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _config_error(str(err), args.out)
         return _run_text(text, args.out, force_probe=args.command == "probe")
 
     if args.command == "preset":
@@ -80,8 +87,7 @@ def main(argv=None) -> int:
         try:
             text = preset_text(args.name)
         except KeyError:
-            print(f"config error: unknown preset {args.name!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _config_error(f"unknown preset {args.name!r}", args.out)
         return _run_text(text, args.out)
 
     if args.command == "verify":

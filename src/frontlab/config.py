@@ -335,8 +335,17 @@ def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
                 "output_times must lie within [0, horizon]", line=seen.get("output_times")
             )
 
-    # the grid must hold the initial support with the solver's 2h margin
+    # curvature_term regularises its denominator by 4h^4, which must not
+    # underflow: where the field is flat it would divide 0 by 0
     spec = cfg.grid()
+    h = spec.h
+    if not 4.0 * (h * h) * (h * h) >= np.finfo(np.float64).tiny:
+        raise ConfigError(
+            f"grid spacing h = {h:.3g} is too fine: 4h^4 underflows below the "
+            f"smallest normal float; raise grid.L or lower grid.n",
+            line=seen.get("grid.L", seen.get("grid.n")),
+        )
+    # the grid must hold the initial support with the solver's 2h margin
     ring = grid_ring(spec)
     points = cfg.kernel_points if cfg.init_kind == "star_shaped" else ((0.0, 0.0),)
     kmax = max(float(np.hypot(px, py)) for px, py in points)

@@ -23,6 +23,7 @@ band measure integrates in time.
 import bisect
 import re
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -175,7 +176,16 @@ def parse_kernel(text: str, spec: GridSpec) -> ScalarField:
     return _KERNELS[name][0](spec, *args)
 
 
-def convolve_kernel(c0: ScalarField, chi: ScalarField) -> ScalarField:
+def kernel_spectrum(c0: ScalarField) -> np.ndarray:
+    """scipy.fft.rfftn of c0 zero-padded to the m x m shape that
+    `convolve_kernel` transforms on, m = next_fast_len(2n - 1, real)."""
+    import scipy.fft
+
+    m = scipy.fft.next_fast_len(2 * c0.spec.n - 1, True)
+    return scipy.fft.rfftn(c0.values, (m, m))
+
+
+def convolve_kernel(c0: ScalarField, chi: ScalarField, spectrum: np.ndarray = None) -> ScalarField:
     """(c0 * chi)(x_i) = h^2 sum_j c0(x_i - x_j) chi(x_j).
 
     FFT implementation; agrees with the direct double sum to roundoff (the
@@ -188,16 +198,18 @@ def convolve_kernel(c0: ScalarField, chi: ScalarField) -> ScalarField:
     irfftn of their product, and the centred n x n block of the full
     (2n - 1)^2 convolution.  numpy.fft rounds differently (by up to 3e-12
     at n = 201).  scipy.fft is imported here, so that a process that never
-    convolves never loads it.
+    convolves never loads it.  spectrum is `kernel_spectrum(c0)`, computed
+    here when not given; a caller that convolves one kernel many times
+    passes it.
     """
     import scipy.fft
 
     c0.check_same_grid(chi)
+    if spectrum is None:
+        spectrum = kernel_spectrum(c0)
     n, h = c0.spec.n, c0.spec.h
-    m = scipy.fft.next_fast_len(2 * n - 1, True)
-    full = scipy.fft.irfftn(
-        scipy.fft.rfftn(chi.values, (m, m)) * scipy.fft.rfftn(c0.values, (m, m)), (m, m)
-    )
+    m = spectrum.shape[0]
+    full = scipy.fft.irfftn(scipy.fft.rfftn(chi.values, (m, m)) * spectrum, (m, m))
     lo = (n - 1) // 2
     vals = full[lo:lo + n, lo:lo + n] * (h * h)
     return ScalarField(c0.spec, vals)
@@ -303,8 +315,13 @@ class DislocationCoupling(SpeedLaw):
     def chi_independent(self) -> bool:
         return bool(np.all(self.c0.values == 0.0))
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The kernel's transform, computed at the first convolution."""
+        return kernel_spectrum(self.c0)
+
     def speed_field(self, chi_t: ScalarField) -> ScalarField:
-        out = convolve_kernel(self.c0, chi_t)
+        out = convolve_kernel(self.c0, chi_t, self.spectrum)
         c1 = self.c1.values if isinstance(self.c1, ScalarField) else float(self.c1)
         return ScalarField(out.spec, out.values + c1)
 

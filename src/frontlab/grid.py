@@ -263,15 +263,31 @@ def _central_difference(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> 
     return out
 
 
-def _second_difference(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
-    """(v[i+1] - 2 v[i] + v[i-1]) / h^2 along axis into out, the boundary
-    lines copied from their neighbours."""
+def _unscaled_difference(v: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """v[i+1] - v[i-1] along axis into out, and on the two boundary lines
+    -3 v[0] + 4 v[1] - v[2] and v[-3] - 4 v[-2] + 3 v[-1]: the stencil of
+    `_central_difference` times 2h, without h."""
+    flat, s = _flat(v, axis)
+    np.subtract(flat[2 * s:], flat[:-2 * s], out=out.reshape(-1)[s:-s])
+
+    def line(i):
+        return v[_at(axis, i)]
+
+    out[_at(axis, 0)] = -3.0 * line(0) + 4.0 * line(1) - line(2)
+    out[_at(axis, -1)] = line(-3) - 4.0 * line(-2) + 3.0 * line(-1)
+    return out
+
+
+def _unscaled_second_difference(
+    v: np.ndarray, twice: np.ndarray, axis: int, out: np.ndarray,
+) -> np.ndarray:
+    """(v[i+1] + v[i-1]) - twice[i] along axis into out, twice = v + v, the
+    boundary lines copied from their neighbours: the second difference
+    times h^2, without h."""
     flat, s = _flat(v, axis)
     inner = out.reshape(-1)[s:-s]
-    np.multiply(flat[s:-s], 2.0, out=inner)
-    np.subtract(flat[2 * s:], inner, out=inner)
-    inner += flat[:-2 * s]
-    inner /= h * h
+    np.add(flat[2 * s:], flat[:-2 * s], out=inner)
+    inner -= twice.reshape(-1)[s:-s]
     out[_at(axis, 0)] = out[_at(axis, 1)]
     out[_at(axis, -1)] = out[_at(axis, -2)]
     return out
@@ -279,16 +295,18 @@ def _second_difference(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> n
 
 def central_gradients(u: ScalarField, work: Workspace = None) -> tuple[np.ndarray, np.ndarray]:
     """(u_x, u_y) by central differences, second-order one-sided at edges,
-    in the first two scratch arrays of `work`."""
-    work = work or Workspace(u.spec)
-    ux, uy = work.scratch[:2]
+    in the first two scratch arrays of `work`, or in two new arrays."""
+    shape = u.values.shape
+    ux, uy = work.scratch[:2] if work else (np.empty(shape), np.empty(shape))
     h = u.spec.h
     return _central_difference(u.values, h, 1, ux), _central_difference(u.values, h, 0, uy)
 
 
-def central_gradient_norm(u: ScalarField) -> np.ndarray:
-    ux, uy = central_gradients(u)
-    return np.hypot(ux, uy)
+def central_gradient_norm(u: ScalarField, work: Workspace = None) -> np.ndarray:
+    """|Du| by central differences, in the first scratch array of `work`,
+    or in a new array."""
+    ux, uy = central_gradients(u, work)
+    return np.hypot(ux, uy, out=ux)
 
 
 def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
@@ -298,30 +316,46 @@ def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
     identically on affine data and tends to 0 where Du does.  The
     regularisation is the grid spacing h, so it vanishes under refinement.
     The result is a scratch array of `work`.
+
+    The central-difference form (Osher & Sethian 1988)
+
+        (uxx uy^2 - 2 ux uy uxy + uyy ux^2) / (ux^2 + uy^2 + h^2)
+
+    is evaluated on differences without h: Dx = 2h ux and Dy = 2h uy
+    (`_unscaled_difference`), Dxy = 4h^2 uxy, the y difference of Dx, and
+    Sxx = h^2 uxx, Syy = h^2 uyy (`_unscaled_second_difference`).  Then
+    the quotient is
+
+        (Sxx Dy^2 - Dxy Dx Dy 0.5 + Syy Dx^2) / (Dx^2 + Dy^2 + 4h^4) (1/h^2)
+
+    with one division of fields, every product and sum in that order.
+    `config.parse_config` refuses a grid whose 4h^4 underflows; where it
+    overflows (h above about 1.5e77) the quotient is 0.
     """
     h = u.spec.h
     v = u.values
     work = work or Workspace(u.spec)
-    ux, uy = central_gradients(u, work)
-    num, a, b = work.scratch[2:]
+    dx, dy, p, twice, num = work.scratch
 
-    # (uxx uy^2 - 2 ux uy uxy + uyy ux^2) / (ux^2 + uy^2 + h^2), every
-    # product and sum in that order; u_xy is the y difference of u_x
-    _central_difference(ux, h, 0, num)
-    np.multiply(ux, 2.0, out=a)
-    a *= uy
-    a *= num                    # a = 2 ux uy uxy
-    _second_difference(v, h, 1, b)
-    np.square(uy, out=num)
-    num *= b
-    num -= a                    # num = uxx uy^2 - a
-    _second_difference(v, h, 0, a)
-    np.square(ux, out=b)
-    a *= b
-    num += a                    # num += uyy ux^2
-    b += np.square(uy, out=a)
-    b += h**2                   # b = ux^2 + uy^2 + h^2
-    num /= b
+    _unscaled_difference(v, 1, dx)
+    _unscaled_difference(v, 0, dy)
+    _unscaled_difference(dx, 0, p)
+    p *= dx
+    p *= dy
+    p *= 0.5                    # p = Dxy Dx Dy / 2
+    np.add(v, v, out=twice)
+    _unscaled_second_difference(v, twice, 1, num)
+    np.square(dy, out=dy)
+    num *= dy
+    num -= p                    # num = Sxx Dy^2 - p
+    _unscaled_second_difference(v, twice, 0, p)
+    np.square(dx, out=dx)
+    p *= dx
+    num += p                    # num += Syy Dx^2
+    dx += dy
+    dx += 4.0 * (h * h) * (h * h)   # dx = Dx^2 + Dy^2 + 4h^4
+    num /= dx
+    num *= 1.0 / (h * h)
     return num
 
 

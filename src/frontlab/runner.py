@@ -43,7 +43,7 @@ from .config import ScenarioConfig, parse_config
 from .contour import dump_contour
 from .errors import ConfigError, ConstructionError, FieldFormatError
 from .geometry import dump_init, load_init
-from .solver import dump_trajectory, load_trajectory
+from .solver import cfl_timestep, check_work_budget, dump_trajectory, load_trajectory
 from .verify import CHECKS, CheckContext, dump_report, gamma_sweep_star_shape, stored_mismatch
 from .weak import march_solve, standard_seeds, uniqueness_probe
 
@@ -66,7 +66,8 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _fail(out_dir: str, message: str, exit_code: int) -> RunResult:
+def fail_run(out_dir: str, message: str, exit_code: int) -> RunResult:
+    """End a run in out_dir with a one-line FAILED marker and the manifest."""
     _write(os.path.join(out_dir, "FAILED"), message + "\n")
     write_manifest(out_dir)
     return RunResult(exit_code, out_dir, [f"FAIL run ({message})"])
@@ -165,13 +166,16 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
     try:
         try:
             spec = config.grid()
+            # the work budget needs no field, and no solve of gamma takes a
+            # longer step than the curvature step: refuse before building one
+            check_work_budget(spec, cfl_timestep(0.0, config.gamma, spec.h), 0.0, config.horizon)
             init = config.build_init(spec)
             coupling = config.build_coupling(spec)
         except (ConstructionError, ConfigError, KeyError, ValueError) as err:
-            return _fail(out_dir, f"construction: {err}", EXIT_CONFIG)
+            return fail_run(out_dir, f"construction: {err}", EXIT_CONFIG)
         return _solve_and_check(config, out_dir, init, coupling)
     except Exception as err:
-        return _fail(out_dir, " ".join(f"{type(err).__name__}: {err}".split()), EXIT_NUMERIC)
+        return fail_run(out_dir, " ".join(f"{type(err).__name__}: {err}".split()), EXIT_NUMERIC)
 
 
 def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> RunResult:

@@ -69,6 +69,21 @@ def cfl_timestep(c_max: float, gamma: float, h: float, safety: float = CFL_SAFET
     return safety * (h / (2.0 * (c_max + EPS_DENOM) + 4.0 * gamma / h))
 
 
+def check_work_budget(spec: GridSpec, dt: float, t: float, horizon: float):
+    """Raise StabilityError when steps of dt from t to the horizon would
+    pass the work budget of a solve on spec.  With dt the curvature step
+    cfl_timestep(0, gamma, h), the largest a solve of gamma can take, this
+    needs no field: `runner.run` checks it before building one."""
+    max_steps = MAX_CELL_UPDATES // spec.n**2
+    if horizon - t > max_steps * dt:
+        raise StabilityError(
+            f"at dt={dt:.3e} the march from t={t:.6g} to the horizon "
+            f"{horizon:.6g} needs more than {max_steps} steps of the "
+            f"{spec.n}^2-node grid, above the budget of {MAX_CELL_UPDATES:.3g} "
+            f"node updates"
+        )
+
+
 @lru_cache(maxsize=64)
 def _far_mask(spec: GridSpec, far_radius: float) -> np.ndarray:
     mask = spec.radius() > far_radius
@@ -106,17 +121,21 @@ def advance(
 
     work = work or Workspace(spec)
     out = work.fields[u.values is work.fields[0]]
-    # out = clip(u + dt * (0 + c |Du| + gamma curvature), -1, 1)
-    out.fill(0.0)
-    if c_max > 0.0:
-        advection = upwind_gradient_norm(u, cvals, work)
-        advection *= cvals
-        out += advection
-    if gamma > 0.0:
-        curvature = curvature_term(u, work)
-        curvature *= gamma
-        out += curvature
-    out *= dt
+    if c_max == 0.0 and gamma > 0.0:
+        # out = clip(curvature * (gamma dt) + u, -1, 1)
+        np.multiply(curvature_term(u, work), gamma * dt, out=out)
+    else:
+        # out = clip(u + dt * (0 + c |Du| + gamma curvature), -1, 1)
+        out.fill(0.0)
+        if c_max > 0.0:
+            advection = upwind_gradient_norm(u, cvals, work)
+            advection *= cvals
+            out += advection
+        if gamma > 0.0:
+            curvature = curvature_term(u, work)
+            curvature *= gamma
+            out += curvature
+        out *= dt
     out += u.values
     np.clip(out, -1.0, 1.0, out=out)
     if far_radius is not None:
@@ -173,12 +192,13 @@ def solve(
     are taken as they are.  A march lands exactly on t_m, so the steps after
     it are the same floats as in a march from t_0.
 
-    Every step writes into one `grid.Workspace` allocated per call; stored
-    snapshots are copies.  Each step updates all n^2 nodes, so the work
-    budget MAX_CELL_UPDATES allows MAX_CELL_UPDATES // n^2 steps.  The call
-    raises StabilityError before its first step when the CFL step at that
-    time would need more steps than that to reach the horizon, and when its
-    step count passes them.
+    Every step and every Lipschitz seminorm writes into one
+    `grid.Workspace` allocated per call; stored snapshots are copies.  Each
+    step updates all n^2 nodes, so the work budget MAX_CELL_UPDATES allows
+    MAX_CELL_UPDATES // n^2 steps.  The call raises StabilityError before
+    its first step when the CFL step at that time would need more steps
+    than that to reach the horizon (`check_work_budget`), and when its step
+    count passes them.
     """
     spec = u0.spec
     h = spec.h
@@ -203,8 +223,10 @@ def solve(
                 f"(far_radius={far_radius:.4g})"
             )
 
+    work = Workspace(spec)
+
     def seminorm():
-        return float(central_gradient_norm(u)[measure_mask].max())
+        return float(central_gradient_norm(u, work)[measure_mask].max())
 
     if start == 0:
         u = ScalarField(spec, np.clip(u0.values, -1.0, 1.0))
@@ -229,7 +251,6 @@ def solve(
         gamma=gamma,
     )
 
-    work = Workspace(spec)
     steps, max_steps = 0, MAX_CELL_UPDATES // spec.n**2
     t = times[len(snapshots) - 1]
     for t_next in times[len(snapshots):]:
@@ -239,13 +260,8 @@ def solve(
         while t < t_next:
             c = speed_on(t)
             nominal = cfl_timestep(max_speed(c), gamma, h)
-            if steps == 0 and horizon - t > max_steps * nominal:
-                raise StabilityError(
-                    f"at dt={nominal:.3e} the march from t={t:.6g} to the horizon "
-                    f"{horizon:.6g} needs more than {max_steps} steps of the "
-                    f"{spec.n}^2-node grid, above the budget of {MAX_CELL_UPDATES:.3g} "
-                    f"node updates"
-                )
+            if steps == 0:
+                check_work_budget(spec, nominal, t, horizon)
             if steps == max_steps:
                 raise StabilityError(
                     f"the march passed {max_steps} steps of the {spec.n}^2-node grid "

@@ -409,19 +409,19 @@ def test_verify_needs_run_dir(tmp_path, capsys):
     assert code == 2
 
 
-def _python(*args):
+def _python(*args, cwd=None):
     """`python args` in a fresh interpreter that imports this frontlab."""
     src = str(Path(frontlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *map(str, args)],
+        [sys.executable, *map(str, args)], cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300,
     )
 
 
-def _frontlab(*args):
+def _frontlab(*args, cwd=None):
     """`python -m frontlab.cli args` in a fresh interpreter, as a shell runs it."""
-    return _python("-m", "frontlab.cli", *args)
+    return _python("-m", "frontlab.cli", *args, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -703,6 +703,60 @@ def test_out_of_range_config_fails_with_a_marker(tmp_path, changed, code, reason
     assert marker.count("\n") == 1
 
 
+def test_over_budget_grid_is_refused_before_its_field_is_built(tmp_path):
+    # the n = 2001 grid's initial field and certificate alone take about
+    # 620 MB; the budget needs only h, gamma and the horizon
+    cfg = tmp_path / "large.cfg"
+    cfg.write_text("".join(
+        f"{k} = {v}\n" for k, v in {**ONE_KEY_BASE, "grid.n": "2001", "output_times": "5"}.items()
+    ))
+    out = tmp_path / "run"
+    proc = _python("-c", (
+        "import resource, sys\n"
+        "from frontlab.cli import main\n"
+        f"code = main(['run', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    ))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (out / "FAILED").read_text().startswith("StabilityError: at dt=")
+    assert not (out / "init.f64").exists()
+    peak_kib = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
+    assert peak_kib < 150 * 1024
+
+
+def test_grid_whose_curvature_regularisation_underflows_is_refused():
+    # curvature_term divides by Dx^2 + Dy^2 + 4h^4, which a flat field
+    # leaves 0 / 0 once 4h^4 underflows
+    text = BASE + "grid.n = 33\ncoupling.kind = constant\nhorizon = 0.05\nchecks = none\n"
+    parse_config(text.replace("init.r0 = 0.5", "init.r0 = 1e-76") + "grid.L = 1e-75\n")
+    with pytest.raises(ConfigError, match="4h\\^4 underflows"):
+        parse_config(text.replace("init.r0 = 0.5", "init.r0 = 1e-79") + "grid.L = 1e-78\n")
+
+
+@pytest.mark.parametrize("command", ["run", "probe"])
+def test_unparsable_config_with_out_leaves_a_marker(tmp_path, command):
+    # horizon = 0 fails in parse_config, before any run starts; with --out
+    # the directory gets the one-line marker, without it nothing is written
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**ONE_KEY_BASE, "horizon": "0"}.items()))
+    out = tmp_path / "run"
+    proc = _frontlab(command, cfg, "--out", out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    marker = (out / "FAILED").read_text()
+    assert marker == proc.stderr
+    assert marker.startswith("config error: line ") and "horizon must be > 0" in marker
+    assert marker.count("\n") == 1
+    assert "FAILED" in (out / "manifest.txt").read_text()
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    proc = _frontlab(command, cfg, cwd=bare)
+    assert proc.returncode == 2
+    assert list(bare.iterdir()) == []
+
+
 def test_default_far_radius_is_the_grid_ring(tmp_path):
     # without far_radius the containment ring is L - 2h, however far the
     # front could travel by its speed bound
@@ -774,7 +828,7 @@ def test_probe_taus_outside_the_stored_times_exit_two(tmp_path, capsys, taus, ne
     err = capsys.readouterr().err
     assert code == 2
     assert f"config error: line 10: {needle}" in err
-    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "out" / "FAILED").read_text() == err
 
 
 @pytest.mark.parametrize("command", ["run", "probe"])
@@ -792,7 +846,7 @@ def test_default_probe_taus_before_the_first_stored_time_exit_two(tmp_path, caps
     assert "config error: line 7: the probe's earliest default tau, horizon/4 = 0.005" in err
     assert "set probe.taus or store more output_times" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert (tmp_path / "out" / "FAILED").read_text() == err
 
 
 def test_default_probe_taus_parse_without_the_probe():

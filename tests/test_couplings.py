@@ -130,6 +130,38 @@ def test_convolution_is_bit_identical_to_fftconvolve(n):
     assert np.array_equal(convolve_kernel(kern, chi).values, want)
 
 
+def test_one_march_transforms_its_kernel_once(monkeypatch):
+    # the coupling keeps its kernel's transform: every interval's
+    # convolution after the first transforms only the occupation
+    import frontlab.couplings as couplings
+    from frontlab.weak import march_solve
+
+    calls = {"kernel_spectrum": 0, "convolve_kernel": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(couplings, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(couplings, name, counted)
+    spec = GridSpec(33, 1.5)
+    kern = parse_kernel("core_ring(1.3,0.15,-0.3,0.15,0.3)", spec)
+    x, y = spec.meshgrid()
+    u0 = ScalarField(spec, np.clip(0.5 - np.hypot(x, y), -1.0, 1.0))
+    sol = march_solve(
+        DislocationCoupling(kern, 0.2), u0, 0.05, 0.02, output_times=[0.005, 0.01, 0.015, 0.02]
+    )
+    assert sol.converged
+    assert calls == {"kernel_spectrum": 1, "convolve_kernel": 4}
+
+
+def test_coupling_convolution_is_bit_identical_to_a_fresh_transform():
+    spec = GridSpec(49, 1.5)
+    kern = parse_kernel("core_ring(1.3,0.15,-0.3,0.15,0.3)", spec)
+    coup = DislocationCoupling(kern, 0.0)
+    for r in (0.3, 0.5):
+        chi = _disc_chi(spec, r, cx=0.1)
+        assert np.array_equal(coup.speed_field(chi).values, convolve_kernel(kern, chi).values)
+
+
 # ---------------------------------------------------------------------------
 # dislocation speed law
 # ---------------------------------------------------------------------------

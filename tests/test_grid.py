@@ -202,7 +202,45 @@ def _reference_upwind(u, c):
     return np.sqrt(np.where(c >= 0.0, pos, neg))
 
 
+def _reference_difference(v, axis):
+    # v[i+1] - v[i-1], second-order one-sided on the two boundary lines
+    lead = (slice(None),) * axis
+    d = np.empty_like(v)
+    d[lead + (slice(1, -1),)] = v[lead + (slice(2, None),)] - v[lead + (slice(None, -2),)]
+    d[lead + (0,)] = -3.0 * v[lead + (0,)] + 4.0 * v[lead + (1,)] - v[lead + (2,)]
+    d[lead + (-1,)] = v[lead + (-3,)] - 4.0 * v[lead + (-2,)] + 3.0 * v[lead + (-1,)]
+    return d
+
+
+def _reference_second_sum(v, axis):
+    # (v[i+1] + v[i-1]) - 2 v[i], the boundary lines copied from their neighbours
+    lead = (slice(None),) * axis
+    s = np.empty_like(v)
+    s[lead + (slice(1, -1),)] = (
+        (v[lead + (slice(2, None),)] + v[lead + (slice(None, -2),)])
+        - (v + v)[lead + (slice(1, -1),)]
+    )
+    s[lead + (0,)] = s[lead + (1,)]
+    s[lead + (-1,)] = s[lead + (-2,)]
+    return s
+
+
 def _reference_curvature(u):
+    # the unscaled form: Dx = 2h ux, Dxy = 4h^2 uxy, Sxx = h^2 uxx
+    h = u.spec.h
+    v = u.values
+    dx = _reference_difference(v, 1)
+    dy = _reference_difference(v, 0)
+    dxy = _reference_difference(dx, 0)
+    sxx = _reference_second_sum(v, 1)
+    syy = _reference_second_sum(v, 0)
+    num = sxx * dy**2 - dxy * dx * dy * 0.5 + syy * dx**2
+    return num / (dx**2 + dy**2 + 4.0 * (h * h) * (h * h)) * (1.0 / (h * h))
+
+
+def _textbook_curvature(u):
+    # (uxx uy^2 - 2 ux uy uxy + uyy ux^2) / (ux^2 + uy^2 + h^2) on the
+    # scaled differences
     h = u.spec.h
     v = u.values
     uy, ux = np.gradient(v, h, edge_order=2)
@@ -214,7 +252,7 @@ def _reference_curvature(u):
     uyy[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / (h * h)
     uyy[0, :] = uyy[1, :]
     uyy[-1, :] = uyy[-2, :]
-    uxy = np.gradient(np.gradient(v, h, axis=1, edge_order=2), h, axis=0, edge_order=2)
+    uxy = np.gradient(ux, h, axis=0, edge_order=2)
     num = uxx * uy**2 - 2.0 * ux * uy * uxy + uyy * ux**2
     return num / (ux**2 + uy**2 + h**2)
 
@@ -236,6 +274,44 @@ def test_curvature_and_gradients_match_numpy_bitwise(n):
     uy, ux = np.gradient(u.values, u.spec.h, edge_order=2)
     gx, gy = central_gradients(u)
     assert _same_bits(gx, ux) and _same_bits(gy, uy)
+
+
+@pytest.mark.parametrize("n", [33, 201])
+def test_curvature_matches_textbook_formula(n):
+    # the unscaled form is the scaled one up to rounding, on noise and on a
+    # smooth field with a flat top
+    spec = GridSpec(n, 1.5)
+    smooth = field_from_function(spec, lambda x, y: np.clip(0.7 - np.hypot(x, 0.8 * y), -1, 0.3))
+    for u in (_random_field(n, seed=n), smooth):
+        k = curvature_term(u)
+        assert np.max(np.abs(k - _textbook_curvature(u))) <= 1e-13 * np.max(np.abs(k))
+
+
+@pytest.mark.parametrize("n", [33, 201])
+def test_gradient_norm_writes_into_the_workspace(n):
+    u = _random_field(n, seed=n)
+    fresh = central_gradient_norm(u)
+    work = Workspace(u.spec)
+    norm = central_gradient_norm(u, work)
+    assert norm is work.scratch[0]
+    assert _same_bits(norm, fresh)
+    uy, ux = np.gradient(u.values, u.spec.h, edge_order=2)
+    assert _same_bits(fresh, np.hypot(ux, uy))
+
+
+def test_gradient_norm_without_a_workspace_allocates_two_fields():
+    # the two gradient components, the norm written over the first
+    spec = GridSpec(201, 1.5)
+    u = _random_field(201, seed=3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        central_gradient_norm(u)
+        rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rise < 2.5 * spec.n**2 * 8
 
 
 @pytest.mark.parametrize("n", [33, 201])

@@ -206,14 +206,18 @@ def test_advance_float_speed_matches_constant_field_bitwise(c):
 
 def _reference_advance(u, c, gamma, dt, far_radius=None):
     # the step as one numpy expression on fresh arrays; the stencils match
-    # their own formulas bit for bit (tests/test_grid.py)
+    # their own formulas bit for bit (tests/test_grid.py); a step with
+    # curvature alone scales it by gamma dt at once
     cvals = c.values
-    update = np.zeros_like(u.values)
-    if np.abs(cvals).max() > 0.0:
-        update += cvals * upwind_gradient_norm(u, cvals)
-    if gamma > 0.0:
-        update += gamma * curvature_term(u)
-    out = np.clip(u.values + dt * update, -1.0, 1.0)
+    if np.abs(cvals).max() == 0.0 and gamma > 0.0:
+        out = np.clip(curvature_term(u) * (gamma * dt) + u.values, -1.0, 1.0)
+    else:
+        update = np.zeros_like(u.values)
+        if np.abs(cvals).max() > 0.0:
+            update += cvals * upwind_gradient_norm(u, cvals)
+        if gamma > 0.0:
+            update += gamma * curvature_term(u)
+        out = np.clip(u.values + dt * update, -1.0, 1.0)
     if far_radius is not None:
         out[u.spec.radius() > far_radius] = -1.0
     return out
@@ -227,12 +231,25 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("far", [False, True], ids=["whole-grid", "far-radius"])
 @pytest.mark.parametrize("moving", [False, True], ids=["c=0", "c!=0"])
 def test_advance_matches_numpy_bitwise(n, far, moving):
+    _check_advance_bitwise(n, far, moving, gamma=0.5)
+
+
+@pytest.mark.parametrize("n", [33, 201])
+@pytest.mark.parametrize("moving", [False, True], ids=["c=0", "c!=0"])
+@pytest.mark.parametrize("gamma", [0.3, 0.0])
+def test_advance_matches_numpy_bitwise_at_other_gammas(n, moving, gamma):
+    # at gamma = 0.5, (gamma k) dt and k (gamma dt) round alike, so only
+    # another gamma tells the two orders of a curvature step apart; gamma = 0
+    # keeps the advection order, and c = gamma = 0 returns u as u + 0 dt
+    _check_advance_bitwise(n, True, moving, gamma)
+
+
+def _check_advance_bitwise(n, far, moving, gamma):
     spec = GridSpec(n, 1.5)
     rng = np.random.default_rng(n)
     u = ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n)))
     c = ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n)) if moving else np.zeros((n, n)))
     far_radius = 1.5 - 2 * spec.h if far else None
-    gamma = 0.5
     dt = cfl_timestep(1.0, gamma, spec.h)
     expected = _reference_advance(u, c, gamma, dt, far_radius)
     assert _same_bits(advance(u, c, gamma, dt, far_radius=far_radius).values, expected)
