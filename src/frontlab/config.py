@@ -9,7 +9,13 @@ its line number and the offending key.  A minimal scenario is four lines:
     coupling.kind = volume
     coupling.beta = constant(0)
 
-Everything else has defaults listed in ScenarioConfig.
+Everything else has defaults listed in ScenarioConfig.  The table KEYS gives
+each key its converter, range check and target field; COUPLINGS gives each
+coupling kind the parameters it reads and its constructor, and INIT_KINDS
+the init.* keys each initial-data kind reads.  Every line's value is checked
+first.  Then a coupling.* or init.* key that the chosen kind does not read
+is an error on its own line, and a parameter the kind requires but is not
+given is an error on the kind's line.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -38,6 +44,26 @@ KNOWN_SEEDS = ("bracket", "empty", "ball")
 # times x 8 bytes, once more for each probe seed when the probe runs.  The
 # largest shipped scenario (the uniqueness-probe preset) needs 10.8 MB.
 MAX_SNAPSHOT_BYTES = 512 * 2**20
+
+# coupling.kind -> (required parameters with what each is, optional
+# parameters with their defaults, constructor from the parameters and grid)
+COUPLINGS = {
+    "constant": ({}, {"c": 0.0}, lambda p, spec: ConstantCoupling(p["c"])),
+    "dislocation": ({"kernel": "the convolution kernel"}, {"c1": 0.0}, lambda p, spec:
+                    DislocationCoupling(c0=parse_kernel(p["kernel"], spec), c1=p["c1"])),
+    "volume": ({"beta": "the area response map"}, {},
+               lambda p, spec: VolumeCoupling(beta=parse_scalar_map(p["beta"]))),
+    "fitzhugh_nagumo": (
+        {"alpha": "speed map", "g_plus": "occupied source", "g_minus": "vacant source"},
+        {"v0": 0.0},
+        lambda p, spec: FitzhughNagumoCoupling(**{m: parse_scalar_map(p[m]) for m in (
+            "alpha", "g_plus", "g_minus")}, v0=p["v0"]),
+    ),
+}
+
+# init.kind -> (required init.* keys, optional ones); a circle is centred at
+# the origin, the one kernel point that ScenarioConfig defaults to
+INIT_KINDS = {"circle": ({}, ("r0", "nu")), "star_shaped": ({"kernel_points": None}, ("r0", "nu"))}
 
 
 @dataclass
@@ -75,31 +101,12 @@ class ScenarioConfig:
         return np.asarray(self.output_times, dtype=np.float64)
 
     def build_init(self, spec: GridSpec = None):
-        if spec is None:
-            spec = self.grid()
-        points = self.kernel_points if self.init_kind == "star_shaped" else ((0.0, 0.0),)
-        return star_shaped_u0(spec, points, self.r0, nu_kind=self.nu_kind)
+        spec = spec or self.grid()
+        return star_shaped_u0(spec, self.kernel_points, self.r0, nu_kind=self.nu_kind)
 
     def build_coupling(self, spec: GridSpec = None):
-        if spec is None:
-            spec = self.grid()
-        p = self.coupling_params
-        if self.coupling_kind == "constant":
-            return ConstantCoupling(p.get("c", 0.0))
-        if self.coupling_kind == "dislocation":
-            return DislocationCoupling(
-                c0=parse_kernel(p["kernel"], spec), c1=p.get("c1", 0.0)
-            )
-        if self.coupling_kind == "volume":
-            return VolumeCoupling(beta=parse_scalar_map(p["beta"]))
-        if self.coupling_kind == "fitzhugh_nagumo":
-            return FitzhughNagumoCoupling(
-                alpha=parse_scalar_map(p["alpha"]),
-                g_plus=parse_scalar_map(p["g_plus"]),
-                g_minus=parse_scalar_map(p["g_minus"]),
-                v0=p.get("v0", 0.0),
-            )
-        raise ConfigError(f"unknown coupling kind {self.coupling_kind!r}")
+        _, optional, make = COUPLINGS[self.coupling_kind]
+        return make({**optional, **self.coupling_params}, spec or self.grid())
 
 
 def _split_lines(text: str):
@@ -111,6 +118,10 @@ def _split_lines(text: str):
             raise ConfigError(f"expected key = value, got {raw.strip()!r}", line=lineno)
         key, _, value = line.partition("=")
         yield lineno, key.strip(), value.strip()
+
+
+def _as_text(key, value, lineno):
+    return value
 
 
 def _as_float(key, value, lineno):
@@ -160,20 +171,100 @@ def _as_points(key, value, lineno):
     return tuple(points)
 
 
-def _check_map(key, value, lineno):
-    try:
-        parse_scalar_map(value)
-    except ValueError as err:
-        raise ConfigError(f"{key}: {err}", line=lineno)
-    return value
+def _one_of(options, message):
+    """Converter to a value from options; message formats a refused value."""
+    def convert(key, value, lineno):
+        if value not in options:
+            raise ConfigError(message.format(value), line=lineno)
+        return value
+    return convert
 
 
-def _check_kernel(key, value, lineno):
-    try:
-        kernel_call(value)
-    except ValueError as err:
-        raise ConfigError(f"{key}: {err}", line=lineno)
-    return value
+def _names(known, noun):
+    """Converter to a comma list of names, each from known."""
+    def convert(key, value, lineno):
+        names = tuple(v.strip() for v in value.split(",") if v.strip())
+        for nm in names:
+            if nm not in known:
+                raise ConfigError(
+                    f"{key}: unknown {noun} {nm!r}; choose from {tuple(known)}", line=lineno
+                )
+        return names
+    return convert
+
+
+def _checked(parse):
+    """Converter that keeps the text and refuses the ValueError of parse."""
+    def convert(key, value, lineno):
+        try:
+            parse(value)
+        except ValueError as err:
+            raise ConfigError(f"{key}: {err}", line=lineno)
+        return value
+    return convert
+
+
+_as_map = _checked(parse_scalar_map)
+_as_kernel = _checked(kernel_call)
+
+# key -> (the ScenarioConfig field it sets, converter, range check or None,
+# the check's message); a coupling.<param> key sets coupling_params[<param>]
+KEYS = {
+    "name": ("name", _as_text, None, None),
+    "grid.n": ("n", _as_int, lambda n: n >= 33 and n % 2 == 1, "grid.n must be odd and >= 33"),
+    "grid.L": ("half_extent", _as_float, lambda x: x > 0, "grid.L must be > 0"),
+    "init.kind": ("init_kind", _one_of(
+        INIT_KINDS, "init.kind must be circle or star_shaped, got {!r}"), None, None),
+    "init.r0": ("r0", _as_float, lambda x: x > 0, "init.r0 must be > 0"),
+    "init.kernel_points": ("kernel_points", _as_points, None, None),
+    "init.nu": ("nu_kind", _one_of(
+        ("radial", "gradient"), "init.nu must be radial or gradient, got {!r}"), None, None),
+    "coupling.kind": ("coupling_kind", _one_of(
+        COUPLINGS, "unknown coupling kind {!r}"), None, None),
+    "coupling.c": ("coupling_params", _as_float, None, None),
+    "coupling.c1": ("coupling_params", _as_float, None, None),
+    "coupling.kernel": ("coupling_params", _as_kernel, None, None),
+    "coupling.beta": ("coupling_params", _as_map, None, None),
+    "coupling.alpha": ("coupling_params", _as_map, None, None),
+    "coupling.g_plus": ("coupling_params", _as_map, None, None),
+    "coupling.g_minus": ("coupling_params", _as_map, None, None),
+    "coupling.v0": ("coupling_params", _as_float, None, None),
+    "gamma": ("gamma", _as_float, lambda x: x >= 0, "gamma must be >= 0"),
+    "horizon": ("horizon", _as_float, lambda x: x > 0, "horizon must be > 0"),
+    # an explicit comma list of times, or a count spread over [0, horizon]
+    "output_times": ("output_times", lambda key, value, lineno: (
+        _as_float_list if "," in value else _as_int)(key, value, lineno),
+        lambda v: isinstance(v, tuple) or v >= 2, "output_times count must be >= 2"),
+    "checks": ("checks", lambda key, value, lineno: () if value.lower() == "none"
+               else _names(CHECKS, "check")(key, value, lineno), None, None),
+    "probe.enabled": ("probe_enabled", _as_bool, None, None),
+    "probe.seeds": ("probe_seeds", _names(KNOWN_SEEDS, "seed"),
+                    lambda names: len(names) >= 2, "probe.seeds: need at least two seeds"),
+    "probe.taus": ("probe_taus", _as_float_list, None, None),
+    "gamma_sweep": ("gamma_sweep", _as_float_list,
+                    lambda sweep: all(g >= 0 for g in sweep), "gamma_sweep values must be >= 0"),
+    "output_dir": ("output_dir", _as_text, None, None),
+    "far_radius": ("far_radius", _as_float, None, None),
+    "tol": ("tol", _as_float, None, None),
+    "max_iter": ("max_iter", _as_int, lambda n: n >= 1, "max_iter must be >= 1"),
+}
+
+
+def _check_kind_keys(section: str, kinds: dict, kind: str, seen: dict) -> None:
+    """A section.* key of seen that kind does not read is an error on its
+    line, then a parameter it requires but seen lacks on the kind's line."""
+    required, optional = kinds[kind][:2]
+    reads = [*required, *optional]
+    for key, lineno in seen.items():
+        head, _, param = key.partition(".")
+        if head == section and param != "kind" and param not in reads:
+            raise ConfigError(f"{section}.kind = {kind} does not read {key}; it reads "
+                              + ", ".join(f"{section}.{p}" for p in reads), line=lineno)
+    for param, what in required.items():
+        if f"{section}.{param}" not in seen:
+            why = f" ({what})" if what else ""
+            raise ConfigError(f"{section}.kind = {kind} requires {section}.{param}{why}",
+                              line=seen.get(f"{section}.kind"))
 
 
 def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
@@ -181,160 +272,45 @@ def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
     line number.  force_probe turns the uniqueness probe on as `frontlab
     probe` does, before the snapshot budget counts its trajectories."""
     cfg = ScenarioConfig()
-    cfg.coupling_params = {}
     seen = {}
-    coupling_kind_line = None
-
     for lineno, key, value in _split_lines(text):
         if key in seen:
-            raise ConfigError(
-                f"duplicate key {key!r} (first set on line {seen[key]})", line=lineno
-            )
+            raise ConfigError(f"duplicate key {key!r} (first set on line {seen[key]})",
+                              line=lineno)
         seen[key] = lineno
-
-        if key == "name":
-            cfg.name = value
-        elif key == "grid.n":
-            cfg.n = _as_int(key, value, lineno)
-            if cfg.n < 33 or cfg.n % 2 == 0:
-                raise ConfigError("grid.n must be odd and >= 33", line=lineno)
-        elif key == "grid.L":
-            cfg.half_extent = _as_float(key, value, lineno)
-            if cfg.half_extent <= 0:
-                raise ConfigError("grid.L must be > 0", line=lineno)
-        elif key == "init.kind":
-            if value not in ("circle", "star_shaped"):
-                raise ConfigError(
-                    f"init.kind must be circle or star_shaped, got {value!r}",
-                    line=lineno,
-                )
-            cfg.init_kind = value
-        elif key == "init.r0":
-            cfg.r0 = _as_float(key, value, lineno)
-            if cfg.r0 <= 0:
-                raise ConfigError("init.r0 must be > 0", line=lineno)
-        elif key == "init.kernel_points":
-            cfg.kernel_points = _as_points(key, value, lineno)
-        elif key == "init.nu":
-            if value not in ("radial", "gradient"):
-                raise ConfigError(
-                    f"init.nu must be radial or gradient, got {value!r}", line=lineno
-                )
-            cfg.nu_kind = value
-        elif key == "coupling.kind":
-            if value not in ("constant", "dislocation", "volume", "fitzhugh_nagumo"):
-                raise ConfigError(f"unknown coupling kind {value!r}", line=lineno)
-            cfg.coupling_kind = value
-            coupling_kind_line = lineno
-        elif key == "coupling.c":
-            cfg.coupling_params["c"] = _as_float(key, value, lineno)
-        elif key == "coupling.c1":
-            cfg.coupling_params["c1"] = _as_float(key, value, lineno)
-        elif key == "coupling.kernel":
-            cfg.coupling_params["kernel"] = _check_kernel(key, value, lineno)
-        elif key == "coupling.beta":
-            cfg.coupling_params["beta"] = _check_map(key, value, lineno)
-        elif key == "coupling.alpha":
-            cfg.coupling_params["alpha"] = _check_map(key, value, lineno)
-        elif key == "coupling.g_plus":
-            cfg.coupling_params["g_plus"] = _check_map(key, value, lineno)
-        elif key == "coupling.g_minus":
-            cfg.coupling_params["g_minus"] = _check_map(key, value, lineno)
-        elif key == "coupling.v0":
-            cfg.coupling_params["v0"] = _as_float(key, value, lineno)
-        elif key == "gamma":
-            cfg.gamma = _as_float(key, value, lineno)
-            if cfg.gamma < 0:
-                raise ConfigError("gamma must be >= 0", line=lineno)
-        elif key == "horizon":
-            cfg.horizon = _as_float(key, value, lineno)
-            if cfg.horizon <= 0:
-                raise ConfigError("horizon must be > 0", line=lineno)
-        elif key == "output_times":
-            if "," in value:
-                cfg.output_times = _as_float_list(key, value, lineno)
-            else:
-                count = _as_int(key, value, lineno)
-                if count < 2:
-                    raise ConfigError("output_times count must be >= 2", line=lineno)
-                cfg.output_times = count
-        elif key == "checks":
-            if value.lower() == "none":
-                cfg.checks = ()
-            else:
-                names = tuple(v.strip() for v in value.split(",") if v.strip())
-                for nm in names:
-                    if nm not in CHECKS:
-                        raise ConfigError(
-                            f"checks: unknown check {nm!r}; choose from {tuple(CHECKS)}",
-                            line=lineno,
-                        )
-                cfg.checks = names
-        elif key == "probe.enabled":
-            cfg.probe_enabled = _as_bool(key, value, lineno)
-        elif key == "probe.seeds":
-            names = tuple(v.strip() for v in value.split(",") if v.strip())
-            for nm in names:
-                if nm not in KNOWN_SEEDS:
-                    raise ConfigError(
-                        f"probe.seeds: unknown seed {nm!r}; choose from {KNOWN_SEEDS}",
-                        line=lineno,
-                    )
-            if len(names) < 2:
-                raise ConfigError("probe.seeds: need at least two seeds", line=lineno)
-            cfg.probe_seeds = names
-        elif key == "probe.taus":
-            cfg.probe_taus = _as_float_list(key, value, lineno)
-        elif key == "gamma_sweep":
-            sweep = _as_float_list(key, value, lineno)
-            if any(g < 0 for g in sweep):
-                raise ConfigError("gamma_sweep values must be >= 0", line=lineno)
-            cfg.gamma_sweep = sweep
-        elif key == "output_dir":
-            cfg.output_dir = value
-        elif key == "far_radius":
-            cfg.far_radius = _as_float(key, value, lineno)
-        elif key == "tol":
-            cfg.tol = _as_float(key, value, lineno)
-        elif key == "max_iter":
-            cfg.max_iter = _as_int(key, value, lineno)
-            if cfg.max_iter < 1:
-                raise ConfigError("max_iter must be >= 1", line=lineno)
-        else:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
+        target, convert, in_range, message = KEYS[key]
+        x = convert(key, value, lineno)
+        if in_range is not None and not in_range(x):
+            raise ConfigError(message, line=lineno)
+        if target == "coupling_params":
+            cfg.coupling_params[key.partition(".")[2]] = x
+        else:
+            setattr(cfg, target, x)
 
-    # cross-key requirements
-    def _require(param, why):
-        if param not in cfg.coupling_params:
-            raise ConfigError(
-                f"coupling.kind = {cfg.coupling_kind} requires coupling.{param} ({why})",
-                line=coupling_kind_line,
-            )
+    _check_kind_keys("coupling", COUPLINGS, cfg.coupling_kind, seen)
+    _check_kind_keys("init", INIT_KINDS, cfg.init_kind, seen)
+    ts = cfg.output_times
+    if isinstance(ts, tuple) and any(b < a for a, b in zip(ts, ts[1:])):
+        raise ConfigError("output_times must be nondecreasing", line=seen["output_times"])
+    if isinstance(ts, tuple) and any(t < 0 or t > cfg.horizon * (1 + 1e-12) for t in ts):
+        raise ConfigError("output_times must lie within [0, horizon]", line=seen["output_times"])
 
-    if cfg.coupling_kind == "dislocation":
-        _require("kernel", "the convolution kernel")
-    elif cfg.coupling_kind == "volume":
-        _require("beta", "the area response map")
-    elif cfg.coupling_kind == "fitzhugh_nagumo":
-        for param, why in (("alpha", "speed map"), ("g_plus", "occupied source"),
-                           ("g_minus", "vacant source")):
-            _require(param, why)
-    if cfg.init_kind == "star_shaped" and "init.kernel_points" not in seen:
+    # the snapshot budget comes first, so it also refuses a grid.n or an
+    # output_times count too large for a float; np.linspace keeps a count
+    stored = ts if isinstance(ts, int) else _normalise_output_times(ts, cfg.horizon).size
+    cfg.probe_enabled = cfg.probe_enabled or force_probe
+    trajectories = 1 + len(cfg.probe_seeds) if cfg.probe_enabled else 1
+    need = cfg.n**2 * stored * 8 * trajectories
+    if need > MAX_SNAPSHOT_BYTES:
+        mib = need / 2**20 if need < 2**1000 else float("inf")
         raise ConfigError(
-            "init.kind = star_shaped requires init.kernel_points",
-            line=seen.get("init.kind"),
+            f"stored snapshots need {cfg.n}^2 nodes x {stored} times x "
+            f"{trajectories} trajectories x 8 bytes = {mib:.0f} MiB, above "
+            f"the {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB budget; lower output_times or grid.n",
+            line=seen.get("output_times", seen.get("grid.n")),
         )
-    if isinstance(cfg.output_times, tuple):
-        ts = cfg.output_times
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ConfigError(
-                "output_times must be nondecreasing", line=seen.get("output_times")
-            )
-        if any(t < 0 or t > cfg.horizon * (1 + 1e-12) for t in ts):
-            raise ConfigError(
-                "output_times must lie within [0, horizon]", line=seen.get("output_times")
-            )
-
     # curvature_term regularises its denominator by 4h^4, which must not
     # underflow: where the field is flat it would divide 0 by 0
     spec = cfg.grid()
@@ -347,38 +323,19 @@ def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
         )
     # the grid must hold the initial support with the solver's 2h margin
     ring = grid_ring(spec)
-    points = cfg.kernel_points if cfg.init_kind == "star_shaped" else ((0.0, 0.0),)
-    kmax = max(float(np.hypot(px, py)) for px, py in points)
+    kmax = max(float(np.hypot(px, py)) for px, py in cfg.kernel_points)
     if kmax + cfg.r0 > ring:
         raise ConfigError(
             f"initial support radius {kmax + cfg.r0:g} does not fit the grid "
             f"(needs <= L - 2h = {ring:g})",
-            line=seen.get("init.r0"),
+            line=seen.get("init.r0", seen.get("init.kernel_points", seen.get("grid.L"))),
         )
     if cfg.tol is not None and cfg.tol < spec.h**2 * (1.0 - 1e-12):
-        raise ConfigError(
-            f"tol must be finite and >= h^2 = {spec.h**2:g}, got {cfg.tol:g}",
-            line=seen["tol"],
-        )
+        raise ConfigError(f"tol must be finite and >= h^2 = {spec.h**2:g}, got {cfg.tol:g}",
+                          line=seen["tol"])
     if cfg.far_radius is not None and not 0 < cfg.far_radius <= ring:
-        raise ConfigError(
-            f"far_radius must lie in (0, L - 2h = {ring:g}], got {cfg.far_radius:g}",
-            line=seen["far_radius"],
-        )
-    if isinstance(cfg.output_times, tuple):
-        stored = _normalise_output_times(cfg.output_times, cfg.horizon).size
-    else:
-        stored = cfg.output_times  # a count: np.linspace keeps 0 and the horizon
-    cfg.probe_enabled = cfg.probe_enabled or force_probe
-    trajectories = 1 + len(cfg.probe_seeds) if cfg.probe_enabled else 1
-    need = cfg.n**2 * stored * 8 * trajectories
-    if need > MAX_SNAPSHOT_BYTES:
-        raise ConfigError(
-            f"stored snapshots need {cfg.n}^2 nodes x {stored} times x "
-            f"{trajectories} trajectories x 8 bytes = {need / 2**20:.0f} MiB, above "
-            f"the {MAX_SNAPSHOT_BYTES / 2**20:.0f} MiB budget; lower output_times or grid.n",
-            line=seen.get("output_times", seen.get("grid.n")),
-        )
+        raise ConfigError(f"far_radius must lie in (0, L - 2h = {ring:g}], got {cfg.far_radius:g}",
+                          line=seen["far_radius"])
     short = [c for c in cfg.checks if stored < CHECKS[c][2]]
     if short:
         raise ConfigError(

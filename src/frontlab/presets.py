@@ -6,8 +6,6 @@ frozen-occupation dependence experiment, sized to finish within a few
 minutes on desk hardware.
 """
 
-from .config import ScenarioConfig, parse_config
-
 MCF_CIRCLE = """\
 # shrinking circle under curvature: radius oracle sqrt(1 - 2t)
 name = mcf-circle
@@ -134,10 +132,6 @@ def preset_text(name: str) -> str:
             f"unknown preset {name!r}; available: {', '.join(list_presets())}"
         )
     return _PRESET_TEXTS[name]
-
-
-def preset_config(name: str) -> ScenarioConfig:
-    return parse_config(preset_text(name))
 
 
 def _scaled(text: str, n: int = 129, output_times: int = 13) -> str:

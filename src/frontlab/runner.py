@@ -28,9 +28,10 @@ the stored ones byte for byte.
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or
 construction error, 3 any other failure: a solve (fixed point, dependence
 pair, uniqueness probe) that escapes or goes unstable, or a fault in a
-check.  Every exit 2 or 3 of `run` leaves a one-line FAILED marker.  No
-artifact embeds a timestamp, so byte-identical runs produce byte-identical
-trees.
+check.  Every exit 2 or 3 of `run` leaves a one-line FAILED marker.  A run
+into a used directory first deletes the files its manifest.txt lists, so
+the directory then holds only the new run's files.  No artifact embeds a
+timestamp, so byte-identical runs produce byte-identical trees.
 """
 
 import hashlib
@@ -66,8 +67,35 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def clear_listed(out_dir: str) -> None:
+    """Delete the files that out_dir's manifest.txt lists, the directories
+    that leaves empty, and the manifest, so that a rerun into a used
+    directory leaves only its own files.  Only relative paths that resolve
+    to a file inside out_dir are deleted; any other listed path is skipped."""
+    manifest = os.path.join(out_dir, "manifest.txt")
+    if not os.path.isfile(manifest):
+        return
+    top = os.path.realpath(out_dir)
+    with open(manifest, errors="replace") as fh:
+        listed = [line.rstrip("\n").partition("  ")[2] for line in fh]
+    parents = set()
+    for rel in listed:
+        path = os.path.normpath(os.path.join(top, rel))
+        inside = not os.path.isabs(rel) and os.path.realpath(path).startswith(top + os.sep)
+        if inside and os.path.isfile(path):
+            os.remove(path)
+            parents.add(os.path.dirname(path))
+    for parent in sorted(parents, key=len, reverse=True):
+        while parent.startswith(top + os.sep) and not os.listdir(parent):
+            os.rmdir(parent)
+            parent = os.path.dirname(parent)
+    os.remove(manifest)
+
+
 def fail_run(out_dir: str, message: str, exit_code: int) -> RunResult:
-    """End a run in out_dir with a one-line FAILED marker and the manifest."""
+    """End a run in out_dir with a one-line FAILED marker and the manifest,
+    after clearing what the directory's manifest lists of an earlier run."""
+    clear_listed(out_dir)
     _write(os.path.join(out_dir, "FAILED"), message + "\n")
     write_manifest(out_dir)
     return RunResult(exit_code, out_dir, [f"FAIL run ({message})"])
@@ -154,6 +182,7 @@ def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str, sol) -> 
 def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) -> RunResult:
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
+    clear_listed(out_dir)
     failed_marker = os.path.join(out_dir, "FAILED")
     if os.path.exists(failed_marker):
         os.remove(failed_marker)
@@ -238,6 +267,7 @@ def run_verify_all(out_root: str) -> RunResult:
     from .presets import verify_all_configs
 
     os.makedirs(out_root, exist_ok=True)
+    clear_listed(out_root)
     exit_code = EXIT_OK
     verdicts = []
     for name, text in verify_all_configs():
@@ -276,10 +306,16 @@ def verify_run_dir(run_dir: str) -> RunResult:
 
     Exit 0 iff every recomputed report equals its stored files and passes;
     1 when a check fails, a verdict flips or a stored number drifts; 2 when
-    run_meta.txt is missing, is not text or names a check the table does not
-    know, when a stored field is missing, malformed or in the old text
-    format, or when the trajectory manifest or a metadata file is
+    the directory holds a FAILED marker (named before anything else is
+    read), when run_meta.txt is missing, is not text or names a check the
+    table does not know, when a stored field is missing, malformed or in the
+    old text format, or when the trajectory manifest or a metadata file is
     malformed."""
+    marker = os.path.join(run_dir, "FAILED")
+    if os.path.isfile(marker):
+        with open(marker, errors="replace") as fh:
+            text = " ".join(fh.read().split())
+        return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify (FAILED: {text})"])
     meta_path = os.path.join(run_dir, "run_meta.txt")
     if not os.path.exists(meta_path):
         return RunResult(EXIT_CONFIG, run_dir, ["FAIL verify (no run_meta.txt)"])

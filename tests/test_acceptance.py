@@ -21,7 +21,7 @@ from frontlab.couplings import convolve_kernel
 from frontlab.contour import extract_contour
 from frontlab.geometry import load_init
 from frontlab.grid import GridSpec, ScalarField
-from frontlab.presets import preset_config, preset_text
+from frontlab.presets import preset_text
 from frontlab.runner import run, run_verify_all
 from frontlab.solver import load_trajectory, regularity_report
 from frontlab.verify import cone_report, key_estimate_report, load_report
@@ -37,7 +37,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def _run_preset(name: str, tmp_path_factory):
     out = tmp_path_factory.mktemp(f"accept_{name}") / "run"
     start = time.perf_counter()
-    result = run(preset_config(name), out_dir=str(out), config_text=preset_text(name))
+    result = run(parse_config(preset_text(name)), out_dir=str(out), config_text=preset_text(name))
     return result, out, time.perf_counter() - start
 
 

@@ -8,6 +8,7 @@ a 33-node run, so a traceback would show on its stderr.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,11 +17,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frontlab
 from frontlab import cli
 from frontlab.cli import main
-from frontlab.config import DEFAULT_CHECKS, ScenarioConfig, parse_config
+from frontlab.config import (
+    COUPLINGS,
+    DEFAULT_CHECKS,
+    INIT_KINDS,
+    KEYS,
+    ScenarioConfig,
+    parse_config,
+)
 from frontlab.couplings import (
     ConstantCoupling,
     DislocationCoupling,
@@ -29,8 +38,8 @@ from frontlab.couplings import (
 )
 from frontlab.errors import ConfigError
 from frontlab.grid import load_field
-from frontlab.presets import list_presets, preset_config, preset_text, verify_all_configs
-from frontlab.runner import RunResult, run, verify_run_dir, write_manifest
+from frontlab.presets import list_presets, preset_text, verify_all_configs
+from frontlab.runner import RunResult, clear_listed, run, verify_run_dir, write_manifest
 
 BASE = "init.kind = circle\ninit.r0 = 0.5\n"
 
@@ -47,6 +56,8 @@ horizon = 0.05
 output_times = 5
 checks = key_estimate, lower_gradient, star_shape
 """
+
+SMALL = TINY.replace("grid.n = 65", "grid.n = 33")
 
 
 def _error(text: str) -> str:
@@ -250,6 +261,96 @@ def test_missing_coupling_parameter_blames_kind_line():
     )
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("coupling.kind = constant\ncoupling.kernel = gaussian(1,0.1)\n", 2,
+     "coupling.kind = constant does not read coupling.kernel; it reads coupling.c"),
+    ("coupling.kind = constant\ncoupling.c = 1\ncoupling.beta = constant(5)\n", 3,
+     "coupling.kind = constant does not read coupling.beta; it reads coupling.c"),
+    ("coupling.kind = constant\ncoupling.v0 = 3\n", 2,
+     "coupling.kind = constant does not read coupling.v0; it reads coupling.c"),
+    ("coupling.c1 = 0.2\n", 1,
+     "coupling.kind = constant does not read coupling.c1; it reads coupling.c"),
+    ("coupling.kind = volume\ncoupling.kernel = gaussian(1,0.1)\ncoupling.beta = constant(0)\n", 2,
+     "coupling.kind = volume does not read coupling.kernel; it reads coupling.beta"),
+    ("coupling.kind = dislocation\ncoupling.kernel = gaussian(1,0.1)\ncoupling.c = 1\n", 3,
+     "coupling.kind = dislocation does not read coupling.c; "
+     "it reads coupling.kernel, coupling.c1"),
+    ("init.kind = circle\ninit.kernel_points = 0.3,0\n", 2,
+     "init.kind = circle does not read init.kernel_points; it reads init.r0, init.nu"),
+    ("init.kernel_points = 0.3,0\n", 1,
+     "init.kind = circle does not read init.kernel_points; it reads init.r0, init.nu"),
+], ids=["constant-kernel", "constant-beta", "constant-v0", "default-kind-c1", "volume-kernel",
+        "dislocation-c", "circle-kernel-points", "default-kind-kernel-points"])
+def test_key_the_kind_does_not_read_exits_two_on_its_line(tmp_path, capsys, text, line, message):
+    # each parsed on earlier versions and was then ignored: the run built
+    # the kind's defaults, a zero constant speed or a centred circle
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(text)
+    code = main(["run", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: line {line}: {message}\n"
+
+
+def test_value_errors_fire_before_the_kind_check():
+    msg = _error("coupling.kind = constant\ncoupling.kernel = gaussian(1,0)\n")
+    assert msg == "line 2: coupling.kernel: gaussian radii must be > 0, got 'gaussian(1,0)'"
+
+
+def test_kind_tables_cover_exactly_the_section_keys():
+    for section, kinds in (("coupling", COUPLINGS), ("init", INIT_KINDS)):
+        params = {p for required, optional, *_ in kinds.values() for p in (*required, *optional)}
+        keys = {k.partition(".")[2] for k in KEYS if k.startswith(section + ".")}
+        assert keys == params | {"kind"}, section
+
+
+def test_readme_key_table_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| key | meaning |", 1)[1].split("\n\n", 1)[0]
+    named = set()
+    for row in table.splitlines()[2:]:
+        named.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    assert named == set(KEYS)
+
+
+# the smallest config around each key: n = 33, no checks, and for a key of
+# one coupling or initial-data kind that kind with what it requires
+_FUZZ_BASE = {"grid.n": "33", "horizon": "0.05", "output_times": "3", "checks": "none"}
+
+
+def _around(key, value):
+    lines = dict(_FUZZ_BASE)
+    section, _, param = key.partition(".")
+    kinds = {"coupling": COUPLINGS, "init": INIT_KINDS}.get(section, {})
+    for kind, (required, optional, *_) in kinds.items():
+        if param in (*required, *optional) and not (section == "init" and param in optional):
+            lines[f"{section}.kind"] = kind
+            for need in required:
+                lines[f"{section}.{need}"] = {
+                    "kernel": "gaussian(1,0.1)", "kernel_points": "0,0"
+                }.get(need, "constant(0)")
+    lines[key] = value
+    return "".join(f"{k} = {v}\n" for k, v in lines.items())
+
+
+_VALUES = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789.,;-+e()_ acfinxs"),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1" + "0" * 400 + "1", "1e308", "5e-324", "-0", "gaussian(1e308,1e308)"]),
+)
+
+
+@pytest.mark.parametrize("key", sorted(KEYS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(value=_VALUES)
+def test_any_value_parses_or_is_a_config_error_with_a_line(key, value):
+    try:
+        parse_config(_around(key, value))
+    except ConfigError as err:
+        assert err.line is not None
+
+
 def test_star_shaped_requires_kernel_points():
     assert "requires init.kernel_points" in _error("init.kind = star_shaped\n")
 
@@ -284,7 +385,7 @@ def test_every_preset_parses():
     for name in list_presets():
         if name == "verify-all":
             continue
-        cfg = preset_config(name)
+        cfg = parse_config(preset_text(name))
         assert cfg.name == name
         cfg.build_coupling()
 
@@ -428,7 +529,7 @@ def _frontlab(*args, cwd=None):
 def small_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("small")
     cfg = root / "small.cfg"
-    cfg.write_text(TINY.replace("grid.n = 65", "grid.n = 33"))
+    cfg.write_text(SMALL)
     proc = _frontlab("run", cfg, "--out", root / "run")
     assert proc.returncode == 0, proc.stderr
     return root / "run"
@@ -507,10 +608,67 @@ def test_verify_reports_undecodable_text_files(small_run, tmp_path, name):
     assert printed.startswith(f"FAIL verify ({copy / name}: ") and "decode" in printed
 
 
+def _files(run_dir):
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+
+def test_rerun_into_a_used_directory_leaves_only_its_own_files(tmp_path):
+    # five stored times and a cone report, then three and no cone: the
+    # first run's contour_003/004 and reports/cone.* must not survive
+    first = tmp_path / "first.cfg"
+    first.write_text(SMALL.replace(
+        "checks = key_estimate, lower_gradient, star_shape", "checks = key_estimate, cone"))
+    second = tmp_path / "second.cfg"
+    second.write_text(SMALL.replace("output_times = 5", "output_times = 3").replace(
+        "checks = key_estimate, lower_gradient, star_shape", "checks = key_estimate"))
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    for cfg, out in ((first, used), (second, used), (second, fresh)):
+        proc = _frontlab("run", cfg, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+    assert "reports/cone.csv" not in _files(used)
+    assert _files(used) == _files(fresh)
+    assert sorted(p.name for p in used.rglob("*") if p.is_dir()) == sorted(
+        p.name for p in fresh.rglob("*") if p.is_dir())
+
+
+def test_verify_of_a_failed_rerun_names_the_marker(tmp_path):
+    # a finished run, then a rerun that fails to parse: the directory keeps
+    # only the marker and its manifest, and verify exits 2 naming the marker
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL)
+    out = tmp_path / "run"
+    assert _frontlab("run", cfg, "--out", out).returncode == 0
+    cfg.write_text(SMALL.replace("horizon = 0.05", "horizon = 0"))
+    proc = _frontlab("run", cfg, "--out", out)
+    assert proc.returncode == 2
+    assert sorted(_files(out)) == ["FAILED", "manifest.txt"]
+    proc = _frontlab("verify", out)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [
+        "FAIL verify (FAILED: config error: line 9: horizon must be > 0)"
+    ]
+
+
+def test_clearing_a_used_directory_deletes_only_listed_files_inside_it(tmp_path):
+    out = tmp_path / "run"
+    (out / "reports").mkdir(parents=True)
+    (out / "reports" / "cone.csv").write_text("old\n")
+    (out / "kept.txt").write_text("not listed\n")
+    outside = tmp_path / "outside.txt"
+    outside.write_text("outside\n")
+    (out / "manifest.txt").write_text(
+        f"0  reports/cone.csv\n0  ../outside.txt\n0  {outside}\n0  missing.csv\nno separator\n"
+    )
+    clear_listed(str(out))
+    assert sorted(p.name for p in out.iterdir()) == ["kept.txt"]
+    assert outside.read_text() == "outside\n"
+
+
 def test_run_and_verify_close_their_files(tmp_path):
     # an unclosed file shows as a ResourceWarning on stderr when collected
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(TINY.replace("grid.n = 65", "grid.n = 33"))
+    cfg.write_text(SMALL)
     out = tmp_path / "run"
     for args in (["run", cfg, "--out", out], ["verify", out]):
         proc = _python("-W", "error::ResourceWarning", "-m", "frontlab.cli", *args)
