@@ -53,7 +53,7 @@ reports = [
     cone_report(traj, init, sched, K_fit, t_bar=t_bar),
     perimeter_report(traj, init, sched, K_fit, t_bar=t_bar),
     band_measure_report(traj, init, sched, t_bar=t_bar),
-    fattening_report(traj, init, sched, t_bar=t_bar),
+    fattening_report(traj, init, t_bar=t_bar),
     star_shape_report(traj, init),
 ]
 for rep in reports:

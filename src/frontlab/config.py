@@ -9,13 +9,15 @@ its line number and the offending key.  A minimal scenario is four lines:
     coupling.kind = volume
     coupling.beta = constant(0)
 
-Everything else has defaults listed in ScenarioConfig.  The table KEYS gives
-each key its converter, range check and target field; COUPLINGS gives each
-coupling kind the parameters it reads and its constructor, and INIT_KINDS
-the init.* keys each initial-data kind reads.  Every line's value is checked
-first.  Then a coupling.* or init.* key that the chosen kind does not read
-is an error on its own line, and a parameter the kind requires but is not
-given is an error on the kind's line.
+Everything else has defaults listed in ScenarioConfig.  No key sets the
+containment ring, which is the grid's own L - 2h (`solver.grid_ring`), or the
+uniqueness probe's Picard stop (`weak.PICARD_TOL_CELLS`, `PICARD_MAX_ITER`).
+The table KEYS gives each key its converter, range check and target field;
+COUPLINGS gives each coupling kind the parameters it reads and its
+constructor, and INIT_KINDS the init.* keys each initial-data kind reads.
+Every line's value is checked first.  Then a coupling.* or init.* key that
+the chosen kind does not read is an error on its own line, and a parameter
+the kind requires but is not given is an error on the kind's line.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -88,9 +90,6 @@ class ScenarioConfig:
     probe_taus: tuple = None
     gamma_sweep: tuple = None
     output_dir: str = "out"
-    far_radius: float = None
-    tol: float = None                  # tol and max_iter steer the probe's Picard runs
-    max_iter: int = 12
 
     def grid(self) -> GridSpec:
         return GridSpec(self.n, self.half_extent)
@@ -244,9 +243,6 @@ KEYS = {
     "gamma_sweep": ("gamma_sweep", _as_float_list,
                     lambda sweep: all(g >= 0 for g in sweep), "gamma_sweep values must be >= 0"),
     "output_dir": ("output_dir", _as_text, None, None),
-    "far_radius": ("far_radius", _as_float, None, None),
-    "tol": ("tol", _as_float, None, None),
-    "max_iter": ("max_iter", _as_int, lambda n: n >= 1, "max_iter must be >= 1"),
 }
 
 
@@ -330,12 +326,6 @@ def parse_config(text: str, force_probe: bool = False) -> ScenarioConfig:
             f"(needs <= L - 2h = {ring:g})",
             line=seen.get("init.r0", seen.get("init.kernel_points", seen.get("grid.L"))),
         )
-    if cfg.tol is not None and cfg.tol < spec.h**2 * (1.0 - 1e-12):
-        raise ConfigError(f"tol must be finite and >= h^2 = {spec.h**2:g}, got {cfg.tol:g}",
-                          line=seen["tol"])
-    if cfg.far_radius is not None and not 0 < cfg.far_radius <= ring:
-        raise ConfigError(f"far_radius must lie in (0, L - 2h = {ring:g}], got {cfg.far_radius:g}",
-                          line=seen["far_radius"])
     short = [c for c in cfg.checks if stored < CHECKS[c][2]]
     if short:
         raise ConfigError(

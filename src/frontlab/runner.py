@@ -136,8 +136,7 @@ def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str, ct
     """Write sweep.csv and return the gamma_sweep verdict line; the run's
     context ctx stands in for the sweep's march and report at config.gamma."""
     gamma_bar, sweep = gamma_sweep_star_shape(
-        coupling, init, config.gamma_sweep, config.horizon,
-        output_times=times, far_radius=config.far_radius, run=ctx,
+        coupling, init, config.gamma_sweep, config.horizon, output_times=times, run=ctx,
     )
     lines = ["gamma,passed,min_margin"]
     for g in sorted(sweep):
@@ -158,9 +157,8 @@ def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str, sol) -> 
     result = uniqueness_probe(
         coupling, init.u0, config.gamma, config.horizon,
         seeds={name: seeds_all[name] for name in config.probe_seeds},
-        taus=config.probe_taus, output_times=times,
-        far_radius=config.far_radius, tol=config.tol,
-        max_iter=config.max_iter, lipschitz=init.lipschitz, R0=init.R0, march=sol,
+        taus=config.probe_taus, output_times=times, lipschitz=init.lipschitz, R0=init.R0,
+        march=sol,
     )
     lines = ["seed_i,seed_j,tau,delta_tau,kappa_sup"]
     for si, sj, tau, delta, ksup in result.rows:
@@ -214,10 +212,7 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
         os.path.join(out_dir, "init_meta.txt"),
     )
     times = config.times()
-    sol = march_solve(
-        coupling, init.u0, config.gamma, config.horizon,
-        output_times=times, far_radius=config.far_radius,
-    )
+    sol = march_solve(coupling, init.u0, config.gamma, config.horizon, output_times=times)
     traj = sol.u_traj
     ctx = CheckContext(traj, init, config, coupling, checks=config.checks)
     dump_trajectory(traj, os.path.join(out_dir, "traj"))

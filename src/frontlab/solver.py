@@ -2,16 +2,16 @@
 
 The update is forward Euler on the monotone Godunov advection term plus the
 central-difference curvature trace (regularised by eps = h), clamped to
-[-1, 1], with the far field outside B(0, far_radius) overwritten to -1 each
-step (far_radius defaults to L - 2h, `grid_ring`).  Each interval between
+[-1, 1], with the far field outside the containment ring B(0, L - 2h)
+(`grid_ring`) overwritten to -1 each step.  Each interval between
 output times reads the speed c(t) that a speed law builds for it from the
 field that starts the interval.  Each step takes
 dt = CFL_SAFETY / (2 max|c|/h + 4 gamma/h^2), a share of the explicit bound
 for the advection and curvature terms summed over both axes, and `advance`
 refuses any dt above the bound itself.  A guard aborts if the zero set ever
-reaches the containment ring B(0, far_radius - 4h) from inside, since past
-that point the overwrite would be carving the front itself.  One solve
-updates at most MAX_CELL_UPDATES nodes, MAX_STEPS steps of a 201-node grid.
+comes within 4h of the containment ring from inside, since past that point
+the overwrite would be carving the front itself.  One solve updates at most
+MAX_CELL_UPDATES nodes, MAX_STEPS steps of a 201-node grid.
 """
 
 from dataclasses import dataclass
@@ -151,12 +151,15 @@ class Trajectory:
     snapshots: list
     dt_used: list
     lipschitz_log: list
-    far_radius: float
     gamma: float
 
     @property
     def spec(self) -> GridSpec:
         return self.snapshots[0].spec
+
+    @property
+    def far_radius(self) -> float:
+        return grid_ring(self.spec)
 
 
 def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
@@ -175,7 +178,7 @@ def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
 
 def solve(
     u0: ScalarField, speed, gamma: float, horizon: float, output_times,
-    far_radius: float = None, resume: Trajectory = None, start: int = 0,
+    resume: Trajectory = None, start: int = 0,
 ) -> Trajectory:
     """March u0 to the horizon, landing exactly on every output time.
 
@@ -184,8 +187,7 @@ def solve(
     speed law can read the solution it drives (the causal march of
     `weak.march_solve`).  What it returns maps a time t to the speed c(t),
     a ScalarField or a float for a spatially constant speed; each step calls
-    it once, at the time the step starts.  far_radius defaults to
-    grid_ring(u0.spec), L - 2h.
+    it once, at the time the step starts.
 
     start = m > 0 resumes at the stored time t_m of `resume`, a trajectory
     of this march on the same output times whose first m + 1 stored times
@@ -206,11 +208,7 @@ def solve(
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    ring = grid_ring(spec)
-    if far_radius is None:
-        far_radius = ring
-    if far_radius > ring + 1e-12:
-        raise ValueError(f"far_radius {far_radius:.4g} violates the bound L-2h={ring:.4g}")
+    far_radius = grid_ring(spec)
     times = _normalise_output_times(output_times, horizon)
 
     measure_mask = spec.radius() <= far_radius - 2 * h
@@ -234,10 +232,8 @@ def solve(
         check_guard(0.0)
         snapshots, dt_used, lipschitz_log = [u.copy()], [0.0], [seminorm()]
     else:
-        if not np.array_equal(resume.times, times) or (
-            (resume.far_radius, resume.gamma) != (far_radius, gamma)
-        ):
-            raise ValueError("a resumed march needs the output times, far_radius and gamma it resumes")
+        if not np.array_equal(resume.times, times) or resume.gamma != gamma:
+            raise ValueError("a resumed march needs the output times and gamma it resumes")
         snapshots = resume.snapshots[:start + 1]
         dt_used = resume.dt_used[:start + 1]
         lipschitz_log = resume.lipschitz_log[:start + 1]
@@ -247,7 +243,6 @@ def solve(
         snapshots=snapshots,
         dt_used=dt_used,
         lipschitz_log=lipschitz_log,
-        far_radius=far_radius,
         gamma=gamma,
     )
 
@@ -287,7 +282,7 @@ def solve(
 def regularity_report(traj: Trajectory) -> float:
     """The growth rate K >= 0 of the Lipschitz log, ||Du(t)|| ~ ||Du(0)|| e^{Kt},
     fitted by least squares on its logarithm.  `solve` measures the log on
-    B(0, far_radius - 2h), clear of the containment ring."""
+    B(0, L - 4h), clear of the containment ring."""
     if len(traj.snapshots) < 3:
         raise ValueError("regularity_report needs at least 3 snapshots")
     times = np.asarray(traj.times, dtype=np.float64)
@@ -357,9 +352,8 @@ def load_trajectory(directory) -> Trajectory:
                     meta[key.strip()] = float(val)
     except ValueError as err:   # a value that is no number, or bytes that are no text
         raise FieldFormatError(f"{meta_path}: {err}") from None
-    missing = {"far_radius", "gamma"} - meta.keys()
-    if missing:
-        raise FieldFormatError(f"{meta_path}: no {' or '.join(sorted(missing))} line")
+    if "gamma" not in meta:
+        raise FieldFormatError(f"{meta_path}: no gamma line")
     snapshots = [
         load_field(os.path.join(directory, f"t_{int(i):03d}.f64")) for i in rows[:, 0]
     ]
@@ -368,6 +362,5 @@ def load_trajectory(directory) -> Trajectory:
         snapshots=snapshots,
         dt_used=list(rows[:, 2]),
         lipschitz_log=list(rows[:, 3]),
-        far_radius=meta["far_radius"],
         gamma=meta["gamma"],
     )

@@ -413,8 +413,7 @@ def key_estimate_report(
 
 
 def lower_gradient_report(
-    traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule,
-    t_bar: float = None,
+    traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule, t_bar: float,
 ) -> VerificationReport:
     """min |Du| over {|u(t)| < delta0/4} against eta(t) / ||nu||_inf.
 
@@ -422,8 +421,6 @@ def lower_gradient_report(
     3 h scale with scale = max(1, 1/r0), the natural curvature of the
     initial front.
     """
-    if t_bar is None:
-        t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     h = traj.spec.h
     scale = max(1.0, 1.0 / init.r0)
     slack = 3.0 * h * scale
@@ -473,7 +470,7 @@ def _cone_points(z: np.ndarray, axis: np.ndarray, theta: np.ndarray, rho: float)
 
 def cone_report(
     traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule, K_fit: float,
-    t_bar: float = None, flip_axis: bool = False, max_vertices: int = 256,
+    t_bar: float, flip_axis: bool = False, max_vertices: int = 256,
 ) -> VerificationReport:
     """Sample solid cones at contour vertices and count points violating
     u >= level - slack.
@@ -485,8 +482,6 @@ def cone_report(
     is repeated with K doubled; a verdict flip between the two is flagged.
     """
     ctx, traj = _context(traj, init)
-    if t_bar is None:
-        t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     spec = traj.spec
     h, lip = spec.h, init.lipschitz
     lam_bar = init.lambda_bar
@@ -605,14 +600,12 @@ def _eta_bar(ctx: CheckContext, eta_sched, window: float, floor: float) -> float
 
 def perimeter_report(
     traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule, K_fit: float,
-    t_bar: float = None,
+    t_bar: float,
 ) -> VerificationReport:
     """Contour perimeter against the co-area bound
     2 ||Du0||_inf e^{Kt} area / eta_bar and the 2x initial-value sanity cap,
     over t <= t_bar/2 and levels {-delta0/4, 0, delta0/4}."""
     ctx, traj = _context(traj, init)
-    if t_bar is None:
-        t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     window = 0.5 * t_bar
     h, lip = traj.spec.h, init.lipschitz
     floor = h * lip
@@ -661,8 +654,7 @@ def perimeter_report(
 
 
 def band_measure_report(
-    traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule,
-    t_bar: float = None,
+    traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule, t_bar: float,
 ) -> VerificationReport:
     """One-sided band areas |{-delta <= u < 0}| across delta, with the
     linearity check measure/delta spread < 2, the fitted M4, and the
@@ -672,8 +664,6 @@ def band_measure_report(
     (< 2h) dropped.
     """
     ctx, traj = _context(traj, init)
-    if t_bar is None:
-        t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     spec = traj.spec
     h, lip = spec.h, init.lipschitz
     floor = h * lip
@@ -740,16 +730,11 @@ def band_measure_report(
     )
 
 
-def fattening_report(
-    traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule,
-    t_bar: float = None,
-) -> VerificationReport:
+def fattening_report(traj: Trajectory, init: InitCondition, t_bar: float) -> VerificationReport:
     """Two-sided slab areas |{|u| <= eps}| fitted linearly in eps over
     {2h, 4h, 8h}; the front has not fattened while the fit intercept stays
     below 2 h perimeter."""
     ctx, traj = _context(traj, init)
-    if t_bar is None:
-        t_bar = min(eta_sched.t_bar, float(traj.times[-1]))
     h = traj.spec.h
     eps_grid = _slab_eps(h)
 
@@ -863,8 +848,7 @@ def _dependence_reports(ctx: CheckContext):
     hists = {dr: disc_hist(init.r0 + dr) for dr in (0.0, h, 2.0 * h)}
     trajs = {
         dr: march_solve(
-            coupling, init.u0, config.gamma, config.horizon, output_times=times,
-            far_radius=config.far_radius, chi_hist=hist,
+            coupling, init.u0, config.gamma, config.horizon, output_times=times, chi_hist=hist,
         ).u_traj
         for dr, hist in hists.items()
     }
@@ -936,28 +920,24 @@ def star_shape_report(
 
 def gamma_sweep_star_shape(
     coupling, init: InitCondition, gammas, horizon: float,
-    output_times=None, far_radius: float = None, run: CheckContext = None,
+    output_times=None, run: CheckContext = None,
 ):
     """March the coupled flow for each gamma and report the largest one that
     keeps the star-shape margin; escapes and instabilities count as fails.
     run, the context of a causal march of the same coupling and init (a
     run's own), stands in for the sweep's march at its gamma when its stored
-    times and far_radius are the sweep's, and its star-shape report for the
-    sweep's.
+    times are the sweep's, and its star-shape report for the sweep's.
 
     Returns (gamma_bar_emp, {gamma: VerificationReport-or-error-string}).
     """
     results = {}
     gamma_bar = None
     for gamma in sorted(float(g) for g in gammas):
-        if run is not None and reuses_march(run.traj, gamma, horizon, output_times, far_radius):
+        if run is not None and reuses_march(run.traj, gamma, horizon, output_times):
             report = run.star_shape
         else:
             try:
-                sol = march_solve(
-                    coupling, init.u0, gamma, horizon, output_times=output_times,
-                    far_radius=far_radius,
-                )
+                sol = march_solve(coupling, init.u0, gamma, horizon, output_times=output_times)
             except (FrontEscapeError, StabilityError) as err:
                 results[gamma] = f"error: {err}"
                 continue
@@ -987,7 +967,7 @@ CHECKS = {
     "band_measure": (
         lambda c: [band_measure_report(c, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
     "non_fattening": (
-        lambda c: [fattening_report(c, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
+        lambda c: [fattening_report(c, c.init, t_bar=c.t_bar)], False, 2),
     "star_shape": (lambda c: [c.star_shape], False, 2),
     "dependence": (_dependence_reports, True, 2),
 }

@@ -19,20 +19,20 @@ bit, and Picard iteration is this frozen march repeated,
 
     u^{k+1} = march frozen along chi^k,   chi^{k+1} = 1_{u^{k+1} >= 0},
 
-stopping when sup_t kappa(chi^{k+1}(t), chi^k(t)) drops below tol (default
-4 h^2, about four grid cells of disagreement).  It is kept for the
-uniqueness probe only: it starts from any chi^0 guess, and the probe checks
-that every guess lands on the march.  Couplings that ignore chi build
-bitwise-identical speeds from every history, so such Picard runs stop after
-one solve with a recorded residual of 0.
+stopping when sup_t kappa(chi^{k+1}(t), chi^k(t)) is at most 4 h^2, about
+four grid cells of disagreement, or after 12 steps (PICARD_TOL_CELLS,
+PICARD_MAX_ITER).  It is kept for the uniqueness probe only: it starts from
+any chi^0 guess, and the probe checks that every guess lands on the march.
+Couplings that ignore chi build bitwise-identical speeds from every history,
+so such Picard runs stop after one solve with a recorded residual of 0.
 
 Interval k of a frozen march depends only on the inputs chi(t_0..t_k) once
-the coupling, u0, gamma, the stored times and far_radius are fixed, and the
-march lands exactly on every t_k.  So a Picard step resumes from the longest
-input prefix, compared bitwise, that an earlier march of the probe already
-solved, and steps only the intervals after it; the probe's memo of finished
-marches starts with the causal march itself.  This is the window by window
-growth of the exact prefix in waveform relaxation, and it changes no float.
+the coupling, u0, gamma and the stored times are fixed, and the march lands
+exactly on every t_k.  So a Picard step resumes from the longest input
+prefix, compared bitwise, that an earlier march of the probe already solved,
+and steps only the intervals after it; the probe's memo of finished marches
+starts with the causal march itself.  This is the window by window growth of
+the exact prefix in waveform relaxation, and it changes no float.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,12 @@ import numpy as np
 
 from .couplings import OccupationHistory, constant_history, kappa
 from .grid import ScalarField, central_gradient_norm
-from .solver import Trajectory, _normalise_output_times, grid_ring, solution_gaps, solve
+from .solver import Trajectory, _normalise_output_times, solution_gaps, solve
+
+# the Picard stop: sup_t kappa(chi^{k+1}(t), chi^k(t)) <= PICARD_TOL_CELLS h^2,
+# or PICARD_MAX_ITER steps
+PICARD_TOL_CELLS = 4.0
+PICARD_MAX_ITER = 12
 
 
 def chi_from_u(u: ScalarField) -> ScalarField:
@@ -60,9 +65,9 @@ class WeakSolution:
     was built from: feeding it back through the coupling replays u_traj bit
     for bit, which is the reproducibility hook the verifiers rely on.  The
     march builds its speed from its own snapshots, so there the two are one
-    history; a converged Picard run has them within tol in kappa, not
-    necessarily bitwise.  states holds the coupling's state (fitzhugh-nagumo's
-    v, None for laws without memory) at every stored time.
+    history; a converged Picard run has them within the Picard stop in
+    kappa, not necessarily bitwise.  states holds the coupling's state
+    (fitzhugh-nagumo's v, None for laws without memory) at every stored time.
     """
 
     u_traj: Trajectory
@@ -137,7 +142,6 @@ def march_solve(
     gamma: float,
     horizon: float,
     output_times=None,
-    far_radius: float = None,
     chi_hist: OccupationHistory = None,
     memo: list = None,
 ) -> WeakSolution:
@@ -150,10 +154,9 @@ def march_solve(
     with the occupation frozen along it.  Then chi_source is chi_hist
     (resampled onto the output times) and the residual is
     sup_k kappa(chi_hist(t_k), 1_{u(t_k) >= 0}), converged only at 0.
-    far_radius defaults to L - 2h.
 
     memo, for a frozen march, is a list of finished marches of the same
-    coupling, u0, gamma, stored times and far_radius (see `uniqueness_probe`):
+    coupling, u0, gamma and stored times (see `uniqueness_probe`):
     the march resumes where its inputs first differ, bitwise, from those of
     the entry sharing the longest prefix with them, and is then added to it.
     """
@@ -176,7 +179,7 @@ def march_solve(
         states.append(state)
         return speed_on
 
-    traj = solve(u0, speed, gamma, horizon, times, far_radius, resume=resume, start=start)
+    traj = solve(u0, speed, gamma, horizon, times, resume=resume, start=start)
     own = _history_from_traj(traj)
     if chi_hist is None:
         chi_hist, residual = own, 0.0
@@ -191,17 +194,10 @@ def march_solve(
     )
 
 
-def reuses_march(traj: Trajectory, gamma: float, horizon: float, output_times=None,
-                 far_radius: float = None) -> bool:
+def reuses_march(traj: Trajectory, gamma: float, horizon: float, output_times=None) -> bool:
     """True when traj, the trajectory of a causal march of the same coupling
-    and u0, is the march these arguments solve: same gamma, stored times and
-    far_radius."""
-    if far_radius is None:
-        far_radius = grid_ring(traj.spec)
-    return (
-        traj.gamma == gamma and traj.far_radius == far_radius
-        and np.array_equal(traj.times, _times(output_times, horizon))
-    )
+    and u0, is the march these arguments solve: same gamma and stored times."""
+    return traj.gamma == gamma and np.array_equal(traj.times, _times(output_times, horizon))
 
 
 def fixed_point_solve(
@@ -211,9 +207,6 @@ def fixed_point_solve(
     horizon: float,
     chi_init: OccupationHistory = None,
     output_times=None,
-    far_radius: float = None,
-    tol: float = None,
-    max_iter: int = 12,
     memo: list = None,
 ) -> WeakSolution:
     """Picard iteration on the occupation history, from chi_init (default:
@@ -222,27 +215,20 @@ def fixed_point_solve(
     it from several guesses; a single run uses the plain march.
 
     output_times fixes the time grid shared by all iterates (0 and the
-    horizon are always included); chi_init is resampled onto it.  tol below
-    h^2 is rejected: sub-cell occupation tolerances are meaningless.  With a
-    memo, every step resumes from it and extends it (see `march_solve`).
+    horizon are always included); chi_init is resampled onto it.  It stops
+    at the Picard stop (PICARD_TOL_CELLS, PICARD_MAX_ITER).  With a memo,
+    every step resumes from it and extends it (see `march_solve`).
     """
-    spec = u0.spec
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol is None:
-        tol = 4.0 * spec.h**2
-    if not tol >= spec.h**2 * (1.0 - 1e-12):
-        raise ValueError(f"tol {tol:g} is below one grid cell h^2 = {spec.h**2:g}")
+    tol = PICARD_TOL_CELLS * u0.spec.h**2
     times = _times(output_times, horizon)
     chi_hist = chi_init
     if chi_hist is None:
         chi_hist = constant_history(chi_from_u(u0), times)
 
     residual_history = []
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         sol = march_solve(
-            coupling, u0, gamma, horizon, output_times=times,
-            far_radius=far_radius, chi_hist=chi_hist, memo=memo,
+            coupling, u0, gamma, horizon, output_times=times, chi_hist=chi_hist, memo=memo,
         )
         chi_hist = sol.chi_hist
         # a chi-independent law rebuilds the identical speed from any
@@ -289,8 +275,8 @@ class ProbeResult:
     4 * ||Du0||_inf * h (one displaced cell expressed on the u scale).
 
     march_gaps[seed] is the sup over stored times of |u_seed - u_march|,
-    against the causal march with the probe's far_radius: the probe's claim
-    is that Picard from every seed converges to the march.
+    against the causal march: the probe's claim is that Picard from every
+    seed converges to the march.
     """
 
     seeds: list
@@ -314,9 +300,6 @@ def uniqueness_probe(
     seeds: dict = None,
     taus=None,
     output_times=None,
-    far_radius: float = None,
-    tol: float = None,
-    max_iter: int = 12,
     lipschitz: float = None,
     R0: float = None,
     march: WeakSolution = None,
@@ -326,8 +309,8 @@ def uniqueness_probe(
 
     A unique weak solution means all guesses land on the same front, so the
     u gaps at the early prefix must shrink to grid scale.  march, the causal
-    march of the same coupling and u0 (a run's own), is used when its gamma,
-    stored times and far_radius are the probe's; otherwise the probe marches.
+    march of the same coupling and u0 (a run's own), is used when its gamma
+    and stored times are the probe's; otherwise the probe marches.
     The seeds run in order on one memo of finished marches that starts with
     the march, so each Picard step resumes from the longest input prefix any
     earlier march solved.
@@ -349,15 +332,12 @@ def uniqueness_probe(
     names = list(seeds)
     histories = [_resample_history(seeds[k], times) for k in names]
 
-    if march is None or not reuses_march(march.u_traj, gamma, horizon, times, far_radius):
-        march = march_solve(
-            coupling, u0, gamma, horizon, output_times=times, far_radius=far_radius,
-        )
+    if march is None or not reuses_march(march.u_traj, gamma, horizon, times):
+        march = march_solve(coupling, u0, gamma, horizon, output_times=times)
     memo = [_Solved(_packed(march.chi_source.fields[:-1]), march.u_traj, march.states)]
     solutions = [
         fixed_point_solve(
-            coupling, u0, gamma, horizon, chi_init=hist, output_times=times,
-            far_radius=far_radius, tol=tol, max_iter=max_iter, memo=memo,
+            coupling, u0, gamma, horizon, chi_init=hist, output_times=times, memo=memo,
         )
         for hist in histories
     ]

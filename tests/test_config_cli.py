@@ -115,9 +115,6 @@ def test_full_key_set():
         "probe.seeds = bracket, ball\n"
         "probe.taus = 0.1, 0.2\n"
         "gamma_sweep = 0, 0.02\n"
-        "far_radius = 1.2\n"
-        "tol = 0.01\n"
-        "max_iter = 6\n"
         "output_dir = elsewhere\n"
     )
     assert cfg.kernel_points == ((0.4, 0.0), (-0.4, 0.0))
@@ -167,6 +164,19 @@ def test_unknown_key():
     assert _error("grid.m = 5\n") == "line 1: unknown key 'grid.m'"
 
 
+# keys of earlier versions: the containment ring is the grid's L - 2h and the
+# probe's Picard stop is fixed in frontlab.weak
+REMOVED_KEYS = ("far_radius", "max_iter", "tol")
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_exits_two_on_its_line(tmp_path, capsys, key):
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(BASE + f"{key} = 1\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: line 3: unknown key {key!r}\n"
+
+
 def test_duplicate_key_points_at_both_lines():
     msg = _error("gamma = 0\ngamma = 0.1\n")
     assert msg == "line 2: duplicate key 'gamma' (first set on line 1)"
@@ -188,7 +198,6 @@ def test_missing_equals_sign():
         ("horizon = 0", "horizon must be > 0"),
         ("output_times = 1", "count must be >= 2"),
         ("gamma = fast", "expected a number"),
-        ("max_iter = 0", "max_iter must be >= 1"),
         ("probe.enabled = maybe", "expected true/false"),
         ("checks = cone, wiggle", "unknown check 'wiggle'"),
         ("probe.seeds = bracket", "at least two seeds"),
@@ -196,9 +205,6 @@ def test_missing_equals_sign():
         ("gamma_sweep = 0, -0.1", "must be >= 0"),
         ("output_times = 2", "checks cone, perimeter need at least 3 stored times, got 2"),
         ("output_times = 100000", "above the 512 MiB budget"),
-        ("tol = nan", "tol must be finite"),
-        ("tol = inf", "tol must be finite"),
-        ("tol = 1e-9", "tol must be finite and >= h^2"),
         ("gamma = nan", "gamma must be finite"),
         ("horizon = inf", "horizon must be finite"),
         ("coupling.c = nan", "coupling.c must be finite"),
@@ -206,10 +212,6 @@ def test_missing_equals_sign():
         ("init.kernel_points = 0,nan", "init.kernel_points must be finite"),
         ("coupling.kernel = disc_bump(1,nan)", "arguments must be finite"),
         ("coupling.beta = affine(inf,1)", "arguments must be finite"),
-        ("far_radius = nan", "far_radius must be finite"),
-        ("far_radius = -1", "far_radius must lie in (0, L - 2h"),
-        ("far_radius = 0", "far_radius must lie in (0, L - 2h"),
-        ("far_radius = 5", "far_radius must lie in (0, L - 2h"),
         ("coupling.kernel = disc_bump(1,-1)", "disc_bump radii must be > 0"),
         ("coupling.kernel = gaussian(1,0)", "gaussian radii must be > 0"),
         ("coupling.kernel = disc_bump(0,0.2)", "masses are all zero"),
@@ -341,7 +343,7 @@ _VALUES = st.one_of(
 )
 
 
-@pytest.mark.parametrize("key", sorted(KEYS))
+@pytest.mark.parametrize("key", sorted([*KEYS, *REMOVED_KEYS]))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(value=_VALUES)
 def test_any_value_parses_or_is_a_config_error_with_a_line(key, value):
@@ -794,7 +796,7 @@ def test_front_escape_exits_three(tmp_path, capsys):
         "coupling.kind = constant\n"
         "coupling.c = 1.0\n"
         "horizon = 1.0\n"
-        "far_radius = 0.7\n"
+        "grid.L = 1.0\n"
         "checks = none\n"
     )
     out = tmp_path / "run"
@@ -869,18 +871,22 @@ def test_over_budget_grid_is_refused_before_its_field_is_built(tmp_path):
         f"{k} = {v}\n" for k, v in {**ONE_KEY_BASE, "grid.n": "2001", "output_times": "5"}.items()
     ))
     out = tmp_path / "run"
+    # the child reads its own peak resident size, VmHWM, in KiB: a forked
+    # child's ru_maxrss starts from the high-water mark of the process that
+    # forked it, here the test process
     proc = _python("-c", (
-        "import resource, sys\n"
+        "import sys\n"
         "from frontlab.cli import main\n"
         f"code = main(['run', {str(cfg)!r}, '--out', {str(out)!r}])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(*[line.split()[1] for line in open('/proc/self/status')\n"
+        "        if line.startswith('VmHWM:')])\n"
         "sys.exit(code)\n"
     ))
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert (out / "FAILED").read_text().startswith("StabilityError: at dt=")
     assert not (out / "init.f64").exists()
-    peak_kib = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
+    peak_kib = int(proc.stdout.split()[-1])
     assert peak_kib < 150 * 1024
 
 
@@ -936,16 +942,17 @@ def test_default_far_radius_is_the_grid_ring(tmp_path):
 
 def test_probe_front_escape_fails_the_run(tmp_path):
     # the empty seed's first solve runs at beta(0) = 1 for the whole horizon
-    # and reaches the guard band of the containment ring at far_radius 0.8
+    # and reaches radius 0.7, past 0.65, the guard band of the containment
+    # ring L - 2h = 0.75; the run's own march ends at radius 0.53
     cfg = parse_config(
         "grid.n = 65\n"
+        "grid.L = 0.8\n"
         "init.kind = circle\n"
         "init.r0 = 0.5\n"
         "coupling.kind = volume\n"
         "coupling.beta = affine(1,-1)\n"
         "gamma = 0\n"
         "horizon = 0.2\n"
-        "far_radius = 0.8\n"
         "checks = none\n"
         "probe.enabled = true\n"
     )

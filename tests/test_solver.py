@@ -318,8 +318,11 @@ def test_solve_exact_landing_times():
 
 
 def test_solve_front_escape_trips():
+    # the front reaches the guard band, 4h inside the ring L - 2h = 0.9375,
+    # at t = 0.31
+    spec = GridSpec(65, 1.0)
     with pytest.raises(FrontEscapeError):
-        solve(_disc(SPEC, 0.5), _constant(1.0), 0.0, 1.0, [1.0], far_radius=0.7)
+        solve(_disc(spec, 0.5), _constant(1.0), 0.0, 1.0, [1.0])
 
 
 def test_piecewise_speed_switches():
@@ -334,34 +337,32 @@ def test_piecewise_speed_switches():
 
 
 def test_default_far_radius_capped():
-    # unset, the containment ring is the largest the grid holds, L - 2h
+    # the containment ring is the largest the grid holds, L - 2h
     spec = GridSpec(201, 1.5)
     assert grid_ring(spec) == 1.5 - 2 * spec.h
     assert solve(_disc(spec, 0.5), _constant(1.0), 0.0, 0.1, [0.1]).far_radius == grid_ring(spec)
-    with pytest.raises(ValueError, match="L-2h"):
-        solve(_disc(spec, 0.5), _constant(1.0), 0.0, 0.1, [0.1], far_radius=1.5 - spec.h)
 
 
 @pytest.mark.parametrize("kw, message", [
     ({"gamma": -0.1}, "gamma must be >= 0"),
     ({"horizon": -0.1}, "horizon must be nonnegative"),
-    ({"far_radius": 1.5 - 1.9 * SPEC.h}, "L-2h"),
 ])
 def test_solve_rejects_bad_problem_before_any_step(monkeypatch, kw, message):
     called = []
     monkeypatch.setattr(frontlab.solver, "advance", lambda *a, **k: called.append(1))
-    args = {"gamma": 0.0, "horizon": 0.1, "far_radius": None} | kw
+    args = {"gamma": 0.0, "horizon": 0.1} | kw
     with pytest.raises(ValueError, match=message):
         solve(_disc(SPEC, 0.5), lambda t0, t1, u: called.append(0), output_times=[], **args)
     assert called == []
 
 
 def test_solve_accepts_the_grid_ring_and_smaller():
+    # the ring is always the grid's L - 2h; every node outside it stays at -1
+    # (the disc's field there is about -0.9)
     spec = GridSpec(33, 1.5)
-    for far in (grid_ring(spec), 1.0):
-        traj = solve(_disc(spec, 0.5), _constant(0.0), 0.0, 0.1, [0.1], far_radius=far)
-        assert traj.far_radius == far
-        assert np.all(traj.snapshots[-1].values[spec.radius() > far] == -1.0)
+    traj = solve(_disc(spec, 0.5), _constant(0.0), 0.0, 0.1, [0.1])
+    assert traj.far_radius == grid_ring(spec)
+    assert np.all(traj.snapshots[-1].values[spec.radius() > grid_ring(spec)] == -1.0)
 
 
 def test_solve_keeps_received_fields_and_snapshots():

@@ -23,7 +23,7 @@ import pytest
 from frontlab.couplings import ConstantCoupling
 from frontlab.geometry import star_shaped_u0
 from frontlab.grid import GridSpec, ScalarField, constant_field, interpolate
-from frontlab.solver import Trajectory, grid_ring, solve
+from frontlab.solver import Trajectory, solve
 from frontlab.verify import (
     CheckContext,
     EtaSchedule,
@@ -58,8 +58,7 @@ def _disc(r):
 def _hand_traj(times, snapshots):
     return Trajectory(
         times=np.asarray(times, dtype=np.float64), snapshots=list(snapshots),
-        dt_used=[0.0] * len(snapshots), lipschitz_log=[1.0] * len(snapshots),
-        far_radius=grid_ring(SPEC), gamma=0.0,
+        dt_used=[0.0] * len(snapshots), lipschitz_log=[1.0] * len(snapshots), gamma=0.0,
     )
 
 
@@ -219,15 +218,16 @@ def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
     ctx = CheckContext(shrink, init)
     sched = EtaSchedule(0.55, 0.0)
     snapshots = len(shrink.times)
-    band_measure_report(ctx, init, sched)
-    fattening_report(ctx, init, sched)
-    perimeter_report(ctx, init, sched, K_fit=0.0)
+    t_bar = shrink.times[-1]
+    band_measure_report(ctx, init, sched, t_bar=t_bar)
+    fattening_report(ctx, init, t_bar=t_bar)
+    perimeter_report(ctx, init, sched, K_fit=0.0, t_bar=t_bar)
     areas = [call for call in calls if call[0] == "lebesgue_measure"]
     assert areas == [("lebesgue_measure", 1)] * snapshots
     assert len(ctx.area_levels) == 9   # 0, +-2h, +-4h, +-8h, +-delta0/4; delta0/8 < 2h
 
     calls.clear()
-    cone_report(ctx, init, sched, K_fit=0.0)
+    cone_report(ctx, init, sched, K_fit=0.0, t_bar=t_bar)
     assert calls == [("interpolate", 2)] * (1 + snapshots)
 
     calls.clear()
@@ -313,7 +313,7 @@ def test_key_estimate_keeps_etas_per_lambda_bar(frozen, init):
 
 
 def test_lower_gradient_unit_slope_passes(frozen, init):
-    rep = lower_gradient_report(frozen, init, EtaSchedule(0.55, 0.0))
+    rep = lower_gradient_report(frozen, init, EtaSchedule(0.55, 0.0), t_bar=frozen.times[-1])
     assert rep.passed
     for _, measured, bound, _ in rep.rows:
         assert measured == pytest.approx(1.0, abs=0.05)
@@ -330,14 +330,16 @@ def test_lower_gradient_flags_flattened_band(frozen, init):
         band = np.abs(vals) < width
         vals[band] *= 0.01
 
-    rep = lower_gradient_report(_tamper_last(frozen, edit), init, EtaSchedule(0.55, 0.0))
+    rep = lower_gradient_report(
+        _tamper_last(frozen, edit), init, EtaSchedule(0.55, 0.0), t_bar=frozen.times[-1]
+    )
     assert not rep.passed
     assert rep.min_margin() < -rep.constants["slack"]
 
 
 def test_lower_gradient_empty_band_vacuous(init):
     traj = _hand_traj([0.0, 0.1], [constant_field(SPEC, -1.0)] * 2)
-    rep = lower_gradient_report(traj, init, EtaSchedule(0.55, 0.0))
+    rep = lower_gradient_report(traj, init, EtaSchedule(0.55, 0.0), t_bar=0.1)
     assert rep.passed
     assert all(m == 0.0 for _, m, _, _ in rep.rows)
 
@@ -353,7 +355,7 @@ def test_lower_gradient_respects_t_bar(frozen, init):
 
 
 def test_cone_disc_interior_passes(frozen, init):
-    rep = cone_report(frozen, init, EtaSchedule(0.55, 0.0), K_fit=0.0)
+    rep = cone_report(frozen, init, EtaSchedule(0.55, 0.0), K_fit=0.0, t_bar=frozen.times[-1])
     assert rep.passed
     assert rep.constants["failure_fraction"] == 0.0
     assert rep.constants["points_tested"] > 1e4
@@ -361,7 +363,9 @@ def test_cone_disc_interior_passes(frozen, init):
 
 
 def test_cone_flipped_axis_fails(frozen, init):
-    rep = cone_report(frozen, init, EtaSchedule(0.55, 0.0), K_fit=0.0, flip_axis=True)
+    rep = cone_report(
+        frozen, init, EtaSchedule(0.55, 0.0), K_fit=0.0, t_bar=frozen.times[-1], flip_axis=True
+    )
     assert rep.name == "cone_flipped"
     assert not rep.passed
     # outward cones point out of the superlevel set almost everywhere
@@ -370,14 +374,14 @@ def test_cone_flipped_axis_fails(frozen, init):
 
 def test_cone_zero_direction_skips_vertices(frozen, init):
     blind = replace(init, nu=replace(init.nu, values=np.zeros_like(init.nu.values)))
-    rep = cone_report(frozen, blind, EtaSchedule(0.55, 0.0), K_fit=0.0)
+    rep = cone_report(frozen, blind, EtaSchedule(0.55, 0.0), K_fit=0.0, t_bar=frozen.times[-1])
     assert rep.passed  # vacuously: nothing was testable
     assert rep.constants["points_tested"] == 0.0
     assert rep.constants["skipped_zero_axis"] > 0.0
 
 
 def test_cone_subgrid_height_skipped(frozen, init):
-    rep = cone_report(frozen, init, EtaSchedule(1e-4, 0.0), K_fit=0.0)
+    rep = cone_report(frozen, init, EtaSchedule(1e-4, 0.0), K_fit=0.0, t_bar=frozen.times[-1])
     assert rep.passed
     assert rep.constants["points_tested"] == 0.0
     assert rep.constants["skipped_small_rho"] > 0.0
@@ -389,7 +393,7 @@ def test_cone_subgrid_height_skipped(frozen, init):
 
 
 def test_perimeter_coarea_bound_shrinking_disc(shrink, init):
-    rep = perimeter_report(shrink, init, EtaSchedule(0.55, 0.0), K_fit=0.0)
+    rep = perimeter_report(shrink, init, EtaSchedule(0.55, 0.0), K_fit=0.0, t_bar=shrink.times[-1])
     assert rep.passed
     assert rep.constants["ok_coarea"] == 1.0
     assert rep.constants["ok_initial_doubling"] == 1.0
@@ -399,7 +403,7 @@ def test_perimeter_coarea_bound_shrinking_disc(shrink, init):
 
 def test_perimeter_schedule_capped_by_measured_margin(frozen, init):
     # an overstated schedule must not inflate the co-area divisor
-    rep = perimeter_report(frozen, init, EtaSchedule(5.0, 0.0), K_fit=0.0)
+    rep = perimeter_report(frozen, init, EtaSchedule(5.0, 0.0), K_fit=0.0, t_bar=frozen.times[-1])
     assert rep.constants["eta_bar"] == pytest.approx(0.545, abs=5e-3)
     assert rep.passed
 
@@ -418,7 +422,7 @@ def test_perimeter_flags_doubling(init):
 
 
 def test_band_measure_disc_linear_in_delta(frozen, init):
-    rep = band_measure_report(frozen, init, EtaSchedule(0.55, 0.0))
+    rep = band_measure_report(frozen, init, EtaSchedule(0.55, 0.0), t_bar=frozen.times[-1])
     assert rep.passed
     # delta0/8 and delta0/4 fall below the 2h resolution cut on this grid
     assert rep.constants["deltas_used"] == 2.0
@@ -436,7 +440,9 @@ def test_band_measure_flags_flat_shelf(frozen, init):
         x, y = SPEC.meshgrid()
         vals[(x >= 0.75) & (x <= 1.45) & (np.abs(y) <= 0.4)] = -0.09
 
-    rep = band_measure_report(_tamper_last(frozen, edit), init, EtaSchedule(0.55, 0.0))
+    rep = band_measure_report(
+        _tamper_last(frozen, edit), init, EtaSchedule(0.55, 0.0), t_bar=frozen.times[-1]
+    )
     assert not rep.passed
     assert rep.constants["ok_linear"] == 0.0
     assert rep.constants["ratio_spread"] > 2.0
@@ -448,7 +454,7 @@ def test_band_measure_flags_flat_shelf(frozen, init):
 
 
 def test_fattening_linear_slab_zero_intercept(shrink, init):
-    rep = fattening_report(shrink, init, EtaSchedule(0.55, 0.0))
+    rep = fattening_report(shrink, init, t_bar=shrink.times[-1])
     assert rep.passed
     for _, intercept, bound, _ in rep.rows:
         assert abs(intercept) < 0.02
@@ -463,7 +469,7 @@ def test_fattening_flags_zero_plateau(frozen, init):
     def edit(vals):
         vals[np.abs(SPEC.radius() - 0.6) <= 4.0 * SPEC.h] = 0.0
 
-    rep = fattening_report(_tamper_last(frozen, edit), init, EtaSchedule(0.55, 0.0))
+    rep = fattening_report(_tamper_last(frozen, edit), init, t_bar=frozen.times[-1])
     assert not rep.passed
     assert rep.min_margin() < -0.1
 
@@ -550,18 +556,17 @@ def test_gamma_sweep_reports_largest_passing():
     small = star_shaped_u0(spec, [(0.0, 0.0)], 0.3)
     gamma_bar, results = gamma_sweep_star_shape(
         ConstantCoupling(0.5), small, [0.0, 0.02], horizon=0.05,
-        far_radius=grid_ring(spec),
     )
     assert gamma_bar == 0.02
     assert all(r.passed for r in results.values())
 
 
 def test_gamma_sweep_counts_escape_as_failure():
-    spec = GridSpec(65, 1.5)
+    # the front reaches the guard band, 4h inside the ring L - 2h = 0.9375,
+    # at t = 0.51
+    spec = GridSpec(65, 1.0)
     small = star_shaped_u0(spec, [(0.0, 0.0)], 0.3)
-    gamma_bar, results = gamma_sweep_star_shape(
-        ConstantCoupling(1.0), small, [0.0], horizon=1.0, far_radius=0.7,
-    )
+    gamma_bar, results = gamma_sweep_star_shape(ConstantCoupling(1.0), small, [0.0], horizon=1.0)
     assert gamma_bar is None
     assert isinstance(results[0.0], str)
     assert results[0.0].startswith("error:")

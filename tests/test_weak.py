@@ -188,8 +188,7 @@ def test_replay_reproduces_trajectory(coupled_run):
     assert ws.chi_source is ws.chi_hist
     again = march_solve(
         coup, ws.u_traj.snapshots[0], ws.u_traj.gamma, float(ws.u_traj.times[-1]),
-        output_times=ws.u_traj.times, far_radius=ws.u_traj.far_radius,
-        chi_hist=ws.chi_source,
+        output_times=ws.u_traj.times, chi_hist=ws.chi_source,
     )
     assert again.chi_source is ws.chi_source
     assert again.residual_history == [0.0] and again.converged
@@ -230,14 +229,14 @@ def test_march_is_the_picard_limit(kind):
     def same(a, b):
         return all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
-    first = chi = None
+    # one Picard step is the march frozen along the previous history,
+    # starting from the bracket of u0 held constant in time
+    chi = constant_history(chi_from_u(u0), march.u_traj.times)
+    first = None
     for _ in range(20):
-        ws = fixed_point_solve(
-            coup, u0, 0.05, 0.3, chi_init=chi,
-            far_radius=march.u_traj.far_radius, max_iter=1,
-        )
+        ws = march_solve(coup, u0, 0.05, 0.3, chi_hist=chi)
         first = first or ws
-        if chi is not None and same(ws.chi_hist.fields, chi.fields):
+        if same(ws.chi_hist.fields, chi.fields):
             break
         chi = ws.chi_hist
     else:
@@ -247,15 +246,6 @@ def test_march_is_the_picard_limit(kind):
     assert same(ws.u_traj.snapshots, march.u_traj.snapshots)
     assert same(ws.chi_hist.fields, march.chi_hist.fields)
     assert march.converged and march.iterations == 1
-
-
-def test_parameter_validation():
-    coup = ConstantCoupling(1.0)
-    u0 = _clamped_disc(SPEC, 0.3)
-    with pytest.raises(ValueError):
-        fixed_point_solve(coup, u0, 0.0, 0.1, max_iter=0)
-    with pytest.raises(ValueError):
-        fixed_point_solve(coup, u0, 0.0, 0.1, tol=0.1 * SPEC.h**2)
 
 
 # ---------------------------------------------------------------------------
