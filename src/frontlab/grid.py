@@ -9,7 +9,7 @@ Operators provided here:
 * ``upwind_gradient_norm`` -- Godunov/Osher-Sethian |Du| for u_t = c|Du|,
   one-sided differences selected nodewise by sign(c).
 * ``curvature_term``      -- the trace form tr((I - p^ ox p^) D^2 u), i.e.
-  |Du| div(Du/|Du|) with the denominator regularised by h^2.
+  |Du| div(Du/|Du|), in the Evans-Spruck regularisation by h^2.
 * ``lebesgue_measure``    -- areas of the superlevel sets of a stack of
   levels from marching-squares cell polygons (saddles resolved by the
   cell-centre average), every level classified in one pass; only the cells
@@ -310,23 +310,26 @@ def central_gradient_norm(u: ScalarField, work: Workspace = None) -> np.ndarray:
 
 
 def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
-    """tr((I - p^ ox p^) D^2 u) with |p|^2 -> |p|^2 + h^2 in the denominator.
+    """tr((I - p^ ox p^) D^2 u) in the Evans-Spruck regularisation eps = h.
 
     This is |Du| times mean curvature of the level line; it vanishes
-    identically on affine data and tends to 0 where Du does.  The
-    regularisation is the grid spacing h, so it vanishes under refinement.
-    The result is a scratch array of `work`.
+    identically on affine data.  The regularisation adds h^2 to |Du|^2 in
+    the denominator and to each squared cross derivative in the numerator,
+    so the term tends to the Laplacian where |Du| << h (a cone tip or a
+    flat top moves) and to the level-set curvature term where |Du| >> h
+    (Evans & Spruck, J. Differential Geom. 33, 1991).  The regularisation
+    vanishes under refinement.  The result is a scratch array of `work`.
 
-    The central-difference form (Osher & Sethian 1988)
+    The central-difference form
 
-        (uxx uy^2 - 2 ux uy uxy + uyy ux^2) / (ux^2 + uy^2 + h^2)
+        (uxx (uy^2 + h^2) - 2 ux uy uxy + uyy (ux^2 + h^2)) / (ux^2 + uy^2 + h^2)
 
     is evaluated on differences without h: Dx = 2h ux and Dy = 2h uy
     (`_unscaled_difference`), Dxy = 4h^2 uxy, the y difference of Dx, and
-    Sxx = h^2 uxx, Syy = h^2 uyy (`_unscaled_second_difference`).  Then
-    the quotient is
+    Sxx = h^2 uxx, Syy = h^2 uyy (`_unscaled_second_difference`).  With
+    r = 4h^4 the quotient is
 
-        (Sxx Dy^2 - Dxy Dx Dy 0.5 + Syy Dx^2) / (Dx^2 + Dy^2 + 4h^4) (1/h^2)
+        (Sxx (Dy^2 + r) - Dxy Dx Dy 0.5 + Syy (Dx^2 + r)) / (Dx^2 + (Dy^2 + r)) (1/h^2)
 
     with one division of fields, every product and sum in that order.
     `config.parse_config` refuses a grid whose 4h^4 underflows; where it
@@ -336,6 +339,7 @@ def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
     v = u.values
     work = work or Workspace(u.spec)
     dx, dy, p, twice, num = work.scratch
+    r = 4.0 * (h * h) * (h * h)
 
     _unscaled_difference(v, 1, dx)
     _unscaled_difference(v, 0, dy)
@@ -346,14 +350,15 @@ def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
     np.add(v, v, out=twice)
     _unscaled_second_difference(v, twice, 1, num)
     np.square(dy, out=dy)
+    dy += r                     # dy = Dy^2 + r
     num *= dy
-    num -= p                    # num = Sxx Dy^2 - p
+    num -= p                    # num = Sxx (Dy^2 + r) - p
     _unscaled_second_difference(v, twice, 0, p)
     np.square(dx, out=dx)
-    p *= dx
-    num += p                    # num += Syy Dx^2
-    dx += dy
-    dx += 4.0 * (h * h) * (h * h)   # dx = Dx^2 + Dy^2 + 4h^4
+    np.add(dx, r, out=twice)
+    p *= twice
+    num += p                    # num += Syy (Dx^2 + r)
+    dx += dy                    # dx = Dx^2 + (Dy^2 + r)
     num /= dx
     num *= 1.0 / (h * h)
     return num
@@ -507,11 +512,21 @@ def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
     iy = np.minimum(fy.astype(np.int64), n - 2)
     tx = fx - ix
     ty = fy - iy
+    sx = 1 - tx
+    sy = 1 - ty
 
-    v = np.moveaxis(u.values, (0, 1), (-2, -1))
-    val = ((1 - tx) * (1 - ty) * v[..., iy, ix]
-           + tx * (1 - ty) * v[..., iy, ix + 1]
-           + (1 - tx) * ty * v[..., iy + 1, ix]
-           + tx * ty * v[..., iy + 1, ix + 1])
-    val = np.where(outside, -1.0, val)
+    # the corners gathered from the nodes as one line, node k = iy n + ix,
+    # with the C components per node along the first axis
+    nodes = np.moveaxis(u.values.reshape(n * n, -1), 1, 0)
+    k = iy * n
+    k += ix
+    corners = []
+    for step in (0, 1, n - 1, 1):     # k, k + 1, k + n, k + n + 1
+        k += step
+        corners.append(np.take(nodes, k, axis=1))
+    a, b, c, d = corners
+    val = sx * sy * a + tx * sy * b + sx * ty * c + tx * ty * d
+    if u.values.ndim == 2:
+        val = val[0]
+    val[..., outside] = -1.0
     return float(val[0]) if scalar else val

@@ -10,7 +10,8 @@ computed once per snapshot.  A run writes a self-contained directory:
     config.txt            echo of the parsed config source (when available)
     init.f64, init_meta.txt    initial field (binary, see grid.dump_field) and
                           its margin certificate
-    run_meta.txt          scenario facts needed to re-verify the directory
+    run_meta.txt          scenario facts needed to re-verify the directory, and
+                          the march's step count and smallest and largest dt
     traj/                 t_<k>.f64 per stored time, manifest.csv, meta.txt
     contours/             zero-contour CSV per stored time
     radius_vs_time.csv    time, mean vertex radius, area radius, perimeter, area
@@ -195,7 +196,9 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
             spec = config.grid()
             # the work budget needs no field, and no solve of gamma takes a
             # longer step than the curvature step: refuse before building one
-            check_work_budget(spec, cfl_timestep(0.0, config.gamma, spec.h), 0.0, config.horizon)
+            check_work_budget(
+                spec, config.gamma, cfl_timestep(0.0, config.gamma, spec.h), 0.0, config.horizon
+            )
             init = config.build_init(spec)
             coupling = config.build_coupling(spec)
         except (ConstructionError, ConfigError, KeyError, ValueError) as err:
@@ -245,6 +248,10 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
         f"converged = {'true' if sol.converged else 'false'}",
         f"iterations = {sol.iterations}",
         f"far_radius = {traj.far_radius:.17g}",
+        # the march's step count and dt range; step_log[0], for t_0, holds no step
+        f"steps = {sum(steps for steps, _, _ in traj.step_log)}",
+        f"dt_min = {min(lo for _, lo, _ in traj.step_log[1:]):.17g}",
+        f"dt_max = {max(hi for _, _, hi in traj.step_log):.17g}",
     ]
     _write(os.path.join(out_dir, "run_meta.txt"), "\n".join(meta) + "\n")
     _write(os.path.join(out_dir, "verdicts.txt"), "\n".join(verdicts) + "\n")

@@ -1,20 +1,29 @@
-"""Explicit time stepping for u_t = c(x,t)|Du| + gamma * curvature term.
+"""Time stepping for u_t = c(x,t)|Du| + gamma * curvature term.
 
-The update is forward Euler on the monotone Godunov advection term plus the
-central-difference curvature trace (regularised by eps = h), clamped to
-[-1, 1], with the far field outside the containment ring B(0, L - 2h)
-(`grid_ring`) overwritten to -1 each step.  Each interval between
-output times reads the speed c(t) that a speed law builds for it from the
-field that starts the interval.  Each step takes
-dt = CFL_SAFETY / (2 max|c|/h + 4 gamma/h^2), a share of the explicit bound
-for the advection and curvature terms summed over both axes, and `advance`
-refuses any dt above the bound itself.  A guard aborts if the zero set ever
-comes within 4h of the containment ring from inside, since past that point
-the overwrite would be carving the front itself.  One solve updates at most
-MAX_CELL_UPDATES nodes, MAX_STEPS steps of a 201-node grid.
+Each step adds the increment of one forward Euler step, the monotone
+Godunov advection term plus the Evans-Spruck curvature term K
+(`grid.curvature_term`), and clamps to [-1, 1].  With gamma > 0 the step is
+semi-implicit in the five-point Laplacian Delta_h with reflecting edges
+(Smereka, J. Sci. Comput. 19, 2003):
+
+    u+ = clip((I - dt gamma Delta_h)^-1 [u + dt c|Du| + dt gamma (K - Delta_h u)], -1, 1)
+       = clip(u + (I - dt gamma Delta_h)^-1 [dt (c|Du| + gamma K)], -1, 1),
+
+so the explicit increment is solved once, in the cosine basis that
+diagonalises Delta_h (`_cosine_basis`).  With gamma = 0 the increment is
+added as it is.  Each interval between output times reads the speed c(t)
+that a speed law builds for it from the field that starts the interval.
+Each step takes dt = min(CFL_SAFETY h / (2 max|c|), CURVATURE_STEP h /
+gamma), a share of the explicit bound of the advection term and an
+accuracy cap on the curvature term, and `advance` refuses any dt above the
+advective bound itself.  Nothing overwrites the far field; a guard aborts
+if the zero set ever comes within 4h of the containment ring B(0, L - 2h)
+(`grid_ring`) from inside.  One solve updates at most MAX_CELL_UPDATES
+nodes, MAX_STEPS explicit steps of a 201-node grid, and a semi-implicit
+step counts its solve as well (`step_cost`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,19 +39,29 @@ from .grid import (
     upwind_gradient_norm,
 )
 
-# the share of the summed bound a step takes.  Its curvature part,
-# h^2/(4 gamma), is the explicit bound of the five-point Laplacian;
-# curvature_term, regularised in its denominator only, tends to 0 where
-# |Du| << h, and from a flat-topped field it stays stable up to between 2.2
-# and 3.3 times this step
+# the share of the advective bound h / (2 max|c|) a step takes
 CFL_SAFETY = 0.9
 
-# the work one solve may do: MAX_STEPS steps of a 201 x 201 grid, about 28
-# times the largest solve of any preset or test (mcf-circle, 3576 steps at
-# n = 201), or MAX_CELL_UPDATES // n^2 steps of an n x n grid; past it solve
-# raises StabilityError
+# the curvature step cap theta in dt <= theta h / gamma.  The semi-implicit
+# step is stable at any dt and its time error is first order.  On
+# mean-curvature flow from 1 - |x| at n = 201 to t = 0.18, stored at 25
+# times, 0.1 is the largest of theta = 0.025 to 1 at which the error of the
+# cone tip stays at its small-step value, 5.6e-4; the area radius then
+# misses the exact sqrt(1 - 2t) by at most 3.6e-4
+CURVATURE_STEP = 0.1
+
+# the work one solve may do: MAX_STEPS explicit steps of a 201 x 201 grid,
+# or MAX_CELL_UPDATES // step_cost(n, gamma) steps of an n x n grid; past it
+# solve raises StabilityError
 MAX_STEPS = 100_000
 MAX_CELL_UPDATES = MAX_STEPS * 201**2
+
+# a semi-implicit step's dense solve costs as much as n^3 / SOLVE_SPLIT
+# explicit node updates.  Measured with one BLAS thread on a shared 2-vCPU
+# Xeon VM: a semi-implicit step with advection at n = 401, 801 and 1001 took
+# as long as n^2 + n^3 / S node updates of the explicit (gamma = 0) step at
+# n = 201, S from 57 to 73 over three runs each, median 65
+SOLVE_SPLIT = 65
 
 # the shortest span of stored times the Lipschitz growth fit takes
 MIN_FIT_SPAN = float(np.sqrt(np.finfo(np.float64).tiny))
@@ -61,20 +80,31 @@ def max_speed(c: ScalarField | float) -> float:
 
 
 def cfl_timestep(c_max: float, gamma: float, h: float, safety: float = CFL_SAFETY) -> float:
-    """safety / (2 max|c|/h + 4 gamma/h^2), the explicit bound
-    dt (|c|/h_x + |c|/h_y + 2 gamma/h_x^2 + 2 gamma/h_y^2) <= 1 for
-    h_x = h_y = h, with a guarded denominator."""
+    """min(safety h / (2 max|c|), CURVATURE_STEP h / gamma): a share of the
+    explicit bound dt (|c|/h_x + |c|/h_y) <= 1 of the upwind term for
+    h_x = h_y = h, with a guarded denominator, capped for gamma > 0."""
     if c_max < 0 or gamma < 0 or h <= 0 or not (0 < safety <= 1):
         raise ValueError("cfl_timestep arguments out of range")
-    return safety * (h / (2.0 * (c_max + EPS_DENOM) + 4.0 * gamma / h))
+    dt = safety * (h / (2.0 * (c_max + EPS_DENOM)))
+    if gamma > 0.0:
+        dt = min(dt, CURVATURE_STEP * h / gamma)
+    return dt
 
 
-def check_work_budget(spec: GridSpec, dt: float, t: float, horizon: float):
+def step_cost(n: int, gamma: float) -> int:
+    """The node updates one step of an n x n grid counts against the work
+    budget: n^2 for an explicit step (gamma = 0), and n^2 + n^3 // SOLVE_SPLIT
+    for a semi-implicit one."""
+    return n**2 + (n**3 // SOLVE_SPLIT if gamma > 0.0 else 0)
+
+
+def check_work_budget(spec: GridSpec, gamma: float, dt: float, t: float, horizon: float):
     """Raise StabilityError when steps of dt from t to the horizon would
-    pass the work budget of a solve on spec.  With dt the curvature step
-    cfl_timestep(0, gamma, h), the largest a solve of gamma can take, this
-    needs no field: `runner.run` checks it before building one."""
-    max_steps = MAX_CELL_UPDATES // spec.n**2
+    pass the work budget of a solve of gamma on spec.  With dt the
+    curvature step cfl_timestep(0, gamma, h), the largest a solve of gamma
+    can take, this needs no field: `runner.run` checks it before building
+    one."""
+    max_steps = MAX_CELL_UPDATES // step_cost(spec.n, gamma)
     if horizon - t > max_steps * dt:
         raise StabilityError(
             f"at dt={dt:.3e} the march from t={t:.6g} to the horizon "
@@ -84,11 +114,48 @@ def check_work_budget(spec: GridSpec, dt: float, t: float, horizon: float):
         )
 
 
-@lru_cache(maxsize=64)
-def _far_mask(spec: GridSpec, far_radius: float) -> np.ndarray:
-    mask = spec.radius() > far_radius
-    mask.setflags(write=False)
-    return mask
+@lru_cache(maxsize=8)
+def _cosine_basis(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, W, mu) that diagonalise the five-point Laplacian with reflecting
+    edges on spec: Delta_h F = V ((W F W^T) * -mu) V^T for a y-major field F.
+
+    Along one axis of n nodes, N = n - 1, the reflecting second difference
+    (v[i+1] + v[i-1] - 2 v[i]) / h^2 with v[-1] = v[1] and v[n] = v[n-2] has
+    the eigenvectors V[i, k] = cos(pi i k / N), the type-1 cosines, with
+    eigenvalues -(4/h^2) sin^2(pi k / (2N)).  V is symmetric, and its
+    inverse W[k, i] = w_i V[k, i] / |V_k|^2 has the weights w = 1/2 at the
+    two ends and 1 between them, |V_k|^2 = N at k = 0, N and N/2 between.
+    mu[k, l] = (4/h^2) (sin^2(pi k / (2N)) + sin^2(pi l / (2N))) >= 0.
+    """
+    n, h = spec.n, spec.h
+    N = n - 1
+    i = np.arange(n)
+    V = np.cos((np.pi / N) * (np.outer(i, i) % (2 * N)))
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    norm = np.full(n, N / 2.0)
+    norm[[0, -1]] = N
+    W = V * w / norm[:, None]
+    s = (4.0 / (h * h)) * np.sin((np.pi / (2 * N)) * i) ** 2
+    mu = s[:, None] + s[None, :]
+    for a in (V, W, mu):
+        a.setflags(write=False)
+    return V, W, mu
+
+
+def _implicit_diffusion(f: np.ndarray, a: float, spec: GridSpec, work: Workspace):
+    """Overwrite f with (I - a Delta_h)^-1 f, Delta_h reflecting at the
+    edges: four BLAS products and one division in the cosine basis, written
+    into the first three scratch arrays of work."""
+    V, W, mu = _cosine_basis(spec)
+    s0, s1, s2 = work.scratch[:3]
+    np.matmul(W, f, out=s0)
+    np.matmul(s0, W.T, out=s1)
+    np.multiply(mu, a, out=s2)
+    s2 += 1.0
+    s1 /= s2
+    np.matmul(V, s1, out=s0)
+    np.matmul(s0, V, out=f)
 
 
 def advance(
@@ -96,10 +163,10 @@ def advance(
     c_t: ScalarField | float,
     gamma: float,
     dt: float,
-    far_radius: float | None = None,
     work: Workspace = None,
 ) -> ScalarField:
-    """One explicit Euler step; refuses dt beyond the CFL bound.
+    """One step, semi-implicit for gamma > 0; refuses dt beyond the
+    advective CFL bound.
 
     The new field is written into whichever of `work.fields` does not hold
     u, so it lasts until the step after next; without `work` it is a new
@@ -112,20 +179,20 @@ def advance(
     else:
         cvals = float(c_t)
     c_max = max_speed(c_t)
-    bound = cfl_timestep(c_max, gamma, spec.h, safety=1.0)
+    bound = cfl_timestep(c_max, 0.0, spec.h, safety=1.0)
     if dt > bound * (1.0 + 1e-9):
         raise StabilityError(
-            f"dt={dt:.3e} exceeds the CFL bound {bound:.3e} (max|c|={c_max:.3g}, "
-            f"gamma={gamma:.3g}, h={spec.h:.3e})"
+            f"dt={dt:.3e} exceeds the advective CFL bound {bound:.3e} "
+            f"(max|c|={c_max:.3g}, h={spec.h:.3e})"
         )
 
     work = work or Workspace(spec)
     out = work.fields[u.values is work.fields[0]]
     if c_max == 0.0 and gamma > 0.0:
-        # out = clip(curvature * (gamma dt) + u, -1, 1)
+        # out = curvature * (gamma dt)
         np.multiply(curvature_term(u, work), gamma * dt, out=out)
     else:
-        # out = clip(u + dt * (0 + c |Du| + gamma curvature), -1, 1)
+        # out = dt * (0 + c |Du| + gamma curvature)
         out.fill(0.0)
         if c_max > 0.0:
             advection = upwind_gradient_norm(u, cvals, work)
@@ -136,10 +203,10 @@ def advance(
             curvature *= gamma
             out += curvature
         out *= dt
+    if gamma > 0.0:
+        _implicit_diffusion(out, gamma * dt, spec, work)
     out += u.values
     np.clip(out, -1.0, 1.0, out=out)
-    if far_radius is not None:
-        out[_far_mask(spec, float(far_radius))] = -1.0
     return ScalarField(spec, out)
 
 
@@ -152,6 +219,10 @@ class Trajectory:
     dt_used: list
     lipschitz_log: list
     gamma: float
+    # per stored time, (steps, smallest dt, largest dt) of the steps that
+    # reached it from the one before, (0, 0.0, 0.0) at t_0; empty for a
+    # trajectory that was loaded
+    step_log: list = field(default_factory=list)
 
     @property
     def spec(self) -> GridSpec:
@@ -195,12 +266,12 @@ def solve(
     it are the same floats as in a march from t_0.
 
     Every step and every Lipschitz seminorm writes into one
-    `grid.Workspace` allocated per call; stored snapshots are copies.  Each
-    step updates all n^2 nodes, so the work budget MAX_CELL_UPDATES allows
-    MAX_CELL_UPDATES // n^2 steps.  The call raises StabilityError before
-    its first step when the CFL step at that time would need more steps
-    than that to reach the horizon (`check_work_budget`), and when its step
-    count passes them.
+    `grid.Workspace` allocated per call; stored snapshots are copies.  The
+    work budget MAX_CELL_UPDATES allows MAX_CELL_UPDATES // step_cost(n,
+    gamma) steps.  The call raises StabilityError before its first step
+    when the step at that time would need more steps than that to reach
+    the horizon (`check_work_budget`), and when its step count passes
+    them.
     """
     spec = u0.spec
     h = spec.h
@@ -228,15 +299,16 @@ def solve(
 
     if start == 0:
         u = ScalarField(spec, np.clip(u0.values, -1.0, 1.0))
-        u.values[_far_mask(spec, far_radius)] = -1.0
         check_guard(0.0)
         snapshots, dt_used, lipschitz_log = [u.copy()], [0.0], [seminorm()]
+        step_log = [(0, 0.0, 0.0)]
     else:
         if not np.array_equal(resume.times, times) or resume.gamma != gamma:
             raise ValueError("a resumed march needs the output times and gamma it resumes")
         snapshots = resume.snapshots[:start + 1]
         dt_used = resume.dt_used[:start + 1]
         lipschitz_log = resume.lipschitz_log[:start + 1]
+        step_log = resume.step_log[:start + 1]
         u = snapshots[-1]
     traj = Trajectory(
         times=times,
@@ -244,19 +316,20 @@ def solve(
         dt_used=dt_used,
         lipschitz_log=lipschitz_log,
         gamma=gamma,
+        step_log=step_log,
     )
 
-    steps, max_steps = 0, MAX_CELL_UPDATES // spec.n**2
+    steps, max_steps = 0, MAX_CELL_UPDATES // step_cost(spec.n, gamma)
     t = times[len(snapshots) - 1]
     for t_next in times[len(snapshots):]:
         # the stored snapshot, which no later step overwrites
         speed_on = speed(t, t_next, traj.snapshots[-1])
-        last_dt = 0.0
+        first, dt, lo, hi = steps, 0.0, np.inf, 0.0
         while t < t_next:
             c = speed_on(t)
             nominal = cfl_timestep(max_speed(c), gamma, h)
             if steps == 0:
-                check_work_budget(spec, nominal, t, horizon)
+                check_work_budget(spec, gamma, nominal, t, horizon)
             if steps == max_steps:
                 raise StabilityError(
                     f"the march passed {max_steps} steps of the {spec.n}^2-node grid "
@@ -270,12 +343,13 @@ def solve(
             else:
                 dt = nominal
                 t += dt
-            u = advance(u, c, gamma, dt, far_radius=far_radius, work=work)
-            last_dt = dt
+            u = advance(u, c, gamma, dt, work=work)
+            lo, hi = min(lo, dt), max(hi, dt)
         check_guard(t)
         traj.snapshots.append(u.copy())
-        traj.dt_used.append(last_dt)
+        traj.dt_used.append(dt)
         traj.lipschitz_log.append(seminorm())
+        traj.step_log.append((steps - first, lo, hi))
     return traj
 
 

@@ -940,6 +940,27 @@ def test_default_far_radius_is_the_grid_ring(tmp_path):
     assert f"far_radius = {4 - 2 * 8 / 64:.17g}" in meta
 
 
+def test_run_meta_records_the_steps_of_the_march(tmp_path):
+    # the step count and the dt range of the run's march, deterministic
+    # like every other line of run_meta.txt: at speed 0.3 and gamma 2.5 the
+    # step is the curvature cap 0.1 h / gamma = 0.005 at h = 0.125, so each
+    # stored interval of 0.0125 takes two steps and a landing step of 0.0025
+    text = (
+        "grid.n = 65\ngrid.L = 4\ninit.kind = circle\ninit.r0 = 1\n"
+        "coupling.kind = constant\ncoupling.c = 0.3\ngamma = 2.5\n"
+        "horizon = 0.05\noutput_times = 5\nchecks = none\n"
+    )
+    metas = []
+    for name in ("a", "b"):
+        assert run(parse_config(text), out_dir=str(tmp_path / name)).exit_code == 0
+        metas.append((tmp_path / name / "run_meta.txt").read_text())
+    assert metas[0] == metas[1]
+    meta = dict(line.split(" = ") for line in metas[0].splitlines())
+    assert meta["steps"] == "12"
+    assert float(meta["dt_max"]) == 0.1 * 0.125 / 2.5
+    assert float(meta["dt_min"]) == pytest.approx(0.0025, rel=1e-9)
+
+
 def test_probe_front_escape_fails_the_run(tmp_path):
     # the empty seed's first solve runs at beta(0) = 1 for the whole horizon
     # and reaches radius 0.7, past 0.65, the guard band of the containment

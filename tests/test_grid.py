@@ -167,6 +167,20 @@ def test_curvature_scale_invariance_of_ratio():
     assert np.max(np.abs(ratio_u[mask] - ratio_v[mask])) < 10.0 * spec.h
 
 
+def test_curvature_is_the_laplacian_where_the_gradient_vanishes():
+    # the Evans-Spruck term tends to the Laplacian where Du -> 0: at the top
+    # of the paraboloid 1 - |x|^2, where the central gradient is 0, it is
+    # uxx + uyy = -4, exact for quadratic data.  The cone 1 - |x| has no
+    # central gradient at its tip either; there the term is its five-point
+    # Laplacian -4h / h^2, so the tip moves down
+    spec = GridSpec(65, 1.5)
+    iy, ix = _node(spec, 0.0, 0.0)
+    bowl = field_from_function(spec, lambda x, y: 1.0 - x * x - y * y)
+    assert curvature_term(bowl)[iy, ix] == pytest.approx(-4.0, rel=1e-12)
+    cone = field_from_function(spec, lambda x, y: 1.0 - np.hypot(x, y))
+    assert curvature_term(cone)[iy, ix] == pytest.approx(-4.0 / spec.h, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the stencils, bit for bit against their plain numpy formulas
 # ---------------------------------------------------------------------------
@@ -226,21 +240,23 @@ def _reference_second_sum(v, axis):
 
 
 def _reference_curvature(u):
-    # the unscaled form: Dx = 2h ux, Dxy = 4h^2 uxy, Sxx = h^2 uxx
+    # the unscaled Evans-Spruck form: Dx = 2h ux, Dxy = 4h^2 uxy,
+    # Sxx = h^2 uxx, and r = 4h^4 for the 4h^2 h^2 of the scaled form
     h = u.spec.h
     v = u.values
+    r = 4.0 * (h * h) * (h * h)
     dx = _reference_difference(v, 1)
     dy = _reference_difference(v, 0)
     dxy = _reference_difference(dx, 0)
     sxx = _reference_second_sum(v, 1)
     syy = _reference_second_sum(v, 0)
-    num = sxx * dy**2 - dxy * dx * dy * 0.5 + syy * dx**2
-    return num / (dx**2 + dy**2 + 4.0 * (h * h) * (h * h)) * (1.0 / (h * h))
+    num = sxx * (dy**2 + r) - dxy * dx * dy * 0.5 + syy * (dx**2 + r)
+    return num / (dx**2 + (dy**2 + r)) * (1.0 / (h * h))
 
 
 def _textbook_curvature(u):
-    # (uxx uy^2 - 2 ux uy uxy + uyy ux^2) / (ux^2 + uy^2 + h^2) on the
-    # scaled differences
+    # (uxx (uy^2 + h^2) - 2 ux uy uxy + uyy (ux^2 + h^2)) / (ux^2 + uy^2 + h^2)
+    # on the scaled differences
     h = u.spec.h
     v = u.values
     uy, ux = np.gradient(v, h, edge_order=2)
@@ -253,7 +269,7 @@ def _textbook_curvature(u):
     uyy[0, :] = uyy[1, :]
     uyy[-1, :] = uyy[-2, :]
     uxy = np.gradient(ux, h, axis=0, edge_order=2)
-    num = uxx * uy**2 - 2.0 * ux * uy * uxy + uyy * ux**2
+    num = uxx * (uy**2 + h**2) - 2.0 * ux * uy * uxy + uyy * (ux**2 + h**2)
     return num / (ux**2 + uy**2 + h**2)
 
 
@@ -500,6 +516,34 @@ def test_interpolate_outside_returns_far_value():
     u = constant_field(spec, 0.7)
     got = interpolate(u, np.array([[1.5, 0.0], [0.0, -2.0]]))
     assert np.all(got == -1.0)
+
+
+def _reference_interpolate(values, spec, pts):
+    # the bilinear formula with 2-D fancy indexes, components first
+    L, h, n = spec.half_extent, spec.h, spec.n
+    x, y = pts[..., 0], pts[..., 1]
+    outside = (x < -L) | (x > L) | (y < -L) | (y > L)
+    fx = (np.clip(x, -L, L) + L) / h
+    fy = (np.clip(y, -L, L) + L) / h
+    ix = np.minimum(fx.astype(np.int64), n - 2)
+    iy = np.minimum(fy.astype(np.int64), n - 2)
+    tx, ty = fx - ix, fy - iy
+    v = np.moveaxis(values, (0, 1), (-2, -1))
+    val = ((1 - tx) * (1 - ty) * v[..., iy, ix] + tx * (1 - ty) * v[..., iy, ix + 1]
+           + (1 - tx) * ty * v[..., iy + 1, ix] + tx * ty * v[..., iy + 1, ix + 1])
+    return np.where(outside, -1.0, val)
+
+
+@pytest.mark.parametrize("components", [None, 2], ids=["scalar", "direction-field"])
+def test_interpolate_matches_the_formula_bitwise(components):
+    spec = GridSpec(201, 1.5)
+    rng = np.random.default_rng(8)
+    shape = (spec.n, spec.n) if components is None else (spec.n, spec.n, components)
+    field = ScalarField(spec, np.zeros((spec.n, spec.n)))
+    field.values = rng.normal(size=shape)   # as a DirectionField holds them
+    for pts in (rng.uniform(-1.7, 1.7, (2000, 2)), rng.uniform(-1.7, 1.7, (3, 5, 2))):
+        got = interpolate(field, pts)
+        assert _same_bits(got, _reference_interpolate(field.values, spec, pts))
 
 
 # ---------------------------------------------------------------------------

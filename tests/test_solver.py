@@ -1,6 +1,6 @@
-"""Explicit level-set stepping: CFL bookkeeping, one-step oracles against
-closed-form front motion, the discrete comparison property, and trajectory
-serialization.
+"""Level-set stepping: step-size bookkeeping, the semi-implicit curvature
+solve, one-step oracles against closed-form front motion, the discrete
+comparison property, the work budget, and trajectory serialization.
 
 Closed forms: constant normal speed c moves a circular front radius as
 R(t) = R0 + c t; curvature flow with weight 1 satisfies R(t)^2 = R0^2 - 2t.
@@ -24,9 +24,13 @@ from frontlab.grid import (
     upwind_gradient_norm,
 )
 from frontlab.solver import (
+    CURVATURE_STEP,
     MAX_CELL_UPDATES,
     MAX_STEPS,
+    SOLVE_SPLIT,
     Trajectory,
+    _cosine_basis,
+    _implicit_diffusion,
     advance,
     cfl_timestep,
     dump_trajectory,
@@ -34,6 +38,7 @@ from frontlab.solver import (
     load_trajectory,
     regularity_report,
     solve,
+    step_cost,
 )
 
 SPEC = GridSpec(201, 1.5)
@@ -59,16 +64,19 @@ def test_cfl_advective_branch():
 
 
 def test_cfl_parabolic_branch():
-    assert cfl_timestep(0.0, 1.0, 0.01, 0.5) == pytest.approx(1.25e-5, rel=1e-9)
+    # the curvature cap CURVATURE_STEP h / gamma, which the CFL safety does
+    # not scale: the semi-implicit step has no parabolic stability bound
+    assert cfl_timestep(0.0, 1.0, 0.01, 0.5) == CURVATURE_STEP * 0.01 / 1.0
+    assert cfl_timestep(0.0, 4.0, 0.01) == CURVATURE_STEP * 0.01 / 4.0
 
 
-def test_cfl_sums_advection_and_curvature():
-    # dt (2|c|/h + 4 gamma/h^2) = safety, also where |c| = 4 gamma/h, where
-    # 0.45 min(h/|c|, h^2/(4 gamma)) would put the sum at 1.35
+def test_cfl_takes_the_smaller_of_advection_and_curvature():
     h = 0.01
-    dt = cfl_timestep(200.0, 0.5, h, 1.0)
-    assert dt * (2 * 200.0 / h + 4 * 0.5 / h**2) == pytest.approx(1.0, rel=1e-9)
-    assert cfl_timestep(200.0, 0.5, h) == frontlab.solver.CFL_SAFETY * dt
+    fast = cfl_timestep(200.0, 0.5, h)
+    assert fast == frontlab.solver.CFL_SAFETY * (h / (2.0 * (200.0 + 1e-12)))
+    assert fast == cfl_timestep(200.0, 0.0, h)
+    slow = cfl_timestep(0.2, 0.5, h)
+    assert slow == CURVATURE_STEP * h / 0.5 < cfl_timestep(0.2, 0.0, h)
 
 
 @pytest.mark.parametrize("c, h", [(1.0, 0.015), (0.3, 3.0 / 64), (17.0, 3.0 / 128)])
@@ -102,6 +110,21 @@ def test_advance_refuses_oversized_step():
     u = _disc(SPEC, 0.5)
     with pytest.raises(StabilityError):
         advance(u, 1.0, 0.0, 2.0 * SPEC.h)
+    with pytest.raises(StabilityError, match="advective CFL bound"):
+        advance(u, 1.0, 1.0, 2.0 * SPEC.h)
+
+
+def test_advance_takes_curvature_steps_past_the_explicit_bound():
+    # advance refuses only the advective bound: a curvature step 400 times
+    # the explicit bound h^2 / (4 gamma) stays bounded and shrinks the
+    # circle, R^2 = 1 - 2t, by -2 dt to within the first-order error of one
+    # long step (measured 4 %)
+    u = ScalarField(SPEC, np.clip(_disc(SPEC, 1.0).values, -1.0, 1.0))
+    dt = 100.0 * SPEC.h**2
+    v = advance(u, 0.0, 1.0, dt)
+    assert np.abs(v.values).max() <= 1.0
+    drop = _mean_radius(v) ** 2 - _mean_radius(u) ** 2
+    assert drop == pytest.approx(-2.0 * dt, rel=0.1)
 
 
 def test_advance_expands_disc():
@@ -127,13 +150,17 @@ def test_advance_zero_velocity_identity():
     assert np.array_equal(u.values, v.values)
 
 
-def test_advance_clamps_and_freezes_far_field():
-    u = field_from_function(SPEC, lambda x, y: 0.95 - 0.0 * x)
-    far = 1.5 - 2 * SPEC.h
-    v = advance(u, 1.0, 0.0, 0.005, far_radius=far)
+def test_advance_clamps_and_leaves_the_far_field():
+    # an affine rise of slope 0.2 moves up by 0.2 c dt everywhere, the upwind
+    # norm being exact on affine data, and is clamped at 1; nothing outside
+    # the ring is set to -1
+    u = field_from_function(SPEC, lambda x, y: 0.95 + 0.2 * x)
+    v = advance(u, 1.0, 0.0, 0.005)
     assert np.abs(v.values).max() <= 1.0
-    ring = SPEC.radius() > far
-    assert np.all(v.values[ring] == -1.0)
+    want = np.clip(u.values + 0.005 * 0.2, -1.0, 1.0)
+    assert np.max(np.abs(v.values - want)) < 1e-15
+    ring = SPEC.radius() > grid_ring(SPEC)
+    assert np.all(v.values[ring] > 0.6)
 
 
 def _random_smooth_fields(rng, taper, xx, yy, terms=6):
@@ -160,8 +187,8 @@ def test_advance_comparison_property():
         ua = ScalarField(SPEC, np.clip(base, -1.0, 1.0))
         ub = ScalarField(SPEC, np.clip(base + bump, -1.0, 1.0))
         c = ScalarField(SPEC, np.clip(2.0 * _random_smooth_fields(rng, taper, xx, yy), -2.0, 2.0))
-        va = advance(ua, c, 0.0, dt, far_radius=far)
-        vb = advance(ub, c, 0.0, dt, far_radius=far)
+        va = advance(ua, c, 0.0, dt)
+        vb = advance(ub, c, 0.0, dt)
         worst = max(worst, float((va.values - vb.values).max()))
     assert worst <= 1e-12
 
@@ -171,8 +198,8 @@ def test_advance_comparison_nested_cones_with_curvature():
     inner = _disc(SPEC, 0.4)
     outer = _disc(SPEC, 0.7)
     dt = cfl_timestep(1.0, 1.0, SPEC.h)
-    vi = advance(inner, 1.0, 1.0, dt, far_radius=1.3)
-    vo = advance(outer, 1.0, 1.0, dt, far_radius=1.3)
+    vi = advance(inner, 1.0, 1.0, dt)
+    vo = advance(outer, 1.0, 1.0, dt)
     assert float((vi.values - vo.values).max()) <= 1e-12
 
 
@@ -197,30 +224,51 @@ def test_advance_float_speed_matches_constant_field_bitwise(c):
     u = ScalarField(spec, np.random.default_rng(7).uniform(-1.0, 1.0, (spec.n, spec.n)))
     dt = cfl_timestep(1.0, 0.5, spec.h)
     field = ScalarField(spec, np.full((spec.n, spec.n), c))
-    for far in (None, grid_ring(spec)):
+    for gamma in (0.5, 0.0):
         assert _same_bits(
-            advance(u, c, 0.5, dt, far_radius=far).values,
-            advance(u, field, 0.5, dt, far_radius=far).values,
+            advance(u, c, gamma, dt).values, advance(u, field, gamma, dt).values,
         )
 
 
-def _reference_advance(u, c, gamma, dt, far_radius=None):
+def _reflecting_laplacian(v, h):
+    # the five-point Laplacian with v[-1] = v[1] and v[n] = v[n-2] per axis
+    p = np.pad(v, 1, mode="reflect")
+    return (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4.0 * v) / (h * h)
+
+
+@pytest.mark.parametrize("n", [33, 201])
+def test_implicit_diffusion_inverts_the_reflecting_laplacian(n):
+    # (I - a Delta_h) x = f to rounding, at a well past the explicit bound
+    spec = GridSpec(n, 1.5)
+    f = np.random.default_rng(n).normal(size=(n, n))
+    a = 50.0 * spec.h**2
+    x = f.copy()
+    _implicit_diffusion(x, a, spec, Workspace(spec))
+    assert np.max(np.abs(x - a * _reflecting_laplacian(x, spec.h) - f)) < 1e-12
+    V, W, _ = _cosine_basis(spec)
+    assert np.max(np.abs(V @ W - np.eye(n))) < 1e-13
+
+
+def _reference_advance(u, c, gamma, dt):
     # the step as one numpy expression on fresh arrays; the stencils match
     # their own formulas bit for bit (tests/test_grid.py); a step with
-    # curvature alone scales it by gamma dt at once
+    # curvature alone scales it by gamma dt at once.  With gamma > 0 the
+    # increment is solved in the cosine basis, W f W^T / (1 + gamma dt mu)
+    # taken back by V on both sides, before it is added to u
     cvals = c.values
     if np.abs(cvals).max() == 0.0 and gamma > 0.0:
-        out = np.clip(curvature_term(u) * (gamma * dt) + u.values, -1.0, 1.0)
+        increment = curvature_term(u) * (gamma * dt)
     else:
         update = np.zeros_like(u.values)
         if np.abs(cvals).max() > 0.0:
             update += cvals * upwind_gradient_norm(u, cvals)
         if gamma > 0.0:
             update += gamma * curvature_term(u)
-        out = np.clip(u.values + dt * update, -1.0, 1.0)
-    if far_radius is not None:
-        out[u.spec.radius() > far_radius] = -1.0
-    return out
+        increment = dt * update
+    if gamma > 0.0:
+        V, W, mu = _cosine_basis(u.spec)
+        increment = V @ ((W @ increment @ W.T) / (mu * (gamma * dt) + 1.0)) @ V
+    return np.clip(u.values + increment, -1.0, 1.0)
 
 
 def _same_bits(a, b):
@@ -231,6 +279,8 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("far", [False, True], ids=["whole-grid", "far-radius"])
 @pytest.mark.parametrize("moving", [False, True], ids=["c=0", "c!=0"])
 def test_advance_matches_numpy_bitwise(n, far, moving):
+    # far-radius: the field is -1 outside the containment ring, as a solve
+    # holds it; the step leaves those nodes to the scheme
     _check_advance_bitwise(n, far, moving, gamma=0.5)
 
 
@@ -248,20 +298,22 @@ def _check_advance_bitwise(n, far, moving, gamma):
     spec = GridSpec(n, 1.5)
     rng = np.random.default_rng(n)
     u = ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n)))
+    ring = spec.radius() > grid_ring(spec)
+    if far:
+        u.values[ring] = -1.0
     c = ScalarField(spec, rng.uniform(-1.0, 1.0, (n, n)) if moving else np.zeros((n, n)))
-    far_radius = 1.5 - 2 * spec.h if far else None
     dt = cfl_timestep(1.0, gamma, spec.h)
-    expected = _reference_advance(u, c, gamma, dt, far_radius)
-    assert _same_bits(advance(u, c, gamma, dt, far_radius=far_radius).values, expected)
+    expected = _reference_advance(u, c, gamma, dt)
+    assert _same_bits(advance(u, c, gamma, dt).values, expected)
+    if far and (moving or gamma > 0.0):
+        assert np.any(expected[ring] > -1.0)
     # two steps through one workspace, as solve takes them
     work = Workspace(spec)
-    first = advance(u, c, gamma, dt, far_radius=far_radius, work=work)
-    second = advance(first, c, gamma, dt, far_radius=far_radius, work=work)
+    first = advance(u, c, gamma, dt, work=work)
+    second = advance(first, c, gamma, dt, work=work)
     assert _same_bits(first.values, expected)
     assert not np.shares_memory(first.values, second.values)
-    assert _same_bits(
-        second.values, _reference_advance(ScalarField(spec, expected), c, gamma, dt, far_radius)
-    )
+    assert _same_bits(second.values, _reference_advance(ScalarField(spec, expected), c, gamma, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +409,33 @@ def test_solve_rejects_bad_problem_before_any_step(monkeypatch, kw, message):
 
 
 def test_solve_accepts_the_grid_ring_and_smaller():
-    # the ring is always the grid's L - 2h; every node outside it stays at -1
-    # (the disc's field there is about -0.9)
+    # the ring is always the grid's L - 2h, and no node outside it is
+    # rewritten: at zero speed the clamped disc stays as it was there (about
+    # -0.9 on the axes), and under curvature it moves with the scheme
     spec = GridSpec(33, 1.5)
+    ring = spec.radius() > grid_ring(spec)
+    start = np.clip(_disc(spec, 0.5).values, -1.0, 1.0)
     traj = solve(_disc(spec, 0.5), _constant(0.0), 0.0, 0.1, [0.1])
     assert traj.far_radius == grid_ring(spec)
-    assert np.all(traj.snapshots[-1].values[spec.radius() > grid_ring(spec)] == -1.0)
+    assert np.array_equal(traj.snapshots[-1].values[ring], start[ring])
+    assert start[ring].max() > -0.95
+    curved = solve(_disc(spec, 0.5), _constant(0.0), 0.5, 0.1, [0.1]).snapshots[-1]
+    assert not np.array_equal(curved.values[ring], start[ring])
+
+
+def test_cone_tip_tracks_the_curvature_oracle():
+    # under mean-curvature flow the level set {u = s} of u0 = r0 - |x| is
+    # the circle of radius r0 - s, which reaches the origin at
+    # (r0 - s)^2 = 2t: u(0, t) = r0 - sqrt(2t).  The Evans-Spruck term moves
+    # the tip, where the central gradient is 0 (measured within 0.005, about
+    # h / 10, at n = 65); a term that vanishes with Du leaves it at r0
+    spec = GridSpec(65, 1.5)
+    times = [0.02, 0.05, 0.1, 0.15, 0.2]
+    u0 = field_from_function(spec, lambda x, y: 0.8 - np.hypot(x, y))
+    traj = solve(u0, _constant(0.0), 1.0, 0.2, times)
+    tip = [snap.values[spec.n // 2, spec.n // 2] for snap in traj.snapshots]
+    assert np.max(np.abs(np.array(tip) - (0.8 - np.sqrt(2.0 * traj.times)))) < spec.h / 4
+    assert tip[-1] < 0.2
 
 
 def test_solve_keeps_received_fields_and_snapshots():
@@ -416,7 +489,7 @@ def test_solve_step_allocates_under_one_field(monkeypatch):
     speed = _constant(ScalarField(spec, xx))
     tracemalloc.start()
     try:
-        solve(_disc(spec, 0.5), speed, 0.5, 5e-4, [5e-4])
+        solve(_disc(spec, 0.5), speed, 0.5, 0.015, [0.015])
     finally:
         tracemalloc.stop()
     assert len(rises) >= 5
@@ -435,6 +508,18 @@ def test_solve_refuses_a_march_past_the_step_budget(monkeypatch):
     with pytest.raises(StabilityError, match=f"more than {max_steps} steps"):
         solve(_disc(spec, 0.5), _constant(1.0), 0.0, 1.01 * max_steps * dt, [])
     assert steps == []
+
+
+def test_a_semi_implicit_step_counts_its_solve(monkeypatch):
+    # a step with curvature counts n^2 + n^3 // SOLVE_SPLIT node updates
+    assert step_cost(201, 0.0) == 201**2
+    assert step_cost(201, 0.5) == 201**2 + 201**3 // SOLVE_SPLIT
+    spec = GridSpec(65, 1.5)
+    monkeypatch.setattr(frontlab.solver, "MAX_CELL_UPDATES", 10 * step_cost(65, 1.0))
+    dt = cfl_timestep(0.0, 1.0, spec.h)
+    solve(_disc(spec, 0.5), _constant(0.0), 1.0, 9.5 * dt, [])
+    with pytest.raises(StabilityError, match="more than 10 steps"):
+        solve(_disc(spec, 0.5), _constant(0.0), 1.0, 10.5 * dt, [])
 
 
 def test_step_budget_is_max_steps_on_a_201_node_grid():

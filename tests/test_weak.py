@@ -100,8 +100,8 @@ def test_fn_speed_evaluated_once_per_step(monkeypatch):
     )
     coup.alpha = _Counted(coup.alpha)
     speeds = _recorded_advance(monkeypatch)
-    march_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.05, horizon=0.02,
-                output_times=[0.01, 0.02])
+    march_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.05, horizon=0.2,
+                output_times=[0.1, 0.2])
     assert len(speeds) > 2
     assert coup.alpha.calls == len(speeds)
     assert all(isinstance(c, ScalarField) for c in speeds)
