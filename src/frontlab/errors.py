@@ -10,7 +10,9 @@ class GridMismatchError(FrontlabError):
 
 
 class FieldFormatError(FrontlabError, ValueError):
-    """A stored field file is not in the format `grid.dump_field` writes."""
+    """A stored run file is not what a finished run writes: a field not in
+    the format of `grid.dump_field`, a metadata file not in that of
+    `grid.meta_text`, or a FAILED marker in the run directory."""
 
 
 class StabilityError(FrontlabError):

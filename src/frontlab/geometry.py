@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, FieldFormatError
+from .errors import ConstructionError
 from .grid import GridSpec, ScalarField, central_gradient_norm, central_gradients, interpolate
+from .grid import dump_field, load_field, load_meta, meta_text
 
 DELTA0_LADDER = (0.2, 0.1, 0.05)
 
@@ -319,49 +320,19 @@ def verify_I2(init: InitCondition, lambda_samples: int = 4) -> tuple[bool, float
 
 
 def dump_init(init: InitCondition, u0_path, header_path):
-    from .grid import dump_field
-
     dump_field(init.u0, u0_path)
-    lines = [
-        f"R0 = {init.R0:.17g}",
-        f"delta0 = {init.delta0:.17g}",
-        f"eta0 = {init.eta0:.17g}",
-        f"lambda0 = {init.lambda0:.17g}",
-        f"nu.kind = {init.nu.kind}",
-        f"nu.sup_norm = {init.nu.sup_norm:.17g}",
-        f"nu.lip_norm = {init.nu.lip_norm:.17g}",
-        f"r0 = {init.r0:.17g}",
-        f"lipschitz = {init.lipschitz:.17g}",
-    ]
+    nu = init.nu
     with open(header_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(meta_text({
+            "R0": init.R0, "delta0": init.delta0, "eta0": init.eta0, "lambda0": init.lambda0,
+            "nu.kind": nu.kind, "nu.sup_norm": nu.sup_norm, "nu.lip_norm": nu.lip_norm,
+            "r0": init.r0, "lipschitz": init.lipschitz,
+        }, ()))
 
 
 def load_init(u0_path, header_path) -> InitCondition:
-    from .grid import load_field
-
     u0 = load_field(u0_path)
-    kv = {}
-    try:
-        with open(header_path) as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw or raw.startswith("#"):
-                    continue
-                key, _, val = raw.partition("=")
-                kv[key.strip()] = val.strip()
-        numbers = dict(
-            r0=float(kv.get("r0", "0")),
-            R0=float(kv["R0"]),
-            delta0=float(kv["delta0"]),
-            eta0=float(kv["eta0"]),
-            lambda0=float(kv["lambda0"]),
-            lipschitz=float(kv.get("lipschitz", "1")),
-        )
-    except ValueError as err:   # a value that is no number, or bytes that are no text
-        raise FieldFormatError(f"{header_path}: {err}") from None
-    except KeyError as err:
-        raise FieldFormatError(f"{header_path}: no {err.args[0]} line") from None
-    kind = kv.get("nu.kind", "radial")
-    nu = radial_direction(u0.spec) if kind == "radial" else gradient_direction(u0)
-    return InitCondition(u0=u0, nu=nu, **numbers)
+    names = ("r0", "R0", "delta0", "eta0", "lambda0", "lipschitz")
+    meta, _ = load_meta(header_path, required=("nu.kind", *names), texts=("nu.kind",))
+    nu = radial_direction(u0.spec) if meta["nu.kind"] == "radial" else gradient_direction(u0)
+    return InitCondition(u0=u0, nu=nu, **{name: meta[name] for name in names})

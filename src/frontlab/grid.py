@@ -141,6 +141,45 @@ def load_field(path) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
+# metadata format: one "key = value" line per entry, a number as %.17g, then
+# "# note" lines.  Every metadata file of a run directory (init_meta.txt,
+# run_meta.txt, traj/meta.txt, reports/*.verdict, probe.verdict) is written
+# by `meta_text` and read by `load_meta`.
+
+
+def meta_text(entries: dict, notes) -> str:
+    """The text of entries in their order, a str value as it is and any other
+    as %.17g, then one '# note' line per note."""
+    lines = [f"{k} = {v if isinstance(v, str) else format(v, '.17g')}" for k, v in entries.items()]
+    return "\n".join(lines + [f"# {note}" for note in notes]) + "\n"
+
+
+def load_meta(path, required, texts) -> tuple[dict, list]:
+    """Read a `meta_text` file into ({key: value}, notes), each value a float
+    unless its key is in texts.  FieldFormatError names the path and the
+    fault: bytes that are no text, a line without '=', a value that is no
+    number, or a key of required without a line."""
+    try:
+        with open(path) as fh:
+            lines = [raw.strip() for raw in fh]
+    except UnicodeDecodeError as err:
+        raise FieldFormatError(f"{path}: {err}") from None
+    values = {}
+    for line in (line for line in lines if line and not line.startswith("#")):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise FieldFormatError(f"{path}: {line!r} is not a 'key = value' line")
+        try:
+            values[key] = value if key in texts else float(value)
+        except ValueError:
+            raise FieldFormatError(f"{path}: {key} = {value} is not a number") from None
+    for key in required:
+        if key not in values:
+            raise FieldFormatError(f"{path}: no {key} line")
+    return values, [line[1:].strip() for line in lines if line.startswith("#")]
+
+
+# ---------------------------------------------------------------------------
 # one-sided and central differences
 #
 # Each stencil writes into the arrays of a Workspace and takes the

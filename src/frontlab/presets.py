@@ -6,6 +6,8 @@ frozen-occupation dependence experiment, sized to finish within a few
 minutes on desk hardware.
 """
 
+from .config import _split_lines
+
 MCF_CIRCLE = """\
 # shrinking circle under curvature: radius oracle sqrt(1 - 2t)
 name = mcf-circle
@@ -136,9 +138,10 @@ def preset_text(name: str) -> str:
 
 def _scaled(text: str, n: int = 129, output_times: int = 13) -> str:
     """Desk-scale variant of a preset: coarser grid, fewer stored times."""
+    keys = {lineno: key for lineno, key, _ in _split_lines(text)}
     lines = []
-    for line in text.splitlines():
-        key = line.split("=")[0].strip() if "=" in line else ""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        key = keys.get(lineno, "")
         if key == "grid.n":
             lines.append(f"grid.n = {n}")
         elif key == "output_times":

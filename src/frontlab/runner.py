@@ -24,15 +24,21 @@ computed once per snapshot.  A run writes a self-contained directory:
 
 `verify_run_dir` reloads such a directory, recomputes each stored check
 that needs no extra solve, and compares the recomputed report files with
-the stored ones byte for byte.
+the stored ones byte for byte.  Every metadata file above is `key = value`
+text, written by `grid.meta_text` and read by `grid.load_meta`.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or
 construction error, 3 any other failure: a solve (fixed point, dependence
 pair, uniqueness probe) that escapes or goes unstable, or a fault in a
-check.  Every exit 2 or 3 of `run` leaves a one-line FAILED marker.  A run
-into a used directory first deletes the files its manifest.txt lists, so
-the directory then holds only the new run's files.  No artifact embeds a
-timestamp, so byte-identical runs produce byte-identical trees.
+check.  Every exit 2 or 3 of `run` leaves a one-line FAILED marker, except
+when the output directory cannot be made (a path that names a file): that
+is exit 2 with one `FAIL run (output directory: ...)` line and no marker.
+A run into a used directory first deletes the files its manifest.txt
+lists, so the directory then holds only the new run's files.  No artifact
+embeds a timestamp, so byte-identical runs produce byte-identical trees.
+`verify` maps its failures the same way: exit 1 for a failed check or a
+stored report that differs from the recomputed one, 2 for a FAILED marker
+or a stored file that is missing or malformed, 3 for any other fault.
 """
 
 import hashlib
@@ -45,6 +51,7 @@ from .config import ScenarioConfig, parse_config
 from .contour import dump_contour
 from .errors import ConfigError, ConstructionError, FieldFormatError
 from .geometry import dump_init, load_init
+from .grid import load_meta, meta_text
 from .solver import cfl_timestep, check_work_budget, dump_trajectory, load_trajectory
 from .verify import CHECKS, CheckContext, dump_report, gamma_sweep_star_shape, stored_mismatch
 from .weak import march_solve, standard_seeds, uniqueness_probe
@@ -93,10 +100,23 @@ def clear_listed(out_dir: str) -> None:
     os.remove(manifest)
 
 
+def _unusable(out_dir: str):
+    """None once out_dir is a directory cleared of what its manifest lists of
+    an earlier run; otherwise the exit-2 result of a run that cannot use it
+    (a file, or a path through one), which can hold no FAILED marker."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        clear_listed(out_dir)
+    except OSError as err:
+        return RunResult(EXIT_CONFIG, out_dir, [f"FAIL run (output directory: {err})"])
+    return None
+
+
 def fail_run(out_dir: str, message: str, exit_code: int) -> RunResult:
     """End a run in out_dir with a one-line FAILED marker and the manifest,
     after clearing what the directory's manifest lists of an earlier run."""
-    clear_listed(out_dir)
+    if (refused := _unusable(out_dir)) is not None:
+        return refused
     _write(os.path.join(out_dir, "FAILED"), message + "\n")
     write_manifest(out_dir)
     return RunResult(exit_code, out_dir, [f"FAIL run ({message})"])
@@ -165,23 +185,20 @@ def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str, sol) -> 
     for si, sj, tau, delta, ksup in result.rows:
         lines.append(f"{si},{sj},{tau:.17g},{delta:.17g},{ksup:.17g}")
     _write(os.path.join(out_dir, "probe.csv"), "\n".join(lines) + "\n")
-    summary = [
-        f"passed = {'true' if result.passed else 'false'}",
-        f"uniq_tol = {result.uniq_tol:.17g}",
-    ]
+    summary = {"passed": "true" if result.passed else "false", "uniq_tol": result.uniq_tol}
     for name, sol in zip(result.seeds, result.solutions):
-        summary.append(f"iterations_{name} = {sol.iterations}")
-        summary.append(f"final_residual_{name} = {sol.residual_history[-1]:.17g}")
-        summary.append(f"converged_{name} = {'true' if sol.converged else 'false'}")
-        summary.append(f"march_gap_{name} = {result.march_gaps[name]:.17g}")
-    _write(os.path.join(out_dir, "probe.verdict"), "\n".join(summary) + "\n")
+        summary[f"iterations_{name}"] = sol.iterations
+        summary[f"final_residual_{name}"] = sol.residual_history[-1]
+        summary[f"converged_{name}"] = "true" if sol.converged else "false"
+        summary[f"march_gap_{name}"] = result.march_gaps[name]
+    _write(os.path.join(out_dir, "probe.verdict"), meta_text(summary, ()))
     return f"{'PASS' if result.passed else 'FAIL'} uniqueness_probe"
 
 
 def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) -> RunResult:
     out_dir = out_dir or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    clear_listed(out_dir)
+    if (refused := _unusable(out_dir)) is not None:
+        return refused
     failed_marker = os.path.join(out_dir, "FAILED")
     if os.path.exists(failed_marker):
         os.remove(failed_marker)
@@ -239,21 +256,21 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
     if config.probe_enabled:
         verdicts.append(_probe(config, coupling, init, times, out_dir, sol))
 
-    meta = [
-        f"name = {config.name}",
-        f"gamma = {config.gamma:.17g}",
-        f"horizon = {config.horizon:.17g}",
-        f"checks = {','.join(config.checks) if config.checks else 'none'}",
-        f"probe_enabled = {'true' if config.probe_enabled else 'false'}",
-        f"converged = {'true' if sol.converged else 'false'}",
-        f"iterations = {sol.iterations}",
-        f"far_radius = {traj.far_radius:.17g}",
+    meta = {
+        "name": config.name,
+        "gamma": config.gamma,
+        "horizon": config.horizon,
+        "checks": ",".join(config.checks) if config.checks else "none",
+        "probe_enabled": "true" if config.probe_enabled else "false",
+        "converged": "true" if sol.converged else "false",
+        "iterations": sol.iterations,
+        "far_radius": traj.far_radius,
         # the march's step count and dt range; step_log[0], for t_0, holds no step
-        f"steps = {sum(steps for steps, _, _ in traj.step_log)}",
-        f"dt_min = {min(lo for _, lo, _ in traj.step_log[1:]):.17g}",
-        f"dt_max = {max(hi for _, _, hi in traj.step_log):.17g}",
-    ]
-    _write(os.path.join(out_dir, "run_meta.txt"), "\n".join(meta) + "\n")
+        "steps": sum(steps for steps, _, _ in traj.step_log),
+        "dt_min": min(lo for _, lo, _ in traj.step_log[1:]),
+        "dt_max": max(hi for _, _, hi in traj.step_log),
+    }
+    _write(os.path.join(out_dir, "run_meta.txt"), meta_text(meta, ()))
     _write(os.path.join(out_dir, "verdicts.txt"), "\n".join(verdicts) + "\n")
     write_manifest(out_dir)
 
@@ -268,8 +285,8 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
 def run_verify_all(out_root: str) -> RunResult:
     from .presets import verify_all_configs
 
-    os.makedirs(out_root, exist_ok=True)
-    clear_listed(out_root)
+    if (refused := _unusable(out_root)) is not None:
+        return refused
     exit_code = EXIT_OK
     verdicts = []
     for name, text in verify_all_configs():
@@ -287,10 +304,11 @@ def run_verify_all(out_root: str) -> RunResult:
 # re-verification of a stored run directory
 
 
-def _missing_file(err: FileNotFoundError) -> str:
-    """What a missing stored file means: a text-format field next to it marks
-    a run directory written before fields were stored as binary."""
-    if err.filename is None:
+def _fault(err: Exception) -> str:
+    """The FAIL verify text of err.  A missing field file with a text-format
+    field next to it marks a run directory written before fields were stored
+    as binary."""
+    if not isinstance(err, FileNotFoundError) or err.filename is None:
         return str(err)
     stem, ext = os.path.splitext(err.filename)
     if ext == ".f64" and os.path.exists(stem + ".txt"):
@@ -307,45 +325,37 @@ def verify_run_dir(run_dir: str) -> RunResult:
     ones byte for byte.
 
     Exit 0 iff every recomputed report equals its stored files and passes;
-    1 when a check fails, a verdict flips or a stored number drifts; 2 when
-    the directory holds a FAILED marker (named before anything else is
-    read), when run_meta.txt is missing, is not text or names a check the
-    table does not know, when a stored field is missing, malformed or in the
-    old text format, or when the trajectory manifest or a metadata file is
-    malformed."""
+    1 when a check fails or a stored report differs: `(verdict mismatch with
+    stored report)` when it lacks the recomputed `passed` line, `(report
+    drift)` otherwise.  Every other ending is one FAIL verify line, mapped
+    here alone: 2 for a FAILED marker (read first) or a stored file that is
+    missing or malformed (`FieldFormatError`), 3 for any other fault."""
+    try:
+        verdicts = _recheck(run_dir)
+    except (FileNotFoundError, FieldFormatError) as err:
+        code, message = EXIT_CONFIG, _fault(err)
+    except Exception as err:
+        code, message = EXIT_NUMERIC, " ".join(f"{type(err).__name__}: {err}".split())
+    else:
+        ok = all(line.startswith("PASS") for line in verdicts)
+        return RunResult(EXIT_OK if ok else EXIT_CHECK_FAILED, run_dir, verdicts)
+    return RunResult(code, run_dir, [f"FAIL verify ({message})"])
+
+
+def _recheck(run_dir: str) -> list:
+    """verify_run_dir's verdict lines; raises on a directory it cannot check."""
     marker = os.path.join(run_dir, "FAILED")
     if os.path.isfile(marker):
         with open(marker, errors="replace") as fh:
-            text = " ".join(fh.read().split())
-        return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify (FAILED: {text})"])
+            raise FieldFormatError(f"FAILED: {' '.join(fh.read().split())}")
     meta_path = os.path.join(run_dir, "run_meta.txt")
-    if not os.path.exists(meta_path):
-        return RunResult(EXIT_CONFIG, run_dir, ["FAIL verify (no run_meta.txt)"])
-    meta = {}
-    try:
-        with open(meta_path) as fh:
-            for line in fh:
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
-    except UnicodeDecodeError as err:
-        return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify ({meta_path}: {err})"])
-    checks = tuple(
-        c for c in meta.get("checks", "").split(",") if c and c != "none"
-    )
+    meta, _ = load_meta(meta_path, ("checks",), ("name", "checks", "probe_enabled", "converged"))
+    checks = tuple(c for c in meta["checks"].split(",") if c and c != "none")
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
-        return RunResult(
-            EXIT_CONFIG, run_dir, [f"FAIL verify (unknown check {unknown[0]!r} in run_meta.txt)"]
-        )
-    try:
-        traj = load_trajectory(os.path.join(run_dir, "traj"))
-        init = load_init(
-            os.path.join(run_dir, "init.f64"), os.path.join(run_dir, "init_meta.txt")
-        )
-    except FileNotFoundError as err:
-        return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify ({_missing_file(err)})"])
-    except FieldFormatError as err:
-        return RunResult(EXIT_CONFIG, run_dir, [f"FAIL verify ({err})"])
+        raise FieldFormatError(f"{meta_path}: unknown check {unknown[0]!r}")
+    traj = load_trajectory(os.path.join(run_dir, "traj"))
+    init = load_init(os.path.join(run_dir, "init.f64"), os.path.join(run_dir, "init_meta.txt"))
     ctx = CheckContext(traj, init, checks=checks)
 
     verdicts = []
@@ -357,5 +367,4 @@ def verify_run_dir(run_dir: str) -> RunResult:
             suffix = stored_mismatch(rep, rdir)
             tag = "PASS" if rep.passed and not suffix else "FAIL"
             verdicts.append(f"{tag} {rep.name}{suffix}")
-    ok = all(line.startswith("PASS") for line in verdicts)
-    return RunResult(EXIT_OK if ok else EXIT_CHECK_FAILED, run_dir, verdicts)
+    return verdicts

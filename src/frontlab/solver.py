@@ -23,6 +23,7 @@ nodes, MAX_STEPS explicit steps of a 201-node grid, and a semi-implicit
 step counts its solve as well (`step_cost`).
 """
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,6 +37,10 @@ from .grid import (
     Workspace,
     central_gradient_norm,
     curvature_term,
+    dump_field,
+    load_field,
+    load_meta,
+    meta_text,
     upwind_gradient_norm,
 )
 
@@ -384,10 +389,6 @@ def solution_gaps(a: Trajectory, b: Trajectory) -> np.ndarray:
 
 
 def dump_trajectory(traj: Trajectory, directory):
-    import os
-
-    from .grid import dump_field
-
     os.makedirs(directory, exist_ok=True)
     rows = ["index,time,dt_used,lipschitz_seminorm"]
     for i, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
@@ -398,36 +399,20 @@ def dump_trajectory(traj: Trajectory, directory):
     with open(os.path.join(directory, "manifest.csv"), "w") as fh:
         fh.write("\n".join(rows) + "\n")
     with open(os.path.join(directory, "meta.txt"), "w") as fh:
-        fh.write(
-            f"far_radius = {traj.far_radius:.17g}\n"
-            f"gamma = {traj.gamma:.17g}\n"
-        )
+        fh.write(meta_text({"far_radius": traj.far_radius, "gamma": traj.gamma}, ()))
 
 
 def load_trajectory(directory) -> Trajectory:
-    import os
-
-    from .grid import load_field
-
     manifest = os.path.join(directory, "manifest.csv")
-    try:
-        rows = np.loadtxt(manifest, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as err:
-        raise FieldFormatError(f"{manifest}: {err}") from None
+    # opened here, so that a missing manifest is a FileNotFoundError naming it
+    with open(manifest) as fh:
+        try:
+            rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as err:   # a value that is no number, or bytes that are no text
+            raise FieldFormatError(f"{manifest}: {err}") from None
     if rows.shape[1] != 4 or not np.all(np.isfinite(rows)):
         raise FieldFormatError(f"{manifest}: expected rows of 4 finite numbers")
-    meta_path = os.path.join(directory, "meta.txt")
-    meta = {}
-    try:
-        with open(meta_path) as fh:
-            for raw in fh:
-                key, _, val = raw.partition("=")
-                if val:
-                    meta[key.strip()] = float(val)
-    except ValueError as err:   # a value that is no number, or bytes that are no text
-        raise FieldFormatError(f"{meta_path}: {err}") from None
-    if "gamma" not in meta:
-        raise FieldFormatError(f"{meta_path}: no gamma line")
+    meta, _ = load_meta(os.path.join(directory, "meta.txt"), required=("gamma",), texts=())
     snapshots = [
         load_field(os.path.join(directory, f"t_{int(i):03d}.f64")) for i in rows[:, 0]
     ]

@@ -41,7 +41,8 @@ from .contour import extract_contour
 from .couplings import constant_history, gauss_slice, kappa
 from .errors import FrontEscapeError, StabilityError
 from .geometry import InitCondition
-from .grid import ScalarField, central_gradient_norm, interpolate, lebesgue_measure, trapezoid
+from .grid import ScalarField, central_gradient_norm, interpolate, lebesgue_measure, load_meta
+from .grid import meta_text, trapezoid
 from .solver import Trajectory, _normalise_output_times, regularity_report, solution_gaps
 from .weak import march_solve, reuses_march
 
@@ -111,10 +112,9 @@ def report_texts(report: VerificationReport) -> tuple:
     csv = "time,measured,bound,margin\n" + "".join(
         f"{t:.17g},{m:.17g},{b:.17g},{g:.17g}\n" for t, m, b, g in report.rows
     )
-    lines = [f"name = {report.name}", f"passed = {'true' if report.passed else 'false'}"]
-    lines += [f"{key} = {report.constants[key]:.17g}" for key in sorted(report.constants)]
-    lines += [f"# {note}" for note in report.notes]
-    return csv, "\n".join(lines) + "\n"
+    entries = {"name": report.name, "passed": "true" if report.passed else "false"}
+    entries.update(sorted(report.constants.items()))
+    return csv, meta_text(entries, report.notes)
 
 
 def dump_report(report: VerificationReport, directory) -> None:
@@ -127,17 +127,20 @@ def dump_report(report: VerificationReport, directory) -> None:
 def stored_mismatch(report: VerificationReport, directory) -> str:
     """Empty when the files stored for report.name are exactly what
     dump_report would write for report; otherwise a verdict suffix saying
-    how they differ."""
+    how they differ: a stored .verdict without report's `passed = ` line
+    is a verdict mismatch, any other difference is drift.  No stored number
+    is parsed, so an edited report is one of the two whatever its bytes."""
     stored = []
     try:
         for ext in (".csv", ".verdict"):
-            with open(os.path.join(directory, report.name + ext)) as fh:
+            with open(os.path.join(directory, report.name + ext), "rb") as fh:
                 stored.append(fh.read())
     except FileNotFoundError:
         return " (no stored report)"
-    if tuple(stored) == report_texts(report):
+    if stored == [text.encode() for text in report_texts(report)]:
         return ""
-    if load_report(directory, report.name).passed != report.passed:
+    passed_line = f"passed = {'true' if report.passed else 'false'}".encode()
+    if passed_line not in stored[1].splitlines():
         return " (verdict mismatch with stored report)"
     return " (report drift)"
 
@@ -151,25 +154,10 @@ def load_report(directory, name: str) -> VerificationReport:
         for line in fh:
             t, m, b, g = (float(p) for p in line.split(","))
             rows.append((t, m, b, g))
-    constants = {}
-    passed = False
-    notes = []
-    with open(os.path.join(directory, f"{name}.verdict")) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                notes.append(line[1:].strip())
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "name":
-                continue
-            if key == "passed":
-                passed = value == "true"
-            else:
-                constants[key] = float(value)
+    verdict = os.path.join(directory, f"{name}.verdict")
+    constants, notes = load_meta(verdict, required=("passed",), texts=("name", "passed"))
+    constants.pop("name", None)
+    passed = constants.pop("passed") == "true"
     return VerificationReport(name, passed, rows, constants, notes)
 
 

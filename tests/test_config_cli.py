@@ -473,22 +473,33 @@ def test_verify_detects_tampered_verdict(tiny_run, tmp_path, capsys):
     assert "FAIL key_estimate (verdict mismatch with stored report)" in lines
 
 
-def test_verify_detects_report_drift(tiny_run, tmp_path, capsys):
-    # one digit of one stored number: the verdict stands, the report drifted
+def _change_last_digit(path):
+    lines = path.read_text().splitlines()
+    _replace_line(path, 1, lines[1][:-1] + ("1" if lines[1][-1] != "1" else "2"))
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("lower_gradient.csv", _change_last_digit),
+    ("key_estimate.verdict", lambda p: p.write_text(
+        re.sub(r"(?m)^fit_residual = .*$", "fit_residual = abc", p.read_text()))),
+    ("star_shape.csv", lambda p: _replace_line(p, 2, "0.0125,abc,0,0")),
+    ("lower_gradient.verdict", lambda p: p.write_bytes(p.read_bytes() + b"\xff\xfe")),
+], ids=["digit", "verdict-text", "csv-text", "verdict-bytes"])
+def test_verify_detects_report_drift(tiny_run, tmp_path, capsys, name, edit):
+    # the verdict stands and the report drifted, whatever the edited bytes:
+    # verify compares them and parses no stored number
     _, out = tiny_run
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
-    csv = copy / "reports" / "lower_gradient.csv"
-    lines = csv.read_text().splitlines(keepends=True)
-    row = lines[1].rstrip("\n")
-    last = row[-1]
-    lines[1] = row[:-1] + ("1" if last != "1" else "2") + "\n"
-    csv.write_text("".join(lines))
+    edit(copy / "reports" / name)
     code = main(["verify", str(copy)])
     printed = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert "FAIL lower_gradient (report drift)" in printed
-    assert "PASS key_estimate" in printed
+    edited = name.split(".")[0]
+    assert printed == [
+        f"FAIL {check} (report drift)" if check == edited else f"PASS {check}"
+        for check in ("key_estimate", "lower_gradient", "star_shape")
+    ]
 
 
 def test_verify_rejects_unknown_check(tiny_run, tmp_path, capsys):
@@ -551,6 +562,8 @@ def _as_old_text_format(run_dir):
     (lambda d: (d / "traj" / "t_001.f64").unlink(),
      "FAIL verify (missing {d}/traj/t_001.f64)"),
     (lambda d: (d / "init.f64").unlink(), "FAIL verify (missing {d}/init.f64)"),
+    (lambda d: (d / "traj" / "manifest.csv").unlink(),
+     "FAIL verify (missing {d}/traj/manifest.csv)"),
     (lambda d: (d / "traj" / "t_002.f64").write_bytes(
         b"n=33\n" + (d / "traj" / "t_002.f64").read_bytes().split(b"\n", 1)[1]),
      "FAIL verify ({d}/traj/t_002.f64: malformed header b'n=33', expected 'n L')"),
@@ -559,7 +572,8 @@ def _as_old_text_format(run_dir):
     (_as_old_text_format,
      "FAIL verify ({d}/traj/t_000.txt holds a field in the old text format; this "
      "version reads binary {d}/traj/t_000.f64, so rerun the scenario)"),
-], ids=["missing-snapshot", "missing-init", "malformed-header", "byte-count", "old-text-format"])
+], ids=["missing-snapshot", "missing-init", "missing-manifest", "malformed-header", "byte-count",
+        "old-text-format"])
 def test_verify_reports_unreadable_fields(small_run, tmp_path, damage, message):
     copy = tmp_path / "copy"
     shutil.copytree(small_run, copy)
@@ -583,8 +597,11 @@ def _replace_line(path, index, line):
     ("traj/meta.txt", 1, "# no gamma", "no gamma line"),
     ("init_meta.txt", 2, "eta0 = abc", "abc"),
     ("init_meta.txt", 3, "# no lambda0", "no lambda0 line"),
+    ("init_meta.txt", 7, "# no r0", "no r0 line"),
+    ("init_meta.txt", 8, "# no lipschitz", "no lipschitz line"),
+    ("run_meta.txt", 0, "bogus line", "'bogus line' is not a 'key = value' line"),
 ], ids=["manifest-text", "manifest-nan", "meta-text", "meta-missing", "init-text",
-        "init-missing"])
+        "init-missing", "init-no-r0", "init-no-lipschitz", "run-meta-no-equals"])
 def test_verify_reports_malformed_text_files(small_run, tmp_path, name, index, line, needle):
     copy = tmp_path / "copy"
     shutil.copytree(small_run, copy)
@@ -919,6 +936,24 @@ def test_unparsable_config_with_out_leaves_a_marker(tmp_path, command):
     proc = _frontlab(command, cfg, cwd=bare)
     assert proc.returncode == 2
     assert list(bare.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "small.cfg"), ("run", "bad.cfg"), ("probe", "small.cfg"), ("probe", "bad.cfg"),
+    ("preset", "verify-all"),
+], ids=["run", "run-unparsable", "probe", "probe-unparsable", "verify-all"])
+@pytest.mark.parametrize("out", ["small.cfg", "small.cfg/sub"], ids=["file", "under-a-file"])
+def test_out_that_names_a_file_is_refused(tmp_path, args, out):
+    # no directory can be made there, so no FAILED marker either: one line
+    # and exit 2, and the file stays as it was
+    (tmp_path / "small.cfg").write_text(SMALL)
+    (tmp_path / "bad.cfg").write_text("grid.n = abc\n")
+    proc = _frontlab(*args, "--out", out, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [printed] = proc.stdout.splitlines()
+    assert printed.startswith("FAIL run (output directory: ") and f"'{out}'" in printed
+    assert (tmp_path / "small.cfg").read_text() == SMALL
 
 
 def test_default_far_radius_is_the_grid_ring(tmp_path):
