@@ -91,7 +91,10 @@ def main(argv=None) -> int:
         return _run_text(text, args.out)
 
     if args.command == "verify":
-        return _emit(verify_run_dir(args.run_dir))
+        result = verify_run_dir(args.run_dir)
+        if not result.verdicts:
+            print(f"{args.run_dir}: no stored check needs recomputing")
+        return _emit(result)
 
     parser.error(f"unknown command {args.command!r}")
     return EXIT_CONFIG

@@ -151,8 +151,8 @@ def dump_contour(contour: FrontContour, path):
     """CSV with columns polyline_id, vertex_index, x, y."""
     lines = ["polyline_id,vertex_index,x,y"]
     for pid, pts in enumerate(contour.polylines):
-        for vid, (x, y) in enumerate(pts):
-            lines.append(f"{pid},{vid},{x:.17g},{y:.17g}")
+        xs, ys = pts.T.tolist()
+        lines.extend(map(f"{pid},%d,%.17g,%.17g".__mod__, zip(range(len(xs)), xs, ys)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

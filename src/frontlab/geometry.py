@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError
+from .errors import ConstructionError, FieldFormatError
 from .grid import GridSpec, ScalarField, central_gradient_norm, central_gradients, interpolate
 from .grid import dump_field, load_field, load_meta, meta_text
 
@@ -334,5 +334,8 @@ def load_init(u0_path, header_path) -> InitCondition:
     u0 = load_field(u0_path)
     names = ("r0", "R0", "delta0", "eta0", "lambda0", "lipschitz")
     meta, _ = load_meta(header_path, required=("nu.kind", *names), texts=("nu.kind",))
-    nu = radial_direction(u0.spec) if meta["nu.kind"] == "radial" else gradient_direction(u0)
+    kind = meta["nu.kind"]
+    if kind not in ("radial", "gradient"):
+        raise FieldFormatError(f"{header_path}: nu.kind = {kind} is not radial or gradient")
+    nu = radial_direction(u0.spec) if kind == "radial" else gradient_direction(u0)
     return InitCondition(u0=u0, nu=nu, **{name: meta[name] for name in names})

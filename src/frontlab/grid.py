@@ -540,31 +540,39 @@ def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
 
     x = pts[..., 0]
     y = pts[..., 1]
-    outside = (x < -L) | (x > L) | (y < -L) | (y > L)
+    outside = np.maximum(np.abs(x), np.abs(y)) > L
 
-    # clamp so the arithmetic below stays in range; masked afterwards
-    xc = np.clip(x, -L, L)
-    yc = np.clip(y, -L, L)
-    fx = (xc + L) / h
-    fy = (yc + L) / h
-    ix = np.minimum(fx.astype(np.int64), n - 2)
-    iy = np.minimum(fy.astype(np.int64), n - 2)
-    tx = fx - ix
-    ty = fy - iy
+    # clamp so the arithmetic below stays in range; masked afterwards.
+    # tx starts as the clamped x and becomes (x + L) / h, then its fraction
+    tx = np.clip(x, -L, L)
+    tx += L
+    tx /= h
+    ty = np.clip(y, -L, L)
+    ty += L
+    ty /= h
+    ix = np.minimum(tx.astype(np.int64), n - 2)
+    iy = np.minimum(ty.astype(np.int64), n - 2)
+    tx -= ix
+    ty -= iy
     sx = 1 - tx
     sy = 1 - ty
 
-    # the corners gathered from the nodes as one line, node k = iy n + ix,
-    # with the C components per node along the first axis
+    # sx*sy*a + tx*sy*b + sx*ty*c + tx*ty*d summed in that order, with the
+    # corners a, b, c, d gathered from the nodes as one line, node
+    # k = iy n + ix, the C components per node along the first axis
     nodes = np.moveaxis(u.values.reshape(n * n, -1), 1, 0)
-    k = iy * n
+    k = iy
+    k *= n
     k += ix
-    corners = []
-    for step in (0, 1, n - 1, 1):     # k, k + 1, k + n, k + n + 1
+    weight = sx * sy
+    val = weight * np.take(nodes, k, axis=1)
+    corner = np.empty_like(val)
+    for step, wx, wy in ((1, tx, sy), (n - 1, sx, ty), (1, tx, ty)):   # k + 1, k + n, k + n + 1
         k += step
-        corners.append(np.take(nodes, k, axis=1))
-    a, b, c, d = corners
-    val = sx * sy * a + tx * sy * b + sx * ty * c + tx * ty * d
+        np.multiply(wx, wy, out=weight)
+        np.take(nodes, k, axis=1, out=corner)
+        corner *= weight
+        val += corner
     if u.values.ndim == 2:
         val = val[0]
     val[..., outside] = -1.0

@@ -188,7 +188,7 @@ def eta_empirical(
     ax = u.spec.axis()
     base = np.column_stack([ax[ix], ax[iy]])
     pts = base + lambdas[:, None, None] * init.nu.values[iy, ix]
-    inside = np.max(np.abs(pts), axis=2) <= u.spec.half_extent
+    inside = np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1])) <= u.spec.half_extent
     values = np.broadcast_to(u.values[iy, ix], inside.shape)[inside]
     lam = np.broadcast_to(lambdas[:, None], inside.shape)[inside]
     q = (interpolate(u, pts[inside]) - values) / lam
@@ -443,17 +443,27 @@ def lower_gradient_report(
 # interior cones
 
 
-def _cone_points(z: np.ndarray, axis: np.ndarray, theta: np.ndarray, rho: float):
-    """Sample grid: radii rho {1/4..1}, angles theta {-1,-1/2,0,1/2,1}."""
-    fr = np.array([0.25, 0.5, 0.75, 1.0])
-    fa = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    ang = theta[:, None] * fa[None, :]                       # (m, 5)
+_CONE_RADII = np.array([0.25, 0.5, 0.75, 1.0])   # sample radii as multiples of the height
+_CONE_ANGLES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])   # ray angles as multiples of theta
+
+
+def _cone_rays(axis: np.ndarray, theta: np.ndarray):
+    """The five unit rays of each cone, axis rotated by theta {-1,-1/2,0,1/2,1}:
+    their x and y components, each of shape (m, 5)."""
+    ang = theta[:, None] * _CONE_ANGLES[None, :]
     ca, sa = np.cos(ang), np.sin(ang)
-    dx = ca * axis[:, 0:1] - sa * axis[:, 1:2]               # rotated axes
-    dy = sa * axis[:, 0:1] + ca * axis[:, 1:2]
-    px = z[:, 0:1, None] + rho * fr[None, None, :] * dx[:, :, None]
-    py = z[:, 1:1 + 1, None] + rho * fr[None, None, :] * dy[:, :, None]
-    return np.stack([px, py], axis=-1).reshape(-1, 2)
+    return ca * axis[:, 0:1] - sa * axis[:, 1:2], sa * axis[:, 0:1] + ca * axis[:, 1:2]
+
+
+def _cone_points(z: np.ndarray, rays, rho: float, half_extent: float) -> np.ndarray:
+    """The samples z + rho {1/4..1} ray inside [-L, L]^2, shape (k, 2), in
+    the order vertex, ray, radius."""
+    dx, dy = rays
+    steps = rho * _CONE_RADII
+    px = (z[:, 0:1, None] + steps * dx[:, :, None]).reshape(-1)
+    py = (z[:, 1:2, None] + steps * dy[:, :, None]).reshape(-1)
+    inside = np.maximum(np.abs(px), np.abs(py)) <= half_extent
+    return np.column_stack([px[inside], py[inside]])
 
 
 def cone_report(
@@ -516,14 +526,13 @@ def cone_report(
             axis = nu_z / norm[:, None]
             if flip_axis:
                 axis = -axis
-            theta = np.minimum(lam_bar * norm, np.pi / 3.0)
+            rays = _cone_rays(axis, np.minimum(lam_bar * norm, np.pi / 3.0))
             sampled = {}
             for mult in (1.0, 2.0):
                 if rho[mult] < h:
                     skipped_small += 1
                     continue
-                pts = _cone_points(z, axis, theta, rho[mult])
-                points.append(pts[np.max(np.abs(pts), axis=1) <= spec.half_extent])
+                points.append(_cone_points(z, rays, rho[mult], spec.half_extent))
                 sampled[mult] = len(points[-1])
             tests.append((level, sampled))
         vals = interpolate(snap, np.concatenate(points + [np.zeros((0, 2))]))

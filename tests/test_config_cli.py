@@ -599,9 +599,11 @@ def _replace_line(path, index, line):
     ("init_meta.txt", 3, "# no lambda0", "no lambda0 line"),
     ("init_meta.txt", 7, "# no r0", "no r0 line"),
     ("init_meta.txt", 8, "# no lipschitz", "no lipschitz line"),
+    ("init_meta.txt", 4, "nu.kind = bogus", "nu.kind = bogus is not radial or gradient"),
     ("run_meta.txt", 0, "bogus line", "'bogus line' is not a 'key = value' line"),
 ], ids=["manifest-text", "manifest-nan", "meta-text", "meta-missing", "init-text",
-        "init-missing", "init-no-r0", "init-no-lipschitz", "run-meta-no-equals"])
+        "init-missing", "init-no-r0", "init-no-lipschitz", "init-bad-nu-kind",
+        "run-meta-no-equals"])
 def test_verify_reports_malformed_text_files(small_run, tmp_path, name, index, line, needle):
     copy = tmp_path / "copy"
     shutil.copytree(small_run, copy)
@@ -667,6 +669,19 @@ def test_verify_of_a_failed_rerun_names_the_marker(tmp_path):
     assert proc.stdout.splitlines() == [
         "FAIL verify (FAILED: config error: line 9: horizon must be > 0)"
     ]
+
+
+def test_verify_of_a_run_without_checks_says_so(tmp_path):
+    # checks = none leaves no stored report to recompute: one line, exit 0
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text(SMALL.replace(
+        "checks = key_estimate, lower_gradient, star_shape", "checks = none"))
+    out = tmp_path / "run"
+    assert _frontlab("run", cfg, "--out", out).returncode == 0
+    proc = _frontlab("verify", out)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [f"{out}: no stored check needs recomputing"]
 
 
 def test_clearing_a_used_directory_deletes_only_listed_files_inside_it(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from frontlab.contour import dump_contour, extract_contour
+from frontlab.contour import FrontContour, dump_contour, extract_contour
 from frontlab.grid import GridSpec, ScalarField, constant_field, field_from_function, interpolate
 
 
@@ -77,6 +77,36 @@ def test_contour_round_trip(tmp_path):
         sel = rows[rows[:, 0] == pid]
         assert np.array_equal(sel[:, 1], np.arange(len(pts)))
         assert np.array_equal(sel[:, 2:4], pts)
+
+
+def _reference_dump(contour):
+    """The CSV as first written: one f-string per vertex of a numpy row."""
+    lines = ["polyline_id,vertex_index,x,y"]
+    for pid, pts in enumerate(contour.polylines):
+        for vid, (x, y) in enumerate(pts):
+            lines.append(f"{pid},{vid},{x:.17g},{y:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dump_contour_matches_per_vertex_writer(tmp_path):
+    # extracted open chains (a slab cut by the domain edge) and loops (two
+    # discs), then hand-made lines with signed zeros, tiny magnitudes,
+    # inexact decimals, negatives and a single vertex
+    spec = GridSpec(101, 1.0)
+    u = field_from_function(spec, lambda x, y: np.maximum.reduce([
+        0.25 - np.hypot(x - 0.4, y), 0.25 - np.hypot(x + 0.4, y), 0.1 - np.abs(y - 0.7)]))
+    extracted = extract_contour(u, 0.0)
+    assert sorted(extracted.closed) == [False, False, True, True]
+    rng = np.random.default_rng(7)
+    hand = FrontContour(level=0.0, polylines=[
+        np.array([[-0.0, 1e-300], [0.1, -0.1], [-1e-300, -0.0], [-1.5, 2.0 / 3.0]]),
+        rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-20, 20, size=(40, 1)),
+        np.array([[0.1 + 0.2, -0.3]]),
+    ], closed=[False, True, False])
+    for contour in (extracted, hand, FrontContour(level=0.0)):
+        path = tmp_path / "contour.csv"
+        dump_contour(contour, path)
+        assert path.read_bytes() == _reference_dump(contour).encode()
 
 
 # ---------------------------------------------------------------------------

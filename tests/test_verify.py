@@ -40,6 +40,7 @@ from frontlab.verify import (
     load_report,
     lower_gradient_report,
     perimeter_report,
+    report_texts,
     star_shape_report,
 )
 
@@ -88,6 +89,16 @@ def shrink(init):
 @pytest.fixture(scope="module")
 def grow(init):
     return _run(init.u0, 1.0, TIMES)
+
+
+@pytest.fixture(scope="module")
+def off_centre(init):
+    """A held disc of radius 0.3 at (1.15, 0.2) under init's radial nu,
+    whose front comes within 0.05 of the edge x = 1.5: cones of the outer
+    level, flipped outward, leave the domain."""
+    x, y = SPEC.meshgrid()
+    u = ScalarField(SPEC, np.clip(0.3 - np.hypot(x - 1.15, y - 0.2), -1.0, 1.0))
+    return _hand_traj(TIMES, [u] * len(TIMES)), replace(init, u0=u)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +396,63 @@ def test_cone_subgrid_height_skipped(frozen, init):
     assert rep.passed
     assert rep.constants["points_tested"] == 0.0
     assert rep.constants["skipped_small_rho"] > 0.0
+
+
+def _reference_cone_points(z, axis, theta, rho):
+    """The cone samples as first written, rays rebuilt for every height:
+    radii rho {1/4..1}, angles theta {-1,-1/2,0,1/2,1}."""
+    fr = np.array([0.25, 0.5, 0.75, 1.0])
+    fa = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    ang = theta[:, None] * fa[None, :]                       # (m, 5)
+    ca, sa = np.cos(ang), np.sin(ang)
+    dx = ca * axis[:, 0:1] - sa * axis[:, 1:2]               # rotated axes
+    dy = sa * axis[:, 0:1] + ca * axis[:, 1:2]
+    px = z[:, 0:1, None] + rho * fr[None, None, :] * dx[:, :, None]
+    py = z[:, 1:1 + 1, None] + rho * fr[None, None, :] * dy[:, :, None]
+    return np.stack([px, py], axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("flip_axis", [False, True], ids=["inward", "flipped"])
+@pytest.mark.parametrize("case", ["shrink", "frozen", "off_centre"])
+def test_cone_report_matches_reference_bitwise(request, init, monkeypatch, case, flip_axis):
+    # K = 5 puts the doubled-K height below h at t = 0.1 only, so both
+    # heights and the skip between them are sampled
+    import frontlab.verify
+
+    if case == "off_centre":
+        traj, owner = request.getfixturevalue("off_centre")
+    else:
+        traj, owner = request.getfixturevalue(case), init
+    evaluated = []
+    interpolate_ = frontlab.verify.interpolate
+
+    def recorded(u, pts):
+        evaluated.append(np.asarray(pts).tobytes())
+        return interpolate_(u, pts)
+
+    def texts_and_points():
+        evaluated.clear()
+        rep = cone_report(traj, owner, EtaSchedule(0.55, 0.0), K_fit=5.0,
+                          t_bar=traj.times[-1], flip_axis=flip_axis)
+        return report_texts(rep), list(evaluated)
+
+    monkeypatch.setattr(frontlab.verify, "interpolate", recorded)
+    got = texts_and_points()
+    dropped = []
+
+    def reference(z, rays, rho, half_extent):
+        pts = _reference_cone_points(z, *rays, rho)
+        inside = np.max(np.abs(pts), axis=1) <= half_extent
+        dropped.append(int((~inside).sum()))
+        return pts[inside]
+
+    monkeypatch.setattr(frontlab.verify, "_cone_rays", lambda axis, theta: (axis, theta))
+    monkeypatch.setattr(frontlab.verify, "_cone_points", reference)
+    want = texts_and_points()
+    assert got == want
+    assert "skipped_small_rho = 3" in want[0][1]
+    assert (sum(dropped) > 0) == (case == "off_centre" and flip_axis)
+
 
 
 # ---------------------------------------------------------------------------
