@@ -65,7 +65,7 @@ COUPLINGS = {
 
 # init.kind -> (required init.* keys, optional ones); a circle is centred at
 # the origin, the one kernel point that ScenarioConfig defaults to
-INIT_KINDS = {"circle": ({}, ("r0", "nu")), "star_shaped": ({"kernel_points": None}, ("r0", "nu"))}
+INIT_KINDS = {"circle": ({}, ("r0",)), "star_shaped": ({"kernel_points": None}, ("r0",))}
 
 
 @dataclass
@@ -78,7 +78,6 @@ class ScenarioConfig:
     init_kind: str = "circle"
     r0: float = 0.5
     kernel_points: tuple = ((0.0, 0.0),)
-    nu_kind: str = "radial"
     coupling_kind: str = "constant"
     coupling_params: dict = dataclass_field(default_factory=dict)
     gamma: float = 0.0
@@ -101,7 +100,7 @@ class ScenarioConfig:
 
     def build_init(self, spec: GridSpec = None):
         spec = spec or self.grid()
-        return star_shaped_u0(spec, self.kernel_points, self.r0, nu_kind=self.nu_kind)
+        return star_shaped_u0(spec, self.kernel_points, self.r0)
 
     def build_coupling(self, spec: GridSpec = None):
         _, optional, make = COUPLINGS[self.coupling_kind]
@@ -216,8 +215,6 @@ KEYS = {
         INIT_KINDS, "init.kind must be circle or star_shaped, got {!r}"), None, None),
     "init.r0": ("r0", _as_float, lambda x: x > 0, "init.r0 must be > 0"),
     "init.kernel_points": ("kernel_points", _as_points, None, None),
-    "init.nu": ("nu_kind", _one_of(
-        ("radial", "gradient"), "init.nu must be radial or gradient, got {!r}"), None, None),
     "coupling.kind": ("coupling_kind", _one_of(
         COUPLINGS, "unknown coupling kind {!r}"), None, None),
     "coupling.c": ("coupling_params", _as_float, None, None),

@@ -176,13 +176,23 @@ def parse_kernel(text: str, spec: GridSpec) -> ScalarField:
     return _KERNELS[name][0](spec, *args)
 
 
-def kernel_spectrum(c0: ScalarField) -> np.ndarray:
-    """scipy.fft.rfftn of c0 zero-padded to the m x m shape that
-    `convolve_kernel` transforms on, m = next_fast_len(2n - 1, real)."""
-    import scipy.fft
+def _fast_len(t: int) -> int:
+    """The smallest 5-smooth integer >= t, an FFT length numpy transforms fast."""
+    while True:
+        rest = t
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return t
+        t += 1
 
-    m = scipy.fft.next_fast_len(2 * c0.spec.n - 1, True)
-    return scipy.fft.rfftn(c0.values, (m, m))
+
+def kernel_spectrum(c0: ScalarField) -> np.ndarray:
+    """numpy.fft.rfftn of c0 zero-padded to the m x m shape that
+    `convolve_kernel` transforms on, m = the smallest 5-smooth m >= 2n - 1."""
+    m = _fast_len(2 * c0.spec.n - 1)
+    return np.fft.rfftn(c0.values, (m, m), axes=(0, 1))
 
 
 def convolve_kernel(c0: ScalarField, chi: ScalarField, spectrum: np.ndarray = None) -> ScalarField:
@@ -190,26 +200,19 @@ def convolve_kernel(c0: ScalarField, chi: ScalarField, spectrum: np.ndarray = No
 
     FFT implementation; agrees with the direct double sum to roundoff (the
     dual-route test pins this to 1e-10 relative).  Offsets falling outside
-    the kernel grid contribute zero, i.e. the kernel is not wrapped.
-
-    The calls are those of scipy.signal.fftconvolve(chi, c0, mode="same")
-    in scipy 1.17, so the result is bit for bit the same: scipy.fft.rfftn
-    of both fields zero-padded to m x m, m = next_fast_len(2n - 1, real),
-    irfftn of their product, and the centred n x n block of the full
-    (2n - 1)^2 convolution.  numpy.fft rounds differently (by up to 3e-12
-    at n = 201).  scipy.fft is imported here, so that a process that never
-    convolves never loads it.  spectrum is `kernel_spectrum(c0)`, computed
-    here when not given; a caller that convolves one kernel many times
-    passes it.
+    the kernel grid contribute zero, i.e. the kernel is not wrapped: both
+    fields are zero-padded to m x m, m >= 2n - 1, and the result is the
+    centred n x n block of the full (2n - 1)^2 convolution.  spectrum is
+    `kernel_spectrum(c0)`, computed here when not given; a caller that
+    convolves one kernel many times passes it.
     """
-    import scipy.fft
-
     c0.check_same_grid(chi)
     if spectrum is None:
         spectrum = kernel_spectrum(c0)
     n, h = c0.spec.n, c0.spec.h
     m = spectrum.shape[0]
-    full = scipy.fft.irfftn(scipy.fft.rfftn(chi.values, (m, m)) * spectrum, (m, m))
+    full = np.fft.irfftn(np.fft.rfftn(chi.values, (m, m), axes=(0, 1)) * spectrum,
+                         (m, m), axes=(0, 1))
     lo = (n - 1) // 2
     vals = full[lo:lo + n, lo:lo + n] * (h * h)
     return ScalarField(c0.spec, vals)

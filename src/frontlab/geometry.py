@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, FieldFormatError
-from .grid import GridSpec, ScalarField, central_gradient_norm, central_gradients, interpolate
+from .grid import GridSpec, ScalarField, central_gradient_norm, interpolate
 from .grid import dump_field, load_field, load_meta, meta_text
 
 DELTA0_LADDER = (0.2, 0.1, 0.05)
@@ -32,7 +32,7 @@ DELTA0_LADDER = (0.2, 0.1, 0.05)
 class DirectionField:
     """A vector field nu with measured sup and Lipschitz norms.
 
-    kind: 'radial' (nu = -x) or 'gradient' (smoothed Du0).
+    kind: 'radial' (nu = -x), the one kind frontlab builds.
     values has shape (n, n, 2), components (nu_x, nu_y).
     """
 
@@ -61,18 +61,6 @@ def radial_direction(spec: GridSpec) -> DirectionField:
     values = np.stack([-x, -y], axis=-1)
     sup, lip = _field_norms(spec, values)
     return DirectionField(spec, "radial", values, sup, lip)
-
-
-def gradient_direction(u0: ScalarField, sigma_cells: float = 2.0) -> DirectionField:
-    """Direction of increase of u0, smoothed by a Gaussian of radius ~2h."""
-    from scipy.ndimage import gaussian_filter
-
-    ux, uy = central_gradients(u0)
-    values = np.stack(
-        [gaussian_filter(ux, sigma_cells), gaussian_filter(uy, sigma_cells)], axis=-1
-    )
-    sup, lip = _field_norms(u0.spec, values)
-    return DirectionField(u0.spec, "gradient", values, sup, lip)
 
 
 @dataclass
@@ -170,7 +158,6 @@ def star_shaped_u0(
     spec: GridSpec,
     kernel_points,
     r0: float,
-    nu_kind: str = "radial",
 ) -> InitCondition:
     """Clamped signed distance to Union_k hull(B(0, r0), k), with the margin
     certificate (delta0, eta0, lambda0) measured on the grid.
@@ -230,7 +217,7 @@ def star_shaped_u0(
     R0 = kmax + r0 + 1.0   # unit-slope profile: support of u0 + 1
     lipschitz = float(central_gradient_norm(u0).max())
 
-    nu = radial_direction(spec) if nu_kind == "radial" else gradient_direction(u0)
+    nu = radial_direction(spec)
     lambda0 = 0.5 * min(1.0 / max(nu.sup_norm, 1e-12), 1.0 / max(nu.lip_norm, 1e-12), 1.8)
 
     worst_node = None
@@ -335,7 +322,7 @@ def load_init(u0_path, header_path) -> InitCondition:
     names = ("r0", "R0", "delta0", "eta0", "lambda0", "lipschitz")
     meta, _ = load_meta(header_path, required=("nu.kind", *names), texts=("nu.kind",))
     kind = meta["nu.kind"]
-    if kind not in ("radial", "gradient"):
-        raise FieldFormatError(f"{header_path}: nu.kind = {kind} is not radial or gradient")
-    nu = radial_direction(u0.spec) if kind == "radial" else gradient_direction(u0)
+    if kind != "radial":
+        raise FieldFormatError(f"{header_path}: nu.kind = {kind} is not radial")
+    nu = radial_direction(u0.spec)
     return InitCondition(u0=u0, nu=nu, **{name: meta[name] for name in names})

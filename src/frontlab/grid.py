@@ -526,10 +526,11 @@ def lebesgue_measure(u: ScalarField, levels=0.0):
 def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
     """Bilinear evaluation at physical points, shape (..., 2) as (x, y).
 
-    Points outside [-L, L]^2 evaluate to the far-field value -1.  Exact at
-    grid nodes and for bilinear data.  u may also hold C components per
-    node, values of shape (n, n, C) as a DirectionField does; the result
-    then has the components along a new first axis, shape (C, ...).
+    Points outside [-L, L]^2, and points with a NaN coordinate, evaluate to
+    the far-field value -1.  Exact at grid nodes and for bilinear data.  u
+    may also hold C components per node, values of shape (n, n, C) as a
+    DirectionField does; the result then has the components along a new
+    first axis, shape (C, ...).
     """
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1
@@ -540,14 +541,17 @@ def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
 
     x = pts[..., 0]
     y = pts[..., 1]
-    outside = np.maximum(np.abs(x), np.abs(y)) > L
+    outside = ~(np.maximum(np.abs(x), np.abs(y)) <= L)   # NaN compares false
 
     # clamp so the arithmetic below stays in range; masked afterwards.
-    # tx starts as the clamped x and becomes (x + L) / h, then its fraction
-    tx = np.clip(x, -L, L)
+    # fmax maps NaN to -L before the integer cast.  tx starts as the
+    # clamped x and becomes (x + L) / h, then its fraction
+    tx = np.fmax(x, -L)
+    np.fmin(tx, L, out=tx)
     tx += L
     tx /= h
-    ty = np.clip(y, -L, L)
+    ty = np.fmax(y, -L)
+    np.fmin(ty, L, out=ty)
     ty += L
     ty /= h
     ix = np.minimum(tx.astype(np.int64), n - 2)

@@ -23,6 +23,11 @@ stopping when sup_t kappa(chi^{k+1}(t), chi^k(t)) is at most 4 h^2, about
 four grid cells of disagreement, or after 12 steps (PICARD_TOL_CELLS,
 PICARD_MAX_ITER).  It is kept for the uniqueness probe only: it starts from
 any chi^0 guess, and the probe checks that every guess lands on the march.
+That discrete fixed point is unique by causality: interval k reads only
+chi(t_0..t_k), and chi(t_0) = 1_{u0 >= 0}, so by induction over the
+intervals every fixed point is the march.  The probe thus checks that
+Picard converges to it within the stop; it cannot find a second solution,
+and its PASS is no evidence for the paper's uniqueness theorem.
 Couplings that ignore chi build bitwise-identical speeds from every history,
 so such Picard runs stop after one solve with a recorded residual of 0.
 

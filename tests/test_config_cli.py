@@ -103,7 +103,6 @@ def test_full_key_set():
         "init.kind = star_shaped\n"
         "init.kernel_points = 0.4,0 ; -0.4, 0\n"
         "init.r0 = 0.3\n"
-        "init.nu = radial\n"
         "coupling.kind = dislocation\n"
         "coupling.kernel = core_ring(1.3,0.15,-0.3,0.15,0.3)\n"
         "coupling.c1 = 0.2\n"
@@ -164,9 +163,10 @@ def test_unknown_key():
     assert _error("grid.m = 5\n") == "line 1: unknown key 'grid.m'"
 
 
-# keys of earlier versions: the containment ring is the grid's L - 2h and the
-# probe's Picard stop is fixed in frontlab.weak
-REMOVED_KEYS = ("far_radius", "max_iter", "tol")
+# keys of earlier versions: the containment ring is the grid's L - 2h, the
+# probe's Picard stop is fixed in frontlab.weak, and the direction field is
+# always the radial nu = -x
+REMOVED_KEYS = ("far_radius", "max_iter", "tol", "init.nu")
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -194,7 +194,6 @@ def test_missing_equals_sign():
         ("grid.L = 0", "grid.L must be > 0"),
         ("init.r0 = 0", "init.r0 must be > 0"),
         ("init.kind = blob", "circle or star_shaped"),
-        ("init.nu = sideways", "radial or gradient"),
         ("horizon = 0", "horizon must be > 0"),
         ("output_times = 1", "count must be >= 2"),
         ("gamma = fast", "expected a number"),
@@ -278,9 +277,9 @@ def test_missing_coupling_parameter_blames_kind_line():
      "coupling.kind = dislocation does not read coupling.c; "
      "it reads coupling.kernel, coupling.c1"),
     ("init.kind = circle\ninit.kernel_points = 0.3,0\n", 2,
-     "init.kind = circle does not read init.kernel_points; it reads init.r0, init.nu"),
+     "init.kind = circle does not read init.kernel_points; it reads init.r0"),
     ("init.kernel_points = 0.3,0\n", 1,
-     "init.kind = circle does not read init.kernel_points; it reads init.r0, init.nu"),
+     "init.kind = circle does not read init.kernel_points; it reads init.r0"),
 ], ids=["constant-kernel", "constant-beta", "constant-v0", "default-kind-c1", "volume-kernel",
         "dislocation-c", "circle-kernel-points", "default-kind-kernel-points"])
 def test_key_the_kind_does_not_read_exits_two_on_its_line(tmp_path, capsys, text, line, message):
@@ -599,11 +598,12 @@ def _replace_line(path, index, line):
     ("init_meta.txt", 3, "# no lambda0", "no lambda0 line"),
     ("init_meta.txt", 7, "# no r0", "no r0 line"),
     ("init_meta.txt", 8, "# no lipschitz", "no lipschitz line"),
-    ("init_meta.txt", 4, "nu.kind = bogus", "nu.kind = bogus is not radial or gradient"),
+    ("init_meta.txt", 4, "nu.kind = bogus", "nu.kind = bogus is not radial"),
+    ("init_meta.txt", 4, "nu.kind = gradient", "nu.kind = gradient is not radial"),
     ("run_meta.txt", 0, "bogus line", "'bogus line' is not a 'key = value' line"),
 ], ids=["manifest-text", "manifest-nan", "meta-text", "meta-missing", "init-text",
         "init-missing", "init-no-r0", "init-no-lipschitz", "init-bad-nu-kind",
-        "run-meta-no-equals"])
+        "init-gradient-nu-kind", "run-meta-no-equals"])
 def test_verify_reports_malformed_text_files(small_run, tmp_path, name, index, line, needle):
     copy = tmp_path / "copy"
     shutil.copytree(small_run, copy)
@@ -721,35 +721,25 @@ def test_import_loads_every_module_but_the_command_line():
     assert set(proc.stdout.split()) == modules - {"frontlab.cli"}
 
 
-# Imports the command line, which imports every module, and then builds one
-# dislocation speed field: only the convolution may load scipy.fft, and
-# nothing may load scipy.signal, whose import pulls in scipy.stats too.
+# Imports the command line, which imports every module, and then runs the
+# dislocation preset, whose speed law convolves: frontlab runs on numpy
+# alone, so no scipy module is loaded at either point.
 _IMPORT_WEIGHT_SCRIPT = """
 import sys
 
 import frontlab.cli
 
-def loaded(*names):
-    return [m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names)]
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 
-heavy = loaded("scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.fft")
-assert not heavy, heavy
-
-from frontlab.couplings import DislocationCoupling, parse_kernel
-from frontlab.grid import GridSpec, ScalarField
-
-spec = GridSpec(33, 1.5)
-x, y = spec.meshgrid()
-chi = ScalarField(spec, (x * x + y * y <= 0.25).astype(float))
-law = DislocationCoupling(c0=parse_kernel("core_ring(1.3,0.15,-0.3,0.15,0.3)", spec))
-law.speed_field(chi)
-assert loaded("scipy.fft")
-assert not loaded("scipy.signal"), loaded("scipy.signal")
+assert not scipy_modules(), scipy_modules()
+assert frontlab.cli.main(["preset", "dislocation", "--out", sys.argv[1]]) == 0
+assert not scipy_modules(), scipy_modules()
 """
 
 
-def test_import_loads_no_scipy_module_until_a_convolution():
-    proc = _python("-c", _IMPORT_WEIGHT_SCRIPT)
+def test_import_loads_no_scipy_module_until_a_convolution(tmp_path):
+    proc = _python("-c", _IMPORT_WEIGHT_SCRIPT, tmp_path / "dislocation")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -18,7 +18,6 @@ from frontlab.errors import ConstructionError
 from frontlab.geometry import (
     DELTA0_LADDER,
     dump_init,
-    gradient_direction,
     load_init,
     radial_direction,
     star_shaped_u0,
@@ -166,14 +165,10 @@ def test_margin_check_vacuous_without_samples(circle):
     assert margin == np.inf
 
 
-def test_direction_field_variants(circle):
+def test_radial_direction_field():
     rad = radial_direction(SPEC)
     assert rad.kind == "radial"
     assert rad.sup_norm == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
-    grad = gradient_direction(circle.u0)
-    assert grad.kind == "gradient"
-    assert grad.values.shape == (SPEC.n, SPEC.n, 2)
-    assert 0.0 < grad.sup_norm < 2.0
 
 
 def test_init_round_trip(tmp_path, peanut):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -516,6 +517,23 @@ def test_interpolate_outside_returns_far_value():
     u = constant_field(spec, 0.7)
     got = interpolate(u, np.array([[1.5, 0.0], [0.0, -2.0]]))
     assert np.all(got == -1.0)
+
+
+def test_interpolate_nan_point_returns_far_value():
+    # a NaN coordinate lies outside the box and never reaches the integer
+    # cast; the finite points keep their values bit for bit
+    spec = GridSpec(201, 1.5)
+    rng = np.random.default_rng(5)
+    u = ScalarField(spec, rng.normal(size=(spec.n, spec.n)))
+    pts = rng.uniform(-1.4, 1.4, (50, 2))
+    want = interpolate(u, pts)
+    pts[17, 0] = np.nan
+    pts[30, 1] = np.nan
+    want[[17, 30]] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = interpolate(u, pts)
+    assert _same_bits(got, want)
 
 
 def _reference_interpolate(values, spec, pts):
