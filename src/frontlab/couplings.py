@@ -253,6 +253,12 @@ class OccupationHistory:
         return self.fields[self.index_at(t)]
 
 
+def occupation_key(chi: ScalarField) -> bytes:
+    """The occupation bits of chi, one per node: an exact key for a 0/1
+    field (OccupationHistory checks that its fields are), on one grid."""
+    return np.packbits(chi.values != 0.0).tobytes()
+
+
 def constant_history(chi: ScalarField, times) -> OccupationHistory:
     return OccupationHistory(np.asarray(times, dtype=np.float64),
                              [chi] * len(np.asarray(times)))
@@ -295,12 +301,33 @@ class SpeedLaw:
     calls it once per step.  `weak.march_solve` calls interval_speed
     interval by interval, with its own chi(t0) or with chi(t0) read from a
     given occupation history.
+
+    A law without memory that reads chi (dislocation, and volume unless
+    beta is constant) builds its speed once per distinct occupation of the
+    law object: `memo_speed` keeps every speed it built, keyed on the grid
+    and `occupation_key(chi)`, for the life of the object, which a run
+    builds once.  A stored speed field is read-only.  That holds n^2 floats
+    per distinct occupation of a dislocation run.
     """
 
     chi_independent = False
 
     def initial_state(self, spec: GridSpec):
         return None
+
+    @cached_property
+    def _speeds(self) -> dict:
+        return {}
+
+    def memo_speed(self, chi: ScalarField, build):
+        """build(chi), built at the first chi with these occupation bits."""
+        key = (chi.spec, occupation_key(chi))
+        if key not in self._speeds:
+            c = build(chi)
+            if isinstance(c, ScalarField):
+                c.values.flags.writeable = False
+            self._speeds[key] = c
+        return self._speeds[key]
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +356,7 @@ class DislocationCoupling(SpeedLaw):
         return ScalarField(out.spec, out.values + c1)
 
     def interval_speed(self, chi, t0, t1, state):
-        c = self.speed_field(chi)
+        c = self.memo_speed(chi, self.speed_field)
         return (lambda t: c), None
 
 
@@ -431,7 +458,10 @@ class VolumeCoupling(SpeedLaw):
         return self.beta.lip == 0.0
 
     def interval_speed(self, chi, t0, t1, state):
-        c = self.beta(0.0) if self.chi_independent else volume_speed(self, chi)
+        if self.chi_independent:
+            c = self.beta(0.0)
+        else:
+            c = self.memo_speed(chi, lambda chi_t: volume_speed(self, chi_t))
         return (lambda t: c), None
 
 

@@ -144,13 +144,18 @@ def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     """Min distance from each point to a family of segments [a_i, b_i],
     brute force, chunked over points to bound memory."""
     out = np.full(len(points), np.inf)
-    d = b - a
-    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
+    ax, ay = a[:, 0], a[:, 1]
+    dx, dy = b[:, 0] - ax, b[:, 1] - ay
+    # a sum over a length-2 axis is x + y, written out: numpy reduces over
+    # a short axis far slower than it adds two arrays
+    len2 = np.maximum(dx * dx + dy * dy, 1e-300)
     for lo in range(0, len(points), 2048):
-        p = points[lo:lo + 2048][:, None, :]
-        t = np.clip(((p - a[None]) * d[None]).sum(-1) / len2[None], 0.0, 1.0)
-        gap = p - (a[None] + t[..., None] * d[None])
-        out[lo:lo + 2048] = np.sqrt((gap * gap).sum(-1)).min(axis=1)
+        px = points[lo:lo + 2048, 0][:, None]
+        py = points[lo:lo + 2048, 1][:, None]
+        t = np.clip(((px - ax) * dx + (py - ay) * dy) / len2, 0.0, 1.0)
+        gx = px - (ax + t * dx)
+        gy = py - (ay + t * dy)
+        out[lo:lo + 2048] = np.sqrt(gx * gx + gy * gy).min(axis=1)
     return out
 
 

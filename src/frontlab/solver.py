@@ -287,8 +287,9 @@ def solve(
     far_radius = grid_ring(spec)
     times = _normalise_output_times(output_times, horizon)
 
-    measure_mask = spec.radius() <= far_radius - 2 * h
-    guard_mask = spec.radius() >= far_radius - 4 * h
+    radius = spec.radius()
+    measure_mask = radius <= far_radius - 2 * h
+    guard_mask = radius >= far_radius - 4 * h
 
     def check_guard(t):
         if np.any(u.values[guard_mask] >= 0.0):

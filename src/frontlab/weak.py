@@ -34,17 +34,18 @@ so such Picard runs stop after one solve with a recorded residual of 0.
 Interval k of a frozen march depends only on the inputs chi(t_0..t_k) once
 the coupling, u0, gamma and the stored times are fixed, and the march lands
 exactly on every t_k.  So a Picard step resumes from the longest input
-prefix, compared bitwise, that an earlier march of the probe already solved,
-and steps only the intervals after it; the probe's memo of finished marches
-starts with the causal march itself.  This is the window by window growth of
-the exact prefix in waveform relaxation, and it changes no float.
+prefix, compared bitwise by `couplings.occupation_key`, that an earlier
+march of the probe already solved, and steps only the intervals after it;
+the probe's memo of finished marches starts with the causal march itself.
+This is the window by window growth of the exact prefix in waveform
+relaxation, and it changes no float.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import OccupationHistory, constant_history, kappa
+from .couplings import OccupationHistory, constant_history, kappa, occupation_key
 from .grid import ScalarField, central_gradient_norm
 from .solver import Trajectory, _normalise_output_times, solution_gaps, solve
 
@@ -122,12 +123,6 @@ class _Solved:
     states: list
 
 
-def _packed(fields) -> list:
-    # occupation fields are 0/1 (OccupationHistory checks it), so one bit
-    # per node is an exact key
-    return [np.packbits(f.values != 0.0).tobytes() for f in fields]
-
-
 def _resume_point(memo: list, keys: list):
     """The memo entry sharing the longest input prefix with keys, and the
     number m of intervals in that prefix (0 when none is shared)."""
@@ -172,7 +167,7 @@ def march_solve(
     if chi_hist is not None:
         chi_hist = _resample_history(chi_hist, times)
         if memo is not None:
-            keys = _packed(chi_hist.fields[:-1])
+            keys = [occupation_key(f) for f in chi_hist.fields[:-1]]
             entry, start = _resume_point(memo, keys)
             if start:
                 resume, states = entry.traj, entry.states[:start + 1]
@@ -339,7 +334,8 @@ def uniqueness_probe(
 
     if march is None or not reuses_march(march.u_traj, gamma, horizon, times):
         march = march_solve(coupling, u0, gamma, horizon, output_times=times)
-    memo = [_Solved(_packed(march.chi_source.fields[:-1]), march.u_traj, march.states)]
+    keys = [occupation_key(f) for f in march.chi_source.fields[:-1]]
+    memo = [_Solved(keys, march.u_traj, march.states)]
     solutions = [
         fixed_point_solve(
             coupling, u0, gamma, horizon, chi_init=hist, output_times=times, memo=memo,

@@ -27,6 +27,7 @@ from frontlab.couplings import (
     gauss_slice,
     gaussian_kernel,
     kappa,
+    occupation_key,
     parse_kernel,
     parse_scalar_map,
     volume_speed,
@@ -140,8 +141,9 @@ def test_fast_length_is_scipys_real_fast_length():
 
 
 def test_one_march_transforms_its_kernel_once(monkeypatch):
-    # the coupling keeps its kernel's transform: every interval's
-    # convolution after the first transforms only the occupation
+    # the coupling keeps its kernel's transform: every convolution after
+    # the first transforms only the occupation, and an occupation met
+    # again is not convolved again
     import frontlab.couplings as couplings
     from frontlab.weak import march_solve
 
@@ -159,7 +161,9 @@ def test_one_march_transforms_its_kernel_once(monkeypatch):
         DislocationCoupling(kern, 0.2), u0, 0.05, 0.02, output_times=[0.005, 0.01, 0.015, 0.02]
     )
     assert sol.converged
-    assert calls == {"kernel_spectrum": 1, "convolve_kernel": 4}
+    distinct = {occupation_key(chi) for chi in sol.chi_source.fields[:-1]}
+    assert calls == {"kernel_spectrum": 1, "convolve_kernel": len(distinct)}
+    assert len(distinct) < 4
 
 
 def test_coupling_convolution_is_bit_identical_to_a_fresh_transform():
@@ -429,3 +433,109 @@ def test_kernel_parsing():
         parse_kernel("disc_bump(1, -1)", SPEC65)
     # a zero-mean core_ring is a kernel; only masses that are all zero vanish
     assert parse_kernel("core_ring(1, 0.15, -1, 0.15, 0.3)", SPEC65).values.any()
+
+
+# ---------------------------------------------------------------------------
+# the speed memo: one build per distinct occupation of a law object
+# ---------------------------------------------------------------------------
+
+
+MEMO_RUNS = {
+    "dislocation": """\
+grid.n = 33
+grid.L = 1.5
+init.kind = circle
+init.r0 = 0.5
+coupling.kind = dislocation
+coupling.kernel = core_ring(1.3,0.15,-0.3,0.15,0.3)
+coupling.c1 = 0.2
+gamma = 0.1
+horizon = 0.15
+output_times = 13
+checks = dependence
+probe.enabled = true
+""",
+    "volume": """\
+grid.n = 33
+grid.L = 1.5
+init.kind = circle
+init.r0 = 0.3
+coupling.kind = volume
+coupling.beta = affine(1,-1)
+gamma = 0.05
+horizon = 0.3
+output_times = 13
+checks = star_shape
+gamma_sweep = 0, 0.05, 0.1
+""",
+}
+
+
+def _memo_run(kind, out_dir):
+    from frontlab.config import parse_config
+    from frontlab.runner import run
+
+    result = run(parse_config(MEMO_RUNS[kind]), out_dir=str(out_dir))
+    assert result.exit_code == 0
+    return (out_dir / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("kind, builder, chi_arg, law", [
+    ("dislocation", "convolve_kernel", 1, DislocationCoupling),
+    ("volume", "lebesgue_measure", 0, VolumeCoupling),
+])
+def test_a_run_builds_each_speed_once_per_distinct_occupation(
+    monkeypatch, tmp_path, kind, builder, chi_arg, law,
+):
+    import frontlab.couplings as couplings
+
+    built, intervals = [], [0]
+    plain_build, plain_interval = getattr(couplings, builder), law.interval_speed
+
+    def counted_build(*args):
+        built.append(occupation_key(args[chi_arg]))
+        return plain_build(*args)
+
+    def counted_interval(self, *args):
+        intervals[0] += 1
+        return plain_interval(self, *args)
+
+    monkeypatch.setattr(couplings, builder, counted_build)
+    monkeypatch.setattr(law, "interval_speed", counted_interval)
+    memo = _memo_run(kind, tmp_path / "memo")
+    assert len(built) == len(set(built))
+    assert len(built) < intervals[0]
+
+    # building afresh on every call leaves every stored file as it was
+    monkeypatch.setattr(couplings.SpeedLaw, "memo_speed", lambda self, chi, build: build(chi))
+    assert _memo_run(kind, tmp_path / "fresh") == memo
+
+
+def test_a_stored_speed_field_is_read_only():
+    coup = DislocationCoupling(disc_bump_kernel(SPEC65, 1.0, 0.2), 0.25)
+    piece, _ = coup.interval_speed(_disc_chi(SPEC65, 0.4), 0.0, 0.1, None)
+    again, _ = coup.interval_speed(_disc_chi(SPEC65, 0.4), 0.1, 0.2, None)
+    assert again(0.1) is piece(0.0)
+    with pytest.raises(ValueError):
+        piece(0.0).values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        piece(0.0).values += 1.0
+
+
+def test_fn_evolves_v_on_every_interval(monkeypatch):
+    # the law carries v, so an occupation met again is evolved again
+    import frontlab.couplings as couplings
+
+    calls = [0]
+    plain = couplings.fn_evolve
+
+    def counted(*args):
+        calls[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(couplings, "fn_evolve", counted)
+    coup = _fn(g_plus=constant_map(1.0), g_minus=constant_map(0.0), v0=0.0)
+    hist = constant_history(_disc_chi(SPEC65, 0.4), [0.0, 0.05, 0.1, 0.15])
+    stored = _pieces(coup, hist)[1]
+    assert calls[0] == 3
+    assert all(float(b.values.max()) > float(a.values.max()) for a, b in zip(stored, stored[1:]))

@@ -114,6 +114,33 @@ def test_union_distance_matches_dense_reference(peanut):
     assert np.max(np.abs(peanut.u0.values - uref)) < 2e-4
 
 
+def _segment_distances_reduced(points, a, b):
+    """The segment distance written with sums over the length-2 axis."""
+    d = b - a
+    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
+    p = points[:, None, :]
+    t = np.clip(((p - a[None]) * d[None]).sum(-1) / len2[None], 0.0, 1.0)
+    gap = p - (a[None] + t[..., None] * d[None])
+    return np.sqrt((gap * gap).sum(-1)).min(axis=1)
+
+
+def test_segment_distances_equal_the_reduced_form_bitwise():
+    # a sum over two components is their sum, so the elementwise form is
+    # the same floats; the chunked loop (2048 points) is crossed, and one
+    # segment has zero length
+    from frontlab.geometry import _segment_distances
+
+    rng = np.random.default_rng(7)
+    for npts, nseg in ((1, 1), (300, 7), (5000, 40)):
+        points = rng.uniform(-1.5, 1.5, (npts, 2))
+        a = rng.uniform(-1.0, 1.0, (nseg, 2))
+        b = rng.uniform(-1.0, 1.0, (nseg, 2))
+        b[0] = a[0]
+        assert np.array_equal(
+            _segment_distances(points, a, b), _segment_distances_reduced(points, a, b)
+        )
+
+
 def test_empirical_margin_refines_toward_band_infimum():
     # eta_emp(0) uses the band |u0| <= delta0/4 = 0.05, whose smallest
     # radius is 0.55 for the r0 = 0.6 cone
