@@ -59,10 +59,13 @@ _SEGMENTS[_ONE_SEGMENT[:, 0], 0] = _SEGMENTS[_ONE_SEGMENT[:, 0] + 16, 0] = _ONE_
 _SEGMENTS[[5, 10, 21, 26]] = ((0, 3), (2, 1)), ((1, 0), (3, 2)), ((0, 1), (2, 3)), ((3, 0), (1, 2))
 
 
-def extract_contour(u: ScalarField, levels=0.0):
+def extract_contour(u, levels=0.0):
     """Marching-squares polylines of {u = level}: a FrontContour for one
-    level, a list of them for a 1-D array of levels, all extracted in one
-    pass.
+    level, a list of them for a 1-D array of levels.  u may also be a
+    sequence of fields on one grid, the snapshots of a trajectory, with
+    levels a sequence of 1-D level arrays, one per field; the result is then
+    a list, per field, of lists of FrontContour.  Every call chains the
+    segments of all its fields and levels in one pass.
 
     Returns closed loops for interior fronts and open chains where a line
     meets the domain boundary.  "Inside" is u >= level, matching
@@ -73,21 +76,38 @@ def extract_contour(u: ScalarField, levels=0.0):
     by the row and column of their south-west node, the order of the
     integer edge ids below.
     """
-    levels = np.asarray(levels, dtype=np.float64)
-    stack = levels.reshape(-1)
-    spec = u.spec
-    n, h = spec.n, spec.h
-    contours = [FrontContour(level=level) for level in stack.tolist()]
+    if isinstance(u, ScalarField):
+        levels = np.asarray(levels, dtype=np.float64)
+        [contours] = _extract([u], [levels.reshape(-1)])
+        return contours if levels.ndim else contours[0]
+    return _extract(list(u), [np.asarray(stack, dtype=np.float64).reshape(-1) for stack in levels])
 
-    # crossing edges as ids: at level index l, the horizontal edge east of
-    # node k is 2 l n^2 + k and the vertical edge north of it 2 l n^2 + n^2 + k
-    case, (lv, iy, ix), _, centre_in = _classify(u, stack)
-    segs = _SEGMENTS[case[lv, iy, ix] + 16 * centre_in]
-    ids = (2 * n * n * lv + iy * n + ix)[:, None, None] + np.array([0, n * n + 1, n, n * n])[segs]
-    ends = ids[segs[:, :, 0] >= 0].T.reshape(-1)    # every segment's from, then every to
+
+def _extract(fields: list, stacks: list) -> list:
+    """extract_contour of each field at each level of its stack, one list
+    of FrontContour per field.  `grid._classify` runs once per field, and
+    the segments of every (field, level) pair, a plane, are chained in one
+    pass."""
+    spec = fields[0].spec
+    n, h = spec.n, spec.h
+    contours = [[FrontContour(level=level) for level in stack.tolist()] for stack in stacks]
+    planes = np.cumsum([0] + [stack.size for stack in stacks])
+
+    # crossing edges as ids: in plane p, the planes numbered field by field
+    # and level by level, the horizontal edge east of node k is 2 p n^2 + k
+    # and the vertical edge north of it 2 p n^2 + n^2 + k
+    ends = [np.zeros((0, 2), dtype=np.int64)]
+    for base, u, stack in zip(planes.tolist(), fields, stacks):
+        if not stack.size:
+            continue
+        case, (lv, iy, ix), _, centre_in = _classify(u, stack)
+        segs = _SEGMENTS[case[lv, iy, ix] + 16 * centre_in]
+        ids = (2 * n * n * (base + lv) + iy * n + ix)[:, None, None]
+        ends.append((ids + np.array([0, n * n + 1, n, n * n])[segs])[segs[:, :, 0] >= 0])
+    ends = np.concatenate(ends).T.reshape(-1)    # every segment's from, then every to
     count = ends.size // 2
     if count == 0:
-        return contours if levels.ndim else contours[0]
+        return contours
     edges = np.unique(ends)
     m = edges.size
     tail, head = np.searchsorted(edges, ends).reshape(2, count)
@@ -122,29 +142,37 @@ def extract_contour(u: ScalarField, levels=0.0):
     along = (seg_out < seg_in)[start]
     size = np.bincount(low, minlength=2 * m)[low]
     pos = np.where(along, behind, np.where(is_open, size - 1 - behind, (size - behind) % size))
-    level_of, edges = np.divmod(edges, 2 * n * n)
-    order = np.lexsort((pos, start + m * ~is_open + 2 * m * level_of))
+    plane, edges = np.divmod(edges, 2 * n * n)
+    order = np.lexsort((pos, start + m * ~is_open + 2 * m * plane))
 
-    # vertices in chain order, each at its crossing ax[ix] + t h along the edge
-    level_of, edges = level_of[order], edges[order]
+    # every vertex at its crossing ax[ix] + t h along its edge, from the
+    # values of its own field: the edges are sorted by id, so each field's
+    # come in one run
     vertical = edges >= n * n
     node = edges - n * n * vertical
     ey, ex = np.divmod(node, n)
+    v0, v1 = np.empty(m), np.empty(m)
+    runs = np.searchsorted(plane, planes).tolist()
+    for u, lo, hi in zip(fields, runs, runs[1:]):
+        flat = u.values.reshape(-1)
+        v0[lo:hi] = flat[node[lo:hi]]
+        v1[lo:hi] = flat[node[lo:hi] + np.where(vertical[lo:hi], n, 1)]
+    level = np.concatenate(stacks)[plane]
+    v0 -= level
+    t = v0 / (v0 - (v1 - level))
     ax = spec.axis()
-    flat = u.values.reshape(-1)
-    v0 = flat[node] - stack[level_of]
-    t = v0 / (v0 - (flat[node + np.where(vertical, n, 1)] - stack[level_of]))
     xy = np.stack([
         np.where(vertical, ax[ex], ax[ex] + t * h),
         np.where(vertical, ax[ey] + t * h, ax[ey]),
-    ], axis=1)
+    ], axis=1)[order]
 
+    flat_contours = [contour for field_contours in contours for contour in field_contours]
     firsts = np.flatnonzero(np.diff(start[order], prepend=-1))
-    for level, pts, closed in zip(level_of[firsts].tolist(), np.split(xy, firsts[1:]),
-                                  (~is_open[order][firsts]).tolist()):
-        contours[level].polylines.append(pts)
-        contours[level].closed.append(closed)
-    return contours if levels.ndim else contours[0]
+    for p, pts, closed in zip(plane[order][firsts].tolist(), np.split(xy, firsts[1:]),
+                              (~is_open[order][firsts]).tolist()):
+        flat_contours[p].polylines.append(pts)
+        flat_contours[p].closed.append(closed)
+    return contours
 
 
 def dump_contour(contour: FrontContour, path):

@@ -409,8 +409,12 @@ class FitzhughNagumoCoupling(SpeedLaw):
         return speed, v_end
 
 
-def _neumann_laplacian(v: np.ndarray, h: float) -> np.ndarray:
-    p = np.pad(v, 1, mode="edge")
+def _neumann_laplacian(p: np.ndarray, h: float) -> np.ndarray:
+    """The five-point Laplacian with zero-flux edges of the interior of p,
+    an array padded by one node: p's edges are first set to repeat the
+    interior's, as np.pad(mode="edge") would; its corners are not read."""
+    v = p[1:-1, 1:-1]
+    p[0, 1:-1], p[-1, 1:-1], p[1:-1, 0], p[1:-1, -1] = v[0], v[-1], v[:, 0], v[:, -1]
     return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * v) / (h * h)
 
 
@@ -422,12 +426,15 @@ def fn_evolve(
     with chi frozen.
 
     Explicit 5-point heat stepping with zero-flux edges, dt limited by
-    HEAT_SAFETY * h^2/4.
+    HEAT_SAFETY * h^2/4.  v is stepped in place inside one edge-padded
+    array per call.
     """
     h = v.spec.h
     dt_max = HEAT_SAFETY * h * h / 4.0
     occ = chi.values
-    vals = v.values
+    padded = np.empty((v.spec.n + 2, v.spec.n + 2))
+    vals = padded[1:-1, 1:-1]
+    vals[...] = v.values
     t = t0
     while t < t1:
         remaining = t1 - t
@@ -438,9 +445,9 @@ def fn_evolve(
             dt = dt_max
             t_new = t + dt
         source = coupling.g_plus(vals) * occ + coupling.g_minus(vals) * (1.0 - occ)
-        vals = vals + dt * (_neumann_laplacian(vals, h) + source)
+        vals += dt * (_neumann_laplacian(padded, h) + source)
         t = t_new
-    return ScalarField(v.spec, vals)
+    return ScalarField(v.spec, vals.copy())
 
 
 # ---------------------------------------------------------------------------

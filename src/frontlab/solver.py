@@ -24,8 +24,7 @@ step counts its solve as well (`step_cost`).
 """
 
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -215,19 +214,20 @@ def advance(
     return ScalarField(spec, out)
 
 
-@dataclass
 class Trajectory:
-    """Snapshots of one evolution at requested output times."""
+    """Snapshots of one evolution at requested output times.
 
-    times: np.ndarray
-    snapshots: list
-    dt_used: list
-    lipschitz_log: list
-    gamma: float
-    # per stored time, (steps, smallest dt, largest dt) of the steps that
-    # reached it from the one before, (0, 0.0, 0.0) at t_0; empty for a
-    # trajectory that was loaded
-    step_log: list = field(default_factory=list)
+    step_log holds, per stored time, (steps, smallest dt, largest dt) of
+    the steps that reached it from the one before, (0, 0.0, 0.0) at t_0; it
+    is empty for a trajectory that was loaded.  lipschitz_log, the
+    Lipschitz seminorm of every snapshot, is measured on its first read
+    unless it is given."""
+
+    def __init__(self, times, snapshots, dt_used, gamma, lipschitz_log=None, step_log=None):
+        self.times, self.snapshots, self.dt_used, self.gamma = times, snapshots, dt_used, gamma
+        self.step_log = [] if step_log is None else step_log
+        if lipschitz_log is not None:
+            self.lipschitz_log = lipschitz_log
 
     @property
     def spec(self) -> GridSpec:
@@ -236,6 +236,15 @@ class Trajectory:
     @property
     def far_radius(self) -> float:
         return grid_ring(self.spec)
+
+    @cached_property
+    def lipschitz_log(self) -> list:
+        """max |Du| by central differences of every snapshot on B(0, L - 4h),
+        clear of the containment ring."""
+        spec = self.spec
+        mask = spec.radius() <= self.far_radius - 2 * spec.h
+        work = Workspace(spec)
+        return [float(central_gradient_norm(u, work)[mask].max()) for u in self.snapshots]
 
 
 def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
@@ -270,8 +279,9 @@ def solve(
     are taken as they are.  A march lands exactly on t_m, so the steps after
     it are the same floats as in a march from t_0.
 
-    Every step and every Lipschitz seminorm writes into one
-    `grid.Workspace` allocated per call; stored snapshots are copies.  The
+    Every step writes into one `grid.Workspace` allocated per call; stored
+    snapshots are copies.  The trajectory's Lipschitz log is measured when
+    it is first read (`Trajectory.lipschitz_log`), not here.  The
     work budget MAX_CELL_UPDATES allows MAX_CELL_UPDATES // step_cost(n,
     gamma) steps.  The call raises StabilityError before its first step
     when the step at that time would need more steps than that to reach
@@ -287,9 +297,7 @@ def solve(
     far_radius = grid_ring(spec)
     times = _normalise_output_times(output_times, horizon)
 
-    radius = spec.radius()
-    measure_mask = radius <= far_radius - 2 * h
-    guard_mask = radius >= far_radius - 4 * h
+    guard_mask = spec.radius() >= far_radius - 4 * h
 
     def check_guard(t):
         if np.any(u.values[guard_mask] >= 0.0):
@@ -299,30 +307,19 @@ def solve(
             )
 
     work = Workspace(spec)
-
-    def seminorm():
-        return float(central_gradient_norm(u, work)[measure_mask].max())
-
     if start == 0:
         u = ScalarField(spec, np.clip(u0.values, -1.0, 1.0))
         check_guard(0.0)
-        snapshots, dt_used, lipschitz_log = [u.copy()], [0.0], [seminorm()]
-        step_log = [(0, 0.0, 0.0)]
+        snapshots, dt_used, step_log = [u.copy()], [0.0], [(0, 0.0, 0.0)]
     else:
         if not np.array_equal(resume.times, times) or resume.gamma != gamma:
             raise ValueError("a resumed march needs the output times and gamma it resumes")
         snapshots = resume.snapshots[:start + 1]
         dt_used = resume.dt_used[:start + 1]
-        lipschitz_log = resume.lipschitz_log[:start + 1]
         step_log = resume.step_log[:start + 1]
         u = snapshots[-1]
     traj = Trajectory(
-        times=times,
-        snapshots=snapshots,
-        dt_used=dt_used,
-        lipschitz_log=lipschitz_log,
-        gamma=gamma,
-        step_log=step_log,
+        times=times, snapshots=snapshots, dt_used=dt_used, gamma=gamma, step_log=step_log,
     )
 
     steps, max_steps = 0, MAX_CELL_UPDATES // step_cost(spec.n, gamma)
@@ -354,14 +351,13 @@ def solve(
         check_guard(t)
         traj.snapshots.append(u.copy())
         traj.dt_used.append(dt)
-        traj.lipschitz_log.append(seminorm())
         traj.step_log.append((steps - first, lo, hi))
     return traj
 
 
 def regularity_report(traj: Trajectory) -> float:
     """The growth rate K >= 0 of the Lipschitz log, ||Du(t)|| ~ ||Du(0)|| e^{Kt},
-    fitted by least squares on its logarithm.  `solve` measures the log on
+    fitted by least squares on its logarithm, which is measured on
     B(0, L - 4h), clear of the containment ring."""
     if len(traj.snapshots) < 3:
         raise ValueError("regularity_report needs at least 3 snapshots")

@@ -207,7 +207,8 @@ class CheckContext:
     star-shape report (which a run's gamma sweep reuses at the run's gamma).
     The geometric reports accept a context in place of their trajectory.
     `checks` names the checks that will read it, so that the first contour
-    request for a snapshot extracts every level they read there.  A run also
+    request extracts every level they read in every snapshot, all in one
+    `extract_contour` call.  A run also
     sets `config` and `coupling`, which the checks that solve again
     (dependence) read."""
 
@@ -218,7 +219,7 @@ class CheckContext:
         self.config, self.coupling = config, coupling
         self.checks = tuple(checks)
         self._kept = {}
-        self._contoured = set()
+        self._contoured = False
 
     def _once(self, key, compute, *args):
         if key not in self._kept:
@@ -226,16 +227,22 @@ class CheckContext:
         return self._kept[key]
 
     def contours(self, k: int, levels) -> list:
-        """The contours of snapshot k at each level; the levels not kept yet
-        are extracted in one pass, which on the first request for snapshot k
-        also takes every level of `_contour_levels(k)`."""
-        missing = [level for level in levels if ("contour", k, level) not in self._kept]
-        if k not in self._contoured:
-            self._contoured.add(k)
-            missing += [level for level in self._contour_levels(k) if level not in missing]
-        if missing:
-            found = extract_contour(self.traj.snapshots[k], missing)
-            self._kept.update({("contour", k, level): c for level, c in zip(missing, found)})
+        """The contours of snapshot k at each level.  The first request
+        extracts, in one call, every level of `_contour_levels(j)` of every
+        snapshot j and the requested levels of snapshot k; a later request
+        extracts the levels of snapshot k not kept yet."""
+        if self._contoured:
+            wanted = {k: [level for level in levels if ("contour", k, level) not in self._kept]}
+        else:
+            self._contoured = True
+            wanted = {j: self._contour_levels(j) for j in range(len(self.traj.snapshots))}
+            wanted[k] += [level for level in levels if level not in wanted[k]]
+        wanted = {j: missing for j, missing in wanted.items() if missing}
+        if wanted:
+            found = extract_contour([self.traj.snapshots[j] for j in wanted], list(wanted.values()))
+            for (j, missing), snapshot_contours in zip(wanted.items(), found):
+                self._kept.update(
+                    {("contour", j, level): c for level, c in zip(missing, snapshot_contours)})
         return [self._kept[("contour", k, level)] for level in levels]
 
     def contour(self, k: int, level: float = 0.0):
@@ -476,7 +483,8 @@ def cone_report(
     Cone axis nu(z)/|nu(z)| (flip_axis negates it: the adversarial variant
     must fail), half opening lam_bar |nu(z)|, height
     eta(t) lam_bar / (||Du0||_inf e^{K t}).  Vertices with |nu| ~ 0 and times
-    where the height falls below h are skipped and counted.  The same count
+    where the height falls below h are skipped and counted; a snapshot
+    builds rays only for the heights of h and above.  The same count
     is repeated with K doubled; a verdict flip between the two is flagged.
     """
     ctx, traj = _context(traj, init)
@@ -509,8 +517,10 @@ def cone_report(
         t, snap = traj.times[k], traj.snapshots[k]
         eta_t = max(float(eta_sched.eta(t)), 0.0)
         rho = {mult: eta_t * lam_bar / (lip * np.exp(mult * K_fit * t)) for mult in (1.0, 2.0)}
-        # the cone points of every level and K multiple of this snapshot,
-        # evaluated in one call and then counted piece by piece
+        # the K multiples whose height reaches h, the only ones sampled
+        mults = [mult for mult in rho if not rho[mult] < h]
+        # the cone points of every level and sampled multiple of this
+        # snapshot, evaluated in one call and then counted piece by piece
         tests, points = [], []
         for i, level in enumerate(levels):
             z, nu_z = verts[k * len(levels) + i], nus[k * len(levels) + i]
@@ -522,21 +532,21 @@ def cone_report(
             skipped_axis += int((~ok).sum())
             if not ok.any():
                 continue
-            z, nu_z, norm = z[ok], nu_z[ok], norm[ok]
-            axis = nu_z / norm[:, None]
-            if flip_axis:
-                axis = -axis
-            rays = _cone_rays(axis, np.minimum(lam_bar * norm, np.pi / 3.0))
+            skipped_small += 2 - len(mults)
             sampled = {}
-            for mult in (1.0, 2.0):
-                if rho[mult] < h:
-                    skipped_small += 1
-                    continue
-                points.append(_cone_points(z, rays, rho[mult], spec.half_extent))
-                sampled[mult] = len(points[-1])
+            if mults:
+                z, nu_z, norm = z[ok], nu_z[ok], norm[ok]
+                axis = nu_z / norm[:, None]
+                if flip_axis:
+                    axis = -axis
+                rays = _cone_rays(axis, np.minimum(lam_bar * norm, np.pi / 3.0))
+                for mult in mults:
+                    points.append(_cone_points(z, rays, rho[mult], spec.half_extent))
+                    sampled[mult] = len(points[-1])
             tests.append((level, sampled))
-        vals = interpolate(snap, np.concatenate(points + [np.zeros((0, 2))]))
-        vals = iter(np.split(vals, np.cumsum([len(p) for p in points])[:-1]))
+        if points:
+            vals = interpolate(snap, np.concatenate(points))
+            vals = iter(np.split(vals, np.cumsum([len(p) for p in points])[:-1]))
         for test in tests:
             if test is None:
                 rows.append((float(t), 0.0, 0.01, 0.01))

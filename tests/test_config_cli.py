@@ -37,7 +37,7 @@ from frontlab.couplings import (
     VolumeCoupling,
 )
 from frontlab.errors import ConfigError
-from frontlab.grid import load_field
+from frontlab.grid import ScalarField, load_field
 from frontlab.presets import list_presets, preset_text, verify_all_configs
 from frontlab.runner import RunResult, clear_listed, run, verify_run_dir, write_manifest
 
@@ -1158,12 +1158,21 @@ def _record_calls(monkeypatch, module, name, key):
     return calls
 
 
+def _extracted(u, levels=0.0):
+    """(id of the field, levels) of each field of an extract_contour call,
+    one field or a sequence of fields with their level stacks."""
+    if isinstance(u, ScalarField):
+        return [(id(u), tuple(np.atleast_1d(levels)))]
+    return [(id(field), tuple(stack)) for field, stack in zip(u, levels)]
+
+
 def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     import frontlab.contour
     import frontlab.verify
 
-    stacks = _record_calls(monkeypatch, frontlab.contour, "extract_contour",
-                           lambda u, levels=0.0: [(id(u), lv) for lv in np.atleast_1d(levels)])
+    stacks = _record_calls(
+        monkeypatch, frontlab.contour, "extract_contour",
+        lambda *args: [(u, lv) for u, levels in _extracted(*args) for lv in levels])
     etas = _record_calls(monkeypatch, frontlab.verify, "eta_empirical",
                          lambda u, *args, **kwargs: id(u))
     cfg = parse_config(TINY.replace(
@@ -1193,12 +1202,12 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
 
 def test_run_and_verify_extract_each_snapshot_once(tmp_path, monkeypatch):
     # the contour dump and the radius table read level 0 of every snapshot
-    # before cone and perimeter read +-delta0/4: the first read of a
-    # snapshot takes all three, as the first read in a verify does
+    # before cone and perimeter read +-delta0/4: the first read takes all
+    # three levels of every snapshot in one call, as the first read in a
+    # verify does
     import frontlab.contour
 
-    calls = _record_calls(monkeypatch, frontlab.contour, "extract_contour",
-                          lambda u, levels=0.0: (id(u), tuple(np.atleast_1d(levels))))
+    calls = _record_calls(monkeypatch, frontlab.contour, "extract_contour", _extracted)
     cfg = parse_config(TINY.replace(
         "checks = key_estimate, lower_gradient, star_shape",
         "checks = key_estimate, cone, perimeter, non_fattening",
@@ -1211,10 +1220,11 @@ def test_run_and_verify_extract_each_snapshot_once(tmp_path, monkeypatch):
     calls.clear()
     assert verify_run_dir(str(out)).exit_code == result.exit_code
     for label, made in (("run", run_calls), ("verify", calls)):
-        ids = [u for u, _ in made]
+        assert len(made) == 1, label
+        ids = [u for u, _ in made[0]]
         assert len(ids) == len(set(ids)) == snapshots, label
-        assert all(len(levels) == 3 for _, levels in made), label
-    assert [sorted(lv) for _, lv in run_calls] == [sorted(lv) for _, lv in calls]
+        assert all(len(levels) == 3 for _, levels in made[0]), label
+    assert [sorted(lv) for _, lv in run_calls[0]] == [sorted(lv) for _, lv in calls[0]]
 
 
 # a volume run whose gamma sweep contains the run's own gamma
@@ -1262,6 +1272,34 @@ def test_run_computes_star_shape_once_per_trajectory(tmp_path, monkeypatch):
     assert run(parse_config(SWEEP_RUN), out_dir=str(out)).exit_code in (0, 1)
     assert (out / "sweep.csv").read_text().count("\n") == 4
     assert len(trajs) == len(set(trajs)) == 2
+
+
+def test_run_measures_the_lipschitz_log_of_its_own_trajectory_only(tmp_path, monkeypatch):
+    # neither the sweep's gamma = 0 march nor the run's march measures a
+    # seminorm; dump_trajectory's first read of the run's log measures one
+    # per stored time, with the mask and the floats of the log as it was
+    # measured at every stored time of the march
+    import frontlab.solver
+
+    measured = []
+    norm = frontlab.solver.central_gradient_norm
+
+    def counted(u, *rest):
+        measured.append(id(u))
+        return norm(u, *rest)
+
+    monkeypatch.setattr(frontlab.solver, "central_gradient_norm", counted)
+    out = tmp_path / "run"
+    assert run(parse_config(SWEEP_RUN), out_dir=str(out)).exit_code in (0, 1)
+    traj = frontlab.solver.load_trajectory(out / "traj")
+    assert len(measured) == len(set(measured)) == len(traj.times)
+    spec = traj.spec
+    inside = spec.radius() <= frontlab.solver.grid_ring(spec) - 2 * spec.h
+    rows = ["index,time,dt_used,lipschitz_seminorm"] + [
+        f"{i},{t:.17g},{dt:.17g},{float(norm(u)[inside].max()):.17g}"
+        for i, (t, dt, u) in enumerate(zip(traj.times, traj.dt_used, traj.snapshots))
+    ]
+    assert (out / "traj" / "manifest.csv").read_text() == "\n".join(rows) + "\n"
 
 
 def test_verify_fits_only_what_its_checks_need(tiny_run, tmp_path, monkeypatch):

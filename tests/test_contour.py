@@ -225,9 +225,9 @@ def _same_polylines(contour, reference):
     )
 
 
-@pytest.mark.parametrize("n", [33, 65, 201])
-def test_extract_contour_matches_reference_bitwise(n):
-    spec = GridSpec(n, 1.5)
+def _reference_fields(spec):
+    """(values, levels) of fields that meet every kind of cell and chain."""
+    n = spec.n
     rng = np.random.default_rng(n)
     xx, yy = spec.meshgrid()
     radius = np.hypot(xx, yy)
@@ -236,7 +236,7 @@ def test_extract_contour_matches_reference_bitwise(n):
         rng.uniform(0.5, 1.0) * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / 0.08)
         for cx, cy in rng.uniform(-1.6, 1.6, (12, 2))
     )
-    fields = [
+    return [
         (1.0 - radius / 0.5, (0.0, 0.3, -0.4)),                    # one loop
         (0.6 - np.hypot(xx - 1.2, yy + 0.3), (0.0, 0.2)),          # cut by the boundary
         (np.abs(xx) - 0.3, (0.0, -0.1)),                           # open chains, node columns at 0
@@ -249,8 +249,13 @@ def test_extract_contour_matches_reference_bitwise(n):
         (np.full((n, n), -1.0), (0.0,)),                           # empty
         (np.full((n, n), 1.0), (0.0,)),                            # full
     ]
+
+
+@pytest.mark.parametrize("n", [33, 65, 201])
+def test_extract_contour_matches_reference_bitwise(n):
+    spec = GridSpec(n, 1.5)
     saddles, kinds = set(), set()
-    for values, levels in fields:
+    for values, levels in _reference_fields(spec):
         u = ScalarField(spec, values)
         # each level alone, and all of a field's levels in one stacked call
         for level, stacked in zip(levels, extract_contour(u, list(levels))):
@@ -263,3 +268,20 @@ def test_extract_contour_matches_reference_bitwise(n):
             assert _same_polylines(stacked, reference), (values[0, :3], level)
     assert saddles == {(5, False), (5, True), (10, False), (10, True)}
     assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("n", [33, 65, 201])
+def test_one_call_over_many_fields_equals_each_field_alone(n):
+    # a trajectory's call: every field with its own levels, the empty and
+    # the full field among them, chained in one pass
+    spec = GridSpec(n, 1.5)
+    cases = _reference_fields(spec)
+    fields = [ScalarField(spec, values) for values, _ in cases]
+    together = extract_contour(fields, [levels for _, levels in cases])
+    assert len(together) == len(fields)
+    for u, (_, levels), contours in zip(fields, cases, together):
+        alone = extract_contour(u, list(levels))
+        assert [c.level for c in contours] == [c.level for c in alone] == list(levels)
+        for got, want in zip(contours, alone):
+            assert _same_polylines(got, (want.polylines, want.closed)), (got.level, u.values[0, :3])
+    assert sum(len(c.polylines) for cs in together for c in cs) > len(fields)

@@ -26,6 +26,7 @@ from frontlab.grid import GridSpec, ScalarField, constant_field, interpolate
 from frontlab.solver import Trajectory, solve
 from frontlab.verify import (
     CheckContext,
+    LEVELS_FRACTION,
     EtaSchedule,
     VerificationReport,
     band_measure_report,
@@ -212,8 +213,11 @@ def test_eta_empirical_matches_reference_bitwise(shrink, init):
 
 def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
     # one stacked area pass per snapshot for every level the checks read;
-    # one interpolation per snapshot for the cone points, plus one for the
+    # one contour extraction per context, which chains every snapshot's
+    # levels in one pass after classifying each snapshot once; one
+    # interpolation per snapshot for the cone points, plus one for the
     # direction field at every vertex (the cones' axes); one per eta
+    import frontlab.contour
     import frontlab.verify
 
     calls = []
@@ -226,20 +230,33 @@ def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
 
     for name in ("interpolate", "lebesgue_measure"):
         monkeypatch.setattr(frontlab.verify, name, recorded(name, getattr(frontlab.verify, name)))
-    ctx = CheckContext(shrink, init)
+    monkeypatch.setattr(frontlab.contour, "_classify", recorded("_classify", frontlab.contour._classify))
+    extracted = []
+    extract_contour = frontlab.verify.extract_contour
+
+    def counted(fields, levels):
+        extracted.append(len(fields))
+        return extract_contour(fields, levels)
+
+    monkeypatch.setattr(frontlab.verify, "extract_contour", counted)
+    ctx = CheckContext(shrink, init, checks=("cone", "perimeter"))
     sched = EtaSchedule(0.55, 0.0)
     snapshots = len(shrink.times)
     t_bar = shrink.times[-1]
+    assert ctx.t_bar == t_bar   # so the context reads three levels in every snapshot
     band_measure_report(ctx, init, sched, t_bar=t_bar)
     fattening_report(ctx, init, t_bar=t_bar)
     perimeter_report(ctx, init, sched, K_fit=0.0, t_bar=t_bar)
     areas = [call for call in calls if call[0] == "lebesgue_measure"]
     assert areas == [("lebesgue_measure", 1)] * snapshots
     assert len(ctx.area_levels) == 9   # 0, +-2h, +-4h, +-8h, +-delta0/4; delta0/8 < 2h
+    assert extracted == [snapshots]
+    assert [call for call in calls if call[0] == "_classify"] == [("_classify", 1)] * snapshots
 
     calls.clear()
     cone_report(ctx, init, sched, K_fit=0.0, t_bar=t_bar)
     assert calls == [("interpolate", 2)] * (1 + snapshots)
+    assert extracted == [snapshots]
 
     calls.clear()
     eta_empirical(shrink.snapshots[0], init)
@@ -396,6 +413,39 @@ def test_cone_subgrid_height_skipped(frozen, init):
     assert rep.passed
     assert rep.constants["points_tested"] == 0.0
     assert rep.constants["skipped_small_rho"] > 0.0
+
+
+def test_cone_heights_below_h_build_no_rays(shrink, init, monkeypatch):
+    # every height is below h: no ray or cone point is built and no snapshot
+    # is evaluated; the direction field is still read at every vertex, once,
+    # and every (snapshot, level) counts two skipped heights and reads the
+    # vacuous row
+    import frontlab.verify
+
+    def refused(*args):
+        raise AssertionError("a cone below h was sampled")
+
+    evaluated = []
+    interpolate_ = frontlab.verify.interpolate
+
+    def recorded(u, pts):
+        evaluated.append(u)
+        return interpolate_(u, pts)
+
+    monkeypatch.setattr(frontlab.verify, "_cone_rays", refused)
+    monkeypatch.setattr(frontlab.verify, "_cone_points", refused)
+    monkeypatch.setattr(frontlab.verify, "interpolate", recorded)
+    t_bar = 0.05
+    rep = cone_report(shrink, init, EtaSchedule(1e-4, 0.0), K_fit=0.0, t_bar=t_bar)
+    assert evaluated == [init.nu]
+    snapshots = int((shrink.times <= t_bar).sum())
+    assert snapshots == 3
+    assert rep.constants["points_tested"] == 0.0
+    assert rep.constants["skipped_zero_axis"] == 0.0
+    assert rep.constants["skipped_small_rho"] == 2 * len(LEVELS_FRACTION) * snapshots
+    assert rep.rows == [
+        (float(t), 0.0, 0.01, 0.01) for t in shrink.times[:snapshots] for _ in LEVELS_FRACTION
+    ]
 
 
 def _reference_cone_points(z, axis, theta, rho):
@@ -627,6 +677,31 @@ def test_gamma_sweep_reports_largest_passing():
     )
     assert gamma_bar == 0.02
     assert all(r.passed for r in results.values())
+
+
+def test_gamma_sweep_measures_no_lipschitz_log(monkeypatch):
+    # a sweep's marches feed only star_shape_report, so no seminorm of theirs
+    # is measured; a trajectory measures its log when it is first read
+    import frontlab.solver
+
+    measured = []
+    norm = frontlab.solver.central_gradient_norm
+
+    def counted(u, *rest):
+        measured.append(u)
+        return norm(u, *rest)
+
+    monkeypatch.setattr(frontlab.solver, "central_gradient_norm", counted)
+    spec = GridSpec(65, 1.5)
+    small = star_shaped_u0(spec, [(0.0, 0.0)], 0.3)
+    gamma_bar, _ = gamma_sweep_star_shape(ConstantCoupling(0.5), small, [0.0, 0.02], horizon=0.05)
+    assert gamma_bar == 0.02
+    assert measured == []
+    traj = _run(small.u0, 0.5, [0.0, 0.025, 0.05], gamma=0.02)
+    assert measured == []
+    assert len(traj.lipschitz_log) == 3
+    assert traj.lipschitz_log is traj.lipschitz_log
+    assert [id(u) for u in measured] == [id(u) for u in traj.snapshots]
 
 
 def test_gamma_sweep_counts_escape_as_failure():
