@@ -16,8 +16,8 @@ calls it interval by interval, with the march's own chi(t_k) or with a
 given occupation history, and `solver.solve` reads the speed once per step.
 
 Occupation histories are compared by kappa(t) = ||chi1(t) - chi2(t)||_L1;
-`gauss_slice` is the unit-mass heat-kernel average that the Green-weighted
-band measure integrates in time.
+`gauss_average` is the unit-mass heat-kernel average that the Green-weighted
+band measure integrates in time, and `gauss_slice` its value on one field.
 """
 
 import bisect
@@ -271,20 +271,27 @@ def kappa(chi1: ScalarField, chi2: ScalarField) -> float:
     return float(h * h * np.abs(chi1.values - chi2.values).sum())
 
 
-def gauss_slice(diff: np.ndarray, spec: GridSpec, x: np.ndarray, tau: float) -> float:
-    """Unit-mass discrete average of diff against the heat kernel
-    G(x - ., tau) ~ exp(-|x - .|^2 / (4 tau))."""
+def gauss_average(spec: GridSpec, x: np.ndarray, tau: float):
+    """The unit-mass discrete average against the heat kernel
+    G(x - ., tau) ~ exp(-|x - .|^2 / (4 tau)), as a function of the field;
+    the weights and their sum are built once, here."""
     if tau <= spec.h**2 / 16.0:
         # sharper than the grid: use the delta limit at the nearest node
         L = spec.half_extent
         ix = int(np.clip(np.round((x[0] + L) / spec.h), 0, spec.n - 1))
         iy = int(np.clip(np.round((x[1] + L) / spec.h), 0, spec.n - 1))
-        return float(diff[iy, ix])
+        return lambda diff: float(diff[iy, ix])
     ax = spec.axis()
     gx = np.exp(-((x[0] - ax) ** 2) / (4.0 * tau))
     gy = np.exp(-((x[1] - ax) ** 2) / (4.0 * tau))
     w = np.outer(gy, gx)
-    return float((w * diff).sum() / w.sum())
+    total = w.sum()
+    return lambda diff: float((w * diff).sum() / total)
+
+
+def gauss_slice(diff: np.ndarray, spec: GridSpec, x: np.ndarray, tau: float) -> float:
+    """`gauss_average(spec, x, tau)` of the one field diff."""
+    return gauss_average(spec, x, tau)(diff)
 
 
 # ---------------------------------------------------------------------------

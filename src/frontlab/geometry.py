@@ -18,6 +18,7 @@ The two structural conditions carried by an InitCondition:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,21 +31,25 @@ DELTA0_LADDER = (0.2, 0.1, 0.05)
 
 @dataclass
 class DirectionField:
-    """A vector field nu with measured sup and Lipschitz norms.
+    """A vector field nu with its measured sup norm, and its Lipschitz norm
+    measured on first read.
 
     kind: 'radial' (nu = -x), the one kind frontlab builds.
-    values has shape (n, n, 2), components (nu_x, nu_y).
+    values has shape (n, n, 2), components (nu_x, nu_y).  A run reads
+    lip_norm (for lambda0 and init_meta.txt); a verify never does.
     """
 
     spec: GridSpec
     kind: str
     values: np.ndarray
     sup_norm: float
-    lip_norm: float
+
+    @cached_property
+    def lip_norm(self) -> float:
+        return _lip_norm(self.spec, self.values)
 
 
-def _field_norms(spec: GridSpec, values: np.ndarray) -> tuple[float, float]:
-    sup = float(np.hypot(values[..., 0], values[..., 1]).max())
+def _lip_norm(spec: GridSpec, values: np.ndarray) -> float:
     # finite-difference Jacobian, operator 2-norm via the 2x2 singular value
     dxy = [np.gradient(values[..., c], spec.h, edge_order=2) for c in (0, 1)]
     j11, j12 = dxy[0][1], dxy[0][0]   # d(nu_x)/dx, d(nu_x)/dy
@@ -53,14 +58,14 @@ def _field_norms(spec: GridSpec, values: np.ndarray) -> tuple[float, float]:
     b = j11 * j12 + j21 * j22
     c = j12**2 + j22**2
     smax2 = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * b**2))
-    return sup, float(np.sqrt(smax2.max()))
+    return float(np.sqrt(smax2.max()))
 
 
 def radial_direction(spec: GridSpec) -> DirectionField:
     x, y = spec.meshgrid()
     values = np.stack([-x, -y], axis=-1)
-    sup, lip = _field_norms(spec, values)
-    return DirectionField(spec, "radial", values, sup, lip)
+    sup = float(np.hypot(values[..., 0], values[..., 1]).max())
+    return DirectionField(spec, "radial", values, sup)
 
 
 @dataclass

@@ -286,6 +286,15 @@ def upwind_gradient_norm(
     return np.sqrt(root, out=root)
 
 
+def _edge_differences(line, h: float) -> tuple:
+    """The second-order one-sided differences of `_central_difference` on the
+    first and the last line along its axis; line(i) gives the values on line
+    i, counted from the first line for i >= 0 and from the last for i < 0."""
+    first = (-1.5 / h) * line(0) + (2.0 / h) * line(1) + (-0.5 / h) * line(2)
+    last = (0.5 / h) * line(-3) + (-2.0 / h) * line(-2) + (1.5 / h) * line(-1)
+    return first, last
+
+
 def _central_difference(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
     """np.gradient(v, h, axis=axis, edge_order=2) written into out: central
     in the interior, second-order one-sided on the two boundary lines."""
@@ -293,12 +302,30 @@ def _central_difference(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> 
     inner = out.reshape(-1)[s:-s]
     np.subtract(flat[2 * s:], flat[:-2 * s], out=inner)
     inner /= 2.0 * h
+    out[_at(axis, 0)], out[_at(axis, -1)] = _edge_differences(lambda i: v[_at(axis, i)], h)
+    return out
 
-    def line(i):
-        return v[_at(axis, i)]
 
-    out[_at(axis, 0)] = (-1.5 / h) * line(0) + (2.0 / h) * line(1) + (-0.5 / h) * line(2)
-    out[_at(axis, -1)] = (0.5 / h) * line(-3) + (-2.0 / h) * line(-2) + (1.5 / h) * line(-1)
+def _central_difference_at(
+    v: np.ndarray, h: float, axis: int, iy: np.ndarray, ix: np.ndarray,
+) -> np.ndarray:
+    """`_central_difference(v, h, axis, out)[iy, ix]`, evaluated at those
+    nodes alone with the same operations per node, so the same floats."""
+    pos = (iy, ix)[axis]
+    last = v.shape[axis] - 1
+    inner = (pos > 0) & (pos < last)
+    edges = (pos == 0, pos == last)
+
+    def nodes(sel, i):
+        """v at the selected nodes moved to position i along axis."""
+        at = [iy[sel], ix[sel]]
+        at[axis] = i
+        return v[tuple(at)]
+
+    out = np.empty(pos.shape)
+    p = pos[inner]
+    out[inner] = (nodes(inner, p + 1) - nodes(inner, p - 1)) / (2.0 * h)
+    out[edges[0]], out[edges[1]] = _edge_differences(lambda i: nodes(edges[i < 0], i), h)
     return out
 
 
@@ -346,6 +373,16 @@ def central_gradient_norm(u: ScalarField, work: Workspace = None) -> np.ndarray:
     or in a new array."""
     ux, uy = central_gradients(u, work)
     return np.hypot(ux, uy, out=ux)
+
+
+def central_gradient_norm_at(u: ScalarField, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """`central_gradient_norm(u)[iy, ix]`, bitwise, measured at the nodes
+    (iy, ix) alone."""
+    h = u.spec.h
+    return np.hypot(
+        _central_difference_at(u.values, h, 1, iy, ix),
+        _central_difference_at(u.values, h, 0, iy, ix),
+    )
 
 
 def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:

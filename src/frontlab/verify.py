@@ -38,10 +38,10 @@ from functools import cached_property
 import numpy as np
 
 from .contour import extract_contour
-from .couplings import constant_history, gauss_slice, kappa
+from .couplings import constant_history, gauss_average, kappa
 from .errors import FrontEscapeError, StabilityError
 from .geometry import InitCondition
-from .grid import ScalarField, central_gradient_norm, interpolate, lebesgue_measure, load_meta
+from .grid import ScalarField, central_gradient_norm_at, interpolate, lebesgue_measure, load_meta
 from .grid import meta_text, trapezoid
 from .solver import Trajectory, _normalise_output_times, regularity_report, solution_gaps
 from .weak import march_solve, reuses_march
@@ -412,9 +412,10 @@ def lower_gradient_report(
 ) -> VerificationReport:
     """min |Du| over {|u(t)| < delta0/4} against eta(t) / ||nu||_inf.
 
-    Times after t_bar or with an empty band are vacuous passes.  Slack is
-    3 h scale with scale = max(1, 1/r0), the natural curvature of the
-    initial front.
+    |Du| is measured at the band nodes alone (`central_gradient_norm_at`),
+    the same floats as the full-grid central |Du| there.  Times after t_bar
+    or with an empty band are vacuous passes.  Slack is 3 h scale with
+    scale = max(1, 1/r0), the natural curvature of the initial front.
     """
     h = traj.spec.h
     scale = max(1.0, 1.0 / init.r0)
@@ -427,12 +428,12 @@ def lower_gradient_report(
     for t, snap in zip(traj.times, traj.snapshots):
         if t > t_bar + 1e-12:
             break
-        band = np.abs(snap.values) < width
+        iy, ix = np.nonzero(np.abs(snap.values) < width)
         bound = max(float(eta_sched.eta(t)), 0.0) / nu_sup
-        if not band.any():
+        if not iy.size:
             rows.append((float(t), 0.0, bound, 0.0))
             continue
-        measured = float(central_gradient_norm(snap)[band].min())
+        measured = float(central_gradient_norm_at(snap, iy, ix).min())
         margin = measured - bound
         worst = min(worst, margin)
         rows.append((float(t), measured, bound, margin))
@@ -486,6 +487,9 @@ def cone_report(
     where the height falls below h are skipped and counted; a snapshot
     builds rays only for the heights of h and above.  The same count
     is repeated with K doubled; a verdict flip between the two is flagged.
+    The cone points are sampled and evaluated once per distinct height, so
+    the two multiples share them where their heights are equal (K_fit = 0,
+    or t = 0).
     """
     ctx, traj = _context(traj, init)
     spec = traj.spec
@@ -533,7 +537,9 @@ def cone_report(
             if not ok.any():
                 continue
             skipped_small += 2 - len(mults)
-            sampled = {}
+            # the index in points of each sampled multiple's point set, one
+            # set per distinct height
+            sampled, by_height = {}, {}
             if mults:
                 z, nu_z, norm = z[ok], nu_z[ok], norm[ok]
                 axis = nu_z / norm[:, None]
@@ -541,20 +547,23 @@ def cone_report(
                     axis = -axis
                 rays = _cone_rays(axis, np.minimum(lam_bar * norm, np.pi / 3.0))
                 for mult in mults:
-                    points.append(_cone_points(z, rays, rho[mult], spec.half_extent))
-                    sampled[mult] = len(points[-1])
+                    if rho[mult] not in by_height:
+                        by_height[rho[mult]] = len(points)
+                        points.append(_cone_points(z, rays, rho[mult], spec.half_extent))
+                    sampled[mult] = by_height[rho[mult]]
             tests.append((level, sampled))
         if points:
             vals = interpolate(snap, np.concatenate(points))
-            vals = iter(np.split(vals, np.cumsum([len(p) for p in points])[:-1]))
+            vals = np.split(vals, np.cumsum([len(p) for p in points])[:-1])
         for test in tests:
             if test is None:
                 rows.append((float(t), 0.0, 0.01, 0.01))
                 continue
             level, sampled = test
             frac_here = {}
-            for mult, count in sampled.items():
-                bad = int((next(vals) < level - slack).sum())
+            for mult, i in sampled.items():
+                count = len(vals[i])
+                bad = int((vals[i] < level - slack).sum())
                 totals[mult] += count
                 fails[mult] += bad
                 frac_here[mult] = bad / max(count, 1)
@@ -705,14 +714,18 @@ def band_measure_report(
     m5 = 0.0
     green_ratios = []
     if t_end > 0:
-        for d in deltas:
-            slices = []
-            for s, snap in zip(traj.times, traj.snapshots):
-                if s > t_end + 1e-12:
-                    break
+        # the heat-kernel average of each band at every stored time, the
+        # kernel weights built once per time
+        slices = {d: [] for d in deltas}
+        for s, snap in zip(traj.times, traj.snapshots):
+            if s > t_end + 1e-12:
+                break
+            average = gauss_average(spec, x0, t_end - s)
+            for d in deltas:
                 indicator = ((snap.values >= -d) & (snap.values < 0.0)).astype(np.float64)
-                slices.append(gauss_slice(indicator, spec, x0, t_end - s))
-            w = float(trapezoid(slices, [s for s in traj.times if s <= t_end + 1e-12]))
+                slices[d].append(average(indicator))
+        for d in deltas:
+            w = float(trapezoid(slices[d], [s for s in traj.times if s <= t_end + 1e-12]))
             green_ratios.append(w / d)
             m5 = max(m5, w * eta_bar / (d * t_end))
     g_pos = [r for r in green_ratios if r > 0]

@@ -24,6 +24,7 @@ from frontlab.couplings import (
     convolve_kernel,
     core_ring_kernel,
     disc_bump_kernel,
+    gauss_average,
     gauss_slice,
     gaussian_kernel,
     kappa,
@@ -254,6 +255,33 @@ def test_gauss_slice_delta_limit():
     iy = int(round((-0.51 + 1.0) / SPEC65.h))
     ix = int(round((0.26 + 1.0) / SPEC65.h))
     assert val == diff[iy, ix]
+
+
+def _reference_gauss_slice(diff, spec, x, tau):
+    """The heat-kernel average as first written, weights built per call."""
+    if tau <= spec.h**2 / 16.0:
+        L = spec.half_extent
+        ix = int(np.clip(np.round((x[0] + L) / spec.h), 0, spec.n - 1))
+        iy = int(np.clip(np.round((x[1] + L) / spec.h), 0, spec.n - 1))
+        return float(diff[iy, ix])
+    ax = spec.axis()
+    gx = np.exp(-((x[0] - ax) ** 2) / (4.0 * tau))
+    gy = np.exp(-((x[1] - ax) ** 2) / (4.0 * tau))
+    w = np.outer(gy, gx)
+    return float((w * diff).sum() / w.sum())
+
+
+@pytest.mark.parametrize("tau", [1e-9, SPEC65.h**2 / 16.0, 0.003, 0.05, 0.4])
+def test_gauss_average_matches_gauss_slice_bitwise(tau):
+    # one average, built once, read on several fields: the same floats as
+    # one gauss_slice per field, the delta limit (tau <= h^2/16) included
+    rng = np.random.default_rng(7)
+    x = np.array([0.26, -0.51])
+    average = gauss_average(SPEC65, x, tau)
+    for _ in range(3):
+        diff = rng.integers(0, 2, size=(65, 65)).astype(np.float64)
+        want = _reference_gauss_slice(diff, SPEC65, x, tau)
+        assert average(diff) == gauss_slice(diff, SPEC65, x, tau) == want
 
 
 def test_occupation_history_validation():

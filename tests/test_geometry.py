@@ -14,6 +14,7 @@ Closed forms used below, all for the unit-slope profile u0 = clip(sdist, -1, 1):
 import numpy as np
 import pytest
 
+from frontlab.config import parse_config
 from frontlab.errors import ConstructionError
 from frontlab.geometry import (
     DELTA0_LADDER,
@@ -25,6 +26,7 @@ from frontlab.geometry import (
     verify_I2,
 )
 from frontlab.grid import GridSpec, field_from_function
+from frontlab.runner import run, verify_run_dir
 from frontlab.verify import eta_empirical
 
 SPEC = GridSpec(201, 1.5)
@@ -196,6 +198,64 @@ def test_radial_direction_field():
     rad = radial_direction(SPEC)
     assert rad.kind == "radial"
     assert rad.sup_norm == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
+
+
+def _reference_lip_norm(spec, values):
+    """The Lipschitz norm as radial_direction measured it on construction:
+    the operator 2-norm of the finite-difference Jacobian."""
+    dxy = [np.gradient(values[..., c], spec.h, edge_order=2) for c in (0, 1)]
+    j11, j12 = dxy[0][1], dxy[0][0]
+    j21, j22 = dxy[1][1], dxy[1][0]
+    a = j11**2 + j21**2
+    b = j11 * j12 + j21 * j22
+    c = j12**2 + j22**2
+    smax2 = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * b**2))
+    return float(np.sqrt(smax2.max()))
+
+
+@pytest.mark.parametrize("n", [33, 201])
+def test_direction_lip_norm_measured_on_first_read(n, monkeypatch):
+    import frontlab.geometry
+
+    spec = GridSpec(n, 1.5)
+    want = _reference_lip_norm(spec, radial_direction(spec).values)
+    measured = []
+    lip_norm_ = frontlab.geometry._lip_norm
+
+    def recorded(*args):
+        measured.append(lip_norm_(*args))
+        return measured[-1]
+
+    monkeypatch.setattr(frontlab.geometry, "_lip_norm", recorded)
+    nu = radial_direction(spec)
+    assert measured == []
+    assert nu.lip_norm == want
+    assert nu.lip_norm == want
+    assert measured == [want]
+
+
+def test_verify_never_measures_direction_lip_norm(tmp_path, monkeypatch):
+    # a run reads the Lipschitz norm for lambda0 and init_meta.txt; loading
+    # its init and re-verifying it do not
+    import frontlab.geometry
+
+    cfg = parse_config(
+        "name = lip\ngrid.n = 33\ngrid.L = 1.5\ninit.kind = circle\ninit.r0 = 0.5\n"
+        "coupling.kind = constant\ncoupling.c = 0.3\ngamma = 0.0\nhorizon = 0.05\n"
+        "output_times = 5\nchecks = key_estimate, lower_gradient, cone, perimeter, "
+        "band_measure, non_fattening, star_shape\n"
+    )
+    out = tmp_path / "run"
+    result = run(cfg, out_dir=str(out))
+    assert result.exit_code in (0, 1)
+    assert "nu.lip_norm = " in (out / "init_meta.txt").read_text()
+
+    def refused(*args):
+        raise AssertionError("the direction field's Lipschitz norm was measured")
+
+    monkeypatch.setattr(frontlab.geometry, "_lip_norm", refused)
+    load_init(out / "init.f64", out / "init_meta.txt")
+    assert verify_run_dir(str(out)).exit_code == result.exit_code
 
 
 def test_init_round_trip(tmp_path, peanut):

@@ -23,6 +23,7 @@ from frontlab.grid import (
     Workspace,
     cell_coverage,
     central_gradient_norm,
+    central_gradient_norm_at,
     central_gradients,
     constant_field,
     curvature_term,
@@ -123,6 +124,38 @@ def test_central_gradient_norm_affine():
     g = central_gradient_norm(u)
     interior = g[1:-1, 1:-1]
     assert np.max(np.abs(interior - np.sqrt(5.0))) < 1e-12
+
+
+def _node_sets(n, rng):
+    """(name, iy, ix) node sets that cover every stencil row: a random
+    interior sample, each of the four edge lines, the four corners, the
+    whole grid and the empty set."""
+    last = n - 1
+    line = np.arange(n)
+    full = np.indices((n, n)).reshape(2, -1)
+    sample = np.nonzero(rng.random((n, n)) < 0.07)
+    empty = np.zeros(0, dtype=np.int64)
+    return [
+        ("sample", *sample),
+        ("bottom", np.zeros(n, dtype=np.int64), line),
+        ("top", np.full(n, last), line),
+        ("left", line, np.zeros(n, dtype=np.int64)),
+        ("right", line, np.full(n, last)),
+        ("corners", np.array([0, 0, last, last]), np.array([0, last, 0, last])),
+        ("full", full[0], full[1]),
+        ("empty", empty, empty),
+    ]
+
+
+@pytest.mark.parametrize("n", [33, 49, 201])
+def test_gradient_norm_at_nodes_matches_full_grid_bitwise(n):
+    rng = np.random.default_rng(n)
+    u = ScalarField(GridSpec(n, 1.5), rng.normal(size=(n, n)))
+    full = central_gradient_norm(u)
+    for name, iy, ix in _node_sets(n, rng):
+        got = central_gradient_norm_at(u, iy, ix)
+        assert got.shape == iy.shape, name
+        assert np.array_equal(got, full[iy, ix]), name
 
 
 # ---------------------------------------------------------------------------

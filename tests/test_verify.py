@@ -377,6 +377,26 @@ def test_lower_gradient_respects_t_bar(frozen, init):
     assert [t for t, *_ in rep.rows] == [0.0, 0.025, 0.05]
 
 
+def test_lower_gradient_measures_band_nodes_only(shrink, init, monkeypatch):
+    # |Du| is read at the band nodes alone: no full-grid central stencil
+    # runs, and every row equals the band minimum of the full-grid |Du|
+    import frontlab.grid
+
+    width = init.delta0 / 4.0
+    want = [
+        float(frontlab.grid.central_gradient_norm(snap)[np.abs(snap.values) < width].min())
+        for snap in shrink.snapshots
+    ]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("|Du| was measured on the whole grid")
+
+    for name in ("central_gradient_norm", "central_gradients", "_central_difference"):
+        monkeypatch.setattr(frontlab.grid, name, refused)
+    rep = lower_gradient_report(shrink, init, EtaSchedule(0.55, 0.0), t_bar=shrink.times[-1])
+    assert [measured for _, measured, _, _ in rep.rows] == want
+
+
 # ---------------------------------------------------------------------------
 # interior cones
 # ---------------------------------------------------------------------------
@@ -446,6 +466,44 @@ def test_cone_heights_below_h_build_no_rays(shrink, init, monkeypatch):
     assert rep.rows == [
         (float(t), 0.0, 0.01, 0.01) for t in shrink.times[:snapshots] for _ in LEVELS_FRACTION
     ]
+
+
+@pytest.mark.parametrize("flip_axis", [False, True], ids=["inward", "flipped"])
+def test_cone_equal_heights_share_one_sample(frozen, init, monkeypatch, flip_axis):
+    # with K_fit = 0 the heights of K and 2K are the same float at every
+    # time: each (snapshot, level) samples its cone points once, each
+    # snapshot evaluates only those, and both counts read the same values
+    import frontlab.verify
+
+    sampled, evaluated = [], []
+    cone_points_ = frontlab.verify._cone_points
+    interpolate_ = frontlab.verify.interpolate
+
+    def cone_points(*args):
+        sampled.append(cone_points_(*args))
+        return sampled[-1]
+
+    def recorded(u, pts):
+        if u is not init.nu:
+            evaluated.append(len(pts))
+        return interpolate_(u, pts)
+
+    monkeypatch.setattr(frontlab.verify, "_cone_points", cone_points)
+    monkeypatch.setattr(frontlab.verify, "interpolate", recorded)
+    rep = cone_report(frozen, init, EtaSchedule(0.55, 0.0), K_fit=0.0,
+                      t_bar=frozen.times[-1], flip_axis=flip_axis)
+    assert len(sampled) == len(frozen.times) * len(LEVELS_FRACTION)
+    assert len(evaluated) == len(frozen.times)
+    tested = rep.constants["points_tested"]
+    assert tested > 1e4
+    # K and 2K together count 2 x points_tested, from half as many points
+    assert sum(evaluated) == sum(len(p) for p in sampled) == tested
+    verdict = dict(
+        line.split(" = ", 1) for line in report_texts(rep)[1].splitlines() if " = " in line
+    )
+    assert verdict["failure_fraction_2k"] == verdict["failure_fraction"]
+    assert float(verdict["verdict_flips_at_2k"]) == 0.0
+    assert (float(verdict["failure_fraction"]) > 0.5) == flip_axis
 
 
 def _reference_cone_points(z, axis, theta, rho):
