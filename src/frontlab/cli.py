@@ -3,7 +3,8 @@
     frontlab run <config> [--out DIR]     run a scenario config file
     frontlab preset <name> [--out DIR]    run a built-in preset
     frontlab preset --list                list preset names
-    frontlab verify <run_dir>             recompute checks for a stored run
+    frontlab verify <run_dir>             recompute checks for a stored run, or
+                                          for each run of a verify-all tree
     frontlab probe <config> [--out DIR]   run with the uniqueness probe forced on
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
@@ -16,7 +17,7 @@ import sys
 from .config import parse_config
 from .errors import ConfigError
 from .presets import VERIFY_ALL, list_presets, preset_text
-from .runner import EXIT_CONFIG, fail_run, run, run_verify_all, verify_run_dir
+from .runner import EXIT_CONFIG, NO_RECHECK, fail_run, run, run_verify_all, verify_run_dir
 
 
 def _emit(result) -> int:
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         result = verify_run_dir(args.run_dir)
         if not result.verdicts:
-            print(f"{args.run_dir}: no stored check needs recomputing")
+            print(f"{args.run_dir}: {NO_RECHECK}")
         return _emit(result)
 
     parser.error(f"unknown command {args.command!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, _classify
+from .grid import ScalarField, _classify, batches, stack_fields
 
 
 @dataclass
@@ -85,22 +85,27 @@ def extract_contour(u, levels=0.0):
 
 def _extract(fields: list, stacks: list) -> list:
     """extract_contour of each field at each level of its stack, one list
-    of FrontContour per field.  `grid._classify` runs once per field, and
-    the segments of every (field, level) pair, a plane, are chained in one
-    pass."""
+    of FrontContour per field.  The fields are stacked in `grid.batches`,
+    `grid._classify` runs once per batch on every (field, level) pair of
+    it, a plane, and the segments of every plane are chained in one pass."""
     spec = fields[0].spec
     n, h = spec.n, spec.h
     contours = [[FrontContour(level=level) for level in stack.tolist()] for stack in stacks]
-    planes = np.cumsum([0] + [stack.size for stack in stacks])
+    sizes = [stack.size for stack in stacks]
+    planes = np.cumsum([0] + sizes)
+    owner = np.repeat(np.arange(len(fields)), sizes)    # the field of each plane
+    groups = [(span, stack_fields(fields[span.start:span.stop])) for span in batches(len(fields), n)]
 
     # crossing edges as ids: in plane p, the planes numbered field by field
     # and level by level, the horizontal edge east of node k is 2 p n^2 + k
     # and the vertical edge north of it 2 p n^2 + n^2 + k
     ends = [np.zeros((0, 2), dtype=np.int64)]
-    for base, u, stack in zip(planes.tolist(), fields, stacks):
-        if not stack.size:
+    for span, stack in groups:
+        base, top = planes[span.start], planes[span.stop]
+        if base == top:
             continue
-        case, (lv, iy, ix), _, centre_in = _classify(u, stack)
+        case, (lv, iy, ix), _, centre_in = _classify(
+            stack, np.concatenate(stacks[span.start:span.stop]), sizes[span.start:span.stop])
         segs = _SEGMENTS[case[lv, iy, ix] + 16 * centre_in]
         ids = (2 * n * n * (base + lv) + iy * n + ix)[:, None, None]
         ends.append((ids + np.array([0, n * n + 1, n, n * n])[segs])[segs[:, :, 0] >= 0])
@@ -146,17 +151,19 @@ def _extract(fields: list, stacks: list) -> list:
     order = np.lexsort((pos, start + m * ~is_open + 2 * m * plane))
 
     # every vertex at its crossing ax[ix] + t h along its edge, from the
-    # values of its own field: the edges are sorted by id, so each field's
+    # values of its own field: the edges are sorted by id, so each batch's
     # come in one run
     vertical = edges >= n * n
     node = edges - n * n * vertical
     ey, ex = np.divmod(node, n)
     v0, v1 = np.empty(m), np.empty(m)
-    runs = np.searchsorted(plane, planes).tolist()
-    for u, lo, hi in zip(fields, runs, runs[1:]):
-        flat = u.values.reshape(-1)
-        v0[lo:hi] = flat[node[lo:hi]]
-        v1[lo:hi] = flat[node[lo:hi] + np.where(vertical[lo:hi], n, 1)]
+    at = node + n * n * owner[plane]
+    for span, stack in groups:
+        lo, hi = np.searchsorted(plane, planes[[span.start, span.stop]]).tolist()
+        flat = stack.values.reshape(-1)
+        k = at[lo:hi] - n * n * span.start
+        v0[lo:hi] = flat[k]
+        v1[lo:hi] = flat[k + np.where(vertical[lo:hi], n, 1)]
     level = np.concatenate(stacks)[plane]
     v0 -= level
     t = v0 / (v0 - (v1 - level))

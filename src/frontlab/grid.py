@@ -17,6 +17,13 @@ Operators provided here:
 * ``interpolate``         -- bilinear point evaluation of a scalar or vector
   field, -1 outside the domain.
 * ``trapezoid``           -- the trapezoidal rule over a time grid.
+
+The checks read the snapshots of a trajectory in batches (``batches``):
+consecutive snapshots stacked into a ``FieldStack`` of at most
+``BATCH_BYTES`` of values, so that a batch's temporaries stay in cache.
+``interpolate``, ``central_gradient_norm_at`` and the marching-squares
+classification read such a stack with a snapshot index per point; a single
+field is the stack of one.
 """
 
 import os
@@ -88,6 +95,37 @@ class ScalarField:
     def check_same_grid(self, other: "ScalarField"):
         if self.spec != other.spec:
             raise GridMismatchError(f"grids differ: {self.spec} vs {other.spec}")
+
+
+# The stacked values of one batch of snapshots stay within this many bytes,
+# with at least one snapshot a batch: 27 snapshots at n = 49, 6 at n = 101,
+# 1 at n = 201.
+BATCH_BYTES = 512 * 1024
+
+
+def batches(count: int, n: int) -> list:
+    """Consecutive ranges that cover range(count) in order, each of as many
+    n x n snapshots as fit in BATCH_BYTES of float64 values, and at least
+    one."""
+    size = max(1, BATCH_BYTES // (8 * n * n))
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+@dataclass
+class FieldStack:
+    """Fields of one grid along a first axis: values[j] holds the values of
+    field j, shape (b, n, n), or (b, n, n, C) with C components per node."""
+
+    spec: GridSpec
+    values: np.ndarray
+
+
+def stack_fields(fields) -> FieldStack:
+    """The FieldStack of a sequence of fields on one grid; the stack of one
+    field is a view of its own values, with no copy."""
+    if len(fields) == 1:
+        return FieldStack(fields[0].spec, fields[0].values[None])
+    return FieldStack(fields[0].spec, np.stack([f.values for f in fields]))
 
 
 def field_from_function(spec: GridSpec, fn) -> ScalarField:
@@ -307,25 +345,25 @@ def _central_difference(v: np.ndarray, h: float, axis: int, out: np.ndarray) -> 
 
 
 def _central_difference_at(
-    v: np.ndarray, h: float, axis: int, iy: np.ndarray, ix: np.ndarray,
+    flat: np.ndarray, h: float, node: np.ndarray, pos: np.ndarray, stride: int, n: int,
 ) -> np.ndarray:
-    """`_central_difference(v, h, axis, out)[iy, ix]`, evaluated at those
-    nodes alone with the same operations per node, so the same floats."""
-    pos = (iy, ix)[axis]
-    last = v.shape[axis] - 1
+    """`_central_difference` at the given nodes alone, with the same
+    operations per node, so the same floats: flat holds the values as one
+    line, node indexes it, pos is each node's position along the axis and
+    stride the distance along flat of one step along it."""
+    last = n - 1
     inner = (pos > 0) & (pos < last)
     edges = (pos == 0, pos == last)
 
-    def nodes(sel, i):
-        """v at the selected nodes moved to position i along axis."""
-        at = [iy[sel], ix[sel]]
-        at[axis] = i
-        return v[tuple(at)]
+    def line(i):
+        """flat on line i of the edge nodes, counted from the first line for
+        i >= 0 and from the last for i < 0."""
+        return flat[node[edges[i < 0]] + (i if i >= 0 else i + 1) * stride]
 
-    out = np.empty(pos.shape)
-    p = pos[inner]
-    out[inner] = (nodes(inner, p + 1) - nodes(inner, p - 1)) / (2.0 * h)
-    out[edges[0]], out[edges[1]] = _edge_differences(lambda i: nodes(edges[i < 0], i), h)
+    out = np.empty(node.shape)
+    at = node[inner]
+    out[inner] = (flat[at + stride] - flat[at - stride]) / (2.0 * h)
+    out[edges[0]], out[edges[1]] = _edge_differences(line, h)
     return out
 
 
@@ -375,13 +413,20 @@ def central_gradient_norm(u: ScalarField, work: Workspace = None) -> np.ndarray:
     return np.hypot(ux, uy, out=ux)
 
 
-def central_gradient_norm_at(u: ScalarField, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+def central_gradient_norm_at(
+    u: ScalarField | FieldStack, iy: np.ndarray, ix: np.ndarray, snapshot: np.ndarray = None,
+) -> np.ndarray:
     """`central_gradient_norm(u)[iy, ix]`, bitwise, measured at the nodes
-    (iy, ix) alone."""
-    h = u.spec.h
+    (iy, ix) alone.  u may also be a FieldStack, with snapshot the index in
+    it of each node's field."""
+    n, h = u.spec.n, u.spec.h
+    node = iy * n + ix
+    if snapshot is not None:
+        node += snapshot * (n * n)
+    flat = u.values.reshape(-1)
     return np.hypot(
-        _central_difference_at(u.values, h, 1, iy, ix),
-        _central_difference_at(u.values, h, 0, iy, ix),
+        _central_difference_at(flat, h, node, ix, 1, n),
+        _central_difference_at(flat, h, node, iy, n, n),
     )
 
 
@@ -447,10 +492,12 @@ def curvature_term(u: ScalarField, work: Workspace = None) -> np.ndarray:
 # or above the level.  Only the cells the level cuts (case neither 0 nor 15)
 # need edge crossings; along a front they are O(n) of the (n-1)^2 cells.
 # _classify and cell_coverage take a 1-D array of levels and classify all of
-# them in one pass; one level is a stack of one.
+# them in one pass; one level is a stack of one.  _classify also takes a
+# FieldStack with the levels of each of its fields, and classifies every
+# (field, level) pair, a plane, in one pass.
 
 
-def _classify(u: ScalarField, levels: np.ndarray):
+def _classify(u: ScalarField | FieldStack, levels: np.ndarray, counts: list = None):
     """Marching-squares classification of the cells of u against each level.
 
     Returns (case, cells, corners, centre_in): the case code of every cell,
@@ -460,11 +507,22 @@ def _classify(u: ScalarField, levels: np.ndarray):
     NW; and whether each cut cell's corner average is at or above its
     level, the rule that resolves the two saddle cases 5 and 10.  Nodes are
     compared with the level directly: for finite doubles u - level >= 0
-    exactly when u >= level.
+    exactly when u >= level.  u may also be a FieldStack, with levels
+    holding the counts[0] levels of its field 0, then the counts[1] levels
+    of field 1, and so on.
     """
     n = u.spec.n
     levels = np.asarray(levels, dtype=np.float64)
-    inside = (u.values >= levels[:, None, None]).view(np.uint8).reshape(len(levels), -1)
+    several = counts is not None and len(counts) > 1
+    inside = np.empty((len(levels), n, n), dtype=bool)
+    if several:
+        lo = 0
+        for values, count in zip(u.values, counts):
+            np.greater_equal(values, levels[lo:lo + count, None, None], out=inside[lo:lo + count])
+            lo += count
+    else:   # the values of one field, (n, n) or a stack of one
+        np.greater_equal(u.values, levels[:, None, None], out=inside)
+    inside = inside.view(np.uint8).reshape(len(levels), -1)
     # the case of the cell whose SW corner is node k goes to code[:, k], the
     # corner bits added by Horner's rule on shifted lines; the nodes of the
     # last column pair with the next row and are cleared
@@ -479,7 +537,8 @@ def _classify(u: ScalarField, levels: np.ndarray):
     case = case.reshape(len(levels), n - 1, n)
     case[:, :, -1] = 0
     level, sw = np.divmod(np.flatnonzero((case != 0) & (case != 15)), (n - 1) * n)
-    corners = np.take(u.values, sw + np.array([[0], [1], [n + 1], [n]]))
+    node = sw + (n * n) * np.repeat(np.arange(len(counts)), counts)[level] if several else sw
+    corners = np.take(u.values, node + np.array([[0], [1], [n + 1], [n]]))
     corners -= levels[level]
     la, lb, lc, ld = corners
     centre_in = (la + lb + lc + ld) >= 0.0
@@ -560,14 +619,18 @@ def lebesgue_measure(u: ScalarField, levels=0.0):
 # bilinear interpolation
 
 
-def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
+def interpolate(
+    u: ScalarField | FieldStack, points: np.ndarray, snapshot: np.ndarray = None,
+) -> np.ndarray:
     """Bilinear evaluation at physical points, shape (..., 2) as (x, y).
 
     Points outside [-L, L]^2, and points with a NaN coordinate, evaluate to
     the far-field value -1.  Exact at grid nodes and for bilinear data.  u
     may also hold C components per node, values of shape (n, n, C) as a
     DirectionField does; the result then has the components along a new
-    first axis, shape (C, ...).
+    first axis, shape (C, ...).  u may also be a FieldStack, with snapshot
+    the index in it of the field each point is read in, an integer array
+    of shape points.shape[:-1].
     """
     pts = np.asarray(points, dtype=np.float64)
     scalar = pts.ndim == 1
@@ -575,6 +638,7 @@ def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
     L = u.spec.half_extent
     h = u.spec.h
     n = u.spec.n
+    stack = u.values if snapshot is not None else u.values[None]
 
     x = pts[..., 0]
     y = pts[..., 1]
@@ -600,11 +664,14 @@ def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
 
     # sx*sy*a + tx*sy*b + sx*ty*c + tx*ty*d summed in that order, with the
     # corners a, b, c, d gathered from the nodes as one line, node
-    # k = iy n + ix, the C components per node along the first axis
-    nodes = np.moveaxis(u.values.reshape(n * n, -1), 1, 0)
+    # k = (snapshot n + iy) n + ix, the C components per node along the
+    # first axis
+    nodes = np.moveaxis(stack.reshape(stack.shape[0] * n * n, -1), 1, 0)
     k = iy
     k *= n
     k += ix
+    if snapshot is not None:
+        k += np.asarray(snapshot) * (n * n)
     weight = sx * sy
     val = weight * np.take(nodes, k, axis=1)
     corner = np.empty_like(val)
@@ -614,7 +681,7 @@ def interpolate(u: ScalarField, points: np.ndarray) -> np.ndarray:
         np.take(nodes, k, axis=1, out=corner)
         corner *= weight
         val += corner
-    if u.values.ndim == 2:
+    if stack.ndim == 3:
         val = val[0]
     val[..., outside] = -1.0
     return float(val[0]) if scalar else val

@@ -24,7 +24,9 @@ computed once per snapshot.  A run writes a self-contained directory:
 
 `verify_run_dir` reloads such a directory, recomputes each stored check
 that needs no extra solve, and compares the recomputed report files with
-the stored ones byte for byte.  Every metadata file above is `key = value`
+the stored ones byte for byte.  Given the tree of a `preset verify-all`, it
+verifies each of the tree's run directories and prefixes their lines with
+the run's name.  Every metadata file above is `key = value`
 text, written by `grid.meta_text` and read by `grid.load_meta`.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or
@@ -319,10 +321,47 @@ def _fault(err: Exception) -> str:
     return f"missing {err.filename}"
 
 
+NO_RECHECK = "no stored check needs recomputing"
+
+
+def _sub_runs(out_root: str) -> list:
+    """The names of the run directories in the tree of a `preset verify-all`:
+    none when out_root holds a run_meta.txt of its own, else each
+    subdirectory that holds a run_meta.txt or a FAILED marker, in the order
+    of the tree's verdicts.txt, then any it does not name, by name."""
+    if not os.path.isdir(out_root) or os.path.exists(os.path.join(out_root, "run_meta.txt")):
+        return []
+    names = sorted(
+        name for name in os.listdir(out_root)
+        if any(os.path.isfile(os.path.join(out_root, name, f)) for f in ("run_meta.txt", "FAILED"))
+    )
+    listed = os.path.join(out_root, "verdicts.txt")
+    order = []
+    if os.path.isfile(listed):
+        with open(listed, errors="replace") as fh:
+            order = list(dict.fromkeys(line.partition(": ")[0] for line in fh))
+    return sorted(names, key=lambda name: order.index(name) if name in order else len(order))
+
+
+def _verify_tree(out_root: str, names: list) -> RunResult:
+    """`verify_run_dir` of each named run directory of out_root, its lines
+    prefixed with `name: ` as `run_verify_all` prefixes them; the exit code
+    is the worst of them."""
+    exit_code = EXIT_OK
+    verdicts = []
+    for name in names:
+        result = verify_run_dir(os.path.join(out_root, name))
+        exit_code = max(exit_code, result.exit_code)
+        verdicts.extend(f"{name}: {line}" for line in result.verdicts or [NO_RECHECK])
+    return RunResult(exit_code, out_root, verdicts)
+
+
 def verify_run_dir(run_dir: str) -> RunResult:
     """Reload a run directory, recompute every stored check that needs no
     extra solve, and compare the recomputed report files with the stored
-    ones byte for byte.
+    ones byte for byte.  The tree of a `preset verify-all`, which holds no
+    run of its own, is verified run directory by run directory
+    (`_verify_tree`).
 
     Exit 0 iff every recomputed report equals its stored files and passes;
     1 when a check fails or a stored report differs: `(verdict mismatch with
@@ -331,6 +370,8 @@ def verify_run_dir(run_dir: str) -> RunResult:
     here alone: 2 for a FAILED marker (read first) or a stored file that is
     missing or malformed (`FieldFormatError`), 3 for any other fault."""
     try:
+        if names := _sub_runs(run_dir):
+            return _verify_tree(run_dir, names)
         verdicts = _recheck(run_dir)
     except (FileNotFoundError, FieldFormatError) as err:
         code, message = EXIT_CONFIG, _fault(err)

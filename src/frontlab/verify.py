@@ -41,8 +41,8 @@ from .contour import extract_contour
 from .couplings import constant_history, gauss_average, kappa
 from .errors import FrontEscapeError, StabilityError
 from .geometry import InitCondition
-from .grid import ScalarField, central_gradient_norm_at, interpolate, lebesgue_measure, load_meta
-from .grid import meta_text, trapezoid
+from .grid import ScalarField, batches, central_gradient_norm_at, interpolate, lebesgue_measure
+from .grid import load_meta, meta_text, stack_fields, trapezoid
 from .solver import Trajectory, _normalise_output_times, regularity_report, solution_gaps
 from .weak import march_solve, reuses_march
 
@@ -162,7 +162,65 @@ def load_report(directory, name: str) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the displacement-margin measurement shared by several reports
+# the front band of a batch of snapshots, and the displacement margin
+#
+# eta, the lower gradient and the star-shape margin all read the band
+# {|u| <= delta0/4} of every stored snapshot.  A batch of consecutive
+# snapshots (`grid.batches`) is stacked and its band found once; each
+# measurement then runs on every band node of the batch in one numpy pass
+# and takes the minimum per snapshot, which is exact in any order.
+
+
+class Band:
+    """The nodes of a batch of snapshots in the band {|u| <= width}.
+
+    fields are the snapshots and stack their `grid.FieldStack`; snapshot,
+    iy and ix index the band nodes, snapshot by snapshot and row by row,
+    values is u there and points their (x, y)."""
+
+    def __init__(self, fields: list, width: float):
+        self.fields = fields
+        self.stack = stack_fields(fields)
+        n = self.stack.spec.n
+        node = np.flatnonzero(np.abs(self.stack.values) <= width)
+        self.values = self.stack.values.reshape(-1)[node]
+        self.snapshot, node = np.divmod(node, n * n)
+        self.iy, self.ix = np.divmod(node, n)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        ax = self.stack.spec.axis()
+        return np.column_stack([ax[self.ix], ax[self.iy]])
+
+    def minima(self, values: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
+        """The minimum of values over each snapshot of the batch, NaN for a
+        snapshot with none; snapshot, the snapshot of each value, is
+        nondecreasing."""
+        out = np.full(len(self.fields), np.nan)
+        bounds = np.searchsorted(snapshot, np.arange(len(self.fields) + 1))
+        some = bounds[:-1] < bounds[1:]
+        if values.size:
+            out[some] = np.minimum.reduceat(values, bounds[:-1][some])
+        return out
+
+
+def band_etas(band: Band, init: InitCondition, lambdas) -> np.ndarray:
+    """eta_empirical of each snapshot of band's batch: the worst push
+    quotient [u(x + lam nu(x)) - u(x)] / lam over its band nodes and the
+    positive lambdas, every push of the batch in one interpolation.  NaN
+    for a snapshot whose band is empty or whose every push leaves the
+    domain."""
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    lambdas = lambdas[lambdas > 0.0]
+    pts = band.points + lambdas[:, None, None] * init.nu.values[band.iy, band.ix]
+    inside = np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1])) <= band.stack.spec.half_extent
+    # every push is evaluated, and those that leave the domain dropped after
+    q = interpolate(band.stack, pts, np.broadcast_to(band.snapshot, inside.shape))
+    q -= band.values
+    q /= lambdas[:, None]
+    q[~inside] = np.inf
+    pushed = inside.any(axis=0)
+    return band.minima(q.min(axis=0, initial=np.inf)[pushed], band.snapshot[pushed])
 
 
 def eta_empirical(
@@ -173,26 +231,14 @@ def eta_empirical(
 
     band defaults to {|u| <= delta0/4}; lambdas to lambda_bar {1/4..1};
     non-positive lambdas are excluded (the quotient is undefined at 0).
-    Every lambda's pushes are evaluated in one interpolation.  Returns NaN
-    when the band is empty or every push leaves the domain.
+    The batch of one snapshot of `band_etas`.  Returns NaN when the band
+    is empty or every push leaves the domain.
     """
     if band_width is None:
         band_width = init.delta0 / 4.0
     if lambdas is None:
         lambdas = init.lambda_bar * np.arange(1, 5) / 4.0
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    lambdas = lambdas[lambdas > 0.0]
-    iy, ix = np.nonzero(np.abs(u.values) <= band_width)
-    if iy.size == 0:
-        return np.nan
-    ax = u.spec.axis()
-    base = np.column_stack([ax[ix], ax[iy]])
-    pts = base + lambdas[:, None, None] * init.nu.values[iy, ix]
-    inside = np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1])) <= u.spec.half_extent
-    values = np.broadcast_to(u.values[iy, ix], inside.shape)[inside]
-    lam = np.broadcast_to(lambdas[:, None], inside.shape)[inside]
-    q = (interpolate(u, pts[inside]) - values) / lam
-    return float(q.min()) if q.size else np.nan
+    return float(band_etas(Band([u], band_width), init, lambdas)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +249,15 @@ class CheckContext:
     """A trajectory and its initial condition, with what the checks share,
     each computed on first use and then kept: every snapshot's eta, every
     (snapshot, level) contour, every snapshot's areas at `area_levels` (never
-    coverage arrays), the regularity fit K, the key estimate and the
-    star-shape report (which a run's gamma sweep reuses at the run's gamma).
-    The geometric reports accept a context in place of their trajectory.
-    `checks` names the checks that will read it, so that the first contour
-    request extracts every level they read in every snapshot, all in one
-    `extract_contour` call.  A run also
-    sets `config` and `coupling`, which the checks that solve again
+    coverage arrays), the band of each batch of snapshots, the regularity
+    fit K, the key estimate and the star-shape report (which a run's gamma
+    sweep reuses at the run's gamma).  The geometric reports accept a
+    context in place of their trajectory.  `checks` names the checks that
+    will read it, so that the first contour request extracts every level
+    they read in every snapshot, all in one `extract_contour` call, and the
+    first area read of a snapshot measures every level they read.  The
+    first eta request measures every snapshot, a batch at a time.  A run
+    also sets `config` and `coupling`, which the checks that solve again
     (dependence) read."""
 
     def __init__(
@@ -225,6 +273,18 @@ class CheckContext:
         if key not in self._kept:
             self._kept[key] = compute(*args)
         return self._kept[key]
+
+    def bands(self, stop: int = None) -> list:
+        """(snapshot range, Band of {|u| <= delta0/4}) of each batch of
+        `grid.batches` that holds a snapshot before stop (default: all),
+        each built on first use."""
+        snapshots = self.traj.snapshots
+        spans = batches(len(snapshots), self.traj.spec.n)
+        width = self.init.delta0 / 4.0
+        return [
+            (span, self._once(("band", span.start), Band, snapshots[span.start:span.stop], width))
+            for span in spans if stop is None or span.start < stop
+        ]
 
     def contours(self, k: int, levels) -> list:
         """The contours of snapshot k at each level.  The first request
@@ -257,18 +317,28 @@ class CheckContext:
         return [0.0]
 
     def area(self, k: int, level: float = 0.0) -> float:
-        """Area of {u >= level} in snapshot k, for a level in `area_levels`;
-        the first read of a snapshot computes all of them in one pass."""
-        return self._once(("areas", k), self._areas, k)[level]
+        """Area of {u >= level} in snapshot k.  The first read of a snapshot
+        computes every level of `area_levels` in one pass; a level not
+        listed there is computed alone when it is first read."""
+        areas = self._once(("areas", k), self._areas, k)
+        if level not in areas:
+            areas[level] = lebesgue_measure(self.traj.snapshots[k], level)
+        return areas[level]
 
     @cached_property
     def area_levels(self) -> tuple:
-        """Every level a check reads an area at: the contour levels and the
-        band_measure and non_fattening offsets."""
+        """Every level `checks` read an area at: 0 (also the level of a
+        run's radius table), the contour levels of perimeter and the
+        offsets of band_measure and non_fattening."""
         h, delta0 = self.traj.spec.h, self.init.delta0
-        eps = _slab_eps(h).tolist()
-        levels = {f * delta0 for f in LEVELS_FRACTION}
-        levels.update([-d for d in _band_deltas(h, delta0)] + [-e for e in eps] + eps)
+        levels = {0.0}
+        if "perimeter" in self.checks:
+            levels.update(f * delta0 for f in LEVELS_FRACTION)
+        if "band_measure" in self.checks:
+            levels.update(-d for d in _band_deltas(h, delta0))
+        if "non_fattening" in self.checks:
+            eps = _slab_eps(h).tolist()
+            levels.update([-e for e in eps] + eps)
         return tuple(sorted(levels))
 
     def _areas(self, k: int) -> dict:
@@ -276,11 +346,14 @@ class CheckContext:
         return dict(zip(levels, lebesgue_measure(self.traj.snapshots[k], levels)))
 
     def eta(self, k: int, lambda_bar: float) -> float:
-        """eta_empirical of snapshot k: default band, lambdas lambda_bar {1/4..1}."""
+        """eta_empirical of snapshot k: default band, lambdas lambda_bar
+        {1/4..1}.  The first request for a lambda_bar measures every
+        snapshot, a batch at a time (`band_etas`)."""
+        return self._once(("eta", lambda_bar), self._etas, lambda_bar)[k]
+
+    def _etas(self, lambda_bar: float) -> list:
         lambdas = lambda_bar * np.arange(1, 5) / 4.0
-        return self._once(
-            ("eta", k, lambda_bar), eta_empirical, self.traj.snapshots[k], self.init, lambdas
-        )
+        return [eta for _, band in self.bands() for eta in band_etas(band, self.init, lambdas).tolist()]
 
     @cached_property
     def K_fit(self) -> float:
@@ -293,7 +366,7 @@ class CheckContext:
 
     @cached_property
     def star_shape(self) -> "VerificationReport":
-        return star_shape_report(self.traj, self.init)
+        return star_shape_report(self, self.init)
 
     @property
     def schedule(self) -> "EtaSchedule":
@@ -413,30 +486,41 @@ def lower_gradient_report(
     """min |Du| over {|u(t)| < delta0/4} against eta(t) / ||nu||_inf.
 
     |Du| is measured at the band nodes alone (`central_gradient_norm_at`),
-    the same floats as the full-grid central |Du| there.  Times after t_bar
-    or with an empty band are vacuous passes.  Slack is 3 h scale with
+    the same floats as the full-grid central |Du| there, every band node of
+    a batch of snapshots in one call (`CheckContext.bands`).  Times after
+    t_bar or with an empty band are vacuous passes.  Slack is 3 h scale with
     scale = max(1, 1/r0), the natural curvature of the initial front.
     """
+    ctx, traj = _context(traj, init)
     h = traj.spec.h
     scale = max(1.0, 1.0 / init.r0)
     slack = 3.0 * h * scale
     nu_sup = max(init.nu.sup_norm, 1e-12)
     width = init.delta0 / 4.0
+    times = traj.times
+    stop = next((k for k, t in enumerate(times) if t > t_bar + 1e-12), len(times))
+
+    # the band minimum of |Du| of each snapshot up to t_bar, a batch at a
+    # time; the band {|u| < width} is part of the context's {|u| <= width}
+    measured = []
+    for span, band in ctx.bands(stop):
+        sel = np.abs(band.values) < width
+        if span.stop > stop:
+            sel &= band.snapshot < stop - span.start
+        snapshot = band.snapshot[sel]
+        grad = central_gradient_norm_at(band.stack, band.iy[sel], band.ix[sel], snapshot)
+        measured.extend(band.minima(grad, snapshot).tolist())
 
     rows = []
     worst = np.inf
-    for t, snap in zip(traj.times, traj.snapshots):
-        if t > t_bar + 1e-12:
-            break
-        iy, ix = np.nonzero(np.abs(snap.values) < width)
+    for t, least in zip(times[:stop], measured):
         bound = max(float(eta_sched.eta(t)), 0.0) / nu_sup
-        if not iy.size:
+        if np.isnan(least):
             rows.append((float(t), 0.0, bound, 0.0))
             continue
-        measured = float(central_gradient_norm_at(snap, iy, ix).min())
-        margin = measured - bound
+        margin = least - bound
         worst = min(worst, margin)
-        rows.append((float(t), measured, bound, margin))
+        rows.append((float(t), least, bound, margin))
 
     passed = (not rows) or worst == np.inf or worst >= -slack
     return VerificationReport(
@@ -903,30 +987,31 @@ def star_shape_report(
 
     Unlike the t_bar-limited checks this one is global in time: the volume
     law is expected to preserve star-shapedness on all of [0, T] for small
-    gamma.  Pass iff every margin >= eta0/2 - slack.
+    gamma.  Pass iff every margin >= eta0/2 - slack.  Every band node of a
+    batch of snapshots is pulled in one interpolation (`CheckContext.bands`).
     """
-    spec = traj.spec
-    h = spec.h
+    ctx, traj = _context(traj, init)
+    h = traj.spec.h
     if slack is None:
         slack = 3.0 * init.lipschitz * h
     lam = 0.5 * init.lambda_bar
-    width = init.delta0 / 4.0
-    x, y = spec.meshgrid()
     bound = 0.5 * init.eta0
+
+    # the band minimum of the margin of every snapshot, a batch at a time
+    measured = []
+    for _, band in ctx.bands():
+        pulled = interpolate(band.stack, (1.0 - lam) * band.points, band.snapshot)
+        q = (pulled - band.values) / lam
+        measured.extend(band.minima(q, band.snapshot).tolist())
 
     rows = []
     passed = True
-    for t, snap in zip(traj.times, traj.snapshots):
-        band = np.abs(snap.values) <= width
-        if not band.any():
+    for t, least in zip(traj.times, measured):
+        if np.isnan(least):
             rows.append((float(t), bound, bound, 0.0))
             continue
-        base = np.column_stack([x[band], y[band]])
-        pulled = interpolate(snap, (1.0 - lam) * base)
-        q = (pulled - snap.values[band]) / lam
-        measured = float(q.min())
-        margin = measured - bound
-        rows.append((float(t), measured, bound, margin))
+        margin = least - bound
+        rows.append((float(t), least, bound, margin))
         if margin < -slack:
             passed = False
 
@@ -980,7 +1065,7 @@ def gamma_sweep_star_shape(
 CHECKS = {
     "key_estimate": (lambda c: [c.key_estimate[1]], False, 2),
     "lower_gradient": (
-        lambda c: [lower_gradient_report(c.traj, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
+        lambda c: [lower_gradient_report(c, c.init, c.schedule, t_bar=c.t_bar)], False, 2),
     "cone": (lambda c: [cone_report(c, c.init, c.schedule, c.K_fit, t_bar=c.t_bar)], False, 3),
     "perimeter": (
         lambda c: [perimeter_report(c, c.init, c.schedule, c.K_fit, t_bar=c.t_bar)], False, 3),

@@ -39,7 +39,8 @@ from frontlab.couplings import (
 from frontlab.errors import ConfigError
 from frontlab.grid import ScalarField, load_field
 from frontlab.presets import list_presets, preset_text, verify_all_configs
-from frontlab.runner import RunResult, clear_listed, run, verify_run_dir, write_manifest
+from frontlab.runner import RunResult, clear_listed, run, run_verify_all, verify_run_dir
+from frontlab.runner import write_manifest
 
 BASE = "init.kind = circle\ninit.r0 = 0.5\n"
 
@@ -535,6 +536,67 @@ def _python(*args, cwd=None):
 def _frontlab(*args, cwd=None):
     """`python -m frontlab.cli args` in a fresh interpreter, as a shell runs it."""
     return _python("-m", "frontlab.cli", *args, cwd=cwd)
+
+
+# the tree of a `preset verify-all` with three small runs, named out of
+# alphabetical order; one has no check to recompute
+_TREE_RUNS = [
+    ("tiny", TINY),
+    ("bare", TINY.replace("checks = key_estimate, lower_gradient, star_shape", "checks = none")),
+    ("small", SMALL),
+]
+
+
+@pytest.fixture(scope="module")
+def verify_all_tree(tmp_path_factory):
+    import frontlab.presets
+
+    root = tmp_path_factory.mktemp("tree") / "verify-all"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frontlab.presets, "verify_all_configs", lambda: list(_TREE_RUNS))
+        assert run_verify_all(str(root)).exit_code == 0
+    return root
+
+
+def _tree_lines(root):
+    """What verifying each run of the tree alone prints, prefixed by name."""
+    lines = []
+    for name, _ in _TREE_RUNS:
+        verdicts = verify_run_dir(str(root / name)).verdicts
+        lines += [f"{name}: {line}" for line in verdicts or ["no stored check needs recomputing"]]
+    return lines
+
+
+def test_verify_of_a_verify_all_tree_verifies_each_run(verify_all_tree):
+    proc = _frontlab("verify", verify_all_tree)
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.splitlines()
+    assert printed == _tree_lines(verify_all_tree)
+    assert [line.partition(": ")[0] for line in printed] == (
+        ["tiny"] * 3 + ["bare"] + ["small"] * 3)
+    assert "bare: no stored check needs recomputing" in printed
+    assert all(line.partition(": ")[2].startswith("PASS") for line in printed if "bare" not in line)
+
+
+def test_verify_of_a_verify_all_tree_reports_an_edited_run(verify_all_tree, tmp_path):
+    copy = tmp_path / "verify-all"
+    shutil.copytree(verify_all_tree, copy)
+    _change_last_digit(copy / "small" / "reports" / "lower_gradient.csv")
+    proc = _frontlab("verify", copy)
+    assert proc.returncode == 1, proc.stderr
+    printed = proc.stdout.splitlines()
+    assert "small: FAIL lower_gradient (report drift)" in printed
+    assert printed == [
+        line.replace("PASS", "FAIL").replace("lower_gradient", "lower_gradient (report drift)")
+        if line == "small: PASS lower_gradient" else line
+        for line in _tree_lines(verify_all_tree)
+    ]
+
+
+def test_verify_of_an_empty_directory_needs_a_run(tmp_path):
+    proc = _frontlab("verify", tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines() == [f"FAIL verify (missing {tmp_path}/run_meta.txt)"]
 
 
 @pytest.fixture(scope="module")
@@ -1168,13 +1230,20 @@ def _extracted(u, levels=0.0):
 
 def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     import frontlab.contour
+    import frontlab.solver
     import frontlab.verify
 
     stacks = _record_calls(
         monkeypatch, frontlab.contour, "extract_contour",
         lambda *args: [(u, lv) for u, levels in _extracted(*args) for lv in levels])
-    etas = _record_calls(monkeypatch, frontlab.verify, "eta_empirical",
-                         lambda u, *args, **kwargs: id(u))
+    # the snapshots each batch covers: the fields of each band whose etas are
+    # measured, and the values of each stack of fields a contour extraction
+    # classifies (an area's classification takes one field, no counts)
+    etas = _record_calls(monkeypatch, frontlab.verify, "band_etas",
+                         lambda band, *args, **kwargs: [id(u) for u in band.fields])
+    classified = _record_calls(
+        monkeypatch, frontlab.contour, "_classify",
+        lambda u, levels, counts=None: [] if counts is None else [v.tobytes() for v in u.values])
     cfg = parse_config(TINY.replace(
         "checks = key_estimate, lower_gradient, star_shape",
         "checks = key_estimate, lower_gradient, cone, perimeter, band_measure, "
@@ -1184,6 +1253,8 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     result = run(cfg, out_dir=str(out))
     assert result.exit_code in (0, 1)
     snapshots = len(list((out / "contours").iterdir()))
+    values = {u.values.tobytes() for u in frontlab.solver.load_trajectory(out / "traj").snapshots}
+    assert len(values) == snapshots
 
     def assert_each_once(label):
         # cone and perimeter read three levels per early snapshot, and the
@@ -1191,11 +1262,14 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
         contours = [key for stack in stacks for key in stack]
         assert len(set(contours)) > snapshots, label
         assert len(contours) == len(set(contours)), label
-        assert len(etas) == len(set(etas)) == snapshots, label
+        measured = [key for band in etas for key in band]
+        assert len(measured) == len(set(measured)) == snapshots, label
+        planes = [key for stack in classified for key in stack]
+        assert len(planes) == snapshots and set(planes) == values, label
 
     assert_each_once("run")
-    stacks.clear()
-    etas.clear()
+    for calls in (stacks, etas, classified):
+        calls.clear()
     assert verify_run_dir(str(out)).exit_code == result.exit_code
     assert_each_once("verify")
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from frontlab.contour import FrontContour, dump_contour, extract_contour
-from frontlab.grid import GridSpec, ScalarField, constant_field, field_from_function, interpolate
+from frontlab.grid import GridSpec, ScalarField, _classify, batches, constant_field
+from frontlab.grid import field_from_function, interpolate, stack_fields
 
 
 def _disc(spec, r, cx=0.0, cy=0.0):
@@ -284,4 +285,52 @@ def test_one_call_over_many_fields_equals_each_field_alone(n):
         assert [c.level for c in contours] == [c.level for c in alone] == list(levels)
         for got, want in zip(contours, alone):
             assert _same_polylines(got, (want.polylines, want.closed)), (got.level, u.values[0, :3])
+    assert sum(len(c.polylines) for cs in together for c in cs) > len(fields)
+
+
+def _trajectory_fields(spec):
+    """(fields, levels) of a 13-snapshot trajectory read as a context reads
+    it: three levels up to t_bar (the first seven), one after; the empty
+    field among the first seven and the full one among the rest."""
+    cases = _reference_fields(spec)
+    values = [v for v, _ in cases[:9]] + [1.0 - spec.radius() / r for r in (0.7, 0.4)]
+    values.insert(2, cases[9][0])    # empty
+    values.append(cases[10][0])      # full
+    fields = [ScalarField(spec, v) for v in values]
+    levels = [(-0.05, 0.0, 0.05) if k < 7 else (0.0,) for k in range(len(fields))]
+    return fields, levels
+
+
+@pytest.mark.parametrize("n", [33, 49, 65, 101, 201])
+def test_batched_classification_and_extraction_equal_one_field_at_a_time(n):
+    spec = GridSpec(n, 1.5)
+    fields, levels = _trajectory_fields(spec)
+    assert len(fields) == 13
+    # each batch classified in one call, every plane equal to its field's
+    # own classification
+    for span in batches(len(fields), n):
+        counts = [len(levels[k]) for k in span]
+        case, (plane, iy, ix), corners, centre_in = _classify(
+            stack_fields(fields[span.start:span.stop]),
+            np.concatenate([levels[k] for k in span]), counts)
+        first = 0
+        for k, count in zip(span, counts):
+            own_case, (own_plane, own_iy, own_ix), own_corners, own_centre = _classify(
+                fields[k], np.array(levels[k]))
+            at = (plane >= first) & (plane < first + count)
+            assert np.array_equal(case[first:first + count], own_case), (k, span)
+            assert np.array_equal(plane[at] - first, own_plane), (k, span)
+            assert np.array_equal(iy[at], own_iy) and np.array_equal(ix[at], own_ix), (k, span)
+            assert np.array_equal(corners[:, at].view(np.uint64), own_corners.view(np.uint64))
+            assert np.array_equal(centre_in[at], own_centre), (k, span)
+            first += count
+    # the polylines and closed flags of one call over the trajectory equal
+    # each field's alone
+    together = extract_contour(fields, levels)
+    for u, own_levels, contours in zip(fields, levels, together):
+        alone = extract_contour(u, list(own_levels))
+        assert [c.level for c in contours] == list(own_levels)
+        for got, want in zip(contours, alone):
+            assert _same_polylines(got, (want.polylines, want.closed)), (got.level, n)
+    assert together[2][1].polylines == [] and together[12][0].polylines == []
     assert sum(len(c.polylines) for cs in together for c in cs) > len(fields)

@@ -18,9 +18,12 @@ import pytest
 import frontlab
 from frontlab.errors import FieldFormatError, GridMismatchError
 from frontlab.grid import (
+    BATCH_BYTES,
+    FieldStack,
     GridSpec,
     ScalarField,
     Workspace,
+    batches,
     cell_coverage,
     central_gradient_norm,
     central_gradient_norm_at,
@@ -32,6 +35,7 @@ from frontlab.grid import (
     interpolate,
     lebesgue_measure,
     load_field,
+    stack_fields,
     upwind_gradient_norm,
 )
 
@@ -156,6 +160,59 @@ def test_gradient_norm_at_nodes_matches_full_grid_bitwise(n):
         got = central_gradient_norm_at(u, iy, ix)
         assert got.shape == iy.shape, name
         assert np.array_equal(got, full[iy, ix]), name
+
+
+@pytest.mark.parametrize("n", [33, 49, 65, 101, 201])
+def test_gradient_norm_at_nodes_of_a_stack_matches_each_field_bitwise(n):
+    # the nodes of every field of a stack in one call, against each field's
+    # full-grid |Du|
+    rng = np.random.default_rng(n)
+    spec = GridSpec(n, 1.5)
+    fields = [ScalarField(spec, rng.normal(size=(n, n))) for _ in range(3)]
+    stack = stack_fields(fields)
+    for name, iy, ix in _node_sets(n, rng):
+        snapshot = rng.integers(0, len(fields), iy.size)
+        got = central_gradient_norm_at(stack, iy, ix, snapshot)
+        want = np.empty(iy.size)
+        for j, u in enumerate(fields):
+            at = snapshot == j
+            want[at] = central_gradient_norm(u)[iy[at], ix[at]]
+        assert np.array_equal(got, want), name
+        one = central_gradient_norm_at(stack_fields(fields[:1]), iy, ix, np.zeros_like(iy))
+        assert np.array_equal(one, central_gradient_norm_at(fields[0], iy, ix)), name
+
+
+# ---------------------------------------------------------------------------
+# batches of snapshots
+# ---------------------------------------------------------------------------
+
+
+def test_batches_hold_what_fits_in_the_budget():
+    assert batches(13, 49) == [range(0, 13)]
+    assert batches(13, 201) == [range(k, k + 1) for k in range(13)]
+    assert batches(3, 201) == [range(0, 1), range(1, 2), range(2, 3)]
+    assert batches(13, 101) == [range(0, 6), range(6, 12), range(12, 13)]
+    assert batches(0, 49) == []
+    for n in (33, 49, 65, 101, 129, 161, 201, 401, 1025):
+        for count in (1, 2, 3, 13, 25, 60):
+            spans = batches(count, n)
+            # every snapshot once, in order, at least one per batch, and more
+            # than one only while their values fit in BATCH_BYTES
+            assert [k for span in spans for k in span] == list(range(count)), (n, count)
+            assert all(len(span) >= 1 and span.step == 1 for span in spans)
+            assert all(len(span) == 1 or 8 * n * n * len(span) <= BATCH_BYTES for span in spans)
+            # only the last batch may be short
+            assert len({len(span) for span in spans[:-1]}) <= 1
+            assert len(spans[-1]) <= len(spans[0])
+            assert len(spans[0]) == min(count, max(1, BATCH_BYTES // (8 * n * n)))
+
+
+def test_stack_of_one_field_is_a_view():
+    u = ScalarField(GridSpec(33, 1.5), np.random.default_rng(1).normal(size=(33, 33)))
+    one = stack_fields([u])
+    assert one.values.shape == (1, 33, 33) and np.shares_memory(one.values, u.values)
+    two = stack_fields([u, u])
+    assert two.values.shape == (2, 33, 33) and not np.shares_memory(two.values, u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +652,37 @@ def test_interpolate_matches_the_formula_bitwise(components):
     for pts in (rng.uniform(-1.7, 1.7, (2000, 2)), rng.uniform(-1.7, 1.7, (3, 5, 2))):
         got = interpolate(field, pts)
         assert _same_bits(got, _reference_interpolate(field.values, spec, pts))
+
+
+@pytest.mark.parametrize("n", [33, 49, 65, 101, 201])
+@pytest.mark.parametrize("components", [None, 2], ids=["scalar", "direction-field"])
+def test_interpolate_from_a_stack_matches_each_field_bitwise(n, components):
+    # points read in the field of their snapshot index, outside points and
+    # NaN points among them, against each field read alone
+    spec = GridSpec(n, 1.5)
+    rng = np.random.default_rng(n)
+    shape = (spec.n, spec.n) if components is None else (spec.n, spec.n, components)
+    fields = []
+    for _ in range(4):
+        field = ScalarField(spec, np.zeros((n, n)))
+        field.values = rng.normal(size=shape)
+        fields.append(field)
+    stack = FieldStack(spec, np.stack([f.values for f in fields]))
+    for pts in (rng.uniform(-1.7, 1.7, (500, 2)), rng.uniform(-1.7, 1.7, (3, 40, 2))):
+        pts[(0,) * (pts.ndim - 1)][0] = np.nan
+        pts.reshape(-1, 2)[7, 1] = np.nan
+        snapshot = rng.integers(0, len(fields), pts.shape[:-1])
+        got = interpolate(stack, pts, snapshot)
+        want = np.stack([interpolate(f, pts) for f in fields])   # (fields, C.., points..)
+        pick = snapshot if components is None else np.broadcast_to(snapshot, got.shape)
+        want = np.take_along_axis(want, pick[None], axis=0)[0]
+        assert got.shape == want.shape
+        assert _same_bits(got, want)
+        first = interpolate(stack_fields(fields[:1]), pts, np.zeros_like(snapshot))
+        assert _same_bits(first, interpolate(fields[0], pts))
+    if components is None:   # one point of a scalar field reads as a float
+        point = np.array([0.1, 0.2])
+        assert interpolate(stack, point, 2) == interpolate(fields[2], point)
 
 
 # ---------------------------------------------------------------------------

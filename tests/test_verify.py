@@ -22,13 +22,16 @@ import pytest
 
 from frontlab.couplings import ConstantCoupling
 from frontlab.geometry import star_shaped_u0
-from frontlab.grid import GridSpec, ScalarField, constant_field, interpolate
+from frontlab.grid import GridSpec, ScalarField, batches, central_gradient_norm, constant_field
+from frontlab.grid import interpolate
 from frontlab.solver import Trajectory, solve
 from frontlab.verify import (
+    Band,
     CheckContext,
     LEVELS_FRACTION,
     EtaSchedule,
     VerificationReport,
+    band_etas,
     band_measure_report,
     cone_report,
     continuous_dependence_report,
@@ -211,12 +214,134 @@ def test_eta_empirical_matches_reference_bitwise(shrink, init):
                                   np.float64(want).view(np.uint64)), (lambdas, width)
 
 
+# ---------------------------------------------------------------------------
+# the band of a batch of snapshots: every measurement batched equals the
+# same measurement one snapshot at a time, the parent formulas below
+# ---------------------------------------------------------------------------
+
+
+def _batch_trajectory(n):
+    """(trajectory, init) at grid size n: 13 snapshots of a disc shrinking
+    from r0 = 0.6, under init's radial nu, with an empty band at index 4 and
+    a disc near the edge x = 1.5 at index 9, whose long pushes leave the
+    domain."""
+    spec = GridSpec(n, 1.5)
+    owner = star_shaped_u0(spec, [(0.0, 0.0)], 0.6)
+    x, y = spec.meshgrid()
+    snaps = [ScalarField(spec, np.clip(r - np.hypot(x, y), -1.0, 1.0))
+             for r in np.linspace(0.6, 0.4, 13)]
+    snaps[4] = constant_field(spec, -1.0)
+    snaps[9] = ScalarField(spec, np.clip(0.3 - np.hypot(x - 1.15, y - 0.2), -1.0, 1.0))
+    return _hand_traj(np.linspace(0.0, 0.12, 13), snaps), owner
+
+
+def _bits(rows):
+    return np.asarray(rows, dtype=np.float64).view(np.uint64)
+
+
+def _reference_lower_gradient_rows(traj, init, sched, t_bar):
+    """lower_gradient's rows one snapshot at a time, on the full-grid |Du|."""
+    nu_sup = max(init.nu.sup_norm, 1e-12)
+    rows = []
+    for t, snap in zip(traj.times, traj.snapshots):
+        if t > t_bar + 1e-12:
+            break
+        band = np.abs(snap.values) < init.delta0 / 4.0
+        bound = max(float(sched.eta(t)), 0.0) / nu_sup
+        if not band.any():
+            rows.append((float(t), 0.0, bound, 0.0))
+            continue
+        measured = float(central_gradient_norm(snap)[band].min())
+        rows.append((float(t), measured, bound, measured - bound))
+    return rows
+
+
+def _reference_star_shape_rows(traj, init):
+    """star_shape's rows one snapshot at a time."""
+    lam = 0.5 * init.lambda_bar
+    x, y = traj.spec.meshgrid()
+    bound = 0.5 * init.eta0
+    rows = []
+    for t, snap in zip(traj.times, traj.snapshots):
+        band = np.abs(snap.values) <= init.delta0 / 4.0
+        if not band.any():
+            rows.append((float(t), bound, bound, 0.0))
+            continue
+        pulled = interpolate(snap, (1.0 - lam) * np.column_stack([x[band], y[band]]))
+        measured = float(((pulled - snap.values[band]) / lam).min())
+        rows.append((float(t), measured, bound, measured - bound))
+    return rows
+
+
+@pytest.mark.parametrize("n", [33, 49, 65, 101, 201])
+def test_batched_eta_equals_one_snapshot_at_a_time(n):
+    traj, owner = _batch_trajectory(n)
+    ctx = CheckContext(traj, owner)
+    width = owner.delta0 / 4.0
+    default = owner.lambda_bar * np.arange(1, 5) / 4.0
+    got = [ctx.eta(k, owner.lambda_bar) for k in range(13)]
+    want = [_reference_eta_empirical(u, owner, default, width) for u in traj.snapshots]
+    assert _bits(got).tolist() == _bits(want).tolist()
+    assert math.isnan(got[4])   # the empty band
+    # non-positive lambdas dropped, a push to 2.5 leaving the domain near the
+    # edge, and a push to 40 that leaves it everywhere
+    for lambdas in ([0.0, -0.5, 0.1, 2.5], [40.0], [0.0]):
+        batched = np.concatenate([band_etas(band, owner, lambdas) for _, band in ctx.bands()])
+        alone = [_reference_eta_empirical(u, owner, lambdas, width) for u in traj.snapshots]
+        assert _bits(batched).tolist() == _bits(alone).tolist(), lambdas
+        single = [eta_empirical(u, owner, lambdas) for u in traj.snapshots]
+        assert _bits(single).tolist() == _bits(alone).tolist(), lambdas
+    assert np.isnan(band_etas(ctx.bands()[0][1], owner, [40.0])).all()
+
+
+@pytest.mark.parametrize("n", [33, 49, 65, 101, 201])
+def test_batched_lower_gradient_equals_one_snapshot_at_a_time(n):
+    traj, owner = _batch_trajectory(n)
+    sched = EtaSchedule(0.5, 0.3)
+    for t_bar in (traj.times[-1], traj.times[6], traj.times[0], -1.0):
+        got = lower_gradient_report(CheckContext(traj, owner), owner, sched, t_bar=t_bar).rows
+        want = _reference_lower_gradient_rows(traj, owner, sched, t_bar)
+        assert len(got) == len(want) == int(np.sum(traj.times <= t_bar + 1e-12))
+        assert _bits(got).tolist() == _bits(want).tolist(), t_bar
+    assert got == [] and want == []
+
+
+@pytest.mark.parametrize("n", [33, 49, 65, 101, 201])
+def test_batched_star_shape_equals_one_snapshot_at_a_time(n):
+    traj, owner = _batch_trajectory(n)
+    rows = star_shape_report(traj, owner).rows
+    assert _bits(rows).tolist() == _bits(_reference_star_shape_rows(traj, owner)).tolist()
+    assert rows[4] == (traj.times[4], 0.5 * owner.eta0, 0.5 * owner.eta0, 0.0)
+
+
+def test_band_is_built_once_per_batch_and_shared(shrink, init, monkeypatch):
+    # eta, the lower gradient and the star shape of one context read one
+    # band per batch of snapshots
+    import frontlab.verify
+
+    built = []
+
+    class Counted(Band):
+        def __init__(self, fields, width):
+            built.append([id(u) for u in fields])
+            super().__init__(fields, width)
+
+    monkeypatch.setattr(frontlab.verify, "Band", Counted)
+    ctx = CheckContext(shrink, init)
+    ctx.key_estimate
+    lower_gradient_report(ctx, init, ctx.schedule, t_bar=ctx.t_bar)
+    ctx.star_shape
+    assert built == [[id(u) for u in shrink.snapshots[span.start:span.stop]]
+                     for span in batches(len(shrink.times), SPEC.n)]
+
+
 def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
     # one stacked area pass per snapshot for every level the checks read;
     # one contour extraction per context, which chains every snapshot's
-    # levels in one pass after classifying each snapshot once; one
-    # interpolation per snapshot for the cone points, plus one for the
-    # direction field at every vertex (the cones' axes); one per eta
+    # levels in one pass after classifying each batch of snapshots once;
+    # one interpolation per snapshot for the cone points, plus one for the
+    # direction field at every vertex (the cones' axes); one per batch of
+    # snapshots for every eta of the context
     import frontlab.contour
     import frontlab.verify
 
@@ -224,7 +349,7 @@ def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
 
     def recorded(name, fn):
         def wrapped(u, arg, *rest):
-            calls.append((name, np.ndim(arg)))
+            calls.append((name, np.ndim(arg), u, rest))
             return fn(u, arg, *rest)
         return wrapped
 
@@ -239,28 +364,76 @@ def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
         return extract_contour(fields, levels)
 
     monkeypatch.setattr(frontlab.verify, "extract_contour", counted)
-    ctx = CheckContext(shrink, init, checks=("cone", "perimeter"))
+    ctx = CheckContext(shrink, init, checks=("cone", "perimeter", "band_measure", "non_fattening"))
     sched = EtaSchedule(0.55, 0.0)
     snapshots = len(shrink.times)
+    spans = batches(snapshots, SPEC.n)
     t_bar = shrink.times[-1]
     assert ctx.t_bar == t_bar   # so the context reads three levels in every snapshot
+    # the key estimate behind t_bar read every eta of the context from one
+    # interpolation per batch, reading each snapshot of the batch: every
+    # snapshot's eta computed once
+    assert [call[:2] for call in calls] == [("interpolate", 3)] * len(spans)
+    for call, span in zip(calls, spans):
+        assert np.array_equal(call[2].values, np.stack([shrink.snapshots[k].values for k in span]))
+        assert np.unique(call[3][0]).tolist() == list(range(len(span)))
+    calls.clear()
+    [ctx.eta(k, init.lambda_bar) for k in range(snapshots)]
+    assert calls == []
     band_measure_report(ctx, init, sched, t_bar=t_bar)
     fattening_report(ctx, init, t_bar=t_bar)
     perimeter_report(ctx, init, sched, K_fit=0.0, t_bar=t_bar)
-    areas = [call for call in calls if call[0] == "lebesgue_measure"]
+    areas = [call[:2] for call in calls if call[0] == "lebesgue_measure"]
     assert areas == [("lebesgue_measure", 1)] * snapshots
     assert len(ctx.area_levels) == 9   # 0, +-2h, +-4h, +-8h, +-delta0/4; delta0/8 < 2h
     assert extracted == [snapshots]
-    assert [call for call in calls if call[0] == "_classify"] == [("_classify", 1)] * snapshots
+    # one classification per batch, which covers the batch's snapshots in
+    # order, three levels each: every snapshot classified exactly once
+    classified = [call for call in calls if call[0] == "_classify"]
+    assert [(call[1], call[3]) for call in classified] == [(1, ([3] * len(span),)) for span in spans]
+    stacked = np.concatenate([call[2].values for call in classified])
+    assert np.array_equal(stacked, np.stack([u.values for u in shrink.snapshots]))
 
     calls.clear()
     cone_report(ctx, init, sched, K_fit=0.0, t_bar=t_bar)
-    assert calls == [("interpolate", 2)] * (1 + snapshots)
+    assert [call[:2] for call in calls] == [("interpolate", 2)] * (1 + snapshots)
     assert extracted == [snapshots]
 
+    # one snapshot's eta, every lambda's pushes in one interpolation
     calls.clear()
     eta_empirical(shrink.snapshots[0], init)
-    assert calls == [("interpolate", 2)]
+    assert [call[:2] for call in calls] == [("interpolate", 3)]
+
+
+def test_area_levels_are_those_the_checks_read(shrink, init, monkeypatch):
+    import frontlab.verify
+
+    h, delta0 = SPEC.h, init.delta0
+    quarter = delta0 / 4.0
+    assert CheckContext(shrink, init).area_levels == (0.0,)
+    assert CheckContext(shrink, init, checks=("key_estimate", "cone")).area_levels == (0.0,)
+    assert CheckContext(shrink, init, checks=("perimeter",)).area_levels == (-quarter, 0.0, quarter)
+    assert CheckContext(shrink, init, checks=("band_measure",)).area_levels == (
+        -4.0 * h, -2.0 * h, 0.0)   # delta0/8 and delta0/4, below 2h, are dropped
+    assert CheckContext(shrink, init, checks=("non_fattening",)).area_levels == tuple(
+        f * h for f in (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0))
+    every = CheckContext(shrink, init, checks=("perimeter", "band_measure", "non_fattening"))
+    assert len(every.area_levels) == 9
+
+    # a level no check names is measured alone on its first read, once, with
+    # the bits of a context that lists it
+    calls = []
+    measure = frontlab.verify.lebesgue_measure
+    monkeypatch.setattr(frontlab.verify, "lebesgue_measure",
+                        lambda u, levels: calls.append(np.ndim(levels)) or measure(u, levels))
+    bare = CheckContext(shrink, init)
+    for _ in range(2):
+        got = [bare.area(k, level) for k in range(len(shrink.times)) for level in every.area_levels]
+    assert calls == ([1] + [0] * (len(every.area_levels) - 1)) * len(shrink.times)
+    calls.clear()
+    want = [every.area(k, level) for k in range(len(shrink.times)) for level in every.area_levels]
+    assert calls == [1] * len(shrink.times)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 # ---------------------------------------------------------------------------
