@@ -17,7 +17,7 @@ import sys
 from .config import parse_config
 from .errors import ConfigError
 from .presets import VERIFY_ALL, list_presets, preset_text
-from .runner import EXIT_CONFIG, NO_RECHECK, fail_run, run, run_verify_all, verify_run_dir
+from .runner import EXIT_CONFIG, NO_CHECKS, NO_RECHECK, fail_run, run, run_verify_all, verify_run_dir
 
 
 def _emit(result) -> int:
@@ -40,7 +40,10 @@ def _run_text(text: str, out_dir, force_probe: bool = False) -> int:
         config = parse_config(text, force_probe=force_probe)
     except ConfigError as err:
         return _config_error(str(err), out_dir)
-    return _emit(run(config, out_dir=out_dir, config_text=text))
+    result = run(config, out_dir=out_dir, config_text=text)
+    if not result.verdicts:
+        print(f"{result.out_dir}: {NO_CHECKS}")
+    return _emit(result)
 
 
 def main(argv=None) -> int:

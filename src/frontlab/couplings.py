@@ -17,12 +17,12 @@ given occupation history, and `solver.solve` reads the speed once per step.
 
 Occupation histories are compared by kappa(t) = ||chi1(t) - chi2(t)||_L1;
 `gauss_average` is the unit-mass heat-kernel average that the Green-weighted
-band measure integrates in time, and `gauss_slice` its value on one field.
+band measure integrates in time, built once per point and read on each field.
 """
 
 import bisect
 import re
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -289,11 +289,6 @@ def gauss_average(spec: GridSpec, x: np.ndarray, tau: float):
     return lambda diff: float((w * diff).sum() / total)
 
 
-def gauss_slice(diff: np.ndarray, spec: GridSpec, x: np.ndarray, tau: float) -> float:
-    """`gauss_average(spec, x, tau)` of the one field diff."""
-    return gauss_average(spec, x, tau)(diff)
-
-
 # ---------------------------------------------------------------------------
 # speed laws
 
@@ -380,16 +375,12 @@ class FitzhughNagumoCoupling(SpeedLaw):
     g_plus: ScalarMap
     g_minus: ScalarMap
     v0: object = 0.0   # float or ScalarField
-    g_lower: float = dataclass_field(init=False, default=0.0)
-    g_upper: float = dataclass_field(init=False, default=0.0)
 
     def __post_init__(self):
         for name, m in (("alpha", self.alpha), ("g_plus", self.g_plus),
                         ("g_minus", self.g_minus)):
             if not np.isfinite([m.lower, m.upper]).all():
                 raise ValueError(f"{name} must be a bounded map, got {m}")
-        self.g_lower = min(self.g_minus.lower, self.g_plus.lower)
-        self.g_upper = max(self.g_minus.upper, self.g_plus.upper)
         probe = np.linspace(-10.0, 10.0, 401)
         if np.any(self.g_minus(probe) > self.g_plus(probe) + 1e-12):
             raise ValueError("g_minus must not exceed g_plus")

@@ -15,6 +15,8 @@ The two structural conditions carried by an InitCondition:
                [0, lambda0] and x in the band {|u0| <= delta0}.
 
 `verify_I1` and `verify_I2` check these two conditions on the grid.
+`dump_init` stores u0 and the margin data; nu is always the radial field,
+so `load_init` rebuilds it from the grid and init_meta.txt names no kind.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionError, FieldFormatError
+from .errors import ConstructionError
 from .grid import GridSpec, ScalarField, central_gradient_norm, interpolate
 from .grid import dump_field, load_field, load_meta, meta_text
 
@@ -31,16 +33,14 @@ DELTA0_LADDER = (0.2, 0.1, 0.05)
 
 @dataclass
 class DirectionField:
-    """A vector field nu with its measured sup norm, and its Lipschitz norm
-    measured on first read.
+    """The radial direction field nu(x) = -x with its measured sup norm, and
+    its Lipschitz norm measured on first read.
 
-    kind: 'radial' (nu = -x), the one kind frontlab builds.
     values has shape (n, n, 2), components (nu_x, nu_y).  A run reads
     lip_norm (for lambda0 and init_meta.txt); a verify never does.
     """
 
     spec: GridSpec
-    kind: str
     values: np.ndarray
     sup_norm: float
 
@@ -65,7 +65,7 @@ def radial_direction(spec: GridSpec) -> DirectionField:
     x, y = spec.meshgrid()
     values = np.stack([-x, -y], axis=-1)
     sup = float(np.hypot(values[..., 0], values[..., 1]).max())
-    return DirectionField(spec, "radial", values, sup)
+    return DirectionField(spec, values, sup)
 
 
 @dataclass
@@ -89,10 +89,6 @@ class InitCondition:
         if self.eta0 > 0:
             lam = min(lam, 0.25 * self.delta0 / self.eta0)
         return lam
-
-    def band_mask(self, width: float | None = None) -> np.ndarray:
-        w = self.delta0 if width is None else width
-        return np.abs(self.u0.values) <= w
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +292,7 @@ def verify_I2(init: InitCondition, lambda_samples: int = 4) -> tuple[bool, float
     """
     if lambda_samples == 0:
         return True, np.inf
-    band = init.band_mask()
+    band = np.abs(init.u0.values) <= init.delta0
     if not band.any():
         return True, np.inf
     spec = init.u0.spec
@@ -322,7 +318,7 @@ def dump_init(init: InitCondition, u0_path, header_path):
     with open(header_path, "w") as fh:
         fh.write(meta_text({
             "R0": init.R0, "delta0": init.delta0, "eta0": init.eta0, "lambda0": init.lambda0,
-            "nu.kind": nu.kind, "nu.sup_norm": nu.sup_norm, "nu.lip_norm": nu.lip_norm,
+            "nu.sup_norm": nu.sup_norm, "nu.lip_norm": nu.lip_norm,
             "r0": init.r0, "lipschitz": init.lipschitz,
         }, ()))
 
@@ -330,9 +326,6 @@ def dump_init(init: InitCondition, u0_path, header_path):
 def load_init(u0_path, header_path) -> InitCondition:
     u0 = load_field(u0_path)
     names = ("r0", "R0", "delta0", "eta0", "lambda0", "lipschitz")
-    meta, _ = load_meta(header_path, required=("nu.kind", *names), texts=("nu.kind",))
-    kind = meta["nu.kind"]
-    if kind != "radial":
-        raise FieldFormatError(f"{header_path}: nu.kind = {kind} is not radial")
+    meta, _ = load_meta(header_path, required=names, texts=())
     nu = radial_direction(u0.spec)
     return InitCondition(u0=u0, nu=nu, **{name: meta[name] for name in names})

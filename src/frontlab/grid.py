@@ -622,7 +622,8 @@ def lebesgue_measure(u: ScalarField, levels=0.0):
 def interpolate(
     u: ScalarField | FieldStack, points: np.ndarray, snapshot: np.ndarray = None,
 ) -> np.ndarray:
-    """Bilinear evaluation at physical points, shape (..., 2) as (x, y).
+    """Bilinear evaluation at physical points, an array of shape (m..., 2)
+    as (x, y) with at least one leading axis: one point is shape (1, 2).
 
     Points outside [-L, L]^2, and points with a NaN coordinate, evaluate to
     the far-field value -1.  Exact at grid nodes and for bilinear data.  u
@@ -633,8 +634,6 @@ def interpolate(
     of shape points.shape[:-1].
     """
     pts = np.asarray(points, dtype=np.float64)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     L = u.spec.half_extent
     h = u.spec.h
     n = u.spec.n
@@ -684,4 +683,4 @@ def interpolate(
     if stack.ndim == 3:
         val = val[0]
     val[..., outside] = -1.0
-    return float(val[0]) if scalar else val
+    return val

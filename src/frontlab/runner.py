@@ -18,7 +18,7 @@ computed once per snapshot.  A run writes a self-contained directory:
     reports/              <check>.csv + <check>.verdict per requested check
     probe.csv, probe.verdict   when the uniqueness probe is enabled
     sweep.csv             star-shape gamma sweep (when configured)
-    verdicts.txt          one PASS/FAIL line per check
+    verdicts.txt          one PASS/FAIL line per check; empty when none is requested
     manifest.txt          sha256 of every artifact
     FAILED                only on abnormal termination, with the message
 
@@ -29,12 +29,13 @@ verifies each of the tree's run directories and prefixes their lines with
 the run's name.  Every metadata file above is `key = value`
 text, written by `grid.meta_text` and read by `grid.load_meta`.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or
-construction error, 3 any other failure: a solve (fixed point, dependence
-pair, uniqueness probe) that escapes or goes unstable, or a fault in a
-check.  Every exit 2 or 3 of `run` leaves a one-line FAILED marker, except
-when the output directory cannot be made (a path that names a file): that
-is exit 2 with one `FAIL run (output directory: ...)` line and no marker.
+Exit codes: 0 all checks pass (or none was requested), 1 a check failed,
+2 configuration or construction error, 3 any other failure: a solve (the
+march, a dependence pair, the uniqueness probe) that escapes or goes
+unstable, or a fault in a check.  Every exit 2 or 3 of `run` leaves a
+one-line FAILED marker, except when the output directory cannot be made (a
+path that names a file): that is exit 2 with one `FAIL run (output
+directory: ...)` line and no marker.
 A run into a used directory first deletes the files its manifest.txt
 lists, so the directory then holds only the new run's files.  No artifact
 embeds a timestamp, so byte-identical runs produce byte-identical trees.
@@ -81,7 +82,9 @@ def clear_listed(out_dir: str) -> None:
     """Delete the files that out_dir's manifest.txt lists, the directories
     that leaves empty, and the manifest, so that a rerun into a used
     directory leaves only its own files.  Only relative paths that resolve
-    to a file inside out_dir are deleted; any other listed path is skipped."""
+    to a file inside out_dir are deleted; any other listed path is skipped.
+    Each directory above a deleted file, up to out_dir, is looked at once,
+    after every directory below it."""
     manifest = os.path.join(out_dir, "manifest.txt")
     if not os.path.isfile(manifest):
         return
@@ -94,11 +97,14 @@ def clear_listed(out_dir: str) -> None:
         inside = not os.path.isabs(rel) and os.path.realpath(path).startswith(top + os.sep)
         if inside and os.path.isfile(path):
             os.remove(path)
-            parents.add(os.path.dirname(path))
+            parent = os.path.dirname(path)
+            while parent.startswith(top + os.sep):
+                parents.add(parent)
+                parent = os.path.dirname(parent)
+    # a directory's path is longer than each of its parents'
     for parent in sorted(parents, key=len, reverse=True):
-        while parent.startswith(top + os.sep) and not os.listdir(parent):
+        if not os.listdir(parent):
             os.rmdir(parent)
-            parent = os.path.dirname(parent)
     os.remove(manifest)
 
 
@@ -208,8 +214,8 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
         _write(os.path.join(out_dir, "config.txt"), config_text)
 
     # the one failure path: bad input ends the run with exit 2; a solve that
-    # escapes the containment ring or goes unstable (fixed point, dependence
-    # pair, probe), or any other fault, with exit 3
+    # escapes the containment ring or goes unstable (the march, a dependence
+    # pair, the probe), or any other fault, with exit 3
     try:
         try:
             spec = config.grid()
@@ -244,7 +250,7 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
         dump_contour(ctx.contour(k), os.path.join(cdir, f"contour_{k:03d}.csv"))
     _write(os.path.join(out_dir, "radius_vs_time.csv"), _radius_table(ctx))
 
-    verdicts = [f"{'PASS' if sol.converged else 'FAIL'} fixed_point"]
+    verdicts = []
     if config.gamma_sweep and "star_shape" in config.checks:
         verdicts.append(_gamma_sweep(config, coupling, init, times, out_dir, ctx))
     # every report before any is written: a failed dependence pair writes none
@@ -264,8 +270,6 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
         "horizon": config.horizon,
         "checks": ",".join(config.checks) if config.checks else "none",
         "probe_enabled": "true" if config.probe_enabled else "false",
-        "converged": "true" if sol.converged else "false",
-        "iterations": sol.iterations,
         "far_radius": traj.far_radius,
         # the march's step count and dt range; step_log[0], for t_0, holds no step
         "steps": sum(steps for steps, _, _ in traj.step_log),
@@ -273,7 +277,7 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
         "dt_max": max(hi for _, _, hi in traj.step_log),
     }
     _write(os.path.join(out_dir, "run_meta.txt"), meta_text(meta, ()))
-    _write(os.path.join(out_dir, "verdicts.txt"), "\n".join(verdicts) + "\n")
+    _write(os.path.join(out_dir, "verdicts.txt"), "".join(f"{line}\n" for line in verdicts))
     write_manifest(out_dir)
 
     ok = all(line.startswith("PASS") for line in verdicts)
@@ -296,7 +300,7 @@ def run_verify_all(out_root: str) -> RunResult:
         sub = os.path.join(out_root, name)
         result = run(cfg, out_dir=sub, config_text=text)
         exit_code = max(exit_code, result.exit_code)
-        verdicts.extend(f"{name}: {line}" for line in result.verdicts)
+        verdicts.extend(f"{name}: {line}" for line in result.verdicts or [NO_CHECKS])
     _write(os.path.join(out_root, "verdicts.txt"), "\n".join(verdicts) + "\n")
     write_manifest(out_root)
     return RunResult(exit_code, out_root, verdicts)
@@ -306,21 +310,7 @@ def run_verify_all(out_root: str) -> RunResult:
 # re-verification of a stored run directory
 
 
-def _fault(err: Exception) -> str:
-    """The FAIL verify text of err.  A missing field file with a text-format
-    field next to it marks a run directory written before fields were stored
-    as binary."""
-    if not isinstance(err, FileNotFoundError) or err.filename is None:
-        return str(err)
-    stem, ext = os.path.splitext(err.filename)
-    if ext == ".f64" and os.path.exists(stem + ".txt"):
-        return (
-            f"{stem}.txt holds a field in the old text format; this version reads "
-            f"binary {err.filename}, so rerun the scenario"
-        )
-    return f"missing {err.filename}"
-
-
+NO_CHECKS = "no checks requested"
 NO_RECHECK = "no stored check needs recomputing"
 
 
@@ -373,8 +363,10 @@ def verify_run_dir(run_dir: str) -> RunResult:
         if names := _sub_runs(run_dir):
             return _verify_tree(run_dir, names)
         verdicts = _recheck(run_dir)
-    except (FileNotFoundError, FieldFormatError) as err:
-        code, message = EXIT_CONFIG, _fault(err)
+    except FileNotFoundError as err:
+        code, message = EXIT_CONFIG, f"missing {err.filename}"
+    except FieldFormatError as err:
+        code, message = EXIT_CONFIG, str(err)
     except Exception as err:
         code, message = EXIT_NUMERIC, " ".join(f"{type(err).__name__}: {err}".split())
     else:
@@ -390,7 +382,7 @@ def _recheck(run_dir: str) -> list:
         with open(marker, errors="replace") as fh:
             raise FieldFormatError(f"FAILED: {' '.join(fh.read().split())}")
     meta_path = os.path.join(run_dir, "run_meta.txt")
-    meta, _ = load_meta(meta_path, ("checks",), ("name", "checks", "probe_enabled", "converged"))
+    meta, _ = load_meta(meta_path, ("checks",), ("name", "checks", "probe_enabled"))
     checks = tuple(c for c in meta["checks"].split(",") if c and c != "none")
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:

@@ -42,7 +42,7 @@ from .couplings import constant_history, gauss_average, kappa
 from .errors import FrontEscapeError, StabilityError
 from .geometry import InitCondition
 from .grid import ScalarField, batches, central_gradient_norm_at, interpolate, lebesgue_measure
-from .grid import load_meta, meta_text, stack_fields, trapezoid
+from .grid import meta_text, stack_fields, trapezoid
 from .solver import Trajectory, _normalise_output_times, regularity_report, solution_gaps
 from .weak import march_solve, reuses_march
 
@@ -143,22 +143,6 @@ def stored_mismatch(report: VerificationReport, directory) -> str:
     if passed_line not in stored[1].splitlines():
         return " (verdict mismatch with stored report)"
     return " (report drift)"
-
-
-def load_report(directory, name: str) -> VerificationReport:
-    rows = []
-    with open(os.path.join(directory, f"{name}.csv")) as fh:
-        header = fh.readline()
-        if header.strip() != "time,measured,bound,margin":
-            raise ValueError(f"unexpected report CSV header: {header!r}")
-        for line in fh:
-            t, m, b, g = (float(p) for p in line.split(","))
-            rows.append((t, m, b, g))
-    verdict = os.path.join(directory, f"{name}.verdict")
-    constants, notes = load_meta(verdict, required=("passed",), texts=("name", "passed"))
-    constants.pop("name", None)
-    passed = constants.pop("passed") == "true"
-    return VerificationReport(name, passed, rows, constants, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,12 @@ class WeakSolution:
     chi_hist brackets the stored snapshots exactly (chi_hist.fields[k] ==
     1_{u(t_k) >= 0} nodewise).  chi_source is the history the final speed
     was built from: feeding it back through the coupling replays u_traj bit
-    for bit, which is the reproducibility hook the verifiers rely on.  The
-    march builds its speed from its own snapshots, so there the two are one
-    history; a converged Picard run has them within the Picard stop in
-    kappa, not necessarily bitwise.  states holds the coupling's state
-    (fitzhugh-nagumo's v, None for laws without memory) at every stored time.
+    for bit, which is why the uniqueness probe keys its memo of the march's
+    solves on it; no verifier reads it.  The march builds its speed from its
+    own snapshots, so there the two are one history; a converged Picard run
+    has them within the Picard stop in kappa, not necessarily bitwise.
+    states holds the coupling's state (fitzhugh-nagumo's v, None for laws
+    without memory) at every stored time.
     """
 
     u_traj: Trajectory

@@ -24,8 +24,9 @@ from frontlab.grid import GridSpec, ScalarField, load_meta
 from frontlab.presets import preset_text
 from frontlab.runner import run, run_verify_all
 from frontlab.solver import load_trajectory, regularity_report
-from frontlab.verify import cone_report, key_estimate_report, load_report
+from frontlab.verify import cone_report, key_estimate_report
 from frontlab.weak import march_solve
+from stored_reports import load_report
 
 SCENARIOS = ("mcf-circle", "constant-speed", "volume-flow", "dislocation")
 

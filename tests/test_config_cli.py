@@ -430,7 +430,10 @@ def test_run_exit_zero_and_artifacts(tiny_run):
     assert (out / "traj").is_dir()
     assert (out / "contours").is_dir()
     verdicts = (out / "verdicts.txt").read_text().splitlines()
-    assert "PASS fixed_point" in verdicts
+    # a run's own march is its fixed point: no verdict or key restates it
+    assert not [line for line in verdicts if "fixed_point" in line]
+    keys = [line.partition(" = ")[0] for line in (out / "run_meta.txt").read_text().splitlines()]
+    assert "converged" not in keys and "iterations" not in keys
     for check in ("key_estimate", "lower_gradient", "star_shape"):
         assert f"PASS {check}" in verdicts
         assert (out / "reports" / f"{check}.csv").exists()
@@ -630,9 +633,7 @@ def _as_old_text_format(run_dir):
      "FAIL verify ({d}/traj/t_002.f64: malformed header b'n=33', expected 'n L')"),
     (lambda d: (d / "init.f64").write_bytes((d / "init.f64").read_bytes()[:-16]),
      "FAIL verify ({d}/init.f64: 8696 bytes of values, expected 8 x 33^2 = 8712)"),
-    (_as_old_text_format,
-     "FAIL verify ({d}/traj/t_000.txt holds a field in the old text format; this "
-     "version reads binary {d}/traj/t_000.f64, so rerun the scenario)"),
+    (_as_old_text_format, "FAIL verify (missing {d}/traj/t_000.f64)"),
 ], ids=["missing-snapshot", "missing-init", "missing-manifest", "malformed-header", "byte-count",
         "old-text-format"])
 def test_verify_reports_unreadable_fields(small_run, tmp_path, damage, message):
@@ -658,14 +659,11 @@ def _replace_line(path, index, line):
     ("traj/meta.txt", 1, "# no gamma", "no gamma line"),
     ("init_meta.txt", 2, "eta0 = abc", "abc"),
     ("init_meta.txt", 3, "# no lambda0", "no lambda0 line"),
-    ("init_meta.txt", 7, "# no r0", "no r0 line"),
-    ("init_meta.txt", 8, "# no lipschitz", "no lipschitz line"),
-    ("init_meta.txt", 4, "nu.kind = bogus", "nu.kind = bogus is not radial"),
-    ("init_meta.txt", 4, "nu.kind = gradient", "nu.kind = gradient is not radial"),
+    ("init_meta.txt", 6, "# no r0", "no r0 line"),
+    ("init_meta.txt", 7, "# no lipschitz", "no lipschitz line"),
     ("run_meta.txt", 0, "bogus line", "'bogus line' is not a 'key = value' line"),
 ], ids=["manifest-text", "manifest-nan", "meta-text", "meta-missing", "init-text",
-        "init-missing", "init-no-r0", "init-no-lipschitz", "init-bad-nu-kind",
-        "init-gradient-nu-kind", "run-meta-no-equals"])
+        "init-missing", "init-no-r0", "init-no-lipschitz", "run-meta-no-equals"])
 def test_verify_reports_malformed_text_files(small_run, tmp_path, name, index, line, needle):
     copy = tmp_path / "copy"
     shutil.copytree(small_run, copy)
@@ -739,11 +737,29 @@ def test_verify_of_a_run_without_checks_says_so(tmp_path):
     cfg.write_text(SMALL.replace(
         "checks = key_estimate, lower_gradient, star_shape", "checks = none"))
     out = tmp_path / "run"
-    assert _frontlab("run", cfg, "--out", out).returncode == 0
+    proc = _frontlab("run", cfg, "--out", out)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [f"{out}: no checks requested"]
+    assert (out / "verdicts.txt").read_bytes() == b""
     proc = _frontlab("verify", out)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stdout.splitlines() == [f"{out}: no stored check needs recomputing"]
+
+
+def test_verify_of_a_run_that_still_records_convergence_fails(small_run, tmp_path):
+    # run_meta.txt of earlier versions held the march's `converged = true`
+    # and `iterations = 1`; this version refuses such a directory
+    copy = tmp_path / "copy"
+    shutil.copytree(small_run, copy)
+    meta = copy / "run_meta.txt"
+    lines = meta.read_text().splitlines()
+    at = lines.index("probe_enabled = false") + 1
+    meta.write_text("\n".join([*lines[:at], "converged = true", "iterations = 1", *lines[at:]]) + "\n")
+    proc = _frontlab("verify", copy)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [f"FAIL verify ({meta}: converged = true is not a number)"]
 
 
 def test_clearing_a_used_directory_deletes_only_listed_files_inside_it(tmp_path):
@@ -759,6 +775,40 @@ def test_clearing_a_used_directory_deletes_only_listed_files_inside_it(tmp_path)
     clear_listed(str(out))
     assert sorted(p.name for p in out.iterdir()) == ["kept.txt"]
     assert outside.read_text() == "outside\n"
+
+
+def test_clearing_a_nested_tree_removes_each_emptied_directory_once(tmp_path):
+    # as in a verify-all tree: a run directory holds files of its own and
+    # subdirectories, so it is the parent of several deleted files at once
+    out = tmp_path / "tree"
+    listed = ["a/run_meta.txt", "a/traj/t_000.f64", "a/contours/c.csv", "a/reports/x/y.csv",
+              "b/run_meta.txt", "c/traj/t_000.f64", "verdicts.txt"]
+    for rel in [*listed, "c/kept.txt"]:
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        (out / rel).write_text(rel)
+    (out / "manifest.txt").write_text("".join(f"0  {rel}\n" for rel in listed))
+    clear_listed(str(out))
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == ["c", "c/kept.txt"]
+
+
+def test_verify_all_reruns_into_its_own_tree(tmp_path, monkeypatch):
+    # the batch at n = 41, where every scenario still passes: a second run
+    # into the finished tree exits 0 and rewrites it byte for byte, and a
+    # file that no manifest lists survives a third
+    import frontlab.presets
+
+    configs = [(name, text.replace("grid.n = 129", "grid.n = 41"))
+               for name, text in verify_all_configs()]
+    assert all("grid.n = 41" in text for _, text in configs)
+    monkeypatch.setattr(frontlab.presets, "verify_all_configs", lambda: configs)
+    root = tmp_path / "verify-all"
+    assert run_verify_all(str(root)).exit_code == 0
+    first = _files(root)
+    assert run_verify_all(str(root)).exit_code == 0
+    assert _files(root) == first
+    (root / "mcf-circle" / "traj" / "notes.txt").write_text("kept\n")
+    assert run_verify_all(str(root)).exit_code == 0
+    assert (root / "mcf-circle" / "traj" / "notes.txt").read_text() == "kept\n"
 
 
 def test_run_and_verify_close_their_files(tmp_path):

@@ -25,7 +25,6 @@ from frontlab.couplings import (
     core_ring_kernel,
     disc_bump_kernel,
     gauss_average,
-    gauss_slice,
     gaussian_kernel,
     kappa,
     occupation_key,
@@ -251,7 +250,7 @@ def test_gauss_slice_delta_limit():
     rng = np.random.default_rng(1)
     diff = rng.uniform(size=(65, 65))
     # tau below h^2/16 snaps to the nearest node
-    val = gauss_slice(diff, SPEC65, np.array([0.26, -0.51]), 1e-9)
+    val = gauss_average(SPEC65, np.array([0.26, -0.51]), 1e-9)(diff)
     iy = int(round((-0.51 + 1.0) / SPEC65.h))
     ix = int(round((0.26 + 1.0) / SPEC65.h))
     assert val == diff[iy, ix]
@@ -274,14 +273,14 @@ def _reference_gauss_slice(diff, spec, x, tau):
 @pytest.mark.parametrize("tau", [1e-9, SPEC65.h**2 / 16.0, 0.003, 0.05, 0.4])
 def test_gauss_average_matches_gauss_slice_bitwise(tau):
     # one average, built once, read on several fields: the same floats as
-    # one gauss_slice per field, the delta limit (tau <= h^2/16) included
+    # one reference average per field, the delta limit (tau <= h^2/16) included
     rng = np.random.default_rng(7)
     x = np.array([0.26, -0.51])
     average = gauss_average(SPEC65, x, tau)
     for _ in range(3):
         diff = rng.integers(0, 2, size=(65, 65)).astype(np.float64)
         want = _reference_gauss_slice(diff, SPEC65, x, tau)
-        assert average(diff) == gauss_slice(diff, SPEC65, x, tau) == want
+        assert average(diff) == gauss_average(SPEC65, x, tau)(diff) == want
 
 
 def test_occupation_history_validation():

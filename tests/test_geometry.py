@@ -196,7 +196,6 @@ def test_margin_check_vacuous_without_samples(circle):
 
 def test_radial_direction_field():
     rad = radial_direction(SPEC)
-    assert rad.kind == "radial"
     assert rad.sup_norm == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
 
 
@@ -270,5 +269,4 @@ def test_init_round_trip(tmp_path, peanut):
     assert back.R0 == peanut.R0
     assert back.r0 == peanut.r0
     assert back.lipschitz == peanut.lipschitz
-    assert back.nu.kind == peanut.nu.kind
     assert np.array_equal(back.nu.values, peanut.nu.values)

@@ -680,9 +680,14 @@ def test_interpolate_from_a_stack_matches_each_field_bitwise(n, components):
         assert _same_bits(got, want)
         first = interpolate(stack_fields(fields[:1]), pts, np.zeros_like(snapshot))
         assert _same_bits(first, interpolate(fields[0], pts))
-    if components is None:   # one point of a scalar field reads as a float
-        point = np.array([0.1, 0.2])
-        assert interpolate(stack, point, 2) == interpolate(fields[2], point)
+    # one point is a (1, 2) array, and reads as the same point of a batch:
+    # shape (1,) for a scalar field, (C, 1) for a direction field
+    batch = np.array([[-0.3, 0.4], [0.1, 0.2], [1.2, -0.7]])
+    for field in (fields[2], stack):
+        one = interpolate(field, batch[1:2], None if field is fields[2] else np.array([2]))
+        assert one.shape == ((1,) if components is None else (components, 1))
+        many = interpolate(fields[2], batch)
+        assert _same_bits(one, many[..., 1:2])
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,12 @@ from frontlab.verify import (
     fattening_report,
     gamma_sweep_star_shape,
     key_estimate_report,
-    load_report,
     lower_gradient_report,
     perimeter_report,
     report_texts,
     star_shape_report,
 )
+from stored_reports import load_report
 
 SPEC = GridSpec(101, 1.5)
 TIMES = [0.0, 0.025, 0.05, 0.075, 0.1]
