@@ -7,13 +7,14 @@ directional difference quotient
 
     (u0(x + lambda nu(x)) - u0(x)) / lambda  >=  eta0   on {|u0| < delta0}
 
-clears eta0 >= r0/2, with step lambda0 limited by the direction field norms.
+clears eta0 >= r0/2, with step lambda0 limited by the direction field norms,
+exact for nu = -x: ||nu||_inf = |(L, L)| and Lip nu = 1.
 The push test below re-checks the certificate directly with the verifiers'
 margin measurement: pushing band points by lambda nu must raise u0 by at
 least lambda * eta0 - grid slack.
 """
 
-from frontlab.geometry import star_shaped_u0, verify_I1, verify_I2
+from frontlab.geometry import nu_sup_norm, star_shaped_u0, verify_I1, verify_I2
 from frontlab.grid import GridSpec
 from frontlab.verify import eta_empirical
 
@@ -30,8 +31,7 @@ for label, kernels, r0 in (
           f"(required >= r0/2 = {r0 / 2:.3f})")
     print(f"  lambda0 = {init.lambda0:.4f}, Lipschitz seminorm "
           f"{init.lipschitz:.3f}")
-    print(f"  nu sup-norm {init.nu.sup_norm:.3f}, Dnu sup-norm "
-          f"{init.nu.lip_norm:.3f}")
+    print(f"  nu sup-norm {nu_sup_norm(spec):.3f}, Dnu sup-norm 1 (exact)")
 
     ok1 = verify_I1(init)
     ok2, worst = verify_I2(init)

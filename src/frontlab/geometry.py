@@ -15,12 +15,15 @@ The two structural conditions carried by an InitCondition:
                [0, lambda0] and x in the band {|u0| <= delta0}.
 
 `verify_I1` and `verify_I2` check these two conditions on the grid.
-`dump_init` stores u0 and the margin data; nu is always the radial field,
-so `load_init` rebuilds it from the grid and init_meta.txt names no kind.
+
+nu is always the radial field, so it is written where it is read, as -x,
+and never stored.  Its norms on [-L, L]^2 are exact: ||nu||_inf = |(L, L)|,
+attained at the corner nodes (`nu_sup_norm`), and Lip nu = 1, so
+lambda0 = min(1/||nu||_inf, 1/Lip nu, 1.8) / 2.
+`dump_init` stores u0 and the margin data.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,41 +34,10 @@ from .grid import dump_field, load_field, load_meta, meta_text
 DELTA0_LADDER = (0.2, 0.1, 0.05)
 
 
-@dataclass
-class DirectionField:
-    """The radial direction field nu(x) = -x with its measured sup norm, and
-    its Lipschitz norm measured on first read.
-
-    values has shape (n, n, 2), components (nu_x, nu_y).  A run reads
-    lip_norm (for lambda0 and init_meta.txt); a verify never does.
-    """
-
-    spec: GridSpec
-    values: np.ndarray
-    sup_norm: float
-
-    @cached_property
-    def lip_norm(self) -> float:
-        return _lip_norm(self.spec, self.values)
-
-
-def _lip_norm(spec: GridSpec, values: np.ndarray) -> float:
-    # finite-difference Jacobian, operator 2-norm via the 2x2 singular value
-    dxy = [np.gradient(values[..., c], spec.h, edge_order=2) for c in (0, 1)]
-    j11, j12 = dxy[0][1], dxy[0][0]   # d(nu_x)/dx, d(nu_x)/dy
-    j21, j22 = dxy[1][1], dxy[1][0]
-    a = j11**2 + j21**2
-    b = j11 * j12 + j21 * j22
-    c = j12**2 + j22**2
-    smax2 = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4.0 * b**2))
-    return float(np.sqrt(smax2.max()))
-
-
-def radial_direction(spec: GridSpec) -> DirectionField:
-    x, y = spec.meshgrid()
-    values = np.stack([-x, -y], axis=-1)
-    sup = float(np.hypot(values[..., 0], values[..., 1]).max())
-    return DirectionField(spec, values, sup)
+def nu_sup_norm(spec: GridSpec) -> float:
+    """||nu||_inf of nu = -x on the grid, attained at its corner nodes."""
+    L = spec.half_extent
+    return float(np.hypot(L, L))
 
 
 @dataclass
@@ -73,7 +45,6 @@ class InitCondition:
     """Initial level-set field with its certified margin data."""
 
     u0: ScalarField
-    nu: DirectionField
     r0: float
     R0: float
     delta0: float
@@ -223,17 +194,16 @@ def star_shaped_u0(
     R0 = kmax + r0 + 1.0   # unit-slope profile: support of u0 + 1
     lipschitz = float(central_gradient_norm(u0).max())
 
-    nu = radial_direction(spec)
-    lambda0 = 0.5 * min(1.0 / max(nu.sup_norm, 1e-12), 1.0 / max(nu.lip_norm, 1e-12), 1.8)
+    lambda0 = 0.5 * min(1.0 / nu_sup_norm(spec), 1.0, 1.8)   # Lip nu = 1
 
     worst_node = None
     for delta0 in DELTA0_LADDER:
-        eta = _certify_margin(u0, nu, lambda0, delta0)
+        eta = _certify_margin(u0, lambda0, delta0)
         if eta is None:
             continue
         eta_grid, node = eta
         if eta_grid >= 0.5 * r0:
-            return InitCondition(u0, nu, float(r0), R0, delta0, eta_grid, lambda0, lipschitz)
+            return InitCondition(u0, float(r0), R0, delta0, eta_grid, lambda0, lipschitz)
         worst_node = (delta0, eta_grid, node)
     if worst_node is None:
         raise ConstructionError(
@@ -247,7 +217,7 @@ def star_shaped_u0(
     )
 
 
-def _certify_margin(u0, nu, lambda0, delta0):
+def _certify_margin(u0, lambda0, delta0):
     """Grid minimum of [u0(x + lam nu) - u0(x)] / lam over the delta0-band
     and lam in lambda0*{1/4..1}; returns (eta, worst_node_xy) or None."""
     band = np.abs(u0.values) <= delta0
@@ -256,11 +226,10 @@ def _certify_margin(u0, nu, lambda0, delta0):
     x, y = u0.spec.meshgrid()
     base = np.column_stack([x[band], y[band]])
     vals = u0.values[band]
-    nvec = nu.values[band]
     eta = np.inf
     worst = None
     for lam in lambda0 * np.arange(1, 5) / 4.0:
-        pushed = interpolate(u0, base + lam * nvec)
+        pushed = interpolate(u0, base - lam * base)   # x + lam nu(x), nu = -x
         q = (pushed - vals) / lam
         i = int(np.argmin(q))
         if q[i] < eta:
@@ -299,11 +268,10 @@ def verify_I2(init: InitCondition, lambda_samples: int = 4) -> tuple[bool, float
     x, y = spec.meshgrid()
     base = np.column_stack([x[band], y[band]])
     vals = init.u0.values[band]
-    nvec = init.nu.values[band]
     worst = np.inf
     for k in range(1, lambda_samples + 1):
         lam = init.lambda0 * k / lambda_samples
-        pushed = interpolate(init.u0, base + lam * nvec)
+        pushed = interpolate(init.u0, base - lam * base)   # x + lam nu(x), nu = -x
         worst = min(worst, float((pushed - vals - lam * init.eta0).min()))
     return worst >= -init.lipschitz * spec.h, worst
 
@@ -314,11 +282,10 @@ def verify_I2(init: InitCondition, lambda_samples: int = 4) -> tuple[bool, float
 
 def dump_init(init: InitCondition, u0_path, header_path):
     dump_field(init.u0, u0_path)
-    nu = init.nu
     with open(header_path, "w") as fh:
         fh.write(meta_text({
             "R0": init.R0, "delta0": init.delta0, "eta0": init.eta0, "lambda0": init.lambda0,
-            "nu.sup_norm": nu.sup_norm, "nu.lip_norm": nu.lip_norm,
+            "nu.sup_norm": nu_sup_norm(init.u0.spec),
             "r0": init.r0, "lipschitz": init.lipschitz,
         }, ()))
 
@@ -327,5 +294,4 @@ def load_init(u0_path, header_path) -> InitCondition:
     u0 = load_field(u0_path)
     names = ("r0", "R0", "delta0", "eta0", "lambda0", "lipschitz")
     meta, _ = load_meta(header_path, required=names, texts=())
-    nu = radial_direction(u0.spec)
-    return InitCondition(u0=u0, nu=nu, **{name: meta[name] for name in names})
+    return InitCondition(u0=u0, **{name: meta[name] for name in names})

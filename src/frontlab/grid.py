@@ -14,8 +14,8 @@ Operators provided here:
   levels from marching-squares cell polygons (saddles resolved by the
   cell-centre average), every level classified in one pass; only the cells
   a level cuts are interpolated.
-* ``interpolate``         -- bilinear point evaluation of a scalar or vector
-  field, -1 outside the domain.
+* ``interpolate``         -- bilinear point evaluation of a scalar field, -1
+  outside the domain.
 * ``trapezoid``           -- the trapezoidal rule over a time grid.
 
 The checks read the snapshots of a trajectory in batches (``batches``):
@@ -28,6 +28,7 @@ field is the stack of one.
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +44,8 @@ trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square grid on [-L, L]^2 with an odd number of nodes per side."""
+    """Square grid on [-L, L]^2 with an odd number of nodes per side; its
+    coordinate arrays are read-only and built once per grid."""
 
     n: int
     half_extent: float
@@ -60,17 +62,27 @@ class GridSpec:
 
     def axis(self) -> np.ndarray:
         """Node coordinates along one axis, axis[(n-1)//2] == 0."""
-        return np.linspace(-self.half_extent, self.half_extent, self.n)
+        return _coordinates(self)[0]
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) node coordinate arrays, shape (n, n), y-major."""
-        ax = self.axis()
-        return np.meshgrid(ax, ax, indexing="xy")
+        return _coordinates(self)[1]
 
     def radius(self) -> np.ndarray:
         """|x| at every node."""
-        x, y = self.meshgrid()
-        return np.hypot(x, y)
+        return _coordinates(self)[2]
+
+
+@lru_cache(maxsize=8)
+def _coordinates(spec: GridSpec) -> tuple:
+    """(axis, (X, Y), |x|) of spec, built once per grid and read-only, so
+    that every caller shares them."""
+    ax = np.linspace(-spec.half_extent, spec.half_extent, spec.n)
+    x, y = np.meshgrid(ax, ax, indexing="xy")
+    radius = np.hypot(x, y)
+    for a in (ax, x, y, radius):
+        a.setflags(write=False)
+    return ax, (x, y), radius
 
 
 @dataclass
@@ -114,7 +126,7 @@ def batches(count: int, n: int) -> list:
 @dataclass
 class FieldStack:
     """Fields of one grid along a first axis: values[j] holds the values of
-    field j, shape (b, n, n), or (b, n, n, C) with C components per node."""
+    field j, shape (b, n, n)."""
 
     spec: GridSpec
     values: np.ndarray
@@ -627,18 +639,13 @@ def interpolate(
 
     Points outside [-L, L]^2, and points with a NaN coordinate, evaluate to
     the far-field value -1.  Exact at grid nodes and for bilinear data.  u
-    may also hold C components per node, values of shape (n, n, C) as a
-    DirectionField does; the result then has the components along a new
-    first axis, shape (C, ...).  u may also be a FieldStack, with snapshot
-    the index in it of the field each point is read in, an integer array
-    of shape points.shape[:-1].
+    may also be a FieldStack, with snapshot the index in it of the field
+    each point is read in, an integer array of shape points.shape[:-1].
     """
     pts = np.asarray(points, dtype=np.float64)
     L = u.spec.half_extent
     h = u.spec.h
     n = u.spec.n
-    stack = u.values if snapshot is not None else u.values[None]
-
     x = pts[..., 0]
     y = pts[..., 1]
     outside = ~(np.maximum(np.abs(x), np.abs(y)) <= L)   # NaN compares false
@@ -663,24 +670,21 @@ def interpolate(
 
     # sx*sy*a + tx*sy*b + sx*ty*c + tx*ty*d summed in that order, with the
     # corners a, b, c, d gathered from the nodes as one line, node
-    # k = (snapshot n + iy) n + ix, the C components per node along the
-    # first axis
-    nodes = np.moveaxis(stack.reshape(stack.shape[0] * n * n, -1), 1, 0)
+    # k = (snapshot n + iy) n + ix
+    nodes = u.values.reshape(-1)
     k = iy
     k *= n
     k += ix
     if snapshot is not None:
         k += np.asarray(snapshot) * (n * n)
     weight = sx * sy
-    val = weight * np.take(nodes, k, axis=1)
+    val = weight * np.take(nodes, k)
     corner = np.empty_like(val)
     for step, wx, wy in ((1, tx, sy), (n - 1, sx, ty), (1, tx, ty)):   # k + 1, k + n, k + n + 1
         k += step
         np.multiply(wx, wy, out=weight)
-        np.take(nodes, k, axis=1, out=corner)
+        np.take(nodes, k, out=corner)
         corner *= weight
         val += corner
-    if stack.ndim == 3:
-        val = val[0]
-    val[..., outside] = -1.0
+    val[outside] = -1.0
     return val

@@ -55,7 +55,8 @@ from .contour import dump_contour
 from .errors import ConfigError, ConstructionError, FieldFormatError
 from .geometry import dump_init, load_init
 from .grid import load_meta, meta_text
-from .solver import cfl_timestep, check_work_budget, dump_trajectory, load_trajectory
+from .solver import cfl_timestep, check_work_budget, dump_trajectory, front_in_guard
+from .solver import guard_radius, load_trajectory
 from .verify import CHECKS, CheckContext, dump_report, gamma_sweep_star_shape, stored_mismatch
 from .weak import march_solve, standard_seeds, uniqueness_probe
 
@@ -225,6 +226,12 @@ def run(config: ScenarioConfig, out_dir: str = None, config_text: str = None) ->
                 spec, config.gamma, cfl_timestep(0.0, config.gamma, spec.h), 0.0, config.horizon
             )
             init = config.build_init(spec)
+            # the march's own guard at t = 0, refused here as bad input
+            if front_in_guard(init.u0):
+                raise ConstructionError(
+                    f"the initial front reaches the solver's guard band |x| >= "
+                    f"L - 6h = {guard_radius(spec):.4g}"
+                )
             coupling = config.build_coupling(spec)
         except (ConstructionError, ConfigError, KeyError, ValueError) as err:
             return fail_run(out_dir, f"construction: {err}", EXIT_CONFIG)

@@ -76,6 +76,31 @@ def grid_ring(spec: GridSpec) -> float:
     return spec.half_extent - 2 * spec.h
 
 
+def guard_radius(spec: GridSpec) -> float:
+    """L - 6h, 4h inside the containment ring: a zero set that reaches a
+    node this far out has escaped."""
+    return grid_ring(spec) - 4 * spec.h
+
+
+@lru_cache(maxsize=8)
+def ring_masks(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(guard, clear) of spec, read-only and built once per grid: the nodes
+    at |x| >= guard_radius, which `front_in_guard` watches, and the nodes of
+    B(0, L - 4h), clear of the containment ring, on which the Lipschitz log
+    is measured."""
+    radius = spec.radius()
+    guard = radius >= guard_radius(spec)
+    clear = radius <= grid_ring(spec) - 2 * spec.h
+    for a in (guard, clear):
+        a.setflags(write=False)
+    return guard, clear
+
+
+def front_in_guard(u: ScalarField) -> bool:
+    """Whether u >= 0 at a node of the guard band |x| >= guard_radius."""
+    return bool(np.any(u.values[ring_masks(u.spec)[0]] >= 0.0))
+
+
 def max_speed(c: ScalarField | float) -> float:
     """max|c| of a speed field or a spatially constant speed."""
     if isinstance(c, ScalarField):
@@ -241,10 +266,9 @@ class Trajectory:
     def lipschitz_log(self) -> list:
         """max |Du| by central differences of every snapshot on B(0, L - 4h),
         clear of the containment ring."""
-        spec = self.spec
-        mask = spec.radius() <= self.far_radius - 2 * spec.h
-        work = Workspace(spec)
-        return [float(central_gradient_norm(u, work)[mask].max()) for u in self.snapshots]
+        clear = ring_masks(self.spec)[1]
+        work = Workspace(self.spec)
+        return [float(central_gradient_norm(u, work)[clear].max()) for u in self.snapshots]
 
 
 def _normalise_output_times(output_times, horizon: float) -> np.ndarray:
@@ -297,10 +321,8 @@ def solve(
     far_radius = grid_ring(spec)
     times = _normalise_output_times(output_times, horizon)
 
-    guard_mask = spec.radius() >= far_radius - 4 * h
-
     def check_guard(t):
-        if np.any(u.values[guard_mask] >= 0.0):
+        if front_in_guard(u):
             raise FrontEscapeError(
                 f"zero set reached the containment ring at t={t:.6g} "
                 f"(far_radius={far_radius:.4g})"

@@ -40,7 +40,7 @@ import numpy as np
 from .contour import extract_contour
 from .couplings import constant_history, gauss_average, kappa
 from .errors import FrontEscapeError, StabilityError
-from .geometry import InitCondition
+from .geometry import InitCondition, nu_sup_norm
 from .grid import ScalarField, batches, central_gradient_norm_at, interpolate, lebesgue_measure
 from .grid import meta_text, stack_fields, trapezoid
 from .solver import Trajectory, _normalise_output_times, regularity_report, solution_gaps
@@ -196,7 +196,7 @@ def band_etas(band: Band, init: InitCondition, lambdas) -> np.ndarray:
     domain."""
     lambdas = np.asarray(lambdas, dtype=np.float64)
     lambdas = lambdas[lambdas > 0.0]
-    pts = band.points + lambdas[:, None, None] * init.nu.values[band.iy, band.ix]
+    pts = band.points - lambdas[:, None, None] * band.points   # x + lam nu(x), nu = -x
     inside = np.maximum(np.abs(pts[..., 0]), np.abs(pts[..., 1])) <= band.stack.spec.half_extent
     # every push is evaluated, and those that leave the domain dropped after
     q = interpolate(band.stack, pts, np.broadcast_to(band.snapshot, inside.shape))
@@ -479,7 +479,7 @@ def lower_gradient_report(
     h = traj.spec.h
     scale = max(1.0, 1.0 / init.r0)
     slack = 3.0 * h * scale
-    nu_sup = max(init.nu.sup_norm, 1e-12)
+    nu_sup = nu_sup_norm(traj.spec)
     width = init.delta0 / 4.0
     times = traj.times
     stop = next((k for k, t in enumerate(times) if t > t_bar + 1e-12), len(times))
@@ -549,8 +549,8 @@ def cone_report(
     """Sample solid cones at contour vertices and count points violating
     u >= level - slack.
 
-    Cone axis nu(z)/|nu(z)| (flip_axis negates it: the adversarial variant
-    must fail), half opening lam_bar |nu(z)|, height
+    Cone axis nu(z)/|nu(z)| with nu(z) = -z (flip_axis negates it: the
+    adversarial variant must fail), half opening lam_bar |nu(z)|, height
     eta(t) lam_bar / (||Du0||_inf e^{K t}).  Vertices with |nu| ~ 0 and times
     where the height falls below h are skipped and counted; a snapshot
     builds rays only for the heights of h and above.  The same count
@@ -565,28 +565,15 @@ def cone_report(
     lam_bar = init.lambda_bar
     slack = lip * h
     levels = [f * init.delta0 for f in LEVELS_FRACTION]
-
-    # the contour vertices of every (snapshot, level), strided to at most
-    # max_vertices, and the direction field at all of them in one call
-    verts = []
-    for k, t in enumerate(traj.times):
-        if t > t_bar + 1e-12:
-            break
-        for contour in ctx.contours(k, levels):
-            z = contour.vertex_array()
-            stride = int(np.ceil(len(z) / max_vertices)) if len(z) > max_vertices else 1
-            verts.append(z[::stride])
-    nus = interpolate(init.nu, np.concatenate(verts + [np.zeros((0, 2))])).T
-    nus = np.split(nus, np.cumsum([len(z) for z in verts])[:-1])
-
     totals = {1.0: 0, 2.0: 0}
     fails = {1.0: 0, 2.0: 0}
     skipped_axis = 0
     skipped_small = 0
     rows = []
 
-    for k in range(len(verts) // len(levels)):
-        t, snap = traj.times[k], traj.snapshots[k]
+    for k, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
+        if t > t_bar + 1e-12:
+            break
         eta_t = max(float(eta_sched.eta(t)), 0.0)
         rho = {mult: eta_t * lam_bar / (lip * np.exp(mult * K_fit * t)) for mult in (1.0, 2.0)}
         # the K multiples whose height reaches h, the only ones sampled
@@ -594,11 +581,14 @@ def cone_report(
         # the cone points of every level and sampled multiple of this
         # snapshot, evaluated in one call and then counted piece by piece
         tests, points = [], []
-        for i, level in enumerate(levels):
-            z, nu_z = verts[k * len(levels) + i], nus[k * len(levels) + i]
+        for level, contour in zip(levels, ctx.contours(k, levels)):
+            # the contour's vertices, strided to at most max_vertices
+            z = contour.vertex_array()
+            z = z[::int(np.ceil(len(z) / max_vertices))] if len(z) > max_vertices else z
             if z.size == 0:
                 tests.append(None)
                 continue
+            nu_z = -z
             norm = np.hypot(nu_z[:, 0], nu_z[:, 1])
             ok = norm > 1e-12
             skipped_axis += int((~ok).sum())

@@ -659,8 +659,8 @@ def _replace_line(path, index, line):
     ("traj/meta.txt", 1, "# no gamma", "no gamma line"),
     ("init_meta.txt", 2, "eta0 = abc", "abc"),
     ("init_meta.txt", 3, "# no lambda0", "no lambda0 line"),
-    ("init_meta.txt", 6, "# no r0", "no r0 line"),
-    ("init_meta.txt", 7, "# no lipschitz", "no lipschitz line"),
+    ("init_meta.txt", 5, "# no r0", "no r0 line"),
+    ("init_meta.txt", 6, "# no lipschitz", "no lipschitz line"),
     ("run_meta.txt", 0, "bogus line", "'bogus line' is not a 'key = value' line"),
 ], ids=["manifest-text", "manifest-nan", "meta-text", "meta-missing", "init-text",
         "init-missing", "init-no-r0", "init-no-lipschitz", "run-meta-no-equals"])
@@ -940,6 +940,31 @@ def test_front_escape_exits_three(tmp_path, capsys):
     # the runner keeps partial artifacts and reports through the marker file
     assert "FAIL run" in printed
     assert "containment ring" in (out / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("r0, code", [("1", 2), ("0.9", 0)], ids=["in-guard", "clear"])
+def test_initial_front_in_the_guard_band_exits_two(tmp_path, r0, code):
+    # r0 = 1 fits star_shaped_u0's bound L - 2h = 1.40625, but its front
+    # already lies in the solver's guard band |x| >= L - 6h = 0.9375: bad
+    # input, refused before the march, where it would escape at t = 0
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text(
+        f"grid.n = 33\ngrid.L = 1.5\ninit.kind = circle\ninit.r0 = {r0}\n"
+        "coupling.kind = constant\ncoupling.c = 0\ngamma = 1\nhorizon = 0.05\n"
+        "output_times = 5\nchecks = key_estimate\n"
+    )
+    out = tmp_path / "run"
+    proc = _frontlab("run", cfg, "--out", out)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        want = ("construction: the initial front reaches the solver's guard band "
+                "|x| >= L - 6h = 0.9375")
+        assert proc.stdout.splitlines() == [f"FAIL run ({want})"]
+        assert (out / "FAILED").read_text().strip() == want
+    else:
+        assert proc.stdout.splitlines() == ["PASS key_estimate"]
+        assert not (out / "FAILED").exists()
 
 
 @pytest.mark.parametrize("changed", [

@@ -14,19 +14,17 @@ Closed forms used below, all for the unit-slope profile u0 = clip(sdist, -1, 1):
 import numpy as np
 import pytest
 
-from frontlab.config import parse_config
 from frontlab.errors import ConstructionError
 from frontlab.geometry import (
     DELTA0_LADDER,
     dump_init,
     load_init,
-    radial_direction,
+    nu_sup_norm,
     star_shaped_u0,
     verify_I1,
     verify_I2,
 )
-from frontlab.grid import GridSpec, field_from_function
-from frontlab.runner import run, verify_run_dir
+from frontlab.grid import GridSpec, field_from_function, interpolate
 from frontlab.verify import eta_empirical
 
 SPEC = GridSpec(201, 1.5)
@@ -194,14 +192,27 @@ def test_margin_check_vacuous_without_samples(circle):
     assert margin == np.inf
 
 
+def _reference_direction(spec):
+    """The radial direction field nu = -x as the (n, n, 2) array of its
+    components at the nodes, the way the initial data once stored it."""
+    x, y = spec.meshgrid()
+    return np.stack([-x, -y], -1)
+
+
 def test_radial_direction_field():
-    rad = radial_direction(SPEC)
-    assert rad.sup_norm == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
+    # the closed-form sup norm is the measured maximum, bitwise: the axis
+    # ends exactly at +-L, so the corner nodes are (+-L, +-L)
+    for n in (33, 49, 101, 201):
+        for L in (0.3, 1.5, 3.7):
+            spec = GridSpec(n, L)
+            nu = _reference_direction(spec)
+            assert nu_sup_norm(spec) == float(np.hypot(nu[..., 0], nu[..., 1]).max())
+            assert nu_sup_norm(spec) == pytest.approx(L * np.sqrt(2.0), rel=1e-12)
 
 
 def _reference_lip_norm(spec, values):
-    """The Lipschitz norm as radial_direction measured it on construction:
-    the operator 2-norm of the finite-difference Jacobian."""
+    """The Lipschitz norm of a direction field as it was once measured: the
+    operator 2-norm of the finite-difference Jacobian."""
     dxy = [np.gradient(values[..., c], spec.h, edge_order=2) for c in (0, 1)]
     j11, j12 = dxy[0][1], dxy[0][0]
     j21, j22 = dxy[1][1], dxy[1][0]
@@ -212,49 +223,56 @@ def _reference_lip_norm(spec, values):
     return float(np.sqrt(smax2.max()))
 
 
-@pytest.mark.parametrize("n", [33, 201])
-def test_direction_lip_norm_measured_on_first_read(n, monkeypatch):
-    import frontlab.geometry
+@pytest.mark.parametrize("n", [33, 35, 65, 101, 201, 401, 513, 1025])
+def test_direction_lip_norm_is_one(n):
+    # Lip nu = 1 exactly, as lambda0 takes it; the finite-difference
+    # measurement of the stored field misses 1 only by rounding
+    for L in (0.3, 1.5, 3.7):
+        spec = GridSpec(n, L)
+        assert abs(_reference_lip_norm(spec, _reference_direction(spec)) - 1.0) <= 1e-12
 
+
+def _reference_certificate(u0, r0):
+    """(delta0, eta0, lambda0) of star_shaped_u0's field u0 with nu the
+    gathered _reference_direction and its norms measured on the grid."""
+    spec = u0.spec
+    nu = _reference_direction(spec)
+    sup = float(np.hypot(nu[..., 0], nu[..., 1]).max())
+    lip = _reference_lip_norm(spec, nu)
+    lambda0 = 0.5 * min(1.0 / max(sup, 1e-12), 1.0 / max(lip, 1e-12), 1.8)
+    x, y = spec.meshgrid()
+    for delta0 in DELTA0_LADDER:
+        band = np.abs(u0.values) <= delta0
+        base = np.column_stack([x[band], y[band]])
+        eta = min(
+            float(((interpolate(u0, base + lam * nu[band]) - u0.values[band]) / lam).min())
+            for lam in lambda0 * np.arange(1, 5) / 4.0
+        )
+        if eta >= 0.5 * r0:
+            return delta0, eta, lambda0
+    raise AssertionError("no band certified")
+
+
+@pytest.mark.parametrize("n", [33, 49, 101, 201])
+def test_certificate_equals_the_gathered_direction_field(n):
+    # the certificate and verify_I2's worst margin, bitwise, with nu = -x
+    # written where it is read and with nu gathered from the stored field
     spec = GridSpec(n, 1.5)
-    want = _reference_lip_norm(spec, radial_direction(spec).values)
-    measured = []
-    lip_norm_ = frontlab.geometry._lip_norm
-
-    def recorded(*args):
-        measured.append(lip_norm_(*args))
-        return measured[-1]
-
-    monkeypatch.setattr(frontlab.geometry, "_lip_norm", recorded)
-    nu = radial_direction(spec)
-    assert measured == []
-    assert nu.lip_norm == want
-    assert nu.lip_norm == want
-    assert measured == [want]
-
-
-def test_verify_never_measures_direction_lip_norm(tmp_path, monkeypatch):
-    # a run reads the Lipschitz norm for lambda0 and init_meta.txt; loading
-    # its init and re-verifying it do not
-    import frontlab.geometry
-
-    cfg = parse_config(
-        "name = lip\ngrid.n = 33\ngrid.L = 1.5\ninit.kind = circle\ninit.r0 = 0.5\n"
-        "coupling.kind = constant\ncoupling.c = 0.3\ngamma = 0.0\nhorizon = 0.05\n"
-        "output_times = 5\nchecks = key_estimate, lower_gradient, cone, perimeter, "
-        "band_measure, non_fattening, star_shape\n"
-    )
-    out = tmp_path / "run"
-    result = run(cfg, out_dir=str(out))
-    assert result.exit_code in (0, 1)
-    assert "nu.lip_norm = " in (out / "init_meta.txt").read_text()
-
-    def refused(*args):
-        raise AssertionError("the direction field's Lipschitz norm was measured")
-
-    monkeypatch.setattr(frontlab.geometry, "_lip_norm", refused)
-    load_init(out / "init.f64", out / "init_meta.txt")
-    assert verify_run_dir(str(out)).exit_code == result.exit_code
+    x, y = spec.meshgrid()
+    for kernels, r0 in (([(0.0, 0.0)], 0.6), ([(0.4, 0.0), (-0.4, 0.0)], 0.3),
+                        ([(0.3, 0.1)], 0.5)):
+        init = star_shaped_u0(spec, kernels, r0)
+        got = np.array([init.delta0, init.eta0, init.lambda0])
+        want = np.array(_reference_certificate(init.u0, r0))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        band = np.abs(init.u0.values) <= init.delta0
+        base, nu = np.column_stack([x[band], y[band]]), _reference_direction(spec)[band]
+        worst = min(
+            float((interpolate(init.u0, base + lam * nu) - init.u0.values[band]
+                   - lam * init.eta0).min())
+            for lam in init.lambda0 * np.arange(1, 5) / 4
+        )
+        assert verify_I2(init)[1] == worst
 
 
 def test_init_round_trip(tmp_path, peanut):
@@ -269,4 +287,11 @@ def test_init_round_trip(tmp_path, peanut):
     assert back.R0 == peanut.R0
     assert back.r0 == peanut.r0
     assert back.lipschitz == peanut.lipschitz
-    assert np.array_equal(back.nu.values, peanut.nu.values)
+    # the header names the exact sup norm of nu and no Lipschitz norm,
+    # which is 1 in every run
+    assert head_path.read_text().splitlines() == [
+        f"R0 = {peanut.R0:.17g}", f"delta0 = {peanut.delta0:.17g}",
+        f"eta0 = {peanut.eta0:.17g}", f"lambda0 = {peanut.lambda0:.17g}",
+        f"nu.sup_norm = {np.hypot(1.5, 1.5):.17g}", f"r0 = {peanut.r0:.17g}",
+        f"lipschitz = {peanut.lipschitz:.17g}",
+    ]

@@ -51,6 +51,26 @@ def test_grid_spec_geometry():
     assert xx[0, 0] == -1.0 and yy[0, 0] == -1.0
 
 
+def test_grid_coordinates_are_read_only_and_shared():
+    # built once per grid: equal specs share the arrays, an in-place write
+    # raises, and the values are the ones the formulas give
+    spec = GridSpec(65, 1.5)
+    arrays = (spec.axis(), *spec.meshgrid(), spec.radius())
+    twin = GridSpec(65, 1.5)
+    assert twin is not spec
+    for a, b in zip(arrays, (twin.axis(), *twin.meshgrid(), twin.radius())):
+        assert a is b
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0
+    ax = np.linspace(-1.5, 1.5, 65)
+    x, y = np.meshgrid(ax, ax, indexing="xy")
+    for got, want in zip(arrays, (ax, x, y, np.hypot(x, y))):
+        assert _same_bits(got, want)
+    assert GridSpec(65, 1.0).axis() is not spec.axis()
+
+
 def test_grid_spec_rejects_bad_n():
     with pytest.raises(ValueError):
         GridSpec(100, 1.0)
@@ -627,7 +647,7 @@ def test_interpolate_nan_point_returns_far_value():
 
 
 def _reference_interpolate(values, spec, pts):
-    # the bilinear formula with 2-D fancy indexes, components first
+    # the bilinear formula with 2-D fancy indexes
     L, h, n = spec.half_extent, spec.h, spec.n
     x, y = pts[..., 0], pts[..., 1]
     outside = (x < -L) | (x > L) | (y < -L) | (y > L)
@@ -636,58 +656,59 @@ def _reference_interpolate(values, spec, pts):
     ix = np.minimum(fx.astype(np.int64), n - 2)
     iy = np.minimum(fy.astype(np.int64), n - 2)
     tx, ty = fx - ix, fy - iy
-    v = np.moveaxis(values, (0, 1), (-2, -1))
-    val = ((1 - tx) * (1 - ty) * v[..., iy, ix] + tx * (1 - ty) * v[..., iy, ix + 1]
-           + (1 - tx) * ty * v[..., iy + 1, ix] + tx * ty * v[..., iy + 1, ix + 1])
+    val = ((1 - tx) * (1 - ty) * values[iy, ix] + tx * (1 - ty) * values[iy, ix + 1]
+           + (1 - tx) * ty * values[iy + 1, ix] + tx * ty * values[iy + 1, ix + 1])
     return np.where(outside, -1.0, val)
 
 
-@pytest.mark.parametrize("components", [None, 2], ids=["scalar", "direction-field"])
-def test_interpolate_matches_the_formula_bitwise(components):
+def _test_fields(spec, kind, rng, count):
+    """count scalar fields on spec: random values ("scalar"), or the
+    components -x, -y, -x, ... of the radial direction field nu = -x, each
+    read as a scalar field ("direction-field")."""
+    if kind == "scalar":
+        return [ScalarField(spec, rng.normal(size=(spec.n, spec.n))) for _ in range(count)]
+    x, y = spec.meshgrid()
+    return [ScalarField(spec, -(x, y)[j % 2]) for j in range(count)]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "direction-field"])
+def test_interpolate_matches_the_formula_bitwise(kind):
     spec = GridSpec(201, 1.5)
     rng = np.random.default_rng(8)
-    shape = (spec.n, spec.n) if components is None else (spec.n, spec.n, components)
-    field = ScalarField(spec, np.zeros((spec.n, spec.n)))
-    field.values = rng.normal(size=shape)   # as a DirectionField holds them
+    [field] = _test_fields(spec, kind, rng, 1)
     for pts in (rng.uniform(-1.7, 1.7, (2000, 2)), rng.uniform(-1.7, 1.7, (3, 5, 2))):
         got = interpolate(field, pts)
         assert _same_bits(got, _reference_interpolate(field.values, spec, pts))
 
 
 @pytest.mark.parametrize("n", [33, 49, 65, 101, 201])
-@pytest.mark.parametrize("components", [None, 2], ids=["scalar", "direction-field"])
-def test_interpolate_from_a_stack_matches_each_field_bitwise(n, components):
+@pytest.mark.parametrize("kind", ["scalar", "direction-field"])
+def test_interpolate_from_a_stack_matches_each_field_bitwise(n, kind):
     # points read in the field of their snapshot index, outside points and
     # NaN points among them, against each field read alone
     spec = GridSpec(n, 1.5)
     rng = np.random.default_rng(n)
-    shape = (spec.n, spec.n) if components is None else (spec.n, spec.n, components)
-    fields = []
-    for _ in range(4):
-        field = ScalarField(spec, np.zeros((n, n)))
-        field.values = rng.normal(size=shape)
-        fields.append(field)
+    fields = _test_fields(spec, kind, rng, 4)
     stack = FieldStack(spec, np.stack([f.values for f in fields]))
     for pts in (rng.uniform(-1.7, 1.7, (500, 2)), rng.uniform(-1.7, 1.7, (3, 40, 2))):
         pts[(0,) * (pts.ndim - 1)][0] = np.nan
         pts.reshape(-1, 2)[7, 1] = np.nan
         snapshot = rng.integers(0, len(fields), pts.shape[:-1])
         got = interpolate(stack, pts, snapshot)
-        want = np.stack([interpolate(f, pts) for f in fields])   # (fields, C.., points..)
-        pick = snapshot if components is None else np.broadcast_to(snapshot, got.shape)
-        want = np.take_along_axis(want, pick[None], axis=0)[0]
+        want = np.stack([interpolate(f, pts) for f in fields])   # (fields, points..)
+        want = np.take_along_axis(want, snapshot[None], axis=0)[0]
         assert got.shape == want.shape
         assert _same_bits(got, want)
         first = interpolate(stack_fields(fields[:1]), pts, np.zeros_like(snapshot))
         assert _same_bits(first, interpolate(fields[0], pts))
-    # one point is a (1, 2) array, and reads as the same point of a batch:
-    # shape (1,) for a scalar field, (C, 1) for a direction field
+    # one point is a (1, 2) array, and reads as the same point of a batch,
+    # shape (1,)
     batch = np.array([[-0.3, 0.4], [0.1, 0.2], [1.2, -0.7]])
     for field in (fields[2], stack):
         one = interpolate(field, batch[1:2], None if field is fields[2] else np.array([2]))
-        assert one.shape == ((1,) if components is None else (components, 1))
+        assert one.shape == (1,)
         many = interpolate(fields[2], batch)
-        assert _same_bits(one, many[..., 1:2])
+        assert _same_bits(one, many[1:2])
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,23 @@ def test_solve_front_escape_trips():
         solve(_disc(spec, 0.5), _constant(1.0), 0.0, 1.0, [1.0])
 
 
+def test_ring_masks_are_read_only_and_shared():
+    # built once per grid: equal specs share them, an in-place write raises,
+    # and they are the guard band |x| >= L - 6h and the ball |x| <= L - 4h
+    spec = GridSpec(65, 1.0)
+    guard, clear = frontlab.solver.ring_masks(spec)
+    twin = frontlab.solver.ring_masks(GridSpec(65, 1.0))
+    assert twin[0] is guard and twin[1] is clear
+    for mask in (guard, clear):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = True
+    assert np.array_equal(guard, spec.radius() >= grid_ring(spec) - 4 * spec.h)
+    assert np.array_equal(clear, spec.radius() <= grid_ring(spec) - 2 * spec.h)
+    assert frontlab.solver.guard_radius(spec) == 1.0 - 6 * spec.h
+    assert frontlab.solver.front_in_guard(_disc(spec, 1.0 - 6 * spec.h))
+    assert not frontlab.solver.front_in_guard(_disc(spec, 1.0 - 7 * spec.h))
+
+
 def test_piecewise_speed_switches():
     # expand at speed 1 for 0.1, freeze afterwards
     spec = GridSpec(129, 1.0)

@@ -186,15 +186,29 @@ def test_eta_empirical_empty_band_is_nan(init):
     assert math.isnan(eta_empirical(constant_field(SPEC, -1.0), init))
 
 
+def _reference_direction(spec):
+    """The radial direction field nu = -x as the (n, n, 2) array of its
+    components at the nodes, the way the checks once stored it."""
+    x, y = spec.meshgrid()
+    return np.stack([-x, -y], -1)
+
+
+def _reference_sup_norm(spec):
+    """||nu||_inf measured on the nodes of _reference_direction."""
+    nu = _reference_direction(spec)
+    return float(np.hypot(nu[..., 0], nu[..., 1]).max())
+
+
 def _reference_eta_empirical(u, init, lambdas, band_width):
-    """One push and one interpolation per lambda."""
+    """One push along the gathered _reference_direction and one
+    interpolation per lambda."""
     band = np.abs(u.values) <= band_width
     x, y = u.spec.meshgrid()
     best = np.inf
     for lam in lambdas:
         if lam <= 0.0:
             continue
-        pts = np.column_stack([x[band], y[band]]) + lam * init.nu.values[band]
+        pts = np.column_stack([x[band], y[band]]) + lam * _reference_direction(u.spec)[band]
         inside = np.max(np.abs(pts), axis=1) <= u.spec.half_extent
         q = (interpolate(u, pts[inside]) - u.values[band][inside]) / lam
         if q.size:
@@ -240,8 +254,9 @@ def _bits(rows):
 
 
 def _reference_lower_gradient_rows(traj, init, sched, t_bar):
-    """lower_gradient's rows one snapshot at a time, on the full-grid |Du|."""
-    nu_sup = max(init.nu.sup_norm, 1e-12)
+    """lower_gradient's rows one snapshot at a time, on the full-grid |Du|,
+    against the measured ||nu||_inf."""
+    nu_sup = max(_reference_sup_norm(traj.spec), 1e-12)
     rows = []
     for t, snap in zip(traj.times, traj.snapshots):
         if t > t_bar + 1e-12:
@@ -339,8 +354,8 @@ def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
     # one stacked area pass per snapshot for every level the checks read;
     # one contour extraction per context, which chains every snapshot's
     # levels in one pass after classifying each batch of snapshots once;
-    # one interpolation per snapshot for the cone points, plus one for the
-    # direction field at every vertex (the cones' axes); one per batch of
+    # one interpolation per snapshot for the cone points, and none for the
+    # cones' axes, which are -z at each vertex z; one per batch of
     # snapshots for every eta of the context
     import frontlab.contour
     import frontlab.verify
@@ -396,7 +411,7 @@ def test_geometry_calls_per_snapshot(shrink, init, monkeypatch):
 
     calls.clear()
     cone_report(ctx, init, sched, K_fit=0.0, t_bar=t_bar)
-    assert [call[:2] for call in calls] == [("interpolate", 2)] * (1 + snapshots)
+    assert [call[:2] for call in calls] == [("interpolate", 2)] * snapshots
     assert extracted == [snapshots]
 
     # one snapshot's eta, every lambda's pushes in one interpolation
@@ -518,7 +533,7 @@ def test_lower_gradient_unit_slope_passes(frozen, init):
     assert rep.passed
     for _, measured, bound, _ in rep.rows:
         assert measured == pytest.approx(1.0, abs=0.05)
-        assert bound == pytest.approx(0.55 / init.nu.sup_norm, rel=1e-12)
+        assert bound == pytest.approx(0.55 / _reference_sup_norm(SPEC), rel=1e-12)
     assert rep.min_margin() > 0.5
 
 
@@ -593,9 +608,15 @@ def test_cone_flipped_axis_fails(frozen, init):
     assert rep.constants["failure_fraction"] > 0.5
 
 
-def test_cone_zero_direction_skips_vertices(frozen, init):
-    blind = replace(init, nu=replace(init.nu, values=np.zeros_like(init.nu.values)))
-    rep = cone_report(frozen, blind, EtaSchedule(0.55, 0.0), K_fit=0.0, t_bar=frozen.times[-1])
+def test_cone_zero_direction_skips_vertices(init):
+    # u = -1 but for the origin node, which sits at the lowest level: that
+    # level's contour has every vertex at the origin, where nu = -z = 0, and
+    # the two higher levels have no contour
+    vals = np.full((SPEC.n, SPEC.n), -1.0)
+    vals[SPEC.n // 2, SPEC.n // 2] = LEVELS_FRACTION[0] * init.delta0
+    blind = _hand_traj(TIMES, [ScalarField(SPEC, vals) for _ in TIMES])
+    assert SPEC.axis()[SPEC.n // 2] == 0.0
+    rep = cone_report(blind, init, EtaSchedule(0.55, 0.0), K_fit=0.0, t_bar=TIMES[-1])
     assert rep.passed  # vacuously: nothing was testable
     assert rep.constants["points_tested"] == 0.0
     assert rep.constants["skipped_zero_axis"] > 0.0
@@ -609,10 +630,10 @@ def test_cone_subgrid_height_skipped(frozen, init):
 
 
 def test_cone_heights_below_h_build_no_rays(shrink, init, monkeypatch):
-    # every height is below h: no ray or cone point is built and no snapshot
-    # is evaluated; the direction field is still read at every vertex, once,
-    # and every (snapshot, level) counts two skipped heights and reads the
-    # vacuous row
+    # every height is below h: no ray or cone point is built and nothing is
+    # evaluated, neither a snapshot nor the direction field, which is -z at
+    # each vertex z; every (snapshot, level) counts two skipped heights and
+    # reads the vacuous row
     import frontlab.verify
 
     def refused(*args):
@@ -630,7 +651,7 @@ def test_cone_heights_below_h_build_no_rays(shrink, init, monkeypatch):
     monkeypatch.setattr(frontlab.verify, "interpolate", recorded)
     t_bar = 0.05
     rep = cone_report(shrink, init, EtaSchedule(1e-4, 0.0), K_fit=0.0, t_bar=t_bar)
-    assert evaluated == [init.nu]
+    assert evaluated == []
     snapshots = int((shrink.times <= t_bar).sum())
     assert snapshots == 3
     assert rep.constants["points_tested"] == 0.0
@@ -639,6 +660,113 @@ def test_cone_heights_below_h_build_no_rays(shrink, init, monkeypatch):
     assert rep.rows == [
         (float(t), 0.0, 0.01, 0.01) for t in shrink.times[:snapshots] for _ in LEVELS_FRACTION
     ]
+
+
+def _reference_cone(ctx, sched, flip_axis):
+    """cone_report's rows and counts one (snapshot, level, K multiple) at a
+    time, with each vertex's nu the bilinear interpolation of
+    _reference_direction there, a component at a time."""
+    import frontlab.verify
+
+    traj, init = ctx.traj, ctx.init
+    spec = traj.spec
+    h, lip, lam_bar = spec.h, init.lipschitz, init.lambda_bar
+    slack = lip * h
+    nu = [ScalarField(spec, c) for c in np.moveaxis(_reference_direction(spec), -1, 0)]
+    levels = [f * init.delta0 for f in LEVELS_FRACTION]
+    totals, fails = {1.0: 0, 2.0: 0}, {1.0: 0, 2.0: 0}
+    skipped_axis = skipped_small = 0
+    rows = []
+    for k, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
+        if t > ctx.t_bar + 1e-12:
+            break
+        eta_t = max(float(sched.eta(t)), 0.0)
+        for level, contour in zip(levels, ctx.contours(k, levels)):
+            z = contour.vertex_array()
+            z = z[::int(np.ceil(len(z) / 256))] if len(z) > 256 else z
+            if z.size == 0:
+                rows.append((float(t), 0.0, 0.01, 0.01))
+                continue
+            nu_z = np.column_stack([interpolate(c, z) for c in nu])
+            norm = np.hypot(nu_z[:, 0], nu_z[:, 1])
+            ok = norm > 1e-12
+            skipped_axis += int((~ok).sum())
+            if not ok.any():
+                continue
+            heights = [(mult, eta_t * lam_bar / (lip * np.exp(mult * ctx.K_fit * t)))
+                       for mult in (1.0, 2.0)]
+            sampled = [(mult, rho) for mult, rho in heights if not rho < h]
+            skipped_small += 2 - len(sampled)
+            if sampled:
+                axis = nu_z[ok] / norm[ok][:, None]
+                rays = frontlab.verify._cone_rays(
+                    -axis if flip_axis else axis, np.minimum(lam_bar * norm[ok], np.pi / 3.0))
+            frac = 0.0
+            for mult, rho in sampled:
+                pts = frontlab.verify._cone_points(z[ok], rays, rho, spec.half_extent)
+                bad = int((interpolate(snap, pts) < level - slack).sum())
+                totals[mult] += len(pts)
+                fails[mult] += bad
+                frac = bad / max(len(pts), 1) if mult == 1.0 else frac
+            rows.append((float(t), float(frac), 0.01, float(0.01 - frac)))
+    return rows, {
+        "failure_fraction": fails[1.0] / max(totals[1.0], 1),
+        "failure_fraction_2k": fails[2.0] / max(totals[2.0], 1),
+        "points_tested": float(totals[1.0]),
+        "skipped_zero_axis": float(skipped_axis),
+        "skipped_small_rho": float(skipped_small),
+    }
+
+
+def _preset_context(text, n):
+    """The check context of a preset's march on an n-node grid."""
+    import re
+
+    from frontlab.config import parse_config
+    from frontlab.weak import march_solve
+
+    cfg = parse_config(re.sub(r"grid\.n = \d+", f"grid.n = {n}", text))
+    spec = cfg.grid()
+    init = cfg.build_init(spec)
+    sol = march_solve(cfg.build_coupling(spec), init.u0, cfg.gamma, cfg.horizon, cfg.times())
+    return CheckContext(sol.u_traj, init, checks=("cone",))
+
+
+@pytest.mark.parametrize("n", [33, 49, 101, 201])
+@pytest.mark.parametrize("preset", ["mcf-circle", "dislocation"])
+def test_cone_report_equals_the_interpolated_direction_field(preset, n, monkeypatch):
+    # the cone axes -z/|z| and openings differ from the interpolated
+    # field's by a few ulps; the counts and the report do not.  The run's
+    # own schedule, and a taller one whose cones reach h at every n (the
+    # run's stay below h at n = 33 and 49).  mcf-circle starts at r0 = 0.8,
+    # since its r0 = 1 front lies in the guard band at n = 33
+    import frontlab.verify
+    from frontlab.presets import DISLOCATION, MCF_CIRCLE
+
+    rays = []
+    cone_rays_ = frontlab.verify._cone_rays
+
+    def recorded(axis, theta):
+        rays.append(np.column_stack([axis, theta]))
+        return cone_rays_(axis, theta)
+
+    monkeypatch.setattr(frontlab.verify, "_cone_rays", recorded)
+    text = {"mcf-circle": MCF_CIRCLE.replace("init.r0 = 1.0", "init.r0 = 0.8"),
+            "dislocation": DISLOCATION}[preset]
+    ctx = _preset_context(text, n)
+    tall = EtaSchedule(2.0, 0.0)
+    for sched in (ctx.schedule, tall):
+        for flip_axis in (False, True):
+            rep = cone_report(ctx, ctx.init, sched, ctx.K_fit, ctx.t_bar, flip_axis=flip_axis)
+            got, rays[:] = list(rays), []
+            rows, counts = _reference_cone(ctx, sched, flip_axis)
+            assert _bits(rep.rows).tolist() == _bits(rows).tolist()
+            assert {key: rep.constants[key] for key in counts} == counts
+            assert counts["points_tested"] > 0.0 or sched is not tall
+            assert len(got) == len(rays)
+            for mine, theirs in zip(got, rays):
+                assert np.allclose(mine, theirs, rtol=0.0, atol=1e-14)
+            rays.clear()
 
 
 @pytest.mark.parametrize("flip_axis", [False, True], ids=["inward", "flipped"])
@@ -657,8 +785,7 @@ def test_cone_equal_heights_share_one_sample(frozen, init, monkeypatch, flip_axi
         return sampled[-1]
 
     def recorded(u, pts):
-        if u is not init.nu:
-            evaluated.append(len(pts))
+        evaluated.append(len(pts))
         return interpolate_(u, pts)
 
     monkeypatch.setattr(frontlab.verify, "_cone_points", cone_points)
