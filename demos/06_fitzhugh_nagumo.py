@@ -25,7 +25,7 @@ from frontlab.couplings import (
 )
 from frontlab.geometry import star_shaped_u0
 from frontlab.grid import GridSpec
-from frontlab.weak import march_solve
+from frontlab.weak import chi_from_u, march_solve
 
 spec = GridSpec(101, 1.5)
 init = star_shaped_u0(spec, [(0.0, 0.0)], r0=0.5)
@@ -42,10 +42,10 @@ sol = march_solve(coupling, init.u0, gamma=0.1, horizon=horizon,
                   output_times=times)
 print(f"weak solution by one causal march over {len(times) - 1} intervals")
 
-# replay the v equation along the march's occupation history
+# replay the v equation along the march's occupation history 1_{u >= 0}
 v_snaps = [coupling.initial_state(spec)]
-for chi, t0, t1 in zip(sol.chi_hist.fields, times, times[1:]):
-    v_snaps.append(fn_evolve(coupling, v_snaps[-1], chi, t0, t1))
+for snap, t0, t1 in zip(sol.u_traj.snapshots, times, times[1:]):
+    v_snaps.append(fn_evolve(coupling, v_snaps[-1], chi_from_u(snap), t0, t1))
 
 print("\n      t    radius     v max    speed at front")
 alpha = coupling.alpha

@@ -136,18 +136,23 @@ def preset_text(name: str) -> str:
     return _PRESET_TEXTS[name]
 
 
-def _scaled(text: str, n: int = 129, output_times: int = 13) -> str:
+# the desk scale of `_scaled`
+_SCALED_N = 129
+_SCALED_OUTPUT_TIMES = 13
+
+
+def _scaled(text: str) -> str:
     """Desk-scale variant of a preset: coarser grid, fewer stored times."""
     keys = {lineno: key for lineno, key, _ in _split_lines(text)}
     lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         key = keys.get(lineno, "")
         if key == "grid.n":
-            lines.append(f"grid.n = {n}")
+            lines.append(f"grid.n = {_SCALED_N}")
         elif key == "output_times":
-            lines.append(f"output_times = {output_times}")
+            lines.append(f"output_times = {_SCALED_OUTPUT_TIMES}")
         elif key == "name":
-            lines.append(line + "-129")
+            lines.append(f"{line}-{_SCALED_N}")
         elif key == "output_dir":
             continue
         else:

@@ -65,6 +65,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# what a probe PASS shows (see `weak`)
+PROBE_NOTE = (
+    "the probe measures Picard convergence to the causal march, the only discrete "
+    "fixed point, so its PASS is no evidence for the paper's uniqueness theorem"
+)
+
 
 @dataclass
 class RunResult:
@@ -180,15 +186,14 @@ def _gamma_sweep(config: ScenarioConfig, coupling, init, times, out_dir: str, ct
     return f"{'PASS' if gamma_bar is not None and gamma_bar > 0 else 'FAIL'} gamma_sweep"
 
 
-def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str, sol) -> str:
-    """Run the uniqueness probe against the run's march sol, write probe.csv
+def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str, march) -> str:
+    """Run the uniqueness probe against the run's march, write probe.csv
     and probe.verdict, and return the uniqueness_probe verdict line."""
     seeds_all = standard_seeds(init.u0, times, R0=init.R0)
     result = uniqueness_probe(
         coupling, init.u0, config.gamma, config.horizon,
         seeds={name: seeds_all[name] for name in config.probe_seeds},
-        taus=config.probe_taus, output_times=times, lipschitz=init.lipschitz, R0=init.R0,
-        march=sol,
+        output_times=times, lipschitz=init.lipschitz, march=march, taus=config.probe_taus,
     )
     lines = ["seed_i,seed_j,tau,delta_tau,kappa_sup"]
     for si, sj, tau, delta, ksup in result.rows:
@@ -200,7 +205,7 @@ def _probe(config: ScenarioConfig, coupling, init, times, out_dir: str, sol) -> 
         summary[f"final_residual_{name}"] = sol.residual_history[-1]
         summary[f"converged_{name}"] = "true" if sol.converged else "false"
         summary[f"march_gap_{name}"] = result.march_gaps[name]
-    _write(os.path.join(out_dir, "probe.verdict"), meta_text(summary, ()))
+    _write(os.path.join(out_dir, "probe.verdict"), meta_text(summary, (PROBE_NOTE,)))
     return f"{'PASS' if result.passed else 'FAIL'} uniqueness_probe"
 
 
@@ -247,8 +252,8 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
         os.path.join(out_dir, "init_meta.txt"),
     )
     times = config.times()
-    sol = march_solve(coupling, init.u0, config.gamma, config.horizon, output_times=times)
-    traj = sol.u_traj
+    march = march_solve(coupling, init.u0, config.gamma, config.horizon, output_times=times)
+    traj = march.u_traj
     ctx = CheckContext(traj, init, config, coupling, checks=config.checks)
     dump_trajectory(traj, os.path.join(out_dir, "traj"))
     cdir = os.path.join(out_dir, "contours")
@@ -269,7 +274,7 @@ def _solve_and_check(config: ScenarioConfig, out_dir: str, init, coupling) -> Ru
         dump_report(rep, os.path.join(out_dir, "reports"))
         verdicts.append(rep.verdict_line())
     if config.probe_enabled:
-        verdicts.append(_probe(config, coupling, init, times, out_dir, sol))
+        verdicts.append(_probe(config, coupling, init, times, out_dir, march))
 
     meta = {
         "name": config.name,

@@ -44,7 +44,7 @@ from .geometry import InitCondition, nu_sup_norm
 from .grid import ScalarField, batches, central_gradient_norm_at, interpolate, lebesgue_measure
 from .grid import meta_text, stack_fields, trapezoid
 from .solver import Trajectory, _normalise_output_times, regularity_report, solution_gaps
-from .weak import march_solve, reuses_march
+from .weak import march_solve
 
 LEVELS_FRACTION = (-0.25, 0.0, 0.25)   # contour levels as multiples of delta0
 
@@ -188,7 +188,7 @@ class Band:
         return out
 
 
-def band_etas(band: Band, init: InitCondition, lambdas) -> np.ndarray:
+def band_etas(band: Band, lambdas) -> np.ndarray:
     """eta_empirical of each snapshot of band's batch: the worst push
     quotient [u(x + lam nu(x)) - u(x)] / lam over its band nodes and the
     positive lambdas, every push of the batch in one interpolation.  NaN
@@ -222,7 +222,7 @@ def eta_empirical(
         band_width = init.delta0 / 4.0
     if lambdas is None:
         lambdas = init.lambda_bar * np.arange(1, 5) / 4.0
-    return float(band_etas(Band([u], band_width), init, lambdas)[0])
+    return float(band_etas(Band([u], band_width), lambdas)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ class CheckContext:
 
     def _etas(self, lambda_bar: float) -> list:
         lambdas = lambda_bar * np.arange(1, 5) / 4.0
-        return [eta for _, band in self.bands() for eta in band_etas(band, self.init, lambdas).tolist()]
+        return [eta for _, band in self.bands() for eta in band_etas(band, lambdas).tolist()]
 
     @cached_property
     def K_fit(self) -> float:
@@ -520,6 +520,7 @@ def lower_gradient_report(
 
 
 _CONE_RADII = np.array([0.25, 0.5, 0.75, 1.0])   # sample radii as multiples of the height
+_CONE_VERTICES = 256   # vertices sampled per contour, at most
 _CONE_ANGLES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])   # ray angles as multiples of theta
 
 
@@ -544,7 +545,7 @@ def _cone_points(z: np.ndarray, rays, rho: float, half_extent: float) -> np.ndar
 
 def cone_report(
     traj: Trajectory, init: InitCondition, eta_sched: EtaSchedule, K_fit: float,
-    t_bar: float, flip_axis: bool = False, max_vertices: int = 256,
+    t_bar: float, flip_axis: bool = False,
 ) -> VerificationReport:
     """Sample solid cones at contour vertices and count points violating
     u >= level - slack.
@@ -582,17 +583,17 @@ def cone_report(
         # snapshot, evaluated in one call and then counted piece by piece
         tests, points = [], []
         for level, contour in zip(levels, ctx.contours(k, levels)):
-            # the contour's vertices, strided to at most max_vertices
+            # the contour's vertices, strided to at most _CONE_VERTICES
             z = contour.vertex_array()
-            z = z[::int(np.ceil(len(z) / max_vertices))] if len(z) > max_vertices else z
-            if z.size == 0:
-                tests.append(None)
-                continue
+            z = z[::int(np.ceil(len(z) / _CONE_VERTICES))] if len(z) > _CONE_VERTICES else z
             nu_z = -z
             norm = np.hypot(nu_z[:, 0], nu_z[:, 1])
             ok = norm > 1e-12
             skipped_axis += int((~ok).sum())
             if not ok.any():
+                # an empty contour, or one whose every vertex sits at the
+                # origin: a vacuous row
+                tests.append(None)
                 continue
             skipped_small += 2 - len(mults)
             # the index in points of each sampled multiple's point set, one
@@ -953,21 +954,18 @@ def _dependence_reports(ctx: CheckContext):
 # star-shapedness along the flow
 
 
-def star_shape_report(
-    traj: Trajectory, init: InitCondition, slack: float = None,
-) -> VerificationReport:
+def star_shape_report(traj: Trajectory, init: InitCondition) -> VerificationReport:
     """Radial margin [u((1-lam)x, t) - u(x, t)] / lam at lam = lambda_bar/2
     over the band {|u| <= delta0/4}, for every stored time.
 
     Unlike the t_bar-limited checks this one is global in time: the volume
     law is expected to preserve star-shapedness on all of [0, T] for small
-    gamma.  Pass iff every margin >= eta0/2 - slack.  Every band node of a
-    batch of snapshots is pulled in one interpolation (`CheckContext.bands`).
+    gamma.  Pass iff every margin >= eta0/2 - slack, slack = 3 ||Du0||_inf h.
+    Every band node of a batch of snapshots is pulled in one interpolation
+    (`CheckContext.bands`).
     """
     ctx, traj = _context(traj, init)
-    h = traj.spec.h
-    if slack is None:
-        slack = 3.0 * init.lipschitz * h
+    slack = 3.0 * init.lipschitz * traj.spec.h
     lam = 0.5 * init.lambda_bar
     bound = 0.5 * init.eta0
 
@@ -998,21 +996,20 @@ def star_shape_report(
 
 
 def gamma_sweep_star_shape(
-    coupling, init: InitCondition, gammas, horizon: float,
-    output_times=None, run: CheckContext = None,
+    coupling, init: InitCondition, gammas, horizon: float, output_times, run: CheckContext,
 ):
     """March the coupled flow for each gamma and report the largest one that
     keeps the star-shape margin; escapes and instabilities count as fails.
-    run, the context of a causal march of the same coupling and init (a
-    run's own), stands in for the sweep's march at its gamma when its stored
-    times are the sweep's, and its star-shape report for the sweep's.
+    run, the context of a run's causal march of the same coupling, init and
+    stored times, stands in for the sweep's march at its gamma, and its
+    star-shape report for the sweep's.
 
     Returns (gamma_bar_emp, {gamma: VerificationReport-or-error-string}).
     """
     results = {}
     gamma_bar = None
     for gamma in sorted(float(g) for g in gammas):
-        if run is not None and reuses_march(run.traj, gamma, horizon, output_times):
+        if gamma == run.traj.gamma:
             report = run.star_shape
         else:
             try:

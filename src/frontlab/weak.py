@@ -10,12 +10,15 @@ fitzhugh-nagumo field v) to the next interval.  `march_solve` does this,
 and runs and the star-shape gamma sweep use it.  For a coupling lagged in
 time, windowed waveform relaxation (Lelarasmee, Ruehli &
 Sangiovanni-Vincentelli, IEEE TCAD 1982) reaches its limit in this one
-sweep.
+sweep.  Every march returns one `March`: the packed input chi(t_k) of each
+interval (`couplings.occupation_key`), the trajectory, and the law's state
+at every stored time.
 
 The same march, given an occupation history, reads chi_hist(t_k) in place
 of its own chi(t_k): that is a solve with the occupation frozen along the
 history.  Feeding the march's own history back this way replays it bit for
-bit, and Picard iteration is this frozen march repeated,
+bit, and Picard iteration (`fixed_point_solve`) is this frozen march
+repeated,
 
     u^{k+1} = march frozen along chi^k,   chi^{k+1} = 1_{u^{k+1} >= 0},
 
@@ -34,9 +37,9 @@ so such Picard runs stop after one solve with a recorded residual of 0.
 Interval k of a frozen march depends only on the inputs chi(t_0..t_k) once
 the coupling, u0, gamma and the stored times are fixed, and the march lands
 exactly on every t_k.  So a Picard step resumes from the longest input
-prefix, compared bitwise by `couplings.occupation_key`, that an earlier
-march of the probe already solved, and steps only the intervals after it;
-the probe's memo of finished marches starts with the causal march itself.
+prefix, compared bitwise by the marches' keys, that an earlier march of the
+probe already solved, and steps only the intervals after it; the probe's
+memo of finished marches starts with the run's causal march, as it is.
 This is the window by window growth of the exact prefix in waveform
 relaxation, and it changes no float.
 """
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import OccupationHistory, constant_history, kappa, occupation_key
-from .grid import ScalarField, central_gradient_norm
+from .grid import ScalarField
 from .solver import Trajectory, _normalise_output_times, solution_gaps, solve
 
 # the Picard stop: sup_t kappa(chi^{k+1}(t), chi^k(t)) <= PICARD_TOL_CELLS h^2,
@@ -62,66 +65,28 @@ def chi_from_u(u: ScalarField) -> ScalarField:
 
 
 @dataclass
-class WeakSolution:
-    """Trajectory plus the occupation histories on both sides of the fixed
-    point.
+class March:
+    """One march: keys[k] is the packed input chi(t_k) of interval k, and
+    states the law's state (fitzhugh-nagumo's v, None for laws without
+    memory) at every stored time of u_traj.  A later frozen march that reads
+    the same first m inputs resumes from it at t_m."""
 
-    chi_hist brackets the stored snapshots exactly (chi_hist.fields[k] ==
-    1_{u(t_k) >= 0} nodewise).  chi_source is the history the final speed
-    was built from: feeding it back through the coupling replays u_traj bit
-    for bit, which is why the uniqueness probe keys its memo of the march's
-    solves on it; no verifier reads it.  The march builds its speed from its
-    own snapshots, so there the two are one history; a converged Picard run
-    has them within the Picard stop in kappa, not necessarily bitwise.
-    states holds the coupling's state (fitzhugh-nagumo's v, None for laws
-    without memory) at every stored time.
-    """
-
+    keys: list
     u_traj: Trajectory
-    chi_hist: OccupationHistory
-    chi_source: OccupationHistory
-    iterations: int
-    residual_history: list
-    converged: bool
     states: list
-
-    @property
-    def spec(self):
-        return self.u_traj.spec
-
-
-def _history_from_traj(traj: Trajectory) -> OccupationHistory:
-    return OccupationHistory(traj.times, [chi_from_u(s) for s in traj.snapshots])
-
-
-def _support_radius(u0: ScalarField) -> float:
-    inside = u0.values > -1.0
-    if not inside.any():
-        return 0.0
-    return float(u0.spec.radius()[inside].max())
-
-
-def _resample_history(hist: OccupationHistory, times: np.ndarray) -> OccupationHistory:
-    if hist.times.size == times.size and np.array_equal(hist.times, times):
-        return hist
-    return OccupationHistory(times, [hist.chi_at(t) for t in times])
-
-
-def _times(output_times, horizon: float) -> np.ndarray:
-    if output_times is None:
-        output_times = np.linspace(0.0, horizon, 13)
-    return _normalise_output_times(output_times, horizon)
 
 
 @dataclass
-class _Solved:
-    """What resuming a later frozen march needs from a finished one: the
-    packed input chi(t_k) of every interval, and the trajectory and the
-    coupling state at every stored time."""
+class WeakSolution:
+    """The result of Picard iteration: the last iterate's trajectory, its
+    own occupation history (chi_hist.fields[k] == 1_{u(t_k) >= 0} nodewise),
+    and the residual of every step."""
 
-    keys: list
-    traj: Trajectory
-    states: list
+    u_traj: Trajectory
+    chi_hist: OccupationHistory
+    iterations: int
+    residual_history: list
+    converged: bool
 
 
 def _resume_point(memo: list, keys: list):
@@ -142,63 +107,50 @@ def march_solve(
     u0: ScalarField,
     gamma: float,
     horizon: float,
-    output_times=None,
+    output_times,
     chi_hist: OccupationHistory = None,
     memo: list = None,
-) -> WeakSolution:
+) -> March:
     """Solve interval by interval, carrying the coupling's state.
 
     Interval [t_k, t_{k+1}] reads the speed the coupling builds from
     chi(t_k): the march's own 1_{u(t_k) >= 0}, which gives the weak
-    solution in one sweep (one iteration, residual 0, converged), or
-    chi_hist.fields[k] when a history is given, which is one Picard step
-    with the occupation frozen along it.  Then chi_source is chi_hist
-    (resampled onto the output times) and the residual is
-    sup_k kappa(chi_hist(t_k), 1_{u(t_k) >= 0}), converged only at 0.
+    solution in one sweep, or chi_hist.fields[k] when a history on the
+    stored times is given, which is one Picard step with the occupation
+    frozen along it.
 
     memo, for a frozen march, is a list of finished marches of the same
     coupling, u0, gamma and stored times (see `uniqueness_probe`):
     the march resumes where its inputs first differ, bitwise, from those of
     the entry sharing the longest prefix with them, and is then added to it.
     """
-    spec = u0.spec
-    times = _times(output_times, horizon)
-    states = [coupling.initial_state(spec)]
-    resume, start = None, 0
+    times = _normalise_output_times(output_times, horizon)
+    states = [coupling.initial_state(u0.spec)]
+    keys, resume, start = [], None, 0
     if chi_hist is not None:
-        chi_hist = _resample_history(chi_hist, times)
+        if not np.array_equal(chi_hist.times, times):
+            raise ValueError("a frozen march reads its history at the stored times")
+        keys = [occupation_key(f) for f in chi_hist.fields[:-1]]
         if memo is not None:
-            keys = [occupation_key(f) for f in chi_hist.fields[:-1]]
             entry, start = _resume_point(memo, keys)
             if start:
-                resume, states = entry.traj, entry.states[:start + 1]
+                resume, states = entry.u_traj, entry.states[:start + 1]
 
     def speed(t0, t1, u):
         k = len(states) - 1
-        chi = chi_from_u(u) if chi_hist is None else chi_hist.fields[k]
+        if chi_hist is None:
+            chi = chi_from_u(u)
+            keys.append(occupation_key(chi))
+        else:
+            chi = chi_hist.fields[k]
         speed_on, state = coupling.interval_speed(chi, float(t0), float(t1), states[k])
         states.append(state)
         return speed_on
 
-    traj = solve(u0, speed, gamma, horizon, times, resume=resume, start=start)
-    own = _history_from_traj(traj)
-    if chi_hist is None:
-        chi_hist, residual = own, 0.0
-    else:
-        residual = max(kappa(a, b) for a, b in zip(own.fields, chi_hist.fields))
-        if memo is not None:
-            memo.append(_Solved(keys, traj, states))
-    return WeakSolution(
-        u_traj=traj, chi_hist=own, chi_source=chi_hist,
-        iterations=1, residual_history=[residual], converged=residual == 0.0,
-        states=states,
-    )
-
-
-def reuses_march(traj: Trajectory, gamma: float, horizon: float, output_times=None) -> bool:
-    """True when traj, the trajectory of a causal march of the same coupling
-    and u0, is the march these arguments solve: same gamma and stored times."""
-    return traj.gamma == gamma and np.array_equal(traj.times, _times(output_times, horizon))
+    march = March(keys, solve(u0, speed, gamma, horizon, times, resume=resume, start=start), states)
+    if memo is not None:
+        memo.append(march)
+    return march
 
 
 def fixed_point_solve(
@@ -206,56 +158,45 @@ def fixed_point_solve(
     u0: ScalarField,
     gamma: float,
     horizon: float,
-    chi_init: OccupationHistory = None,
-    output_times=None,
+    chi_init: OccupationHistory,
+    output_times,
     memo: list = None,
 ) -> WeakSolution:
-    """Picard iteration on the occupation history, from chi_init (default:
-    the bracket of u0 held constant in time); each step is a `march_solve`
-    frozen along the previous iterate's history.  The uniqueness probe runs
-    it from several guesses; a single run uses the plain march.
+    """Picard iteration on the occupation history from chi_init, given on
+    the stored times; each step is a `march_solve` frozen along the previous
+    iterate's history, and its residual is sup_k kappa(chi_in(t_k),
+    1_{u(t_k) >= 0}) between the history it read and the one it produced.
+    The uniqueness probe runs it from several guesses; a single run uses the
+    plain march.
 
-    output_times fixes the time grid shared by all iterates (0 and the
-    horizon are always included); chi_init is resampled onto it.  It stops
-    at the Picard stop (PICARD_TOL_CELLS, PICARD_MAX_ITER).  With a memo,
-    every step resumes from it and extends it (see `march_solve`).
+    It stops at the Picard stop (PICARD_TOL_CELLS, PICARD_MAX_ITER).  With
+    a memo, every step resumes from it and extends it (see `march_solve`).
     """
     tol = PICARD_TOL_CELLS * u0.spec.h**2
-    times = _times(output_times, horizon)
-    chi_hist = chi_init
-    if chi_hist is None:
-        chi_hist = constant_history(chi_from_u(u0), times)
-
-    residual_history = []
+    chi_hist, residuals = chi_init, []
     for _ in range(PICARD_MAX_ITER):
-        sol = march_solve(
-            coupling, u0, gamma, horizon, output_times=times, chi_hist=chi_hist, memo=memo,
-        )
-        chi_hist = sol.chi_hist
+        traj = march_solve(
+            coupling, u0, gamma, horizon, output_times, chi_hist=chi_hist, memo=memo,
+        ).u_traj
+        own = OccupationHistory(traj.times, [chi_from_u(s) for s in traj.snapshots])
         # a chi-independent law rebuilds the identical speed from any
         # history, so the next iterate would equal this one bitwise
-        residual = 0.0 if coupling.chi_independent else sol.residual_history[0]
-        residual_history.append(residual)
-        if residual <= tol:
+        residuals.append(0.0 if coupling.chi_independent else max(
+            kappa(a, b) for a, b in zip(own.fields, chi_hist.fields)))
+        chi_hist = own
+        if residuals[-1] <= tol:
             break
-
-    return WeakSolution(
-        u_traj=sol.u_traj, chi_hist=sol.chi_hist, chi_source=sol.chi_source,
-        iterations=len(residual_history), residual_history=residual_history,
-        converged=residual <= tol, states=sol.states,
-    )
+    return WeakSolution(traj, chi_hist, len(residuals), residuals, residuals[-1] <= tol)
 
 
 # ---------------------------------------------------------------------------
 # uniqueness probe: one front, several initial occupation guesses
 
 
-def standard_seeds(u0: ScalarField, times, R0: float = None) -> dict:
+def standard_seeds(u0: ScalarField, times, R0: float) -> dict:
     """The three stock chi^0 guesses: the bracket of u0 held constant in
     time, the empty history, and the full ball of radius R0."""
     spec = u0.spec
-    if R0 is None:
-        R0 = _support_radius(u0)
     ones = ScalarField(spec, (spec.radius() <= R0).astype(np.float64))
     zeros = ScalarField(spec, np.zeros((spec.n, spec.n)))
     return {
@@ -298,59 +239,41 @@ def uniqueness_probe(
     u0: ScalarField,
     gamma: float,
     horizon: float,
-    seeds: dict = None,
+    seeds: dict,
+    output_times,
+    lipschitz: float,
+    march: March,
     taus=None,
-    output_times=None,
-    lipschitz: float = None,
-    R0: float = None,
-    march: WeakSolution = None,
 ) -> ProbeResult:
     """Run fixed_point_solve from several chi^0 guesses, compare the
     resulting level-set trajectories pairwise and with the causal march.
 
     A unique weak solution means all guesses land on the same front, so the
-    u gaps at the early prefix must shrink to grid scale.  march, the causal
-    march of the same coupling and u0 (a run's own), is used when its gamma
-    and stored times are the probe's; otherwise the probe marches.
-    The seeds run in order on one memo of finished marches that starts with
-    the march, so each Picard step resumes from the longest input prefix any
-    earlier march solved.
+    u gaps at the early prefix must shrink to grid scale.  march is the
+    causal march of the same coupling, u0, gamma and stored times (a run's
+    own), and lipschitz is ||Du0||_inf.  The seeds run in order on one memo
+    of finished marches that starts with the march, so each Picard step
+    resumes from the longest input prefix any earlier march solved.
     """
-    spec = u0.spec
     if taus is None:
         taus = default_taus(horizon)
-    if output_times is None:
-        base = np.linspace(0.0, horizon, 13)
-        output_times = np.unique(
-            np.concatenate([base, np.asarray(taus, dtype=np.float64)])
-        )
-    times = _normalise_output_times(output_times, horizon)
-    if seeds is None:
-        seeds = standard_seeds(u0, times, R0=R0)
     if len(seeds) < 2:
         raise ValueError("uniqueness probe needs at least two seeds")
-
+    times = _normalise_output_times(output_times, horizon)
     names = list(seeds)
-    histories = [_resample_history(seeds[k], times) for k in names]
-
-    if march is None or not reuses_march(march.u_traj, gamma, horizon, times):
-        march = march_solve(coupling, u0, gamma, horizon, output_times=times)
-    keys = [occupation_key(f) for f in march.chi_source.fields[:-1]]
-    memo = [_Solved(keys, march.u_traj, march.states)]
+    memo = [march]
     solutions = [
         fixed_point_solve(
-            coupling, u0, gamma, horizon, chi_init=hist, output_times=times, memo=memo,
+            coupling, u0, gamma, horizon,
+            OccupationHistory(times, [seeds[name].chi_at(t) for t in times]), times, memo=memo,
         )
-        for hist in histories
+        for name in names
     ]
     march_gaps = {
         name: float(solution_gaps(sol.u_traj, march.u_traj).max())
         for name, sol in zip(names, solutions)
     }
-
-    if lipschitz is None:
-        lipschitz = float(central_gradient_norm(u0).max())
-    uniq_tol = 4.0 * lipschitz * spec.h
+    uniq_tol = 4.0 * lipschitz * u0.spec.h
 
     stored = solutions[0].u_traj.times
     rows = []
@@ -371,4 +294,3 @@ def uniqueness_probe(
                     passed = False
 
     return ProbeResult(names, solutions, rows, uniq_tol, passed, march_gaps)
-

@@ -40,7 +40,7 @@ from frontlab.errors import ConfigError
 from frontlab.grid import ScalarField, load_field
 from frontlab.presets import list_presets, preset_text, verify_all_configs
 from frontlab.runner import RunResult, clear_listed, run, run_verify_all, verify_run_dir
-from frontlab.runner import write_manifest
+from frontlab.runner import PROBE_NOTE, write_manifest
 
 BASE = "init.kind = circle\ninit.r0 = 0.5\n"
 
@@ -880,6 +880,9 @@ def test_probe_subcommand_forces_probe(tmp_path, capsys):
     verdict = (out / "probe.verdict").read_text()
     for seed in ("bracket", "empty", "ball"):
         assert f"march_gap_{seed} = " in verdict
+    # the one note: a PASS shows Picard converging to the causal march
+    assert [line for line in verdict.splitlines() if line.startswith("#")] == [
+        f"# {PROBE_NOTE}"]
 
 
 # 129^2 x 2000 x 8 bytes is 254 MiB: within the budget for one trajectory,
@@ -1315,7 +1318,7 @@ def test_each_contour_and_eta_computed_once_per_pass(tmp_path, monkeypatch):
     # measured, and the values of each stack of fields a contour extraction
     # classifies (an area's classification takes one field, no counts)
     etas = _record_calls(monkeypatch, frontlab.verify, "band_etas",
-                         lambda band, *args, **kwargs: [id(u) for u in band.fields])
+                         lambda band, lambdas: [id(u) for u in band.fields])
     classified = _record_calls(
         monkeypatch, frontlab.contour, "_classify",
         lambda u, levels, counts=None: [] if counts is None else [v.tobytes() for v in u.values])
@@ -1399,7 +1402,8 @@ def test_run_marches_once_at_its_gamma(tmp_path, monkeypatch):
 
     marches = _record_calls(
         monkeypatch, frontlab.weak, "march_solve",
-        lambda coupling, u0, gamma, horizon, chi_hist=None, **kwargs: (gamma, chi_hist is None),
+        lambda coupling, u0, gamma, horizon, output_times, chi_hist=None, memo=None:
+            (gamma, chi_hist is None),
     )
     cfg = parse_config(SWEEP_RUN + "probe.enabled = true\n")
     out = tmp_path / "run"

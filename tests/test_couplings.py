@@ -157,11 +157,10 @@ def test_one_march_transforms_its_kernel_once(monkeypatch):
     kern = parse_kernel("core_ring(1.3,0.15,-0.3,0.15,0.3)", spec)
     x, y = spec.meshgrid()
     u0 = ScalarField(spec, np.clip(0.5 - np.hypot(x, y), -1.0, 1.0))
-    sol = march_solve(
+    march = march_solve(
         DislocationCoupling(kern, 0.2), u0, 0.05, 0.02, output_times=[0.005, 0.01, 0.015, 0.02]
     )
-    assert sol.converged
-    distinct = {occupation_key(chi) for chi in sol.chi_source.fields[:-1]}
+    distinct = set(march.keys)
     assert calls == {"kernel_spectrum": 1, "convolve_kernel": len(distinct)}
     assert len(distinct) < 4
 

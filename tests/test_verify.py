@@ -46,6 +46,7 @@ from frontlab.verify import (
     report_texts,
     star_shape_report,
 )
+from frontlab.weak import march_solve
 from stored_reports import load_report
 
 SPEC = GridSpec(101, 1.5)
@@ -301,12 +302,12 @@ def test_batched_eta_equals_one_snapshot_at_a_time(n):
     # non-positive lambdas dropped, a push to 2.5 leaving the domain near the
     # edge, and a push to 40 that leaves it everywhere
     for lambdas in ([0.0, -0.5, 0.1, 2.5], [40.0], [0.0]):
-        batched = np.concatenate([band_etas(band, owner, lambdas) for _, band in ctx.bands()])
+        batched = np.concatenate([band_etas(band, lambdas) for _, band in ctx.bands()])
         alone = [_reference_eta_empirical(u, owner, lambdas, width) for u in traj.snapshots]
         assert _bits(batched).tolist() == _bits(alone).tolist(), lambdas
         single = [eta_empirical(u, owner, lambdas) for u in traj.snapshots]
         assert _bits(single).tolist() == _bits(alone).tolist(), lambdas
-    assert np.isnan(band_etas(ctx.bands()[0][1], owner, [40.0])).all()
+    assert np.isnan(band_etas(ctx.bands()[0][1], [40.0])).all()
 
 
 @pytest.mark.parametrize("n", [33, 49, 65, 101, 201])
@@ -620,6 +621,9 @@ def test_cone_zero_direction_skips_vertices(init):
     assert rep.passed  # vacuously: nothing was testable
     assert rep.constants["points_tested"] == 0.0
     assert rep.constants["skipped_zero_axis"] > 0.0
+    # every (snapshot, level) has its row, the vacuous one
+    assert len(rep.rows) == 3 * len(TIMES)
+    assert all(row[1:] == (0.0, 0.01, 0.01) for row in rep.rows)
 
 
 def test_cone_subgrid_height_skipped(frozen, init):
@@ -723,7 +727,6 @@ def _preset_context(text, n):
     import re
 
     from frontlab.config import parse_config
-    from frontlab.weak import march_solve
 
     cfg = parse_config(re.sub(r"grid\.n = \d+", f"grid.n = {n}", text))
     spec = cfg.grid()
@@ -1027,14 +1030,29 @@ def test_star_shape_empty_band_vacuous(init):
     assert rep.rows[0][3] == 0.0
 
 
+def _sweep(coupling, init, gammas, horizon, run):
+    """gamma_sweep_star_shape on 13 stored times, beside the run's trajectory."""
+    times = np.linspace(0.0, horizon, 13)
+    return gamma_sweep_star_shape(coupling, init, gammas, horizon, times, CheckContext(run, init))
+
+
+def _swept_run(coupling, init, gamma, horizon):
+    """The run's causal march on the sweep's stored times."""
+    return march_solve(coupling, init.u0, gamma, horizon, np.linspace(0.0, horizon, 13)).u_traj
+
+
 def test_gamma_sweep_reports_largest_passing():
     spec = GridSpec(65, 1.5)
     small = star_shaped_u0(spec, [(0.0, 0.0)], 0.3)
-    gamma_bar, results = gamma_sweep_star_shape(
-        ConstantCoupling(0.5), small, [0.0, 0.02], horizon=0.05,
-    )
+    coupling = ConstantCoupling(0.5)
+    run = _swept_run(coupling, small, 0.0, 0.05)
+    gamma_bar, results = _sweep(coupling, small, [0.0, 0.02], 0.05, run)
     assert gamma_bar == 0.02
     assert all(r.passed for r in results.values())
+    # the run's march stands in for the sweep's at its gamma, and its report
+    # is what the sweep would compute
+    alone = star_shape_report(_swept_run(coupling, small, 0.0, 0.05), small)
+    assert results[0.0].rows == alone.rows
 
 
 def test_gamma_sweep_measures_no_lipschitz_log(monkeypatch):
@@ -1052,7 +1070,8 @@ def test_gamma_sweep_measures_no_lipschitz_log(monkeypatch):
     monkeypatch.setattr(frontlab.solver, "central_gradient_norm", counted)
     spec = GridSpec(65, 1.5)
     small = star_shaped_u0(spec, [(0.0, 0.0)], 0.3)
-    gamma_bar, _ = gamma_sweep_star_shape(ConstantCoupling(0.5), small, [0.0, 0.02], horizon=0.05)
+    run = _swept_run(ConstantCoupling(0.5), small, 0.0, 0.05)
+    gamma_bar, _ = _sweep(ConstantCoupling(0.5), small, [0.0, 0.02], 0.05, run)
     assert gamma_bar == 0.02
     assert measured == []
     traj = _run(small.u0, 0.5, [0.0, 0.025, 0.05], gamma=0.02)
@@ -1067,7 +1086,9 @@ def test_gamma_sweep_counts_escape_as_failure():
     # at t = 0.51
     spec = GridSpec(65, 1.0)
     small = star_shaped_u0(spec, [(0.0, 0.0)], 0.3)
-    gamma_bar, results = gamma_sweep_star_shape(ConstantCoupling(1.0), small, [0.0], horizon=1.0)
+    # the run, a short march at a gamma the sweep does not visit, is not read
+    run = _run(small.u0, 1.0, [0.0, 0.1], gamma=0.5)
+    gamma_bar, results = _sweep(ConstantCoupling(1.0), small, [0.0], 1.0, run)
     assert gamma_bar is None
     assert isinstance(results[0.0], str)
     assert results[0.0].startswith("error:")

@@ -14,8 +14,10 @@ from frontlab.couplings import (
     clamp_affine_map,
     constant_map,
     core_ring_kernel,
+    OccupationHistory,
     constant_history,
     kappa,
+    occupation_key,
 )
 from frontlab.grid import GridSpec, ScalarField, constant_field, field_from_function
 from frontlab.weak import (
@@ -31,6 +33,23 @@ SPEC = GridSpec(65, 1.0)
 
 def _clamped_disc(spec, r):
     return field_from_function(spec, lambda x, y: np.clip(r - np.hypot(x, y), -1.0, 1.0))
+
+
+def _times(horizon):
+    return np.linspace(0.0, horizon, 13)
+
+
+def _own_history(traj):
+    """The occupation history 1_{u(t_k) >= 0} of a trajectory."""
+    return OccupationHistory(traj.times, [chi_from_u(s) for s in traj.snapshots])
+
+
+def _picard(coup, u0, gamma, horizon):
+    """Picard from the bracket of u0 held constant in time."""
+    times = _times(horizon)
+    return fixed_point_solve(
+        coup, u0, gamma, horizon, constant_history(chi_from_u(u0), times), times,
+    )
 
 
 def _mean_radius(u):
@@ -125,12 +144,19 @@ def test_spatially_constant_laws_hand_the_step_a_float(monkeypatch, coup):
 # ---------------------------------------------------------------------------
 
 
+def _assert_picard_is_the_march_in_one_solve(coup, u0, gamma, horizon):
+    # a law that ignores chi builds the march's speed from any history: one
+    # Picard solve lands on the march bit for bit, with a residual of 0
+    ws = _picard(coup, u0, gamma, horizon)
+    assert ws.converged and ws.iterations == 1 and ws.residual_history == [0.0]
+    march = march_solve(coup, u0, gamma, horizon, _times(horizon))
+    _assert_same_trajectory(ws.u_traj, march.u_traj)
+    return ws
+
+
 def test_decoupled_volume_converges_immediately():
     coup = VolumeCoupling(constant_map(0.0))
-    ws = fixed_point_solve(coup, _clamped_disc(SPEC, 0.5), gamma=1.0, horizon=0.05)
-    assert ws.converged
-    assert ws.iterations == 1
-    assert ws.residual_history == [0.0]
+    ws = _assert_picard_is_the_march_in_one_solve(coup, _clamped_disc(SPEC, 0.5), 1.0, 0.05)
     # beta = 0 leaves pure curvature flow: R^2 = 0.25 - 2 * 0.05 * t
     want = np.sqrt(0.25 - 2.0 * 0.05)
     assert _mean_radius(ws.u_traj.snapshots[-1]) == pytest.approx(want, rel=0.05)
@@ -138,8 +164,7 @@ def test_decoupled_volume_converges_immediately():
 
 def test_decoupled_dislocation_expands_disc():
     coup = DislocationCoupling(constant_field(SPEC, 0.0), 1.0)
-    ws = fixed_point_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.0, horizon=0.2)
-    assert ws.converged and ws.iterations == 1
+    ws = _assert_picard_is_the_march_in_one_solve(coup, _clamped_disc(SPEC, 0.3), 0.0, 0.2)
     assert _mean_radius(ws.u_traj.snapshots[-1]) == pytest.approx(0.5, rel=0.02)
 
 
@@ -150,7 +175,7 @@ def test_constant_alpha_fn_converges_in_two():
         g_minus=constant_map(0.0),
         v0=0.0,
     )
-    ws = fixed_point_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.0, horizon=0.2)
+    ws = _picard(coup, _clamped_disc(SPEC, 0.3), 0.0, 0.2)
     assert ws.converged
     assert ws.iterations <= 2
     assert _mean_radius(ws.u_traj.snapshots[-1]) == pytest.approx(0.4, rel=0.03)
@@ -161,7 +186,7 @@ def coupled_run():
     kern = core_ring_kernel(SPEC, 1.0, 0.15, -0.3, 0.15, 0.3)
     coup = DislocationCoupling(kern, 0.2)
     u0 = _clamped_disc(SPEC, 0.3)
-    return coup, fixed_point_solve(coup, u0, gamma=0.0, horizon=0.2)
+    return coup, _picard(coup, u0, 0.0, 0.2)
 
 
 def test_coupled_run_converges(coupled_run):
@@ -181,21 +206,33 @@ def test_bracket_invariant(coupled_run):
 
 
 def test_replay_reproduces_trajectory(coupled_run):
-    # determinism hook: marching again frozen along the march's source
-    # history must rebuild the stored trajectory bit for bit
+    # determinism hook: marching again frozen along the march's own history
+    # must rebuild the stored trajectory bit for bit, from the same inputs
     coup, _ = coupled_run
-    ws = march_solve(coup, _clamped_disc(SPEC, 0.3), gamma=0.0, horizon=0.2)
-    assert ws.chi_source is ws.chi_hist
+    march = march_solve(coup, _clamped_disc(SPEC, 0.3), 0.0, 0.2, _times(0.2))
     again = march_solve(
-        coup, ws.u_traj.snapshots[0], ws.u_traj.gamma, float(ws.u_traj.times[-1]),
-        output_times=ws.u_traj.times, chi_hist=ws.chi_source,
+        coup, march.u_traj.snapshots[0], march.u_traj.gamma, float(march.u_traj.times[-1]),
+        march.u_traj.times, chi_hist=_own_history(march.u_traj),
     )
-    assert again.chi_source is ws.chi_source
-    assert again.residual_history == [0.0] and again.converged
-    assert again.u_traj.dt_used == ws.u_traj.dt_used
-    assert again.u_traj.lipschitz_log == ws.u_traj.lipschitz_log
-    for a, b in zip(again.u_traj.snapshots, ws.u_traj.snapshots):
-        assert np.array_equal(a.values, b.values)
+    assert again.keys == march.keys
+    _assert_same_trajectory(again.u_traj, march.u_traj)
+
+
+@pytest.mark.parametrize("kind", ["dislocation", "volume", "fitzhugh_nagumo"])
+def test_causal_march_keys_its_own_occupation(kind):
+    # interval k of the causal march reads 1_{u(t_k) >= 0} of its own
+    # snapshot, and its keys record exactly that input
+    march = march_solve(_coupled_law(kind), _clamped_disc(SPEC33, 0.3), 0.05, 0.3, _times(0.3))
+    snapshots = march.u_traj.snapshots
+    assert len(march.keys) == len(snapshots) - 1
+    assert march.keys == [occupation_key(chi_from_u(u)) for u in snapshots[:-1]]
+
+
+def test_frozen_march_needs_its_history_on_the_stored_times():
+    u0 = _clamped_disc(SPEC33, 0.3)
+    hist = constant_history(chi_from_u(u0), [0.0, 0.1, 0.3])
+    with pytest.raises(ValueError, match="stored times"):
+        march_solve(_coupled_law("volume"), u0, 0.05, 0.3, _times(0.3), chi_hist=hist)
 
 
 # ---------------------------------------------------------------------------
@@ -224,28 +261,30 @@ def test_march_is_the_picard_limit(kind):
     # march bit for bit
     coup = _coupled_law(kind)
     u0 = _clamped_disc(SPEC33, 0.3)
-    march = march_solve(coup, u0, gamma=0.05, horizon=0.3)
+    times = _times(0.3)
+    march = march_solve(coup, u0, 0.05, 0.3, times)
 
     def same(a, b):
         return all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
     # one Picard step is the march frozen along the previous history,
     # starting from the bracket of u0 held constant in time
-    chi = constant_history(chi_from_u(u0), march.u_traj.times)
+    chi = constant_history(chi_from_u(u0), times)
     first = None
     for _ in range(20):
-        ws = march_solve(coup, u0, 0.05, 0.3, chi_hist=chi)
+        ws = march_solve(coup, u0, 0.05, 0.3, times, chi_hist=chi)
         first = first or ws
-        if same(ws.chi_hist.fields, chi.fields):
+        own = _own_history(ws.u_traj)
+        if same(own.fields, chi.fields):
             break
-        chi = ws.chi_hist
+        chi = own
     else:
         pytest.fail("Picard did not settle in 20 iterations")
     # the first iterate, frozen at the bracket of u0, is not the fixed point
     assert not same(first.u_traj.snapshots, march.u_traj.snapshots)
     assert same(ws.u_traj.snapshots, march.u_traj.snapshots)
-    assert same(ws.chi_hist.fields, march.chi_hist.fields)
-    assert march.converged and march.iterations == 1
+    # the fixed point read the march's inputs
+    assert ws.keys == march.keys
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +306,31 @@ def test_standard_seed_shapes():
     )
 
 
+def _probe(coup, u0, gamma, horizon, seeds=None):
+    """The probe of the causal march on 13 stored times, from the standard
+    seeds with the ball over the support of the clamped disc of radius 0.3
+    (where u0 > -1, radius 1.3), with its Lipschitz constant 1."""
+    times = _times(horizon)
+    if seeds is None:
+        seeds = standard_seeds(u0, times, R0=1.3)
+    march = march_solve(coup, u0, gamma, horizon, times)
+    return uniqueness_probe(
+        coup, u0, gamma, horizon, seeds=seeds, output_times=times, lipschitz=1.0, march=march,
+    )
+
+
 def test_probe_needs_two_seeds():
     u0 = _clamped_disc(SPEC, 0.3)
-    seeds = standard_seeds(u0, [0.0, 0.1])
+    seeds = standard_seeds(u0, _times(0.1), R0=1.3)
     with pytest.raises(ValueError):
-        uniqueness_probe(
-            ConstantCoupling(1.0), u0, 0.0, 0.1,
-            seeds={"bracket": seeds["bracket"]},
-        )
+        _probe(ConstantCoupling(1.0), u0, 0.0, 0.1, seeds={"bracket": seeds["bracket"]})
 
 
 def test_probe_decoupled_seeds_agree_exactly():
     # the speed law ignores chi, so every seed produces the identical
     # trajectory and all pairwise gaps vanish
     u0 = _clamped_disc(SPEC, 0.3)
-    probe = uniqueness_probe(ConstantCoupling(1.0), u0, 0.0, 0.2)
+    probe = _probe(ConstantCoupling(1.0), u0, 0.0, 0.2)
     assert probe.passed
     for _, _, tau, delta, kappa_sup in probe.rows:
         assert delta == 0.0
@@ -292,13 +341,12 @@ def test_probe_coupled_gaps_monotone_in_tau():
     kern = core_ring_kernel(SPEC, 1.0, 0.15, -0.3, 0.15, 0.3)
     coup = DislocationCoupling(kern, 0.2)
     u0 = _clamped_disc(SPEC, 0.3)
-    probe = uniqueness_probe(coup, u0, 0.0, 0.2)
+    probe = _probe(coup, u0, 0.0, 0.2)
     taus = sorted({r[2] for r in probe.rows})
     worst = [max(r[3] for r in probe.rows if r[2] == tau) for tau in taus]
     assert worst[0] <= worst[1] + 1e-15
     assert worst[1] <= worst[2] + 1e-15
-    lip = 1.0
-    assert probe.uniq_tol == pytest.approx(4.0 * lip * SPEC.h, rel=0.05)
+    assert probe.uniq_tol == 4.0 * 1.0 * SPEC.h
     # Picard from every seed converges to the march
     assert set(probe.march_gaps) == set(probe.seeds)
     assert max(probe.march_gaps.values()) <= probe.uniq_tol
@@ -320,15 +368,24 @@ def test_probe_memo_matches_per_seed_picard(monkeypatch):
         steps[-1] += 1
         return advance(*args, **kwargs)
 
+    times = _times(0.3)
+    seeds = standard_seeds(u0, times, R0=1.3)
+    march = march_solve(coup, u0, 0.05, 0.3, times)
+
+    def probe():
+        return uniqueness_probe(
+            coup, u0, 0.05, 0.3, seeds=seeds, output_times=times, lipschitz=1.0, march=march,
+        )
+
     monkeypatch.setattr(frontlab.solver, "advance", counted)
     steps.append(0)
-    shared = uniqueness_probe(coup, u0, 0.05, 0.3)
+    shared = probe()
     monkeypatch.setattr(
         frontlab.weak, "fixed_point_solve",
         lambda *args, memo=None, **kwargs: plain(*args, **kwargs),
     )
     steps.append(0)
-    alone = uniqueness_probe(coup, u0, 0.05, 0.3)
+    alone = probe()
 
     assert steps[0] < steps[1]
     assert shared.rows == alone.rows
@@ -346,6 +403,13 @@ def _assert_same_trajectory(a, b):
         assert np.array_equal(sa.values, sb.values)
 
 
+def _assert_same_states(a, b):
+    # a law without memory carries None; fitzhugh-nagumo carries its v field
+    assert len(a) == len(b)
+    for sa, sb in zip(a, b):
+        assert (sa is None and sb is None) or np.array_equal(sa.values, sb.values)
+
+
 @pytest.mark.parametrize("kind", ["dislocation", "volume", "fitzhugh_nagumo"])
 def test_resumed_march_equals_full_march(kind):
     # a frozen march whose history agrees with a finished one on its first m
@@ -353,17 +417,19 @@ def test_resumed_march_equals_full_march(kind):
     # (fitzhugh-nagumo's v) and must equal the same march solved from t_0
     coup = _coupled_law(kind)
     u0 = _clamped_disc(SPEC33, 0.3)
-    march = march_solve(coup, u0, gamma=0.05, horizon=0.3)
+    times = _times(0.3)
+    march = march_solve(coup, u0, 0.05, 0.3, times)
     memo = []
-    first = march_solve(coup, u0, 0.05, 0.3, chi_hist=march.chi_hist, memo=memo)
-    fields = march.chi_hist.fields
+    own = _own_history(march.u_traj)
+    first = march_solve(coup, u0, 0.05, 0.3, times, chi_hist=own, memo=memo)
     empty = ScalarField(SPEC33, np.zeros((SPEC33.n, SPEC33.n)))
-    for m in range(len(fields)):
-        hist = constant_history(empty, march.chi_hist.times)
-        hist.fields[:m] = fields[:m]
-        resumed = march_solve(coup, u0, 0.05, 0.3, chi_hist=hist, memo=memo[:1])
-        full = march_solve(coup, u0, 0.05, 0.3, chi_hist=hist)
+    for m in range(len(own.fields)):
+        hist = constant_history(empty, times)
+        hist.fields[:m] = own.fields[:m]
+        resumed = march_solve(coup, u0, 0.05, 0.3, times, chi_hist=hist, memo=memo[:1])
+        full = march_solve(coup, u0, 0.05, 0.3, times, chi_hist=hist)
         # from t_1 on the snapshot at t_m is the finished march's own
         assert (resumed.u_traj.snapshots[m] is first.u_traj.snapshots[m]) == (m > 0)
-        assert resumed.residual_history == full.residual_history
+        assert resumed.keys == full.keys
         _assert_same_trajectory(resumed.u_traj, full.u_traj)
+        _assert_same_states(resumed.states, full.states)
